@@ -24,7 +24,6 @@ from .backend import (
     SimulatorBackend,
     UnknownPathError,
     UnsupportedSettingError,
-    rf_set,
 )
 from .protocol import (
     CaptureCommand,
@@ -86,7 +85,6 @@ from .simulator import (
     apply_bandwidth,
     coupling_gain,
     detector_output,
-    simulate_capture,
 )
 from .sweep import (
     SensitivityRecord,

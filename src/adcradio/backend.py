@@ -111,8 +111,6 @@ class DutDescriptor:
     n_paths: int
     resolution_bits: int = 12
     max_sample_rate_hz: float = 1_000_000.0
-    oversampling_ratios: tuple[int, ...] = ALLOWED_OVERSAMPLING
-    path_labels: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n_paths < 1:
@@ -153,11 +151,6 @@ class SimulatedRfSource:
         self._stimulus = stimulus
 
 
-def rf_set(source: SimulatedRfSource, stimulus: RfStimulus) -> None:
-    """Module-level alias for driving any RF source object."""
-    source.rf_set(stimulus)
-
-
 class SimulatorBackend:
     """In-process backend: configure/capture straight into a SimulatedDut."""
 
@@ -167,9 +160,7 @@ class SimulatorBackend:
 
     def describe(self) -> DutDescriptor:
         return DutDescriptor(
-            n_paths=self.dut.n_paths,
-            resolution_bits=self.dut.adc.resolution_bits,
-            path_labels=tuple(self.dut.path_labels),
+            n_paths=self.dut.n_paths, resolution_bits=self.dut.adc.resolution_bits
         )
 
     def configure(self, path: ReceptionPathId, config: PathConfig, adc: AdcConfig) -> None:

@@ -41,6 +41,7 @@ from .signals import (
 from .sweep import (
     SweepPlan,
     classify_sensitive,
+    config_order,
     enumerate_configs,
     peak_snr,
     recommended_configs,
@@ -274,11 +275,8 @@ def cmd_report(args) -> int:
         if args.path is not None:
             matches = [s for s in spectra if s.path.index == args.path]
             if args.config_index is not None:
-                matches = [
-                    s
-                    for s in matches
-                    if spectra_config_index(spectra, s) == args.config_index
-                ]
+                order = config_order(spectra)
+                matches = [s for s in matches if order[s.config] == args.config_index]
             if not matches:
                 raise UsageError("no spectrum matches --path/--config-index")
             spectrum = matches[0]
@@ -313,14 +311,6 @@ def cmd_report(args) -> int:
     )
     print(f"{args.kind} -> {out_svg} + {out_csv}")
     return 0
-
-
-def spectra_config_index(spectra, spectrum) -> int:
-    configs: list = []
-    for s in spectra:
-        if s.config not in configs:
-            configs.append(s.config)
-    return configs.index(spectrum.config)
 
 
 def cmd_linkbudget(args) -> int:

@@ -11,10 +11,8 @@ import csv
 import math
 from pathlib import Path
 
-import numpy as np
-
-from .receiver import _symbol_central_means, normalize, remove_dc
-from .sweep import SnrSpectrum, peak_snr, spectra_from_records
+from .receiver import _symbol_central_means, condition
+from .sweep import SnrSpectrum, config_order, peak_snr, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
 
@@ -83,15 +81,12 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
     if not spectra:
         raise ValueError("no records")
     paths = sorted({s.path.index for s in spectra})
-    configs: list = []
-    for s in spectra:
-        if s.config not in configs:
-            configs.append(s.config)
+    configs = config_order(spectra)
     peaks: dict[tuple[int, int], tuple[float, object]] = {}
     finite_vals = []
     for s in spectra:
         freq, best = peak_snr(s)
-        key = (paths.index(s.path.index), configs.index(s.config))
+        key = (paths.index(s.path.index), configs[s.config])
         peaks[key] = (freq, best)
         if best.kind == "db":
             finite_vals.append(best.db)
@@ -250,17 +245,12 @@ def render_eye(
     dc_window_symbols: int = 15,
 ) -> dict:
     """Overlaid two-symbol segments of the normalized waveform (eye diagram)."""
-    samples = trace.samples if hasattr(trace, "samples") else np.asarray(trace)
-    x = np.asarray(samples, dtype=np.float64)
     sps = int(samples_per_symbol)
-    if x.size < 4 * sps:
+    if len(trace) < 4 * sps:
         raise ValueError("trace too short for an eye diagram")
-    window = min(dc_window_symbols * sps, x.size)
-    if window % 2 == 0:
-        window -= 1
-    scaled = normalize(remove_dc(x, window))
+    scaled = condition(trace, sps, dc_window_symbols)
     seg_len = 2 * sps
-    n_seg = min(max_traces, (x.size - sps) // sps - 1)
+    n_seg = min(max_traces, (scaled.size - sps) // sps - 1)
     if n_seg < 2:
         raise ValueError("trace too short for an eye diagram")
     means = _symbol_central_means(scaled, 0.0, sps)

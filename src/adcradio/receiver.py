@@ -31,7 +31,6 @@ class DemodParams:
     samples_per_symbol: int
     dc_window_symbols: int = 15
     timing_search: float = 1.0 / 16.0  # phase grid resolution, in symbols
-    threshold_policy: str = "midpoint"  # fixed midpoint after normalization
 
     def __post_init__(self):
         if self.samples_per_symbol < 2:
@@ -40,8 +39,6 @@ class DemodParams:
             raise ValueError("dc_window_symbols must be an odd count >= 3")
         if not 0 < self.timing_search <= 0.5:
             raise ValueError("timing_search must be in (0, 0.5]")
-        if self.threshold_policy != "midpoint":
-            raise ValueError("only the 'midpoint' threshold policy is implemented")
 
 
 @dataclass(frozen=True)
@@ -161,18 +158,28 @@ def slice_bits(samples: np.ndarray, phase: float, samples_per_symbol: int) -> Bi
     return BitSequence(bits=(means > 0).astype(np.uint8))
 
 
-def demodulate(trace: AdcTrace | np.ndarray, params: DemodParams) -> BitSequence:
-    """Full decode: remove_dc -> normalize -> recover_timing -> slice_bits."""
-    x = trace.samples if isinstance(trace, AdcTrace) else np.asarray(trace)
-    x = x.astype(np.float64)
-    if x.size == 0:
-        return BitSequence(bits=np.empty(0, np.uint8))
-    sps = params.samples_per_symbol
-    window = min(params.dc_window_symbols * sps, x.size)
+def condition(
+    trace: AdcTrace | np.ndarray, samples_per_symbol: int, dc_window_symbols: int
+) -> np.ndarray:
+    """remove_dc -> normalize, the front end shared by every decision stage.
+
+    The DC window spans ``dc_window_symbols`` symbols, clipped to the trace
+    length and shortened by one sample if that makes it even.
+    """
+    samples = trace.samples if isinstance(trace, AdcTrace) else trace
+    x = np.asarray(samples, dtype=np.float64)
+    window = min(dc_window_symbols * samples_per_symbol, x.size)
     if window % 2 == 0:
         window -= 1
-    centered = remove_dc(x, window)
-    scaled = normalize(centered)
+    return normalize(remove_dc(x, window))
+
+
+def demodulate(trace: AdcTrace | np.ndarray, params: DemodParams) -> BitSequence:
+    """Full decode: remove_dc -> normalize -> recover_timing -> slice_bits."""
+    if len(trace) == 0:
+        return BitSequence(bits=np.empty(0, np.uint8))
+    sps = params.samples_per_symbol
+    scaled = condition(trace, sps, params.dc_window_symbols)
     grid = max(2, int(round(1.0 / params.timing_search)))
     phase = recover_timing(scaled, sps, grid)
     return slice_bits(scaled, phase, sps)
@@ -215,13 +222,8 @@ def eye_opening(
     """Worst-case separation between 1-symbols and 0-symbols after
     normalization: P10 of the per-symbol central means over decoded 1-bits
     minus P90 over decoded 0-bits, clamped at 0."""
-    x = trace.samples if isinstance(trace, AdcTrace) else np.asarray(trace)
-    x = x.astype(np.float64)
     sps = int(samples_per_symbol)
-    window = min(dc_window_symbols * sps, x.size)
-    if window % 2 == 0:
-        window -= 1
-    scaled = normalize(remove_dc(x, window))
+    scaled = condition(trace, sps, dc_window_symbols)
     means = _symbol_central_means(scaled, float(phase), sps)
     if means.size < 20:
         raise ValueError(f"need at least 20 symbols for an eye estimate, got {means.size}")

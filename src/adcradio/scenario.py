@@ -16,7 +16,6 @@ from importlib import resources
 from pathlib import Path
 
 from .backend import (
-    DutDescriptor,
     GpioMode,
     GpioPull,
     OutputType,
@@ -270,7 +269,6 @@ def build_rig(
         coupling=scenario.coupling,
         default_model=scenario.default_model,
         seed=scenario.seed if seed is None else seed,
-        path_labels=list(scenario.path_labels),
     )
     source = SimulatedRfSource(
         min_power_dbm=scenario.source.min_power_dbm,
@@ -279,14 +277,6 @@ def build_rig(
         max_freq_hz=scenario.source.max_freq_hz,
     )
     return SimulatorBackend(dut, source), source
-
-
-def describe(scenario: Scenario) -> DutDescriptor:
-    return DutDescriptor(
-        n_paths=scenario.n_paths,
-        resolution_bits=scenario.adc.resolution_bits,
-        path_labels=scenario.path_labels,
-    )
 
 
 def bundled_scenario_path(name: str) -> Path:

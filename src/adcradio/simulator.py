@@ -356,7 +356,6 @@ class SimulatedDut:
         coupling: Mapping[tuple[int, Hashable | None], CouplingModel] | None = None,
         default_model: CouplingModel = CouplingModel(),
         seed: int = 0,
-        path_labels: list[str] | None = None,
     ):
         if n_paths < 1:
             raise ValueError("n_paths must be >= 1")
@@ -366,7 +365,6 @@ class SimulatedDut:
         self.coupling = dict(coupling or {})
         self.default_model = default_model
         self.seed = int(seed)
-        self.path_labels = list(path_labels or [])
         self._rng = np.random.default_rng(self.seed)
         self._path: int | None = None
         self._config: Hashable | None = None
@@ -376,12 +374,6 @@ class SimulatedDut:
     @property
     def configured(self) -> bool:
         return self._path is not None
-
-    @property
-    def current(self) -> tuple[int, Hashable] | None:
-        if self._path is None:
-            return None
-        return (self._path, self._config)
 
     def model_for(self, path_index: int, config: Hashable) -> CouplingModel:
         exact = self.coupling.get((path_index, config))
@@ -476,12 +468,3 @@ class SimulatedDut:
                 "enabled": bool(stimulus.enabled),
             }
         return meta
-
-
-def simulate_capture(
-    dut: SimulatedDut, path_index: int, config: Hashable, stimulus, n_blocks: int
-) -> AdcTrace:
-    """Configure (if needed) and run the full chain for one capture."""
-    if dut.current != (path_index, config):
-        dut.configure(path_index, config, dut.adc)
-    return dut.capture(n_blocks, stimulus)

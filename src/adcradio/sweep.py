@@ -84,19 +84,19 @@ class SweepPlan:
         return len(self.paths) * len(self.configs) * len(self.freqs_hz)
 
 
+@dataclass(frozen=True, slots=True)
 class SnrEstimate:
     """Either a finite SNR in dB, the "high" sentinel (zero off-state
     variance with a response), or "none" (no response at all)."""
 
-    __slots__ = ("kind", "db")
+    kind: str
+    db: float | None = None
 
-    def __init__(self, kind: str, db: float | None = None):
-        if kind not in ("db", "high", "none"):
-            raise ValueError(f"bad SnrEstimate kind {kind!r}")
-        if (kind == "db") != (db is not None):
+    def __post_init__(self):
+        if self.kind not in ("db", "high", "none"):
+            raise ValueError(f"bad SnrEstimate kind {self.kind!r}")
+        if (self.kind == "db") != (self.db is not None):
             raise ValueError("db value required exactly when kind == 'db'")
-        self.kind = kind
-        self.db = db
 
     @classmethod
     def finite(cls, db: float) -> "SnrEstimate":
@@ -141,19 +141,6 @@ class SnrEstimate:
             return cls.finite(float(obj["db"]))
         raise ValueError(f"bad serialized SNR {obj!r}")
 
-    def __eq__(self, other):
-        if not isinstance(other, SnrEstimate):
-            return NotImplemented
-        return self.kind == other.kind and self.db == other.db
-
-    def __hash__(self):
-        return hash((self.kind, self.db))
-
-    def __repr__(self):
-        if self.kind == "db":
-            return f"SnrEstimate({self.db:.2f} dB)"
-        return f"SnrEstimate({self.kind})"
-
 
 @dataclass(frozen=True)
 class SensitivityRecord:
@@ -195,6 +182,11 @@ def block_mean(trace: AdcTrace | np.ndarray, block_len: int) -> np.ndarray:
     return samples.reshape(-1, block_len).mean(axis=1)
 
 
+def _off_variance(off_means: np.ndarray) -> float:
+    """Unbiased variance of off-state block means; 0 with fewer than two."""
+    return float(np.var(off_means, ddof=1)) if off_means.size >= 2 else 0.0
+
+
 def snr_from_stats(diff: float, var_off: float) -> SnrEstimate:
     """SNR sentinel logic from a mean difference and an off-state variance."""
     if var_off < 0:
@@ -217,9 +209,7 @@ def estimate_snr(on_means, off_means) -> SnrEstimate:
     off = np.asarray(off_means, dtype=np.float64)
     if on.size == 0 or off.size == 0:
         raise ValueError("on_means and off_means must be non-empty")
-    diff = float(on.mean() - off.mean())
-    var_off = float(off.var(ddof=1)) if off.size >= 2 else 0.0
-    return snr_from_stats(diff, var_off)
+    return snr_from_stats(float(on.mean() - off.mean()), _off_variance(off))
 
 
 def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
@@ -291,10 +281,9 @@ def _failed_record(path, config, freq, message) -> SensitivityRecord:
 def _cell_records(path, config, cell, pool: bool) -> list[SensitivityRecord]:
     pooled_var: float | None = None
     if pool:
-        off_all = np.concatenate(
-            [off for _, _, off, err in cell if err is None] or [np.empty(0)]
+        pooled_var = _off_variance(
+            np.concatenate([off for _, _, off, err in cell if err is None] or [np.empty(0)])
         )
-        pooled_var = float(np.var(off_all, ddof=1)) if off_all.size >= 2 else 0.0
     out = []
     for freq, on_means, off_means, err in cell:
         if err is not None:
@@ -303,7 +292,7 @@ def _cell_records(path, config, cell, pool: bool) -> list[SensitivityRecord]:
         mean_on = float(np.mean(on_means))
         mean_off = float(np.mean(off_means))
         diff = mean_on - mean_off
-        var_off = pooled_var if pooled_var is not None else float(np.var(off_means, ddof=1))
+        var_off = pooled_var if pooled_var is not None else _off_variance(off_means)
         out.append(
             SensitivityRecord(
                 path=path,
@@ -331,6 +320,11 @@ def spectra_from_records(records) -> list[SnrSpectrum]:
         SnrSpectrum(path=paths[key], config=key[1], points=tuple(pts))
         for key, pts in grouped.items()
     ]
+
+
+def config_order(spectra) -> dict[PathConfig, int]:
+    """Index of each configuration in order of first appearance."""
+    return {c: i for i, c in enumerate(dict.fromkeys(s.config for s in spectra))}
 
 
 def peak_snr(spectrum: SnrSpectrum) -> tuple[float, SnrEstimate]:

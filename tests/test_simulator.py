@@ -17,7 +17,6 @@ from adcradio.simulator import (
     apply_bandwidth,
     coupling_gain,
     detector_output,
-    simulate_capture,
 )
 
 CFG = "cfg"  # configs are opaque hashables to the simulator
@@ -281,11 +280,14 @@ class TestSimulatedDut:
         assert slope == pytest.approx(2.0, abs=0.25)
 
 
-class TestSimulateCapture:
-    def test_configures_when_needed(self):
+class TestConfigureCapture:
+    def test_capture_after_configure(self):
         model = CouplingModel(noise_sigma=1.0)
         dut = make_dut(model=model)
+        assert not dut.configured
+        dut.configure(1, CFG, dut.adc)
         stim = RfStimulus(freq_hz=300e6, power_dbm=0.0, enabled=False)
-        trace = simulate_capture(dut, 1, CFG, stim, 4)
+        trace = dut.capture(4, stim)
+        assert dut.configured
         assert len(trace) == 4 * dut.adc.samples_per_block
-        assert dut.current == (1, CFG)
+        assert (trace.meta["path"], trace.meta["config"]) == (1, CFG)

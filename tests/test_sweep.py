@@ -1,5 +1,7 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from adcradio.backend import (
     SimulatedRfSource,
     SimulatorBackend,
 )
+from adcradio.fileio import write_records
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
     SnrEstimate,
@@ -298,3 +301,21 @@ class TestRunSweep:
             records = run_sweep(plan, backend, source)
             results.append([(r.mean_on, r.mean_off, r.var_off) for r in records])
         assert results[0] == results[1]
+
+    def test_unpooled_single_block_matches_estimate_snr(self, tmp_path):
+        # One block per state without pooling leaves a single off mean per
+        # cell: the records must follow estimate_snr's sentinel rules, not
+        # emit a NaN variance.
+        model = CouplingModel(resonances=(Resonance(500e6, 40e6, 300.0),), noise_sigma=2.0)
+        backend, source, adc = small_rig(coupling={(1, None): model}, seed=3)
+        plan = self.make_plan(adc, 2, 2, 9, blocks_per_state=1, pool_off_variance=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = run_sweep(plan, backend, source)
+        assert {r.snr.kind for r in records} == {"high", "none"}
+        for r in records:
+            assert r.var_off == 0.0
+            assert r.snr == estimate_snr([r.mean_on], [r.mean_off])
+        out = tmp_path / "results.jsonl"
+        write_records(out, records)
+        assert "NaN" not in out.read_text()
