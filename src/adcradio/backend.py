@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .signals import BasebandEnvelope
 from .simulator import ALLOWED_OVERSAMPLING, AdcConfig, AdcTrace, SimulatedDut
 
@@ -174,10 +176,88 @@ class SimulatorBackend:
             )
         self.dut.configure(path.index, config, adc)
 
+    @property
+    def adc(self) -> AdcConfig:
+        """Acquisition settings the device currently runs with."""
+        return self.dut.adc
+
+    def set_adc_rate(self, sample_rate_hz: float, oversampling_ratio: int) -> None:
+        """Change the sample rate and oversampling ratio without resetting
+        the configured path."""
+        if oversampling_ratio not in ALLOWED_OVERSAMPLING:
+            raise UnsupportedSettingError(f"unsupported oversampling ratio {oversampling_ratio}")
+        if sample_rate_hz <= 0:
+            raise UnsupportedSettingError(f"unsupported sample rate {sample_rate_hz}")
+        self.dut.set_adc_rate(float(sample_rate_hz), oversampling_ratio)
+
     def capture(self, n_blocks: int) -> AdcTrace:
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
         return self.dut.capture(n_blocks, self.source.stimulus)
 
+    def capture_schedule(self, stimuli, n_blocks: int) -> np.ndarray:
+        """Codes of one n_blocks capture per stimulus, in order, as if the RF
+        source were set to each stimulus before its capture.
+
+        Each distinct (frequency, power) is checked by the source's rf_set
+        (RfSourceError), and the source is left at the last stimulus.
+        Returns int32 codes of shape (len(stimuli), n_blocks * samples_per_block).
+        """
+        if not self.dut.configured:
+            raise NotConfiguredError("capture before configure")
+        stimuli = list(stimuli)
+        checked = set()
+        for stimulus in stimuli:
+            limits = (stimulus.freq_hz, stimulus.power_dbm)
+            if limits not in checked:
+                checked.add(limits)
+                self.source.rf_set(stimulus)
+        if stimuli:
+            self.source.rf_set(stimuli[-1])
+        return self.dut.capture_schedule(stimuli, n_blocks)
+
     def reset(self) -> None:
         self.dut.reset()
+
+
+def capture_groups(backend, rf_source, groups, n_blocks: int, isolate=()):
+    """Capture n_blocks blocks under each stimulus of each group, in order.
+
+    ``groups`` are equal-length sequences of stimuli. Returns ``(codes,
+    errors)``: int32 codes of shape (len(groups), group length, n_blocks *
+    samples_per_block), and per group the exception (of a type in
+    ``isolate``) that failed it, or None. A failed group's codes are
+    meaningless; exceptions of other types propagate.
+
+    This is the one place that picks the capture path. A backend with a
+    batched ``capture_schedule`` (SimulatorBackend) runs every group in one
+    schedule, so an error there fails every group. Any other backend
+    (SerialBackend) gets ``rf_source.rf_set`` and ``capture`` per stimulus,
+    and an error ends only its own group.
+    """
+    groups = list(groups)
+    group_len = len(groups[0]) if groups else 0
+    schedule = getattr(backend, "capture_schedule", None)
+    if schedule is not None:
+        try:
+            codes = schedule([s for group in groups for s in group], n_blocks)
+        except isolate as exc:
+            return np.zeros((len(groups), group_len, 0), np.int32), [exc] * len(groups)
+        return codes.reshape(len(groups), group_len, codes.shape[1]), [None] * len(groups)
+    codes = None
+    errors = []
+    for g, group in enumerate(groups):
+        try:
+            for k, stimulus in enumerate(group):
+                rf_source.rf_set(stimulus)
+                samples = backend.capture(n_blocks).samples
+                if codes is None:
+                    codes = np.zeros((len(groups), group_len, samples.size), np.int32)
+                codes[g, k] = samples
+        except isolate as exc:
+            errors.append(exc)
+        else:
+            errors.append(None)
+    if codes is None:
+        codes = np.zeros((len(groups), group_len, 0), np.int32)
+    return codes, errors

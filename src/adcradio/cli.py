@@ -272,14 +272,16 @@ def cmd_report(args) -> int:
         if not records:
             raise UsageError("no records")
         spectra = spectra_from_records(records)
+        if args.config_index is not None:
+            order = config_order(spectra)
+            spectra = [s for s in spectra if order[s.config] == args.config_index]
         if args.path is not None:
-            matches = [s for s in spectra if s.path.index == args.path]
-            if args.config_index is not None:
-                order = config_order(spectra)
-                matches = [s for s in matches if order[s.config] == args.config_index]
-            if not matches:
-                raise UsageError("no spectrum matches --path/--config-index")
-            spectrum = matches[0]
+            spectra = [s for s in spectra if s.path.index == args.path]
+        if not spectra:
+            raise UsageError("no spectrum matches --path/--config-index")
+        # A given path takes its first match; otherwise the best cell is shown.
+        if args.path is not None:
+            spectrum = spectra[0]
         else:
             spectrum = max(spectra, key=lambda s: peak_snr(s)[1].sort_value())
         info = render_spectrum(spectrum, out_svg, out_csv)

@@ -39,7 +39,7 @@ from .backend import (
     SimulatorBackend,
     UnsupportedSettingError,
 )
-from .simulator import ALLOWED_OVERSAMPLING, AdcConfig, AdcTrace
+from .simulator import AdcConfig, AdcTrace
 
 PROTOCOL_VERSION = 1
 MAX_LINE_CHARS = 256
@@ -226,20 +226,10 @@ class DutProtocolServer:
 
     def _dispatch(self, cmd: Command) -> list[str]:
         if isinstance(cmd, ConfigureCommand):
-            self.backend.configure(
-                ReceptionPathId(index=cmd.path), cmd.config, self.backend.dut.adc
-            )
+            self.backend.configure(ReceptionPathId(index=cmd.path), cmd.config, self.backend.adc)
             return ["OK"]
         if isinstance(cmd, CaptureCommand):
-            if cmd.oversampling_ratio not in ALLOWED_OVERSAMPLING:
-                raise UnsupportedSettingError(
-                    f"unsupported oversampling ratio {cmd.oversampling_ratio}"
-                )
-            if cmd.sample_rate_hz <= 0:
-                raise UnsupportedSettingError("unsupported sample rate 0")
-            self.backend.dut.set_adc_rate(
-                float(cmd.sample_rate_hz), cmd.oversampling_ratio
-            )
+            self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
             trace = self.backend.capture(cmd.n_blocks)
             lines = [f"DATA {len(trace)}"]
             lines.extend(str(int(c)) for c in trace.samples)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backend import RfStimulus
+from .backend import RfStimulus, capture_groups
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 
@@ -235,6 +235,12 @@ def eye_opening(
     return max(0.0, eye)
 
 
+# Bits per capture_groups call of the ideal-sync experiment. The device
+# state carries from one call to the next, so the codes equal those of one
+# schedule over all bits; slicing only bounds the codes held at once.
+_BITS_PER_SCHEDULE = 512
+
+
 def ideal_sync_ber_experiment(
     backend,
     rf_source,
@@ -264,13 +270,13 @@ def ideal_sync_ber_experiment(
     bits = generate_bits(n_bits, seed)
     block_adc = replace(adc, samples_per_block=int(samples_per_bit))
     backend.configure(path, config, block_adc)
-    on = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True)
-    off = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=False)
+    on = (RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True),)
+    off = (RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=False),)
     means = np.empty(n_bits)
-    for i, bit in enumerate(bits.bits):
-        rf_source.rf_set(on if bit else off)
-        trace = backend.capture(1)
-        means[i] = trace.samples.mean()
+    for start in range(0, n_bits, _BITS_PER_SCHEDULE):
+        chunk = bits.bits[start : start + _BITS_PER_SCHEDULE]
+        codes, _ = capture_groups(backend, rf_source, [on if bit else off for bit in chunk], 1)
+        means[start : start + chunk.size] = codes.reshape(chunk.size, -1).mean(axis=1)
     window = min(threshold_window, n_bits if n_bits % 2 else n_bits - 1)
     if window < 1:
         window = 1

@@ -93,6 +93,17 @@ def config_from_dict(obj: dict) -> PathConfig:
         raise ScenarioError(f"bad path configuration {obj!r}: {exc}") from None
 
 
+def _int_field(value, where: str) -> int:
+    """An integer-valued field; booleans and fractional numbers are rejected."""
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
+        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
+    return number
+
+
 def _model_from_dict(obj: dict, where: str) -> CouplingModel:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -161,6 +172,10 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         raise ScenarioError("scenario is missing the 'dut' object")
     if "n_paths" not in dut:
         raise ScenarioError("dut is missing 'n_paths'")
+    n_paths = _int_field(dut["n_paths"], "dut.n_paths")
+    if n_paths < 1:
+        raise ScenarioError(f"dut.n_paths: must be >= 1, got {n_paths}")
+    seed = _int_field(doc.get("seed", 0), "seed")
     try:
         adc = AdcConfig(**dut.get("adc", {}))
     except (TypeError, ValueError) as exc:
@@ -182,29 +197,34 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         where = f"dut.coupling[{i}]"
         if not isinstance(entry, dict) or "path" not in entry:
             raise ScenarioError(f"{where}: must be an object with a 'path'")
-        path = int(entry["path"])
-        if not 0 <= path < int(dut["n_paths"]):
-            raise ScenarioError(f"{where}: path {path} outside 0..{int(dut['n_paths']) - 1}")
+        path = _int_field(entry["path"], f"{where}.path")
+        if not 0 <= path < n_paths:
+            raise ScenarioError(f"{where}: path {path} outside 0..{n_paths - 1}")
         config = entry.get("config")
         key = (path, config_from_dict(config) if config is not None else None)
         model_fields = {
             k: v for k, v in entry.items() if k not in ("path", "config")
         }
         coupling[key] = _model_from_dict(model_fields, where)
+    labels = dut.get("path_labels", [])
+    if not isinstance(labels, list) or not all(isinstance(label, str) for label in labels):
+        raise ScenarioError("dut.path_labels: expected a list of strings")
+    if len(labels) > n_paths:
+        raise ScenarioError(f"dut.path_labels: {len(labels)} labels for {n_paths} paths")
     tx = doc.get("transmission", {})
     try:
         transmission = TransmissionDefaults(**tx)
     except TypeError as exc:
         raise ScenarioError(f"transmission: {exc}") from None
     return Scenario(
-        seed=int(doc.get("seed", 0)),
-        n_paths=int(dut["n_paths"]),
+        seed=seed,
+        n_paths=n_paths,
         adc=adc,
         channel=channel,
         source=source,
         default_model=default_model,
         coupling=coupling,
-        path_labels=tuple(dut.get("path_labels", [])),
+        path_labels=tuple(labels),
         transmission=transmission,
         name=name,
     )

@@ -26,6 +26,12 @@ from .signals import LinkBudget, dbm_to_mw, incident_power_dbm
 
 ALLOWED_OVERSAMPLING = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
+# Raw conversions one vectorized pass of SimulatedDut.capture_schedule covers
+# (whole states only, at least one state). It bounds each float64 work array
+# of a pass to 128 KiB, however long the schedule; on the ideal-sync
+# experiment 16k ran faster than 32k or 64k and kept peak memory lowest.
+_PASS_RAW_SAMPLES = 1 << 14
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -157,13 +163,14 @@ def coupling_gain(model: CouplingModel, freq_hz: float) -> float:
 
 
 def detector_output(
-    incident_power_mw: np.ndarray, gain: float, exponent: float = 1.0
+    incident_power_mw: np.ndarray, gain: float | np.ndarray, exponent: float = 1.0
 ) -> np.ndarray:
     """Rectified baseband offset (in codes) produced by incident RF power.
 
-    offset[i] = gain * power[i]**exponent. With the default exponent 1 the DC
-    shift is proportional to incident power, which makes the estimated SNR in
-    dB climb with slope 2 versus power in dBm.
+    offset[i] = gain * power[i]**exponent, where gain is a scalar or an
+    array of per-sample gains. With the default exponent 1 the DC shift is
+    proportional to incident power, which makes the estimated SNR in dB
+    climb with slope 2 versus power in dBm.
     """
     power = np.asarray(incident_power_mw, dtype=np.float64)
     if power.size and power.min() < 0:
@@ -178,7 +185,12 @@ def _lowpass_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
 
 
 def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarray, float]:
-    """Single-pole IIR y[n] = y[n-1] + alpha*(x[n] - y[n-1]), continued from y_prev."""
+    """Single-pole IIR y[n] = y[n-1] + alpha*(x[n] - y[n-1]), continued from y_prev.
+
+    Returns the output and its last value. Carrying the last output (rather
+    than recovering it from lfilter's final delay) makes a run split in two
+    calls bit-identical to one call over both halves.
+    """
     x = np.asarray(values, dtype=np.float64)
     if x.size == 0:
         return x.copy(), y_prev
@@ -188,8 +200,8 @@ def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarra
     b = np.array([alpha])
     a = np.array([1.0, alpha - 1.0])
     zi = np.array([(1.0 - alpha) * y_prev])
-    out, zf = lfilter(b, a, x, zi=zi)
-    return out, float(zf[0]) / (1.0 - alpha)
+    out, _ = lfilter(b, a, x, zi=zi)
+    return out, float(out[-1])
 
 
 def apply_bandwidth(
@@ -220,6 +232,23 @@ class _DeviceState:
     filter_value: float = 0.0
     walk_value: float = 0.0
     burst_left: int = 0  # raw samples of burst still active
+
+
+def _impairs_per_state(model: CouplingModel) -> bool:
+    """Whether the model has impairments beyond white noise.
+
+    White noise is one normal draw per raw sample, so one draw over a run of
+    states equals a draw per state. Random-walk steps interleave with the
+    noise draws and their running sum restarts from the carried walk value,
+    bursts interleave uniform draws, and the sinusoid is left per state too,
+    so these models impair state by state, in capture order.
+    """
+    drift, burst = model.drift, model.burst
+    return (
+        drift.walk_step > 0
+        or (drift.sine_amplitude > 0 and drift.sine_period_s > 0)
+        or (burst.rate_per_s > 0 and burst.duration_s > 0)
+    )
 
 
 def _impair(
@@ -414,46 +443,100 @@ class SimulatedDut:
 
         The stimulus is any object with freq_hz, power_dbm, enabled, and an
         optional envelope attribute (a BasebandEnvelope); None means RF off.
+        This is the one-state case of capture_schedule.
+        """
+        codes = self.capture_schedule([stimulus], n_blocks)
+        return AdcTrace(samples=codes[0], config=self.adc, meta=self._meta(stimulus))
+
+    def capture_schedule(self, stimuli, n_blocks: int) -> np.ndarray:
+        """Acquire n_blocks blocks under each stimulus in turn.
+
+        Returns int32 codes of shape (len(stimuli), n_blocks *
+        samples_per_block), bit-identical to one capture(n_blocks, s) per
+        stimulus, and leaves the same device and RNG state. Consecutive
+        states run in vectorized passes of up to _PASS_RAW_SAMPLES raw
+        conversions: coupling, one low-pass over the pass, impairments, and
+        one quantization.
         """
         if self._path is None:
             raise RuntimeError("capture before configure")
         if n_blocks < 0:
             raise ValueError("n_blocks must be >= 0")
-        adc = self.adc
-        n_out = int(n_blocks) * adc.samples_per_block
-        n_raw = n_out * adc.oversampling_ratio
-        model = self._model
-        if n_out == 0:
-            return AdcTrace(samples=np.empty(0, np.int32), config=adc, meta=self._meta(stimulus))
+        stimuli = list(stimuli)
+        n_out = int(n_blocks) * self.adc.samples_per_block
+        if n_out == 0 or not stimuli:
+            return np.empty((len(stimuli), n_out), dtype=np.int32)
+        n_raw = n_out * self.adc.oversampling_ratio
+        per_pass = max(1, _PASS_RAW_SAMPLES // n_raw)
+        passes = [
+            self._capture_pass(stimuli[start : start + per_pass], n_raw)
+            for start in range(0, len(stimuli), per_pass)
+        ]
+        codes = passes[0] if len(passes) == 1 else np.concatenate(passes)
+        return codes.reshape(len(stimuli), n_out)
 
-        offset = np.zeros(n_raw)
-        if stimulus is not None and getattr(stimulus, "enabled", False):
-            inc_mw = dbm_to_mw(
-                self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz)
-            )
+    def _capture_pass(self, stimuli: list, n_raw: int) -> np.ndarray:
+        """Codes of n_raw raw conversions per stimulus, as one flat array."""
+        adc, model, state = self.adc, self._model, self._state
+        offset = self._coupled_offset(stimuli, n_raw)
+        alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
+        filtered, state.filter_value = _lowpass(offset, alpha, state.filter_value)
+        analog = filtered + model.dc_operating_point
+        if len(stimuli) > 1 and _impairs_per_state(model):
+            for part in analog.reshape(len(stimuli), n_raw):
+                part[:] = _impair(part, model, self._rng, state, adc.raw_rate_hz)
+        else:
+            analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz)
+        n_codes = analog.size // adc.oversampling_ratio
+        return adc_sample(analog, adc, n_samples=n_codes).samples
+
+    def _coupled_offset(self, stimuli: list, n_raw: int) -> np.ndarray:
+        """Detector output of every state of a pass, n_raw raw samples each.
+
+        An RF-off state, or one the path does not couple at its carrier,
+        adds nothing. A constant carrier adds a constant level; the levels of
+        all such states come from one detector_output call.
+        """
+        model, adc = self._model, self.adc
+        rows, powers_mw, gains = [], [], []
+        held = []  # (state, offset) of envelope-modulated states
+        for k, stimulus in enumerate(stimuli):
+            if stimulus is None or not getattr(stimulus, "enabled", False):
+                continue
+            gain = coupling_gain(model, stimulus.freq_hz)
+            if gain <= 0:
+                continue
+            inc_mw = dbm_to_mw(self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
             envelope = getattr(stimulus, "envelope", None)
             if envelope is None:
-                power = np.full(n_raw, inc_mw)
-            elif len(envelope) == 0:
+                rows.append(k)
+                powers_mw.append(inc_mw)
+                gains.append(gain)
+                continue
+            if len(envelope) == 0:
                 power = np.zeros(n_raw)
             else:
                 # Zero-order hold of the transmit envelope, anchored at the
                 # device's configure time (raw sample index 0).
-                t = (self._state.sample_index + np.arange(n_raw)) / adc.raw_rate_hz
+                first = self._state.sample_index + k * n_raw
+                t = (first + np.arange(n_raw)) / adc.raw_rate_hz
                 idx = np.floor(t * envelope.sample_rate).astype(np.int64)
                 m = np.where(
                     idx < len(envelope), envelope.values[np.minimum(idx, len(envelope) - 1)], 0.0
                 )
                 power = inc_mw * m * m
-            gain = coupling_gain(model, stimulus.freq_hz)
-            if gain > 0:
-                offset = detector_output(power, gain, model.nonlinearity_exponent)
-
-        alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
-        filtered, self._state.filter_value = _lowpass(offset, alpha, self._state.filter_value)
-        analog = filtered + model.dc_operating_point
-        analog = _impair(analog, model, self._rng, self._state, adc.raw_rate_hz)
-        return adc_sample(analog, adc, n_samples=n_out, meta=self._meta(stimulus))
+            held.append((k, detector_output(power, gain, model.nonlinearity_exponent)))
+        if len(stimuli) == 1 and held:
+            return held[0][1]
+        offset = np.zeros((len(stimuli), n_raw))
+        for k, row in held:
+            offset[k] = row
+        if rows:
+            levels = detector_output(
+                np.array(powers_mw), np.array(gains), model.nonlinearity_exponent
+            )
+            offset[rows] = levels[:, None]
+        return offset.reshape(-1)
 
     def _meta(self, stimulus) -> dict:
         meta = {

@@ -32,6 +32,7 @@ from .backend import (
     PathConfig,
     ReceptionPathId,
     RfStimulus,
+    capture_groups,
 )
 from .protocol import ProtocolError
 from .simulator import AdcConfig, AdcTrace
@@ -182,9 +183,12 @@ def block_mean(trace: AdcTrace | np.ndarray, block_len: int) -> np.ndarray:
     return samples.reshape(-1, block_len).mean(axis=1)
 
 
-def _off_variance(off_means: np.ndarray) -> float:
-    """Unbiased variance of off-state block means; 0 with fewer than two."""
-    return float(np.var(off_means, ddof=1)) if off_means.size >= 2 else 0.0
+def _off_variance(off_means: np.ndarray) -> np.ndarray:
+    """Unbiased variance of off-state block means along the last axis; 0
+    with fewer than two."""
+    if off_means.shape[-1] >= 2:
+        return np.var(off_means, axis=-1, ddof=1)
+    return np.zeros(off_means.shape[:-1])
 
 
 def snr_from_stats(diff: float, var_off: float) -> SnrEstimate:
@@ -209,7 +213,7 @@ def estimate_snr(on_means, off_means) -> SnrEstimate:
     off = np.asarray(off_means, dtype=np.float64)
     if on.size == 0 or off.size == 0:
         raise ValueError("on_means and off_means must be non-empty")
-    return snr_from_stats(float(on.mean() - off.mean()), _off_variance(off))
+    return snr_from_stats(float(on.mean() - off.mean()), float(_off_variance(off)))
 
 
 def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
@@ -217,11 +221,23 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
     (path, config, frequency) cell, in plan order.
 
     Off-state blocks are captured before on-state blocks at each frequency,
-    with ``settle_blocks`` discarded after each RF toggle. Backend or
-    protocol errors mark the affected cells failed and the sweep continues.
+    with ``settle_blocks`` discarded after each RF toggle; each (path,
+    config) is one capture_groups call with an (off, on) group per
+    frequency. Backend or protocol errors mark the affected cells failed and
+    the sweep continues.
     """
     adc = plan.effective_adc
     n_capture = plan.blocks_per_state + plan.settle_blocks
+    pool = plan.pool_off_variance
+    if pool is None:
+        pool = plan.blocks_per_state == 1
+    groups = [
+        (
+            RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=False),
+            RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=True),
+        )
+        for freq in plan.freqs_hz
+    ]
     records: list[SensitivityRecord] = []
 
     for path in plan.paths:
@@ -234,20 +250,11 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
                     _failed_record(path, config, freq, str(exc)) for freq in plan.freqs_hz
                 )
                 continue
-            cell: list[tuple[float, np.ndarray | None, np.ndarray | None, str | None]] = []
-            for freq in plan.freqs_hz:
-                try:
-                    off_stim = RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=False)
-                    on_stim = RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=True)
-                    rf_source.rf_set(off_stim)
-                    off_means = block_mean(backend.capture(n_capture), plan.samples_per_block)
-                    rf_source.rf_set(on_stim)
-                    on_means = block_mean(backend.capture(n_capture), plan.samples_per_block)
-                    rf_source.rf_set(off_stim)
-                    cell.append(
-                        (freq, on_means[plan.settle_blocks :], off_means[plan.settle_blocks :], None)
-                    )
-                except (BackendError, ProtocolError) as exc:
+            codes, errors = capture_groups(
+                backend, rf_source, groups, n_capture, isolate=(BackendError, ProtocolError)
+            )
+            for freq, exc in zip(plan.freqs_hz, errors):
+                if exc is not None:
                     logger.warning(
                         "cell failed at path %s %s %.0f Hz: %s",
                         path.index,
@@ -255,11 +262,7 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
                         freq,
                         exc,
                     )
-                    cell.append((freq, None, None, str(exc)))
-            pool = plan.pool_off_variance
-            if pool is None:
-                pool = plan.blocks_per_state == 1
-            records.extend(_cell_records(path, config, cell, pool))
+            records.extend(_cell_records(path, config, plan, codes, errors, pool))
     return records
 
 
@@ -278,31 +281,41 @@ def _failed_record(path, config, freq, message) -> SensitivityRecord:
     )
 
 
-def _cell_records(path, config, cell, pool: bool) -> list[SensitivityRecord]:
-    pooled_var: float | None = None
-    if pool:
-        pooled_var = _off_variance(
-            np.concatenate([off for _, _, off, err in cell if err is None] or [np.empty(0)])
+def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[SensitivityRecord]:
+    """Records of one (path, config) from its (n_freqs, 2, samples) off/on
+    codes; the statistics of all frequencies are computed together."""
+    ok = [exc is None for exc in errors]
+    stats = iter(())
+    if any(ok):
+        n_capture = plan.blocks_per_state + plan.settle_blocks
+        means = block_mean(codes[ok], plan.samples_per_block)
+        means = means.reshape(-1, 2, n_capture)[:, :, plan.settle_blocks :]
+        off, on = means[:, 0], means[:, 1]
+        mean_on = on.mean(axis=1)
+        mean_off = off.mean(axis=1)
+        if pool:
+            var_off = np.full(len(off), _off_variance(off.ravel()))
+        else:
+            var_off = _off_variance(off)
+        stats = zip(
+            mean_on.tolist(), mean_off.tolist(), (mean_on - mean_off).tolist(), var_off.tolist()
         )
     out = []
-    for freq, on_means, off_means, err in cell:
-        if err is not None:
-            out.append(_failed_record(path, config, freq, err))
+    for freq, exc in zip(plan.freqs_hz, errors):
+        if exc is not None:
+            out.append(_failed_record(path, config, freq, str(exc)))
             continue
-        mean_on = float(np.mean(on_means))
-        mean_off = float(np.mean(off_means))
-        diff = mean_on - mean_off
-        var_off = pooled_var if pooled_var is not None else _off_variance(off_means)
+        mean_on_f, mean_off_f, diff, var = next(stats)
         out.append(
             SensitivityRecord(
                 path=path,
                 config=config,
                 freq_hz=float(freq),
-                mean_on=mean_on,
-                mean_off=mean_off,
+                mean_on=mean_on_f,
+                mean_off=mean_off_f,
                 diff=diff,
-                var_off=var_off,
-                snr=snr_from_stats(diff, var_off),
+                var_off=var,
+                snr=snr_from_stats(diff, var),
             )
         )
     return out

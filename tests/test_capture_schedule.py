@@ -1,0 +1,160 @@
+"""Batched capture: a schedule of states equals one capture per state."""
+
+from dataclasses import astuple
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from adcradio import simulator
+from adcradio.backend import (
+    NotConfiguredError,
+    ReceptionPathId,
+    RfSourceError,
+    RfStimulus,
+    SimulatedRfSource,
+    SimulatorBackend,
+)
+from adcradio.signals import BasebandEnvelope
+from adcradio.simulator import (
+    AdcConfig,
+    BurstSpec,
+    CouplingModel,
+    DriftSpec,
+    Resonance,
+    RfChannel,
+    SimulatedDut,
+)
+
+CFG = "cfg"
+FREQS = (300e6, 480e6, 500e6, 900e6)
+
+
+@st.composite
+def models(draw):
+    kind = draw(st.sampled_from(["noise", "walk", "sine", "burst"]))
+    drift, burst = DriftSpec(), BurstSpec()
+    if kind == "walk":
+        drift = DriftSpec(walk_step=draw(st.floats(0.01, 0.5)))
+    elif kind == "sine":
+        drift = DriftSpec(
+            sine_amplitude=draw(st.floats(0.5, 20.0)), sine_period_s=draw(st.floats(1e-3, 0.1))
+        )
+    elif kind == "burst":
+        burst = BurstSpec(
+            rate_per_s=draw(st.floats(50.0, 2000.0)),
+            amplitude=draw(st.floats(-40.0, 40.0)),
+            duration_s=draw(st.floats(1e-4, 5e-3)),
+        )
+    return CouplingModel(
+        resonances=(Resonance(500e6, 80e6, draw(st.sampled_from([0.0, 40.0, 900.0]))),),
+        nonlinearity_exponent=draw(st.sampled_from([1.0, 0.5, 1.7])),
+        # 1 GHz puts the low-pass pole at alpha >= 1 (no filtering).
+        baseband_bandwidth_hz=draw(st.sampled_from([2e3, 50e3, 1e9])),
+        noise_sigma=draw(st.sampled_from([0.0, 0.7, 3.0])),
+        drift=drift,
+        burst=burst,
+    )
+
+
+envelopes = st.builds(
+    BasebandEnvelope,
+    values=st.lists(st.floats(0.0, 1.0), max_size=40).map(np.array),
+    sample_rate=st.sampled_from([1e3, 7e3, 1e4]),
+)
+stimuli = st.one_of(
+    st.none(),
+    st.builds(
+        RfStimulus,
+        freq_hz=st.sampled_from(FREQS),
+        power_dbm=st.sampled_from([-10.0, 10.0, 30.0]),
+        enabled=st.booleans(),
+        envelope=st.one_of(st.none(), st.none(), envelopes),
+    ),
+)
+
+
+def state_of(dut):
+    return astuple(dut._state), dut._rng.bit_generator.state
+
+
+@given(
+    model=models(),
+    ratio=st.sampled_from([1, 4, 16]),
+    samples_per_block=st.integers(1, 8),
+    n_blocks=st.integers(0, 3),
+    prefix_blocks=st.integers(0, 2),
+    prefix=stimuli,
+    schedule=st.lists(stimuli, max_size=12),
+    pass_cap=st.sampled_from([16, 100, simulator._PASS_RAW_SAMPLES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_schedule_equals_per_state_captures(
+    model, ratio, samples_per_block, n_blocks, prefix_blocks, prefix, schedule, pass_cap, seed
+):
+    adc = AdcConfig(
+        sample_rate_hz=10_000.0, oversampling_ratio=ratio, samples_per_block=samples_per_block
+    )
+    duts = []
+    for _ in range(2):
+        dut = SimulatedDut(
+            n_paths=2, adc=adc, channel=RfChannel(), coupling={(1, None): model}, seed=seed
+        )
+        dut.configure(1, CFG, adc)
+        dut.capture(prefix_blocks, prefix)  # start from a carried, nonzero state
+        duts.append(dut)
+    batched, reference = duts
+
+    with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", pass_cap):
+        codes = batched.capture_schedule(schedule, n_blocks)
+    expected = [reference.capture(n_blocks, s).samples for s in schedule]
+
+    assert codes.dtype == np.int32
+    assert codes.shape == (len(schedule), n_blocks * samples_per_block)
+    for row, want in zip(codes, expected):
+        np.testing.assert_array_equal(row, want)
+    assert state_of(batched) == state_of(reference)
+
+
+class TestBackendSchedule:
+    def rig(self, seed=4):
+        model = CouplingModel(resonances=(Resonance(500e6, 80e6, 900.0),), noise_sigma=1.5)
+        adc = AdcConfig(samples_per_block=8)
+        dut = SimulatedDut(
+            n_paths=2, adc=adc, channel=RfChannel(), coupling={(1, None): model}, seed=seed
+        )
+        source = SimulatedRfSource(max_power_dbm=30.0)
+        return SimulatorBackend(dut, source), source, adc
+
+    def test_matches_rf_set_then_capture(self):
+        schedule = [
+            RfStimulus(freq_hz=f, power_dbm=20.0, enabled=on) for f in FREQS for on in (False, True)
+        ]
+        batched, batched_source, adc = self.rig()
+        reference, source, _ = self.rig()
+        batched.configure(ReceptionPathId(1), CFG, adc)
+        reference.configure(ReceptionPathId(1), CFG, adc)
+        codes = batched.capture_schedule(schedule, 2)
+        for row, stim in zip(codes, schedule):
+            source.rf_set(stim)
+            np.testing.assert_array_equal(row, reference.capture(2).samples)
+        assert batched_source.stimulus == schedule[-1]
+
+    def test_out_of_range_stimulus_rejected_before_capture(self):
+        backend, source, adc = self.rig()
+        backend.configure(ReceptionPathId(1), CFG, adc)
+        before = state_of(backend.dut)
+        schedule = [
+            RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True),
+            RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True),
+        ]
+        with pytest.raises(RfSourceError):
+            backend.capture_schedule(schedule, 1)
+        assert state_of(backend.dut) == before
+
+    def test_capture_before_configure(self):
+        backend, _, _ = self.rig()
+        with pytest.raises(NotConfiguredError):
+            backend.capture_schedule([None], 1)

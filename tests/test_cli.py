@@ -6,6 +6,7 @@ import pytest
 
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace
+from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
 
 
 @pytest.fixture()
@@ -205,6 +206,20 @@ class TestReportCommand:
             key=lambda f: float(f[1]),
         )
         assert abs(float(best[0]) - 500e6) <= 100e6
+
+    def test_spectrum_config_index_without_path(self, results, tmp_path, capsys):
+        # --config-index alone picks the best spectrum of that configuration
+        # (indices count configurations in order of first appearance).
+        config = recommended_configs()[5]
+        spectra = [s for s in spectra_from_records(read_records(results)[1]) if s.config == config]
+        best = max(spectra, key=lambda s: peak_snr(s)[1].sort_value())
+        prefix = tmp_path / "spec5"
+        args = ("report", "--results", results, "--kind", "spectrum", "--out", prefix)
+        assert run_cli(*args, "--config-index", 5) == 0
+        svg = (tmp_path / "spec5.svg").read_text()
+        assert f"path {best.path.index} {config.short()}" in svg
+        assert run_cli(*args, "--config-index", 99) == 2
+        assert "no spectrum matches" in capsys.readouterr().err
 
     def test_eye_from_trace(self, mini_scenario, tmp_path):
         trace_path = tmp_path / "eye.trace"

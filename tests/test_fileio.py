@@ -1,6 +1,7 @@
 """Trace/results/bits file formats and scenario documents."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -189,6 +190,50 @@ class TestScenario:
         doc = minimal_scenario_doc()
         doc["dut"]["coupling"] = [{"path": 7, "noise_sigma": 1.0}]
         with pytest.raises(ScenarioError, match="outside"):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", "abc"),
+            ("seed", 1.5),
+            ("seed", None),
+            ("dut.n_paths", "two"),
+            ("dut.n_paths", True),
+            ("dut.coupling[0].path", "x"),
+            ("dut.coupling[0].path", 0.5),
+        ],
+    )
+    def test_non_integer_field_named(self, field, value):
+        doc = minimal_scenario_doc()
+        doc["dut"]["coupling"] = [{"path": 0, "noise_sigma": 1.0}]
+        if field == "seed":
+            doc["seed"] = value
+        elif field == "dut.n_paths":
+            doc["dut"]["n_paths"] = value
+        else:
+            doc["dut"]["coupling"][0]["path"] = value
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}: expected an integer"):
+            scenario_from_dict(doc)
+
+    def test_zero_paths_rejected(self):
+        doc = minimal_scenario_doc()
+        doc["dut"]["n_paths"] = 0
+        with pytest.raises(ScenarioError, match="dut.n_paths: must be >= 1"):
+            scenario_from_dict(doc)
+
+    def test_extra_path_labels_rejected(self):
+        doc = minimal_scenario_doc()
+        doc["dut"]["path_labels"] = ["PA0", "PA1", "PA2", "PA3"]
+        with pytest.raises(ScenarioError, match="dut.path_labels: 4 labels for 2 paths"):
+            scenario_from_dict(doc)
+        doc["dut"]["path_labels"] = ["PA0", "PA1"]
+        assert scenario_from_dict(doc).path_labels == ("PA0", "PA1")
+
+    def test_path_labels_must_be_strings(self):
+        doc = minimal_scenario_doc()
+        doc["dut"]["path_labels"] = "PA0"
+        with pytest.raises(ScenarioError, match="dut.path_labels"):
             scenario_from_dict(doc)
 
     def test_config_specific_entry(self):

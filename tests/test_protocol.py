@@ -138,6 +138,37 @@ class TestServer:
         out = server.handle_line("SMP 1 10000 3")
         assert out[0].startswith("ERR") and "unsupported" in out[0]
 
+    def test_rate_errors_on_the_wire(self):
+        backend, _ = make_stack()
+        server = DutProtocolServer(backend)
+        server.handle_line("CFG 0 INPUT NONE HI PP")
+        assert server.handle_line("SMP 1 10000 3") == ["ERR unsupported oversampling ratio 3"]
+        assert server.handle_line("SMP 1 0 1") == ["ERR unsupported sample rate 0"]
+
+    def test_uses_only_the_backend_interface(self):
+        # The server drives any backend with configure/capture/describe/
+        # reset, adc and set_adc_rate; it never reaches the device behind it.
+        class Facade:
+            def __init__(self, backend):
+                self._backend = backend
+
+            @property
+            def adc(self):
+                return self._backend.adc
+
+            def __getattr__(self, name):
+                if name not in ("configure", "capture", "describe", "reset", "set_adc_rate"):
+                    raise AttributeError(name)
+                return getattr(self._backend, name)
+
+        direct, _ = make_stack(samples_per_block=4)
+        wrapped, _ = make_stack(samples_per_block=4)
+        lines = ["ID?", "CFG 0 INPUT NONE HI PP", "SMP 2 20000 4", "SMP 1 10000 1", "RST"]
+        want = [DutProtocolServer(direct).handle_line(line) for line in lines]
+        got = [DutProtocolServer(Facade(wrapped)).handle_line(line) for line in lines]
+        assert got == want
+        assert wrapped.adc.sample_rate_hz == 10000.0
+
     def test_data_framing(self):
         backend, _ = make_stack(samples_per_block=4)
         server = DutProtocolServer(backend)

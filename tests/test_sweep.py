@@ -17,6 +17,7 @@ from adcradio.backend import (
     SimulatorBackend,
 )
 from adcradio.fileio import write_records
+from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
     SnrEstimate,
@@ -258,16 +259,18 @@ class TestRunSweep:
             )
 
     def test_failed_cells_marked_not_dropped(self):
+        # The sweep captures each (path, config) as one schedule, so the
+        # fault goes there and fails every frequency of that cell.
         class FlakyBackend(SimulatorBackend):
             def __init__(self, dut, source):
                 super().__init__(dut, source)
                 self.calls = 0
 
-            def capture(self, n_blocks):
+            def capture_schedule(self, stimuli, n_blocks):
                 self.calls += 1
                 if self.calls % 7 == 3:
                     raise BackendError("injected fault")
-                return super().capture(n_blocks)
+                return super().capture_schedule(stimuli, n_blocks)
 
         adc = AdcConfig(samples_per_block=16)
         dut = SimulatedDut(
@@ -281,6 +284,33 @@ class TestRunSweep:
         failed = [r for r in records if r.failed]
         assert failed and all(r.error == "injected fault" for r in failed)
         assert all(r.snr.is_none for r in failed)
+
+    def test_serial_failed_capture_fails_only_its_frequency(self):
+        # Through the wire protocol every capture is its own exchange: an
+        # ERR answer to one SMP fails that frequency and no other.
+        class FlakyServer(DutProtocolServer):
+            smp = 0
+
+            def handle_line(self, line):
+                if line.startswith("SMP"):
+                    self.smp += 1
+                    if self.smp in (3, 9):
+                        return ["ERR injected fault"]
+                return super().handle_line(line)
+
+        backend, source, adc = small_rig(noise=1.0, seed=9)
+        client = SerialBackend(LoopbackTransport(FlakyServer(backend)))
+        plan = self.make_plan(adc, 1, 1, 6)
+        records = run_sweep(plan, client, source)
+        assert len(records) == 6
+        # SMP 3 is the off capture at frequency 1, which skips its on
+        # capture; SMP 9 is then the on capture at frequency 4.
+        assert [r.failed for r in records] == [False, True, False, False, True, False]
+        for r in records:
+            if r.failed:
+                assert r.error == "injected fault" and r.snr.is_none
+            else:
+                assert r.mean_on is not None and r.var_off > 0
 
     def test_affine_invariance_through_pipeline(self):
         # one cell's records: shifting/scaling every sample leaves SNR alone;
