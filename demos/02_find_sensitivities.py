@@ -5,6 +5,7 @@
 # across 81 carrier frequencies, estimates per-cell SNR from on/off block
 # means, and renders the peak-SNR heatmap plus the best cell's spectrum.
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -48,11 +49,11 @@ spectra = spectra_from_records(records)
 sensitive = [s for s in spectra if classify_sensitive(s, threshold_db=10.0)]
 print(f"{len(sensitive)} of {len(spectra)} path/config cells are sensitive (>= 10 dB)")
 
-ranked = sorted(sensitive, key=lambda s: peak_snr(s)[1].sort_value(), reverse=True)
+ranked = sorted(sensitive, key=lambda s: peak_snr(s)[1], reverse=True)
 print("\nstrongest cells:")
 for s in ranked[:8]:
     freq, best = peak_snr(s)
-    label = "high" if best.is_high else f"{best.db:5.1f} dB"
+    label = "high" if best == math.inf else f"{best:5.1f} dB"
     print(f"  path {s.path.index:3d}  {s.config.short():45s} {label} @ {freq/1e6:4.0f} MHz")
 
 render_heatmap(records, OUT / "demo_heatmap.svg", OUT / "demo_heatmap.csv")

@@ -45,7 +45,7 @@ def snr_at_ratio(noise_sigma, dc, gain, ratio, blocks=2000, seed=4040):
     off = block_mean(backend.capture(blocks + 1), 32)[1:]
     source.rf_set(RfStimulus(freq_hz=868e6, power_dbm=43.0, enabled=True))
     on = block_mean(backend.capture(blocks + 1), 32)[1:]
-    return estimate_snr(on, off).db
+    return estimate_snr(on, off)
 
 
 print("noise-dominated regime (sigma = 8 codes):")

@@ -88,7 +88,6 @@ from .simulator import (
 )
 from .sweep import (
     SensitivityRecord,
-    SnrEstimate,
     SnrSpectrum,
     SweepPlan,
     block_mean,
@@ -99,6 +98,8 @@ from .sweep import (
     peak_snr,
     recommended_configs,
     run_sweep,
+    snr_from_json,
     snr_from_stats,
+    snr_to_json,
     spectra_from_records,
 )

@@ -106,6 +106,13 @@ def _parse_configs(arg: str):
     return [allc[i] for i in indices]
 
 
+def _dc_window(trace, override: int | None = None) -> int:
+    """DC window in symbols: the override, else the trace's hint, else 15."""
+    if override is not None:
+        return override
+    return int(trace.meta.get("dc_window_symbols", 15))
+
+
 # -- subcommands -----------------------------------------------------------------
 
 
@@ -157,10 +164,9 @@ def cmd_demod(args) -> int:
         raise UsageError(
             "--samples-per-symbol required (trace metadata carries no hint)"
         )
-    window = args.dc_window
-    if window is None:
-        window = trace.meta.get("dc_window_symbols", 15)
-    params = DemodParams(samples_per_symbol=int(sps), dc_window_symbols=int(window))
+    params = DemodParams(
+        samples_per_symbol=int(sps), dc_window_symbols=_dc_window(trace, args.dc_window)
+    )
     bits = demodulate(trace, params)
     outputs = []
     if args.out:
@@ -283,7 +289,7 @@ def cmd_report(args) -> int:
         if args.path is not None:
             spectrum = spectra[0]
         else:
-            spectrum = max(spectra, key=lambda s: peak_snr(s)[1].sort_value())
+            spectrum = max(spectra, key=lambda s: peak_snr(s)[1])
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
         try:
@@ -300,7 +306,7 @@ def cmd_report(args) -> int:
         sps = args.samples_per_symbol or trace.meta.get("samples_per_symbol")
         if sps is None:
             raise UsageError("--samples-per-symbol required for eye reports")
-        info = render_eye(trace, int(sps), out_svg, out_csv)
+        info = render_eye(trace, int(sps), out_svg, out_csv, _dc_window(trace))
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown report kind {args.kind}")
     write_manifest(

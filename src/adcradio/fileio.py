@@ -12,6 +12,7 @@ carrying a schema_version, so they stay bit-exact, diffable, and readable:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
@@ -23,7 +24,7 @@ from .receiver import BerReport
 from .scenario import ScenarioError, config_from_dict, config_to_dict
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, SnrEstimate
+from .sweep import SensitivityRecord, snr_from_json, snr_to_json
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -59,6 +60,34 @@ def write_trace(path: str | Path, trace: AdcTrace, extra_meta: dict | None = Non
             f.write(f"{int(code)}\n")
 
 
+# The ADC fields of a trace header and their types.
+_TRACE_ADC_FIELDS = {
+    "resolution_bits": int,
+    "sample_rate_hz": float,
+    "oversampling_ratio": int,
+    "samples_per_block": int,
+}
+
+
+def _trace_config(path: Path, header: dict) -> AdcConfig:
+    """The header's ADC fields as an AdcConfig; a missing or invalid field
+    is a FileFormatError naming the file and the field."""
+    fields = {}
+    for name, kind in _TRACE_ADC_FIELDS.items():
+        if name not in header:
+            raise FileFormatError(f"{path}: trace header lacks {name!r}")
+        value = header[name]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)) or (kind is int and value != int(value)):
+            expected = "an integer" if kind is int else "a finite number"
+            raise FileFormatError(f"{path}: trace header {name} must be {expected}, got {value!r}")
+        fields[name] = kind(value)
+    try:
+        return AdcConfig(**fields)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: invalid trace header: {exc}") from None
+
+
 def read_trace(path: str | Path) -> AdcTrace:
     path = Path(path)
     if not path.exists():
@@ -69,39 +98,34 @@ def read_trace(path: str | Path) -> AdcTrace:
             header = json.loads(first)
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: bad trace header: {exc}") from None
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path}: bad trace header: not a JSON object")
         if header.get("schema_version") != TRACE_SCHEMA_VERSION:
             raise FileFormatError(
                 f"{path}: unsupported trace schema_version {header.get('schema_version')!r}"
             )
         if header.get("kind") != "adc-trace":
             raise FileFormatError(f"{path}: not a trace file (kind={header.get('kind')!r})")
+        config = _trace_config(path, header)
+        full_scale = config.full_scale
         samples = []
         for lineno, line in enumerate(f, start=2):
             text = line.strip()
             if not text:
                 continue
             try:
-                samples.append(int(text))
+                code = int(text)
             except ValueError:
                 raise FileFormatError(f"{path}:{lineno}: invalid sample {text!r}") from None
-    config = AdcConfig(
-        resolution_bits=int(header["resolution_bits"]),
-        sample_rate_hz=float(header["sample_rate_hz"]),
-        oversampling_ratio=int(header["oversampling_ratio"]),
-        samples_per_block=int(header["samples_per_block"]),
-    )
+            if not 0 <= code <= full_scale:
+                raise FileFormatError(
+                    f"{path}:{lineno}: sample {code} outside [0, {full_scale}]"
+                )
+            samples.append(code)
     meta = {
         k: v
         for k, v in header.items()
-        if k
-        not in (
-            "schema_version",
-            "kind",
-            "resolution_bits",
-            "sample_rate_hz",
-            "oversampling_ratio",
-            "samples_per_block",
-        )
+        if k not in ("schema_version", "kind", *_TRACE_ADC_FIELDS)
     }
     return AdcTrace(samples=np.asarray(samples, np.int32), config=config, meta=meta)
 
@@ -118,7 +142,7 @@ def record_to_dict(record: SensitivityRecord) -> dict:
         "mean_off": record.mean_off,
         "diff": record.diff,
         "var_off": record.var_off,
-        "snr": record.snr.to_json(),
+        "snr": snr_to_json(record.snr),
     }
     if record.failed:
         out["failed"] = True
@@ -139,7 +163,7 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
             mean_off=obj["mean_off"],
             diff=obj["diff"],
             var_off=obj["var_off"],
-            snr=SnrEstimate.from_json(obj["snr"]),
+            snr=snr_from_json(obj["snr"]),
             failed=bool(obj.get("failed", False)),
             error=obj.get("error"),
         )

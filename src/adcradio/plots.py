@@ -12,9 +12,10 @@ import math
 from pathlib import Path
 
 from .receiver import _symbol_central_means, condition
-from .sweep import SnrSpectrum, config_order, peak_snr, spectra_from_records
+from .sweep import SnrSpectrum, config_order, peak_snr, snr_to_json, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
+_EYE_MAX_SEGMENTS = 200
 
 
 def _svg_header(width: int, height: int) -> list[str]:
@@ -47,6 +48,12 @@ def _heat_color(value: float, vmin: float, vmax: float) -> str:
             rgb = tuple(int(round(a + f * (b - a))) for a, b in zip(c0, c1))
             return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
     return "rgb(178,24,43)"
+
+
+def _snr_label(snr: float) -> str:
+    """CSV form of an SNR: dB to six decimals, or its "high"/"none" sentinel."""
+    label = snr_to_json(snr)
+    return label if isinstance(label, str) else f"{snr:.6f}"
 
 
 def _text(x: float, y: float, s: str, anchor: str = "start") -> str:
@@ -82,14 +89,14 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
         raise ValueError("no records")
     paths = sorted({s.path.index for s in spectra})
     configs = config_order(spectra)
-    peaks: dict[tuple[int, int], tuple[float, object]] = {}
+    peaks: dict[tuple[int, int], tuple[float, float]] = {}
     finite_vals = []
     for s in spectra:
         freq, best = peak_snr(s)
         key = (paths.index(s.path.index), configs[s.config])
         peaks[key] = (freq, best)
-        if best.kind == "db":
-            finite_vals.append(best.db)
+        if math.isfinite(best):
+            finite_vals.append(best)
     vmin = min(finite_vals) if finite_vals else 0.0
     vmax = max(finite_vals) if finite_vals else 1.0
 
@@ -100,12 +107,12 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
     for (row, col), (_, best) in peaks.items():
         x = x0 + col * cell
         y = y0 + row * cell
-        if best.kind == "high":
+        if best == math.inf:
             fill = "url(#hatch)"
-        elif best.kind == "none":
+        elif best == -math.inf:
             fill = "white"
         else:
-            fill = _heat_color(best.db, vmin, vmax)
+            fill = _heat_color(best, vmin, vmax)
         parts.append(
             f"<rect x='{x}' y='{y}' width='{cell}' height='{cell}' fill='{fill}' "
             "stroke='#ddd' stroke-width='0.5'/>"
@@ -122,8 +129,7 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
         writer = csv.writer(f)
         writer.writerow(["path_index", "config_index", "peak_freq_hz", "peak_snr"])
         for (row, col), (freq, best) in sorted(peaks.items()):
-            value = f"{best.db:.6f}" if best.kind == "db" else best.kind
-            writer.writerow([paths[row], col, f"{freq:.0f}", value])
+            writer.writerow([paths[row], col, f"{freq:.0f}", _snr_label(best)])
     return {"rows": len(paths), "cols": len(configs)}
 
 
@@ -132,8 +138,7 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
     if not spectrum.points:
         raise ValueError("no records")
     freqs = [f for f, _ in spectrum.points]
-    values = [s.db if s.kind == "db" else None for _, s in spectrum.points]
-    finite = [v for v in values if v is not None]
+    finite = [s for _, s in spectrum.points if math.isfinite(s)]
     vmax = max(finite) if finite else 1.0
     vmin = min(finite) if finite else 0.0
     if vmax == vmin:
@@ -151,9 +156,9 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
 
     pts = []
     for f, s in spectrum.points:
-        if s.kind == "db":
-            pts.append(f"{sx(f):.1f},{sy(s.db):.1f}")
-        elif s.kind == "high":
+        if math.isfinite(s):
+            pts.append(f"{sx(f):.1f},{sy(s):.1f}")
+        elif s == math.inf:
             parts.append(
                 f"<circle cx='{sx(f):.1f}' cy='{sy(high_y):.1f}' r='3' fill='#b2182b'/>"
             )
@@ -177,7 +182,7 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
         writer = csv.writer(f)
         writer.writerow(["freq_hz", "snr"])
         for freq, s in spectrum.points:
-            writer.writerow([f"{freq:.0f}", f"{s.db:.6f}" if s.kind == "db" else s.kind])
+            writer.writerow([f"{freq:.0f}", _snr_label(s)])
     return {"points": len(spectrum.points)}
 
 
@@ -241,16 +246,16 @@ def render_eye(
     samples_per_symbol: int,
     out_svg: str | Path,
     out_csv: str | Path,
-    max_traces: int = 200,
     dc_window_symbols: int = 15,
 ) -> dict:
-    """Overlaid two-symbol segments of the normalized waveform (eye diagram)."""
+    """Overlaid two-symbol segments of the normalized waveform (eye diagram),
+    at most ``_EYE_MAX_SEGMENTS`` of them."""
     sps = int(samples_per_symbol)
     if len(trace) < 4 * sps:
         raise ValueError("trace too short for an eye diagram")
     scaled = condition(trace, sps, dc_window_symbols)
     seg_len = 2 * sps
-    n_seg = min(max_traces, (scaled.size - sps) // sps - 1)
+    n_seg = min(_EYE_MAX_SEGMENTS, (scaled.size - sps) // sps - 1)
     if n_seg < 2:
         raise ValueError("trace too short for an eye diagram")
     means = _symbol_central_means(scaled, 0.0, sps)

@@ -25,20 +25,16 @@ from .simulator import AdcConfig, AdcTrace
 
 @dataclass(frozen=True)
 class DemodParams:
-    """Demodulator settings. The DC window is in symbols and must be odd;
-    timing_search is the phase grid resolution as a fraction of a symbol."""
+    """Demodulator settings. The DC window is in symbols and must be odd."""
 
     samples_per_symbol: int
     dc_window_symbols: int = 15
-    timing_search: float = 1.0 / 16.0  # phase grid resolution, in symbols
 
     def __post_init__(self):
         if self.samples_per_symbol < 2:
             raise ValueError("samples_per_symbol must be >= 2")
         if self.dc_window_symbols < 3 or self.dc_window_symbols % 2 == 0:
             raise ValueError("dc_window_symbols must be an odd count >= 3")
-        if not 0 < self.timing_search <= 0.5:
-            raise ValueError("timing_search must be in (0, 0.5]")
 
 
 @dataclass(frozen=True)
@@ -91,19 +87,21 @@ def normalize(samples: np.ndarray) -> np.ndarray:
     return x / spread
 
 
-def recover_timing(samples: np.ndarray, samples_per_symbol: int, grid: int = 16) -> float:
+# Candidate symbol phases of recover_timing, a 1/16-symbol grid.
+_TIMING_GRID = 16
+
+
+def recover_timing(samples: np.ndarray, samples_per_symbol: int) -> float:
     """Symbol phase in [0, 1) that maximizes transition energy.
 
-    Scores each candidate phase by the summed |difference| across the sample
-    pairs straddling its hypothesized symbol boundaries; the first best grid
-    point wins. Requires a signal with transitions (>= 10 zero crossings).
+    Scores each of ``_TIMING_GRID`` evenly spaced candidate phases by the
+    summed |difference| across the sample pairs straddling its hypothesized
+    symbol boundaries; the first best grid point wins. Requires a signal with transitions (>= 10 zero crossings).
     """
     x = np.asarray(samples, dtype=np.float64)
     sps = int(samples_per_symbol)
     if sps < 2:
         raise ValueError("samples_per_symbol must be >= 2")
-    if grid < 2:
-        raise ValueError("grid must be >= 2")
     n = x.size
     if n < 2 * sps:
         raise ValueError("need at least two symbols to recover timing")
@@ -116,7 +114,7 @@ def recover_timing(samples: np.ndarray, samples_per_symbol: int, grid: int = 16)
     # index range, so phases that round to the same physical boundaries score
     # identically and the tie goes to the lowest phase.
     ks = np.arange(0, int(n / sps) + 2)
-    phases = np.arange(grid) / grid
+    phases = np.arange(_TIMING_GRID) / _TIMING_GRID
     best_phase = 0.0
     best_energy = -1.0
     for phase in phases:
@@ -180,8 +178,7 @@ def demodulate(trace: AdcTrace | np.ndarray, params: DemodParams) -> BitSequence
         return BitSequence(bits=np.empty(0, np.uint8))
     sps = params.samples_per_symbol
     scaled = condition(trace, sps, params.dc_window_symbols)
-    grid = max(2, int(round(1.0 / params.timing_search)))
-    phase = recover_timing(scaled, sps, grid)
+    phase = recover_timing(scaled, sps)
     return slice_bits(scaled, phase, sps)
 
 
@@ -239,6 +236,8 @@ def eye_opening(
 # state carries from one call to the next, so the codes equal those of one
 # schedule over all bits; slicing only bounds the codes held at once.
 _BITS_PER_SCHEDULE = 512
+# Block means in the ideal-sync experiment's moving-average threshold (odd).
+_THRESHOLD_WINDOW = 127
 
 
 def ideal_sync_ber_experiment(
@@ -251,20 +250,18 @@ def ideal_sync_ber_experiment(
     power_dbm: float,
     n_bits: int,
     samples_per_bit: int = 127,
-    threshold_window: int = 127,
     seed: int = 0,
 ) -> BerReport:
     """Emulate the ideal-synchronization OOK experiment.
 
     The RF source is switched on or off per random bit, one ADC block of
     ``samples_per_bit`` samples is captured per bit, and each block mean is
-    compared against a centered moving average of the block means (the
-    adaptive decision threshold). Returns the BER against the known bits.
+    compared against a centered moving average of ``_THRESHOLD_WINDOW`` block
+    means (the adaptive decision threshold). Returns the BER against the
+    known bits.
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    if threshold_window % 2 == 0:
-        raise ValueError("threshold_window must be odd")
     from .signals import generate_bits
 
     bits = generate_bits(n_bits, seed)
@@ -277,9 +274,7 @@ def ideal_sync_ber_experiment(
         chunk = bits.bits[start : start + _BITS_PER_SCHEDULE]
         codes, _ = capture_groups(backend, rf_source, [on if bit else off for bit in chunk], 1)
         means[start : start + chunk.size] = codes.reshape(chunk.size, -1).mean(axis=1)
-    window = min(threshold_window, n_bits if n_bits % 2 else n_bits - 1)
-    if window < 1:
-        window = 1
+    window = min(_THRESHOLD_WINDOW, n_bits if n_bits % 2 else n_bits - 1)
     threshold = moving_average(means, window)
     decoded = BitSequence(bits=(means > threshold).astype(np.uint8))
     return ber(decoded, bits)

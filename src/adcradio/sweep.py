@@ -8,8 +8,9 @@ and turns block-mean statistics into SNR estimates:
     v = unbiased variance of the off block means
     SNR = 10*log10(d^2 / v)
 
-Zero off-state variance with a nonzero difference is reported as the "high"
-sentinel; zero difference with zero variance is "no response". With a single
+The SNR is a float: +inf is the "high" sentinel (zero off-state variance
+with a nonzero difference) and -inf is "none" (zero difference, no
+response), so ranking and thresholding compare SNRs directly. With a single
 block per state, the off variance is pooled across all frequencies of the
 same path/configuration cell.
 """
@@ -40,6 +41,7 @@ from .simulator import AdcConfig, AdcTrace
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD_DB = 10.0
+SETTLE_BLOCKS = 1  # blocks discarded after each RF toggle
 
 
 def default_sweep_frequencies() -> np.ndarray:
@@ -57,7 +59,6 @@ class SweepPlan:
     power_dbm: float = 43.0
     samples_per_block: int = 32
     blocks_per_state: int = 1
-    settle_blocks: int = 1  # discarded after each RF toggle
     adc: AdcConfig = AdcConfig()
     # None: pool the off-state variance across frequencies only when a single
     # block per state leaves no per-cell variance (the default regime).
@@ -73,8 +74,6 @@ class SweepPlan:
             raise ValueError("freqs_hz must be strictly increasing")
         if self.samples_per_block < 1 or self.blocks_per_state < 1:
             raise ValueError("samples_per_block and blocks_per_state must be >= 1")
-        if self.settle_blocks < 0:
-            raise ValueError("settle_blocks must be >= 0")
 
     @property
     def effective_adc(self) -> AdcConfig:
@@ -85,62 +84,27 @@ class SweepPlan:
         return len(self.paths) * len(self.configs) * len(self.freqs_hz)
 
 
-@dataclass(frozen=True, slots=True)
-class SnrEstimate:
-    """Either a finite SNR in dB, the "high" sentinel (zero off-state
-    variance with a response), or "none" (no response at all)."""
+def snr_to_json(snr: float):
+    """JSON form of an SNR: ``{"db": x}``, or "high" for +inf and "none"
+    for -inf."""
+    if snr == math.inf:
+        return "high"
+    if snr == -math.inf:
+        return "none"
+    return {"db": snr}
 
-    kind: str
-    db: float | None = None
 
-    def __post_init__(self):
-        if self.kind not in ("db", "high", "none"):
-            raise ValueError(f"bad SnrEstimate kind {self.kind!r}")
-        if (self.kind == "db") != (self.db is not None):
-            raise ValueError("db value required exactly when kind == 'db'")
-
-    @classmethod
-    def finite(cls, db: float) -> "SnrEstimate":
-        return cls("db", float(db))
-
-    @classmethod
-    def high(cls) -> "SnrEstimate":
-        return cls("high")
-
-    @classmethod
-    def none(cls) -> "SnrEstimate":
-        return cls("none")
-
-    @property
-    def is_high(self) -> bool:
-        return self.kind == "high"
-
-    @property
-    def is_none(self) -> bool:
-        return self.kind == "none"
-
-    def sort_value(self) -> float:
-        """Comparable magnitude: none < any finite dB < high."""
-        if self.kind == "none":
-            return -math.inf
-        if self.kind == "high":
-            return math.inf
-        return self.db
-
-    def to_json(self):
-        if self.kind == "db":
-            return {"db": self.db}
-        return self.kind
-
-    @classmethod
-    def from_json(cls, obj) -> "SnrEstimate":
-        if obj == "high":
-            return cls.high()
-        if obj == "none":
-            return cls.none()
-        if isinstance(obj, dict) and set(obj) == {"db"}:
-            return cls.finite(float(obj["db"]))
-        raise ValueError(f"bad serialized SNR {obj!r}")
+def snr_from_json(obj) -> float:
+    """Inverse of snr_to_json; a "db" value must be a finite number."""
+    if obj == "high":
+        return math.inf
+    if obj == "none":
+        return -math.inf
+    if isinstance(obj, dict) and set(obj) == {"db"}:
+        db = obj["db"]
+        if isinstance(db, (int, float)) and not isinstance(db, bool) and math.isfinite(db):
+            return float(db)
+    raise ValueError(f"bad serialized SNR {obj!r}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +118,7 @@ class SensitivityRecord:
     mean_off: float | None
     diff: float | None
     var_off: float | None
-    snr: SnrEstimate
+    snr: float  # dB; +inf "high", -inf "none"
     failed: bool = False
     error: str | None = None
 
@@ -165,7 +129,7 @@ class SnrSpectrum:
 
     path: ReceptionPathId
     config: PathConfig
-    points: tuple[tuple[float, SnrEstimate], ...]
+    points: tuple[tuple[float, float], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
@@ -191,18 +155,19 @@ def _off_variance(off_means: np.ndarray) -> np.ndarray:
     return np.zeros(off_means.shape[:-1])
 
 
-def snr_from_stats(diff: float, var_off: float) -> SnrEstimate:
-    """SNR sentinel logic from a mean difference and an off-state variance."""
+def snr_from_stats(diff: float, var_off: float) -> float:
+    """SNR in dB from a mean difference and an off-state variance: -inf
+    without a difference, +inf with one over zero variance."""
     if var_off < 0:
         raise ValueError("var_off must be >= 0")
-    if var_off == 0.0:
-        return SnrEstimate.none() if diff == 0.0 else SnrEstimate.high()
     if diff == 0.0:
-        return SnrEstimate.none()
-    return SnrEstimate.finite(10.0 * math.log10(diff * diff / var_off))
+        return -math.inf
+    if var_off == 0.0:
+        return math.inf
+    return 10.0 * math.log10(diff * diff / var_off)
 
 
-def estimate_snr(on_means, off_means) -> SnrEstimate:
+def estimate_snr(on_means, off_means) -> float:
     """SNR from on/off block means of one cell.
 
     Needs at least two off means for a variance; with exactly one the
@@ -221,13 +186,13 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
     (path, config, frequency) cell, in plan order.
 
     Off-state blocks are captured before on-state blocks at each frequency,
-    with ``settle_blocks`` discarded after each RF toggle; each (path,
+    with ``SETTLE_BLOCKS`` discarded after each RF toggle; each (path,
     config) is one capture_groups call with an (off, on) group per
     frequency. Backend or protocol errors mark the affected cells failed and
     the sweep continues.
     """
     adc = plan.effective_adc
-    n_capture = plan.blocks_per_state + plan.settle_blocks
+    n_capture = plan.blocks_per_state + SETTLE_BLOCKS
     pool = plan.pool_off_variance
     if pool is None:
         pool = plan.blocks_per_state == 1
@@ -275,7 +240,7 @@ def _failed_record(path, config, freq, message) -> SensitivityRecord:
         mean_off=None,
         diff=None,
         var_off=None,
-        snr=SnrEstimate.none(),
+        snr=-math.inf,
         failed=True,
         error=message,
     )
@@ -287,9 +252,9 @@ def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[Sensiti
     ok = [exc is None for exc in errors]
     stats = iter(())
     if any(ok):
-        n_capture = plan.blocks_per_state + plan.settle_blocks
+        n_capture = plan.blocks_per_state + SETTLE_BLOCKS
         means = block_mean(codes[ok], plan.samples_per_block)
-        means = means.reshape(-1, 2, n_capture)[:, :, plan.settle_blocks :]
+        means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
         off, on = means[:, 0], means[:, 1]
         mean_on = on.mean(axis=1)
         mean_off = off.mean(axis=1)
@@ -323,15 +288,16 @@ def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[Sensiti
 
 def spectra_from_records(records) -> list[SnrSpectrum]:
     """Group records into per-(path, config) spectra, preserving order."""
-    grouped: dict[tuple[int, PathConfig], list[tuple[float, SnrEstimate]]] = {}
-    paths: dict[tuple[int, PathConfig], ReceptionPathId] = {}
+    grouped: dict[tuple[int, PathConfig], tuple[ReceptionPathId, list]] = {}
     for rec in records:
         key = (rec.path.index, rec.config)
-        grouped.setdefault(key, []).append((rec.freq_hz, rec.snr))
-        paths.setdefault(key, rec.path)
+        group = grouped.get(key)
+        if group is None:
+            group = grouped[key] = (rec.path, [])
+        group[1].append((rec.freq_hz, rec.snr))
     return [
-        SnrSpectrum(path=paths[key], config=key[1], points=tuple(pts))
-        for key, pts in grouped.items()
+        SnrSpectrum(path=path, config=key[1], points=tuple(points))
+        for key, (path, points) in grouped.items()
     ]
 
 
@@ -340,22 +306,17 @@ def config_order(spectra) -> dict[PathConfig, int]:
     return {c: i for i, c in enumerate(dict.fromkeys(s.config for s in spectra))}
 
 
-def peak_snr(spectrum: SnrSpectrum) -> tuple[float, SnrEstimate]:
-    """Maximum-SNR point; "high" beats any finite value, ties go to the
-    lowest frequency."""
+def peak_snr(spectrum: SnrSpectrum) -> tuple[float, float]:
+    """Maximum-SNR (frequency, SNR) point; ties go to the first, lowest
+    frequency."""
     if not spectrum.points:
         raise ValueError("empty spectrum")
-    best_freq, best = spectrum.points[0]
-    for freq, snr in spectrum.points[1:]:
-        if snr.sort_value() > best.sort_value():
-            best_freq, best = freq, snr
-    return best_freq, best
+    return max(spectrum.points, key=lambda point: point[1])
 
 
 def classify_sensitive(spectrum: SnrSpectrum, threshold_db: float = DEFAULT_THRESHOLD_DB) -> bool:
     """True iff the peak SNR reaches the threshold (or is "high")."""
-    _, best = peak_snr(spectrum)
-    return best.sort_value() >= threshold_db
+    return peak_snr(spectrum)[1] >= threshold_db
 
 
 def enumerate_configs() -> list[PathConfig]:

@@ -111,19 +111,19 @@ def test_criterion_02_snr_estimator_oracle():
     for _ in range(1000):
         on = rng.normal(2048.0 + d, sigma, k)
         off = rng.normal(2048.0, sigma, k)
-        estimates.append(estimate_snr(on, off).db)
+        estimates.append(estimate_snr(on, off))
     mean_error = abs(np.mean(estimates) - truth)
 
     # affine invariance: analytically exact; asserted to 1e-9 dB, the float
     # round-off left by non-associative means/variances
     on = rng.normal(2060.0, 4.0, 256)
     off = rng.normal(2048.0, 4.0, 256)
-    base = estimate_snr(on, off).db
+    base = estimate_snr(on, off)
     max_dev = 0.0
     for _ in range(100):
         a = rng.uniform(0.05, 20.0) * rng.choice([-1.0, 1.0])
         b = rng.uniform(-1000.0, 1000.0)
-        max_dev = max(max_dev, abs(estimate_snr(a * on + b, a * off + b).db - base))
+        max_dev = max(max_dev, abs(estimate_snr(a * on + b, a * off + b) - base))
     elapsed = time.perf_counter() - t0
     ok = mean_error < 0.5 and max_dev <= 1e-9 and elapsed < 5.0
     report(
@@ -169,7 +169,7 @@ def _sweep_snr_at(backend, source, adc, blocks=3000):
         adc=adc,
     )
     (record,) = run_sweep(plan, backend, source)
-    return record.snr.db
+    return record.snr
 
 
 def test_criterion_03_oversampling_law_and_plateau():

@@ -6,6 +6,7 @@ import pytest
 
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace
+from adcradio.plots import render_eye
 from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
 
 
@@ -138,6 +139,40 @@ class TestSimulateAndDemod:
         bad.write_text(json.dumps({"schema_version": 9, "kind": "adc-trace"}) + "\n")
         assert run_cli("demod", "--trace", bad) == 2
 
+    TRACE_HEADER = {
+        "schema_version": 1,
+        "kind": "adc-trace",
+        "resolution_bits": 12,
+        "sample_rate_hz": 16000.0,
+        "oversampling_ratio": 1,
+        "samples_per_block": 16,
+        "samples_per_symbol": 16,
+    }
+
+    def write_trace_file(self, path, header, bad_code=None):
+        # 64 decodable OOK symbols of 16 samples; bad_code replaces line 7
+        codes = [2100 if (k * 7) % 3 == 0 else 2000 for k in range(64) for _ in range(16)]
+        if bad_code is not None:
+            codes[5] = bad_code
+        path.write_text(json.dumps(header) + "\n" + "".join(f"{c}\n" for c in codes))
+
+    def test_trace_header_without_sample_rate_exit_2(self, tmp_path, capsys):
+        header = {k: v for k, v in self.TRACE_HEADER.items() if k != "sample_rate_hz"}
+        bad = tmp_path / "norate.trace"
+        self.write_trace_file(bad, header)
+        assert run_cli("demod", "--trace", bad) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and "sample_rate_hz" in err
+
+    @pytest.mark.parametrize("code", [-7, 99999])
+    def test_trace_code_outside_full_scale_exit_2(self, tmp_path, capsys, code):
+        good, bad = tmp_path / "good.trace", tmp_path / "range.trace"
+        self.write_trace_file(good, self.TRACE_HEADER)
+        assert run_cli("demod", "--trace", good) == 0
+        self.write_trace_file(bad, self.TRACE_HEADER, bad_code=code)
+        assert run_cli("demod", "--trace", bad) == 2
+        assert f"{bad}:7: sample {code} outside [0, 4095]" in capsys.readouterr().err
+
     def test_incompatible_bit_rate_exit_2(self, mini_scenario, tmp_path):
         code = run_cli(
             "simulate", "--scenario", mini_scenario, "--bits", 10,
@@ -212,7 +247,7 @@ class TestReportCommand:
         # (indices count configurations in order of first appearance).
         config = recommended_configs()[5]
         spectra = [s for s in spectra_from_records(read_records(results)[1]) if s.config == config]
-        best = max(spectra, key=lambda s: peak_snr(s)[1].sort_value())
+        best = max(spectra, key=lambda s: peak_snr(s)[1])
         prefix = tmp_path / "spec5"
         args = ("report", "--results", results, "--kind", "spectrum", "--out", prefix)
         assert run_cli(*args, "--config-index", 5) == 0
@@ -220,6 +255,30 @@ class TestReportCommand:
         assert f"path {best.path.index} {config.short()}" in svg
         assert run_cli(*args, "--config-index", 99) == 2
         assert "no spectrum matches" in capsys.readouterr().err
+
+    def test_eye_uses_the_trace_dc_window(self, tmp_path):
+        # link_3m traces carry a 41-symbol DC window hint; the eye must be
+        # conditioned like the decode, not with the default 15.
+        trace_path = tmp_path / "l3.trace"
+        assert run_cli("simulate", "--scenario", "link_3m", "--bits", 600, "--out", trace_path) == 0
+        trace = read_trace(trace_path)
+        assert trace.meta["dc_window_symbols"] == 41
+        args = ("report", "--results", trace_path, "--kind", "eye", "--out", tmp_path / "eye")
+        assert run_cli(*args) == 0
+        sps = trace.meta["samples_per_symbol"]
+        render_eye(trace, sps, tmp_path / "ref.svg", tmp_path / "ref.csv", dc_window_symbols=41)
+        assert (tmp_path / "eye.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    def test_spectrum_rejects_non_finite_db(self, results, tmp_path, capsys):
+        lines = results.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["snr"] = {"db": float("inf")}
+        bad = tmp_path / "inf.jsonl"
+        bad.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+        args = ("report", "--results", bad, "--kind", "spectrum", "--out", tmp_path / "s")
+        assert run_cli(*args) == 2
+        assert "bad serialized SNR" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_eye_from_trace(self, mini_scenario, tmp_path):
         trace_path = tmp_path / "eye.trace"

@@ -1,0 +1,32 @@
+"""Smoke test: every demo script runs to completion against the package."""
+
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+DEMOS = sorted((REPO / "demos").glob("0*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    # Run a copy, so the demo writes its figures under tmp_path and the
+    # checkout's demos/out/ stays untouched.
+    script = tmp_path / "demos" / demo.name
+    script.parent.mkdir()
+    shutil.copy(demo, script)
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, str(script)],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip()

@@ -1,6 +1,7 @@
 """Trace/results/bits file formats and scenario documents."""
 
 import json
+import math
 import re
 
 import numpy as np
@@ -20,13 +21,14 @@ from adcradio.scenario import (
     ScenarioError,
     bundled_scenario_path,
     build_rig,
+    config_to_dict,
     load_scenario,
     scenario_from_dict,
     save_scenario,
 )
 from adcradio.signals import generate_bits
 from adcradio.simulator import AdcConfig, AdcTrace
-from adcradio.sweep import SensitivityRecord, SnrEstimate, enumerate_configs
+from adcradio.sweep import SensitivityRecord, enumerate_configs
 
 
 def minimal_scenario_doc(**overrides):
@@ -77,18 +79,58 @@ class TestTraceFiles:
         with pytest.raises(FileFormatError, match="not found"):
             read_trace(tmp_path / "nope.trace")
 
+    HEADER = {
+        "schema_version": 1,
+        "kind": "adc-trace",
+        "resolution_bits": 12,
+        "sample_rate_hz": 1000.0,
+        "oversampling_ratio": 1,
+        "samples_per_block": 4,
+    }
+
     def test_garbage_sample_line(self, tmp_path):
         path = tmp_path / "bad.trace"
-        header = {
-            "schema_version": 1,
-            "kind": "adc-trace",
-            "resolution_bits": 12,
-            "sample_rate_hz": 1000.0,
-            "oversampling_ratio": 1,
-            "samples_per_block": 4,
-        }
-        path.write_text(json.dumps(header) + "\n12\nxyz\n")
+        path.write_text(json.dumps(self.HEADER) + "\n12\nxyz\n")
         with pytest.raises(FileFormatError, match="invalid sample"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "field",
+        ["resolution_bits", "sample_rate_hz", "oversampling_ratio", "samples_per_block"],
+    )
+    def test_missing_adc_field_named(self, tmp_path, field):
+        path = tmp_path / "bad.trace"
+        header = {k: v for k, v in self.HEADER.items() if k != field}
+        path.write_text(json.dumps(header) + "\n1\n")
+        with pytest.raises(FileFormatError, match=f"{re.escape(str(path))}: .*{field}"):
+            read_trace(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("resolution_bits", 12.5),
+            ("resolution_bits", "12"),
+            ("resolution_bits", True),
+            ("resolution_bits", 40),
+            ("sample_rate_hz", float("nan")),
+            ("sample_rate_hz", None),
+            ("sample_rate_hz", -1.0),
+            ("oversampling_ratio", 3),
+            ("samples_per_block", 0),
+        ],
+    )
+    def test_invalid_adc_field_rejected(self, tmp_path, field, value):
+        path = tmp_path / "bad.trace"
+        path.write_text(json.dumps({**self.HEADER, field: value}) + "\n1\n")
+        with pytest.raises(FileFormatError, match=re.escape(str(path))):
+            read_trace(path)
+
+    def test_codes_must_lie_in_full_scale(self, tmp_path):
+        path = tmp_path / "t.trace"
+        path.write_text(json.dumps({**self.HEADER, "resolution_bits": 8}) + "\n0\n255\n")
+        assert read_trace(path).samples.tolist() == [0, 255]
+        path.write_text(json.dumps({**self.HEADER, "resolution_bits": 8}) + "\n0\n\n256\n")
+        with pytest.raises(FileFormatError, match=r"t\.trace:4: sample 256 outside \[0, 255\]"):
             read_trace(path)
 
 
@@ -97,11 +139,11 @@ class TestResultsFiles:
         cfg = enumerate_configs()[57]
         path = ReceptionPathId(4, "P4")
         return [
-            SensitivityRecord(path, cfg, 2e8, 2050.0, 2048.0, 2.0, 0.5, SnrEstimate.finite(9.0)),
-            SensitivityRecord(path, cfg, 3e8, 2060.0, 2048.0, 12.0, 0.0, SnrEstimate.high()),
-            SensitivityRecord(path, cfg, 4e8, 2048.0, 2048.0, 0.0, 0.0, SnrEstimate.none()),
+            SensitivityRecord(path, cfg, 2e8, 2050.0, 2048.0, 2.0, 0.5, 9.0),
+            SensitivityRecord(path, cfg, 3e8, 2060.0, 2048.0, 12.0, 0.0, math.inf),
+            SensitivityRecord(path, cfg, 4e8, 2048.0, 2048.0, 0.0, 0.0, -math.inf),
             SensitivityRecord(
-                path, cfg, 5e8, None, None, None, None, SnrEstimate.none(),
+                path, cfg, 5e8, None, None, None, None, -math.inf,
                 failed=True, error="injected",
             ),
         ]
@@ -114,9 +156,7 @@ class TestResultsFiles:
         assert header["schema_version"] == 1
         assert header["seed"] == 5
         assert len(back) == 4
-        assert back[0].snr == SnrEstimate.finite(9.0)
-        assert back[1].snr.is_high
-        assert back[2].snr.is_none
+        assert [r.snr for r in back] == [9.0, math.inf, -math.inf, -math.inf]
         assert back[3].failed and back[3].error == "injected"
         assert back[0].config == records[0].config
 
@@ -127,6 +167,25 @@ class TestResultsFiles:
         assert json.loads(lines[1])["snr"] == {"db": 9.0}
         assert json.loads(lines[2])["snr"] == "high"
         assert json.loads(lines[3])["snr"] == "none"
+
+    @pytest.mark.parametrize("db", ["Infinity", "-Infinity", "NaN", "true", '"9.0"'])
+    def test_non_finite_db_rejected(self, tmp_path, db):
+        record = {
+            "path": {"index": 4, "label": "P4"},
+            "config": config_to_dict(enumerate_configs()[57]),
+            "freq_hz": 2e8,
+            "mean_on": 2050.0,
+            "mean_off": 2048.0,
+            "diff": 2.0,
+            "var_off": 0.5,
+            "snr": "@",
+        }
+        path = tmp_path / "results.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        line = json.dumps(record).replace('"@"', f'{{"db": {db}}}')
+        path.write_text(json.dumps(header) + "\n" + line + "\n")
+        with pytest.raises(FileFormatError, match="bad serialized SNR"):
+            read_records(path)
 
     def test_schema_version_is_first_line(self, tmp_path):
         path = tmp_path / "results.jsonl"

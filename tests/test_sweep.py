@@ -1,5 +1,6 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
+import math
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from adcradio.fileio import write_records
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
-    SnrEstimate,
     SweepPlan,
     block_mean,
     classify_sensitive,
@@ -29,7 +29,9 @@ from adcradio.sweep import (
     peak_snr,
     recommended_configs,
     run_sweep,
+    snr_from_json,
     snr_from_stats,
+    snr_to_json,
     spectra_from_records,
     SnrSpectrum,
 )
@@ -53,12 +55,10 @@ class TestBlockMean:
 
 class TestEstimateSnr:
     def test_identical_constants_no_response(self):
-        est = estimate_snr([2048.0, 2048.0], [2048.0, 2048.0])
-        assert est.is_none
+        assert estimate_snr([2048.0, 2048.0], [2048.0, 2048.0]) == -math.inf
 
     def test_zero_variance_with_shift_is_high(self):
-        est = estimate_snr([2064.0, 2064.0], [2048.0, 2048.0])
-        assert est.is_high
+        assert estimate_snr([2064.0, 2064.0], [2048.0, 2048.0]) == math.inf
 
     def test_monte_carlo_matches_closed_form(self):
         # off ~ N(2048, 4), on ~ N(2064, 4): SNR = 10*log10((16/4)^2) = 12 dB
@@ -66,37 +66,60 @@ class TestEstimateSnr:
         est = estimate_snr(
             rng.normal(2064.0, 4.0, 10_000), rng.normal(2048.0, 4.0, 10_000)
         )
-        assert est.db == pytest.approx(12.0, abs=0.5)
+        assert est == pytest.approx(12.0, abs=0.5)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             estimate_snr([], [1.0, 2.0])
 
     def test_single_off_mean_uses_sentinels(self):
-        assert estimate_snr([5.0], [1.0]).is_high
-        assert estimate_snr([1.0], [1.0]).is_none
+        assert estimate_snr([5.0], [1.0]) == math.inf
+        assert estimate_snr([1.0], [1.0]) == -math.inf
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(7)
         on = rng.normal(2060.0, 3.0, 500)
         off = rng.normal(2048.0, 3.0, 500)
-        base = estimate_snr(on, off).db
+        base = estimate_snr(on, off)
         for _ in range(100):
             a = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
             b = rng.uniform(-500.0, 500.0)
             est = estimate_snr(a * on + b, a * off + b)
-            assert est.db == pytest.approx(base, abs=1e-9)
+            assert est == pytest.approx(base, abs=1e-9)
 
 
-class TestSnrEstimateOrdering:
-    def test_sort_values(self):
-        assert SnrEstimate.none().sort_value() == -np.inf
-        assert SnrEstimate.high().sort_value() == np.inf
-        assert SnrEstimate.finite(3.0).sort_value() == 3.0
+class TestSnrValues:
+    def test_none_below_finite_below_high(self):
+        none = snr_from_stats(0.0, 1.0)
+        assert none == snr_from_stats(0.0, 0.0) == -math.inf
+        assert none < snr_from_stats(1e-3, 1e6) < snr_from_stats(1e3, 1e-6)
+        assert snr_from_stats(1e3, 1e-6) < snr_from_stats(1.0, 0.0) == math.inf
 
     def test_json_round_trip(self):
-        for est in (SnrEstimate.none(), SnrEstimate.high(), SnrEstimate.finite(-4.5)):
-            assert SnrEstimate.from_json(est.to_json()) == est
+        assert snr_to_json(-math.inf) == "none"
+        assert snr_to_json(math.inf) == "high"
+        assert snr_to_json(-4.5) == {"db": -4.5}
+        for snr in (-math.inf, math.inf, -4.5, 0.0, 31.25):
+            assert snr_from_json(snr_to_json(snr)) == snr
+        assert snr_from_json({"db": 7}) == 7.0
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"db": math.inf},
+            {"db": -math.inf},
+            {"db": math.nan},
+            {"db": True},
+            {"db": "9.0"},
+            {"db": None},
+            {"db": 1.0, "extra": 0},
+            "HIGH",
+            None,
+        ],
+    )
+    def test_json_rejects_non_finite_db_and_unknown_forms(self, obj):
+        with pytest.raises(ValueError, match="bad serialized SNR"):
+            snr_from_json(obj)
 
     def test_snr_from_stats_negative_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -110,42 +133,41 @@ def spectrum_of(points):
 
 class TestPeakAndClassify:
     def test_single_point(self):
-        s = spectrum_of([(100e6, SnrEstimate.finite(5.0))])
-        assert peak_snr(s) == (100e6, SnrEstimate.finite(5.0))
+        s = spectrum_of([(100e6, 5.0)])
+        assert peak_snr(s) == (100e6, 5.0)
 
     def test_high_beats_finite(self):
-        s = spectrum_of(
-            [(100e6, SnrEstimate.finite(10.0)), (200e6, SnrEstimate.high())]
-        )
-        freq, best = peak_snr(s)
-        assert freq == 200e6 and best.is_high
+        s = spectrum_of([(100e6, 10.0), (200e6, math.inf)])
+        assert peak_snr(s) == (200e6, math.inf)
 
     def test_tie_breaks_to_lowest_frequency(self):
-        s = spectrum_of(
-            [(100e6, SnrEstimate.finite(10.0)), (200e6, SnrEstimate.finite(10.0))]
-        )
+        s = spectrum_of([(100e6, 10.0), (200e6, 10.0)])
         assert peak_snr(s)[0] == 100e6
+        s = spectrum_of([(100e6, math.inf), (200e6, math.inf), (300e6, 99.0)])
+        assert peak_snr(s)[0] == 100e6
+        s = spectrum_of([(100e6, -math.inf), (200e6, -math.inf)])
+        assert peak_snr(s) == (100e6, -math.inf)
 
     def test_empty_spectrum_rejected(self):
         with pytest.raises(ValueError):
             peak_snr(spectrum_of([]))
 
     def test_classify_threshold_boundary(self):
-        below = spectrum_of([(1e8, SnrEstimate.finite(9.9))])
-        at = spectrum_of([(1e8, SnrEstimate.finite(10.0))])
-        above = spectrum_of([(1e8, SnrEstimate.finite(33.0))])
+        below = spectrum_of([(1e8, 9.9)])
+        at = spectrum_of([(1e8, 10.0)])
+        above = spectrum_of([(1e8, 33.0)])
         assert not classify_sensitive(below, 10.0)
         assert classify_sensitive(at, 10.0)
         assert classify_sensitive(above, 10.0)
 
     def test_all_none_is_insensitive(self):
-        s = spectrum_of([(1e8, SnrEstimate.none()), (2e8, SnrEstimate.none())])
+        s = spectrum_of([(1e8, -math.inf), (2e8, -math.inf)])
         assert not classify_sensitive(s, 10.0)
 
     def test_classify_monotone_in_threshold(self):
         rng = np.random.default_rng(3)
         s = spectrum_of(
-            [(f, SnrEstimate.finite(rng.uniform(-5, 30))) for f in np.arange(1, 20) * 1e7]
+            [(f, rng.uniform(-5, 30)) for f in np.arange(1, 20) * 1e7]
         )
         decisions = [classify_sensitive(s, t) for t in np.linspace(-10, 40, 26)]
         # once False, never True again as threshold rises
@@ -230,7 +252,7 @@ class TestRunSweep:
     def test_zero_coupling_no_noise_all_no_response(self):
         backend, source, adc = small_rig(noise=0.0)
         records = run_sweep(plan := self.make_plan(adc), backend, source)
-        assert all(rec.snr.is_none for rec in records)
+        assert all(rec.snr == -math.inf for rec in records)
         assert not any(rec.failed for rec in records)
 
     def test_planted_resonance_found_with_perfect_precision(self):
@@ -283,7 +305,7 @@ class TestRunSweep:
         assert len(records) == 20
         failed = [r for r in records if r.failed]
         assert failed and all(r.error == "injected fault" for r in failed)
-        assert all(r.snr.is_none for r in failed)
+        assert all(r.snr == -math.inf for r in failed)
 
     def test_serial_failed_capture_fails_only_its_frequency(self):
         # Through the wire protocol every capture is its own exchange: an
@@ -308,7 +330,7 @@ class TestRunSweep:
         assert [r.failed for r in records] == [False, True, False, False, True, False]
         for r in records:
             if r.failed:
-                assert r.error == "injected fault" and r.snr.is_none
+                assert r.error == "injected fault" and r.snr == -math.inf
             else:
                 assert r.mean_on is not None and r.var_off > 0
 
@@ -321,7 +343,7 @@ class TestRunSweep:
         off = rng.normal(2048.0, 2.0, 64)
         base = estimate_snr(on, off)
         moved = estimate_snr(3.5 * on - 100.0, 3.5 * off - 100.0)
-        assert moved.db == pytest.approx(base.db, abs=1e-9)
+        assert moved == pytest.approx(base, abs=1e-9)
 
     def test_deterministic_given_seed(self):
         results = []
@@ -342,7 +364,7 @@ class TestRunSweep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             records = run_sweep(plan, backend, source)
-        assert {r.snr.kind for r in records} == {"high", "none"}
+        assert {r.snr for r in records} == {math.inf, -math.inf}
         for r in records:
             assert r.var_off == 0.0
             assert r.snr == estimate_snr([r.mean_on], [r.mean_off])
