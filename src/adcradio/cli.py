@@ -20,6 +20,7 @@ from .fileio import (
     read_bits,
     read_records,
     read_trace,
+    record_line,
     write_bits,
     write_manifest,
     write_records,
@@ -417,11 +418,7 @@ def cmd_protocol_loopback(args) -> int:
     client = SerialBackend(LoopbackTransport(server))
     looped = run_sweep(plan, client, loop_source)
 
-    from .fileio import record_to_dict
-
-    direct_bytes = "\n".join(json.dumps(record_to_dict(r)) for r in direct)
-    looped_bytes = "\n".join(json.dumps(record_to_dict(r)) for r in looped)
-    if direct_bytes == looped_bytes:
+    if list(map(record_line, direct)) == list(map(record_line, looped)):
         print(f"loopback OK: {len(direct)} records byte-identical through the codec")
         return 0
     print("loopback MISMATCH: direct and codec-driven sweeps differ", file=sys.stderr)

@@ -150,28 +150,112 @@ def record_to_dict(record: SensitivityRecord) -> dict:
     return out
 
 
+def _finite_number(obj: dict, name: str, nullable: bool = False) -> float | None:
+    """A record field that must be a finite JSON number (or null, where
+    ``nullable``), as a float; anything else is a ValueError naming it."""
+    value = obj[name]
+    if value is None and nullable:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    expected = "a finite number or null" if nullable else "a finite number"
+    raise ValueError(f"{name} must be {expected}, got {value!r}")
+
+
 def record_from_dict(obj: dict) -> SensitivityRecord:
+    """Inverse of record_to_dict, validating every field.
+
+    The statistics must be finite numbers, or null on a failed record;
+    ``var_off`` must be >= 0, ``failed`` a JSON bool and ``error`` a string
+    or null. A violation is a FileFormatError.
+    """
     try:
         path = ReceptionPathId(
             index=int(obj["path"]["index"]), label=str(obj["path"].get("label", ""))
         )
+        failed = obj.get("failed", False)
+        if not isinstance(failed, bool):
+            raise ValueError(f"failed must be true or false, got {failed!r}")
+        error = obj.get("error")
+        if error is not None and not isinstance(error, str):
+            raise ValueError(f"error must be a string or null, got {error!r}")
+        mean_on, mean_off, diff, var_off = (
+            _finite_number(obj, name, nullable=failed)
+            for name in ("mean_on", "mean_off", "diff", "var_off")
+        )
+        if var_off is not None and var_off < 0:
+            raise ValueError(f"var_off must be >= 0, got {var_off!r}")
         return SensitivityRecord(
             path=path,
             config=config_from_dict(obj["config"]),
-            freq_hz=float(obj["freq_hz"]),
-            mean_on=obj["mean_on"],
-            mean_off=obj["mean_off"],
-            diff=obj["diff"],
-            var_off=obj["var_off"],
+            freq_hz=_finite_number(obj, "freq_hz"),
+            mean_on=mean_on,
+            mean_off=mean_off,
+            diff=diff,
+            var_off=var_off,
             snr=snr_from_json(obj["snr"]),
-            failed=bool(obj.get("failed", False)),
-            error=obj.get("error"),
+            failed=failed,
+            error=error,
         )
     except (KeyError, TypeError, ValueError, ScenarioError) as exc:
         raise FileFormatError(f"bad sensitivity record {obj!r}: {exc}") from None
 
 
+# The prefix of the last record_line call: (path, config, encoded prefix).
+# Records of one sweep cell share their path and config objects, so the
+# prefix is encoded once per cell; the tuple is replaced whole, never edited.
+_last_prefix: tuple = (None, None, "")
+
+
+def _json_number(value) -> str:
+    """A number as json.dumps writes it: float repr when finite."""
+    if type(value) is float and value - value == 0.0:
+        return repr(value)
+    return json.dumps(value)
+
+
+def record_line(record: SensitivityRecord) -> str:
+    """The JSON line of a record, equal to json.dumps(record_to_dict(record)).
+
+    The path/config prefix is encoded by json.dumps once per run of records
+    sharing the same path and config objects; finite floats are written with
+    float repr, as json.dumps writes them, and everything else goes through
+    json.dumps.
+    """
+    global _last_prefix
+    path, config, prefix = _last_prefix
+    if record.path is not path or record.config is not config:
+        head = {
+            "path": {"index": record.path.index, "label": record.path.label},
+            "config": config_to_dict(record.config),
+        }
+        prefix = json.dumps(head)[:-1] + ', "freq_hz": '
+        _last_prefix = (record.path, record.config, prefix)
+    snr = snr_to_json(record.snr)
+    if isinstance(snr, dict):
+        snr_text = '{"db": ' + _json_number(snr["db"]) + "}"
+    else:
+        snr_text = json.dumps(snr)
+    tail = "}"
+    if record.failed:
+        tail = ', "failed": true, "error": ' + json.dumps(record.error) + "}"
+    return (
+        f"{prefix}{_json_number(record.freq_hz)}"
+        f', "mean_on": {_json_number(record.mean_on)}'
+        f', "mean_off": {_json_number(record.mean_off)}'
+        f', "diff": {_json_number(record.diff)}'
+        f', "var_off": {_json_number(record.var_off)}'
+        f', "snr": {snr_text}{tail}'
+    )
+
+
 def write_records(path: str | Path, records, header_extra: dict | None = None) -> None:
+    """Write a results file, one record_line per record, streamed."""
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
@@ -179,8 +263,7 @@ def write_records(path: str | Path, records, header_extra: dict | None = None) -
     }
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        for record in records:
-            f.write(json.dumps(record_to_dict(record)) + "\n")
+        f.writelines(record_line(record) + "\n" for record in records)
 
 
 def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
@@ -192,6 +275,8 @@ def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
             header = json.loads(f.readline())
         except json.JSONDecodeError as exc:
             raise FileFormatError(f"{path}: bad results header: {exc}") from None
+        if not isinstance(header, dict):
+            raise FileFormatError(f"{path}: bad results header: not a JSON object")
         if header.get("schema_version") != RESULTS_SCHEMA_VERSION:
             raise FileFormatError(
                 f"{path}: unsupported results schema_version "

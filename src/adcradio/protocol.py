@@ -22,6 +22,7 @@ per command. The trailing ID? field is the protocol version.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 
@@ -204,6 +205,36 @@ def _err_line(message: str) -> str:
     return ("ERR " + clean)[:MAX_LINE_CHARS]
 
 
+# A DATA frame's sample lines joined by LF: codes of 1 to _MAX_INT_DIGITS
+# ASCII digits.
+_SAMPLE_FRAME = re.compile(rf"[0-9]{{1,{_MAX_INT_DIGITS}}}(?:\n[0-9]{{1,{_MAX_INT_DIGITS}}})*")
+
+
+def _sample_codes(lines: list[str], full_scale: int) -> np.ndarray:
+    """The codes of a DATA frame's sample lines as int32.
+
+    Every line must be 1 to _MAX_INT_DIGITS ASCII digits and its code lie in
+    [0, full_scale]. The frame is checked and parsed as a whole; only a frame
+    that fails is searched line by line, and its first bad line is a
+    ProtocolError naming the sample index.
+    """
+    if not lines:
+        return np.empty(0, dtype=np.int32)
+    frame = "\n".join(lines)
+    if _SAMPLE_FRAME.fullmatch(frame):
+        codes = np.fromstring(frame, dtype=np.int64, sep="\n")
+        if codes.size == len(lines) and codes.max() <= full_scale:
+            return codes.astype(np.int32)
+    for i, line in enumerate(lines):
+        if not (line.isascii() and line.isdigit()):
+            raise ProtocolError(f"sample line {i}: invalid code {line!r}")
+        if len(line) > _MAX_INT_DIGITS:
+            raise ProtocolError(f"sample line {i}: code longer than {_MAX_INT_DIGITS} digits")
+        if int(line) > full_scale:
+            raise ProtocolError(f"sample line {i}: code {line} outside [0, {full_scale}]")
+    raise AssertionError("a rejected frame has a bad sample line")
+
+
 class DutProtocolServer:
     """Device-side half of the protocol, wrapping a simulator backend.
 
@@ -361,11 +392,7 @@ class SerialBackend:
                 f"device sent {count} samples, expected {expected}; "
                 "samples_per_block mismatch between host and device"
             )
-        samples = np.empty(count, dtype=np.int32)
-        for i, line in enumerate(lines):
-            if not line.isdigit():
-                raise ProtocolError(f"sample line {i}: invalid code {line!r}")
-            samples[i] = int(line)
+        samples = _sample_codes(lines, self._adc.full_scale)
         meta = {
             "path": self._path.index if self._path else None,
             "config": self._config,

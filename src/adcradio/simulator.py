@@ -495,18 +495,27 @@ class SimulatedDut:
 
         An RF-off state, or one the path does not couple at its carrier,
         adds nothing. A constant carrier adds a constant level; the levels of
-        all such states come from one detector_output call.
+        all such states come from one detector_output call. The coupling
+        gain and incident power are computed again only when an RF-on
+        state's carrier (frequency, power) differs from the previous RF-on
+        state's: a pass of on/off bits on one carrier computes them once, and
+        a sweep pass, whose carriers all differ, pays one comparison each.
         """
         model, adc = self._model, self.adc
         rows, powers_mw, gains = [], [], []
         held = []  # (state, offset) of envelope-modulated states
+        freq_hz = power_dbm = None  # carrier of the previous RF-on state
         for k, stimulus in enumerate(stimuli):
             if stimulus is None or not getattr(stimulus, "enabled", False):
                 continue
-            gain = coupling_gain(model, stimulus.freq_hz)
+            if stimulus.freq_hz != freq_hz or stimulus.power_dbm != power_dbm:
+                freq_hz, power_dbm = stimulus.freq_hz, stimulus.power_dbm
+                gain = coupling_gain(model, freq_hz)
+                inc_mw = 0.0
+                if gain > 0:
+                    inc_mw = dbm_to_mw(self.channel.incident_dbm(power_dbm, freq_hz))
             if gain <= 0:
                 continue
-            inc_mw = dbm_to_mw(self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
             envelope = getattr(stimulus, "envelope", None)
             if envelope is None:
                 rows.append(k)

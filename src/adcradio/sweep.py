@@ -107,7 +107,7 @@ def snr_from_json(obj) -> float:
     raise ValueError(f"bad serialized SNR {obj!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SensitivityRecord:
     """One sweep cell: statistics and SNR for (path, config, frequency)."""
 
@@ -211,90 +211,79 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
                 backend.configure(path, config, adc)
             except (BackendError, ProtocolError) as exc:
                 logger.warning("configure failed for path %s %s: %s", path.index, config.short(), exc)
-                records.extend(
-                    _failed_record(path, config, freq, str(exc)) for freq in plan.freqs_hz
+                codes = np.zeros((len(groups), 2, 0), np.int32)
+                errors = [exc] * len(groups)
+            else:
+                codes, errors = capture_groups(
+                    backend, rf_source, groups, n_capture, isolate=(BackendError, ProtocolError)
                 )
-                continue
-            codes, errors = capture_groups(
-                backend, rf_source, groups, n_capture, isolate=(BackendError, ProtocolError)
-            )
-            for freq, exc in zip(plan.freqs_hz, errors):
-                if exc is not None:
-                    logger.warning(
-                        "cell failed at path %s %s %.0f Hz: %s",
-                        path.index,
-                        config.short(),
-                        freq,
-                        exc,
-                    )
+                for freq, exc in zip(plan.freqs_hz, errors):
+                    if exc is not None:
+                        logger.warning(
+                            "cell failed at path %s %s %.0f Hz: %s",
+                            path.index,
+                            config.short(),
+                            freq,
+                            exc,
+                        )
             records.extend(_cell_records(path, config, plan, codes, errors, pool))
     return records
 
 
-def _failed_record(path, config, freq, message) -> SensitivityRecord:
-    return SensitivityRecord(
-        path=path,
-        config=config,
-        freq_hz=float(freq),
-        mean_on=None,
-        mean_off=None,
-        diff=None,
-        var_off=None,
-        snr=-math.inf,
-        failed=True,
-        error=message,
-    )
-
-
 def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[SensitivityRecord]:
     """Records of one (path, config) from its (n_freqs, 2, samples) off/on
-    codes; the statistics of all frequencies are computed together."""
-    ok = [exc is None for exc in errors]
-    stats = iter(())
-    if any(ok):
-        n_capture = plan.blocks_per_state + SETTLE_BLOCKS
-        means = block_mean(codes[ok], plan.samples_per_block)
-        means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
-        off, on = means[:, 0], means[:, 1]
-        mean_on = on.mean(axis=1)
-        mean_off = off.mean(axis=1)
-        if pool:
-            var_off = np.full(len(off), _off_variance(off.ravel()))
-        else:
-            var_off = _off_variance(off)
-        stats = zip(
-            mean_on.tolist(), mean_off.tolist(), (mean_on - mean_off).tolist(), var_off.tolist()
+    codes; the statistics of all frequencies are computed together.
+
+    The statistics of the frequencies that captured fill four columns whose
+    failed entries stay None; one comprehension then builds every record.
+    """
+    ok = np.array([exc is None for exc in errors])
+    n_capture = plan.blocks_per_state + SETTLE_BLOCKS
+    means = block_mean(codes[ok], plan.samples_per_block)
+    means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
+    off, on = means[:, 0], means[:, 1]
+    mean_on = on.mean(axis=1)
+    mean_off = off.mean(axis=1)
+    if pool:
+        var_off = np.full(len(off), _off_variance(off.ravel()))
+    else:
+        var_off = _off_variance(off)
+    columns = np.full((4, len(errors)), None, dtype=object)
+    columns[:, ok] = (mean_on, mean_off, mean_on - mean_off, var_off)
+    return [
+        SensitivityRecord(
+            path,
+            config,
+            freq,
+            on_f,
+            off_f,
+            diff,
+            var,
+            -math.inf if exc is not None else snr_from_stats(diff, var),
+            exc is not None,
+            None if exc is None else str(exc),
         )
-    out = []
-    for freq, exc in zip(plan.freqs_hz, errors):
-        if exc is not None:
-            out.append(_failed_record(path, config, freq, str(exc)))
-            continue
-        mean_on_f, mean_off_f, diff, var = next(stats)
-        out.append(
-            SensitivityRecord(
-                path=path,
-                config=config,
-                freq_hz=float(freq),
-                mean_on=mean_on_f,
-                mean_off=mean_off_f,
-                diff=diff,
-                var_off=var,
-                snr=snr_from_stats(diff, var),
-            )
-        )
-    return out
+        for freq, on_f, off_f, diff, var, exc in zip(plan.freqs_hz, *columns.tolist(), errors)
+    ]
 
 
 def spectra_from_records(records) -> list[SnrSpectrum]:
-    """Group records into per-(path, config) spectra, preserving order."""
+    """Group records into per-(path, config) spectra, preserving order.
+
+    Consecutive records of one cell share their path and config objects, so
+    the group is looked up only when either object changes.
+    """
     grouped: dict[tuple[int, PathConfig], tuple[ReceptionPathId, list]] = {}
+    path = config = points = None
     for rec in records:
-        key = (rec.path.index, rec.config)
-        group = grouped.get(key)
-        if group is None:
-            group = grouped[key] = (rec.path, [])
-        group[1].append((rec.freq_hz, rec.snr))
+        if rec.path is not path or rec.config is not config:
+            path, config = rec.path, rec.config
+            key = (path.index, config)
+            group = grouped.get(key)
+            if group is None:
+                group = grouped[key] = (path, [])
+            points = group[1]
+        points.append((rec.freq_hz, rec.snr))
     return [
         SnrSpectrum(path=path, config=key[1], points=tuple(points))
         for key, (path, points) in grouped.items()

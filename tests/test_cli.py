@@ -302,6 +302,13 @@ class TestReportCommand:
         assert code == 2
         assert "no records" in capsys.readouterr().err
 
+    def test_non_object_results_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "list.jsonl"
+        bad.write_text("[1, 2]\n")
+        code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert "not a JSON object" in capsys.readouterr().err
+
 
 class TestProtocolLoopbackCommand:
     def test_loopback_identical(self, mini_scenario, capsys):

@@ -3,9 +3,12 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adcradio.backend import ReceptionPathId
 from adcradio.fileio import (
@@ -13,6 +16,8 @@ from adcradio.fileio import (
     read_bits,
     read_records,
     read_trace,
+    record_line,
+    record_to_dict,
     write_bits,
     write_records,
     write_trace,
@@ -28,7 +33,7 @@ from adcradio.scenario import (
 )
 from adcradio.signals import generate_bits
 from adcradio.simulator import AdcConfig, AdcTrace
-from adcradio.sweep import SensitivityRecord, enumerate_configs
+from adcradio.sweep import SensitivityRecord, SweepPlan, enumerate_configs, run_sweep
 
 
 def minimal_scenario_doc(**overrides):
@@ -198,6 +203,143 @@ class TestResultsFiles:
         path.write_text(json.dumps({"schema_version": 1, "kind": "something"}) + "\n")
         with pytest.raises(FileFormatError, match="not a results file"):
             read_records(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "results.jsonl"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(FileFormatError, match="not a JSON object"):
+            read_records(path)
+
+    GOOD_RECORD = {
+        "path": {"index": 4, "label": "P4"},
+        "config": config_to_dict(enumerate_configs()[57]),
+        "freq_hz": 2e8,
+        "mean_on": 2050.0,
+        "mean_off": 2048.0,
+        "diff": 2.0,
+        "var_off": 0.5,
+        "snr": {"db": 9.0},
+    }
+
+    def read_one(self, tmp_path, **fields):
+        path = tmp_path / "results.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        line = json.dumps({**self.GOOD_RECORD, **fields})
+        path.write_text(json.dumps(header) + "\n" + line + "\n")
+        return read_records(path)[1][0]
+
+    def test_valid_record_reads(self, tmp_path):
+        record = self.read_one(tmp_path, mean_on=2050)
+        assert record.mean_on == 2050.0 and isinstance(record.mean_on, float)
+        assert not record.failed and record.error is None
+
+    def test_string_statistic_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="mean_on must be a finite number"):
+            self.read_one(tmp_path, mean_on="abc")
+
+    def test_list_statistic_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="mean_off must be a finite number"):
+            self.read_one(tmp_path, mean_off=[1])
+
+    def test_bool_statistic_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="diff must be a finite number"):
+            self.read_one(tmp_path, diff=True)
+
+    @pytest.mark.parametrize(
+        "name, value", [("var_off", math.nan), ("mean_on", -math.inf), ("diff", 10**400)]
+    )
+    def test_non_finite_statistic_rejected(self, tmp_path, name, value):
+        with pytest.raises(FileFormatError, match=f"{name} must be a finite number"):
+            self.read_one(tmp_path, **{name: value})
+
+    def test_negative_variance_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="var_off must be >= 0"):
+            self.read_one(tmp_path, var_off=-3)
+
+    def test_null_statistic_on_ok_record_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="mean_on must be a finite number, got None"):
+            self.read_one(tmp_path, mean_on=None)
+
+    def test_null_statistics_on_failed_record(self, tmp_path):
+        nulls = dict.fromkeys(("mean_on", "mean_off", "diff", "var_off"))
+        record = self.read_one(tmp_path, **nulls, snr="none", failed=True, error="boom")
+        assert record.failed and record.error == "boom" and record.mean_on is None
+
+    def test_string_failed_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="failed must be true or false"):
+            self.read_one(tmp_path, failed="false")
+
+    def test_non_string_error_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="error must be a string or null"):
+            self.read_one(tmp_path, failed=True, error=5)
+
+    def test_write_read_write_byte_identical(self, tmp_path):
+        scenario = load_scenario(bundled_scenario_path("demo_board"))
+        backend, source = build_rig(scenario, seed=3)
+        plan = SweepPlan(
+            paths=tuple(ReceptionPathId(i, f"P{i}") for i in (0, 3)),
+            configs=tuple(enumerate_configs()[56:58]),
+            freqs_hz=tuple(np.linspace(200e6, 1000e6, 9)),
+            samples_per_block=scenario.adc.samples_per_block,
+            adc=scenario.adc,
+        )
+        records = run_sweep(plan, backend, source) + self.make_records()
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_records(first, records, header_extra={"seed": 3})
+        header, back = read_records(first)
+        write_records(second, back, header_extra={"seed": header["seed"]})
+        assert first.read_bytes() == second.read_bytes()
+        assert back == records
+
+
+def _labels():
+    return st.text(max_size=8) | st.sampled_from(
+        ['q"uote', "back\\slash", "caf\u00e9 \u65e5\u672c", "tab\tnl\n\x00\x7f", ""]
+    )
+
+
+_STATISTICS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 1e-5, 1e16, 2048.0, 5e-324]
+)
+
+
+@st.composite
+def sensitivity_records(draw):
+    path = ReceptionPathId(draw(st.integers(0, 10**6)), draw(_labels()))
+    config = draw(st.sampled_from(enumerate_configs()))
+    freq = draw(st.floats(1.0, 1e10) | st.sampled_from([2e8, 1e16, 1e-5]))
+    snr = draw(st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, -0.0]))
+    if draw(st.booleans()):
+        error = draw(st.text(max_size=20) | st.just("line one\nline two: \"quoted\" \\"))
+        return SensitivityRecord(
+            path, config, freq, None, None, None, None, -math.inf, failed=True, error=error
+        )
+    stats = [draw(_STATISTICS) for _ in range(4)]
+    return SensitivityRecord(path, config, freq, *stats, snr)
+
+
+_SPECIAL_PATH = ReceptionPathId(7, 'a"b\\c\u00e9\x01')
+_SPECIAL_CONFIG = enumerate_configs()[3]
+
+
+class TestRecordLine:
+    @given(st.lists(sensitivity_records(), min_size=1, max_size=4))
+    @example(
+        [
+            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 1e16, -0.0, 1e-5, 1e16, 0.0, math.inf),
+            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 2e8, 1.0, 2.0, -1.0, 0.25, -12.5),
+            SensitivityRecord(
+                _SPECIAL_PATH, _SPECIAL_CONFIG, 4e8, None, None, None, None, -math.inf,
+                failed=True, error="a\nb",
+            ),
+        ]
+    )
+    def test_equals_json_dumps_of_record_to_dict(self, records):
+        # Runs sharing path/config objects exercise the cached prefix; the
+        # repeat of the first record after the others checks it is refreshed.
+        shared = [replace(r, path=records[0].path, config=records[0].config) for r in records]
+        for record in records + shared + records[:1]:
+            assert record_line(record) == json.dumps(record_to_dict(record))
 
 
 class TestBitsFiles:

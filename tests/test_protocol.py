@@ -253,6 +253,38 @@ class TestSerialBackend:
         for a, b in zip(direct, looped):
             assert a.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1234567890123", "sample line 2: code longer than 12 digits"),
+            ("99999999999", "sample line 2: code 99999999999 outside [0, 4095]"),
+            ("4096", "sample line 2: code 4096 outside [0, 4095]"),
+            ("-1", "sample line 2: invalid code '-1'"),
+            ("", "sample line 2: invalid code ''"),
+            ("\u0663", "sample line 2: invalid code '\u0663'"),
+            ("12\n34", "sample line 2: invalid code '12\\n34'"),
+        ],
+    )
+    def test_bad_sample_line_rejected_after_the_frame(self, line, message):
+        class CorruptingServer(DutProtocolServer):
+            corrupted = False
+
+            def handle_line(self, request):
+                lines = super().handle_line(request)
+                if request.startswith("SMP") and not self.corrupted:
+                    self.corrupted = True
+                    lines[3] = line
+                return lines
+
+        backend, _ = make_stack(samples_per_block=8)
+        client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
+        client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
+        with pytest.raises(ProtocolError) as excinfo:
+            client.capture(1)
+        assert str(excinfo.value) == message
+        # The whole frame was consumed, so the next capture is in step.
+        assert len(client.capture(1)) == 8
+
     def test_reset_clears_configuration(self):
         client, _ = self.make_client()
         client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))

@@ -1,7 +1,9 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
 import math
+import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -307,6 +309,25 @@ class TestRunSweep:
         assert failed and all(r.error == "injected fault" for r in failed)
         assert all(r.snr == -math.inf for r in failed)
 
+    def test_failed_configure_fails_every_frequency_of_the_cell(self):
+        class PickyBackend(SimulatorBackend):
+            def configure(self, path, config, adc):
+                if path.index == 1:
+                    raise BackendError("no such pin")
+                super().configure(path, config, adc)
+
+        backend, source, adc = small_rig(noise=1.0, seed=2)
+        picky = PickyBackend(backend.dut, source)
+        records = run_sweep(self.make_plan(adc, 2, 2, 3), picky, source)
+        assert len(records) == 12
+        for r in records:
+            assert r.failed == (r.path.index == 1)
+            if r.failed:
+                assert r.error == "no such pin" and r.snr == -math.inf
+                assert (r.mean_on, r.mean_off, r.diff, r.var_off) == (None,) * 4
+            else:
+                assert r.error is None and r.var_off > 0
+
     def test_serial_failed_capture_fails_only_its_frequency(self):
         # Through the wire protocol every capture is its own exchange: an
         # ERR answer to one SMP fails that frequency and no other.
@@ -334,6 +355,32 @@ class TestRunSweep:
             else:
                 assert r.mean_on is not None and r.var_off > 0
 
+    def test_serial_bad_sample_codes_fail_only_their_frequency(self):
+        # An 11-digit code (which would overflow int32) and a code above the
+        # 12-bit full scale are protocol errors naming the sample; they fail
+        # their own frequency and the sweep goes on. SMP 3 is the off capture
+        # at frequency 1, SMP 9 the on capture at frequency 4.
+        class CorruptingServer(DutProtocolServer):
+            smp = 0
+
+            def handle_line(self, line):
+                lines = super().handle_line(line)
+                if line.startswith("SMP"):
+                    self.smp += 1
+                    if self.smp == 3:
+                        lines[5] = "99999999999"
+                    elif self.smp == 9:
+                        lines[2] = "5000"
+                return lines
+
+        backend, source, adc = small_rig(noise=1.0, seed=9)
+        client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
+        records = run_sweep(self.make_plan(adc, 1, 1, 6), client, source)
+        assert [r.failed for r in records] == [False, True, False, False, True, False]
+        assert records[1].error == "sample line 4: code 99999999999 outside [0, 4095]"
+        assert records[4].error == "sample line 1: code 5000 outside [0, 4095]"
+        assert all(r.var_off > 0 for r in records if not r.failed)
+
     def test_affine_invariance_through_pipeline(self):
         # one cell's records: shifting/scaling every sample leaves SNR alone;
         # realized here by scaling the detector gain and noise together via a
@@ -344,6 +391,31 @@ class TestRunSweep:
         base = estimate_snr(on, off)
         moved = estimate_snr(3.5 * on - 100.0, 3.5 * off - 100.0)
         assert moved == pytest.approx(base, abs=1e-9)
+
+    def test_spectra_group_shuffled_and_interleaved_records(self):
+        # Grouping looks a group up only when the path or config object
+        # changes; equal objects from other runs, shuffled order and
+        # interleaved cells must group exactly as a lookup per record does.
+        backend, source, adc = small_rig(noise=2.0, seed=4)
+        records = run_sweep(self.make_plan(adc, 3, 2, 5), backend, source)
+        copies = [
+            replace(r, path=ReceptionPathId(r.path.index, r.path.label), config=replace(r.config))
+            for r in records
+        ]
+        interleaved = [r for pair in zip(records, copies) for r in pair]
+        shuffled = records + copies
+        random.Random(0).shuffle(shuffled)
+        for batch in (records, interleaved, shuffled):
+            reference = {}
+            for r in batch:
+                reference.setdefault((r.path.index, r.config), (r.path, []))[1].append(
+                    (r.freq_hz, r.snr)
+                )
+            expected = [
+                SnrSpectrum(path, key[1], points) for key, (path, points) in reference.items()
+            ]
+            assert spectra_from_records(batch) == expected
+            assert spectra_from_records(iter(batch)) == expected
 
     def test_deterministic_given_seed(self):
         results = []
