@@ -232,8 +232,9 @@ def capture_groups(backend, rf_source, groups, n_blocks: int, isolate=()):
     This is the one place that picks the capture path. A backend with a
     batched ``capture_schedule`` (SimulatorBackend) runs every group in one
     schedule, so an error there fails every group. Any other backend
-    (SerialBackend) gets ``rf_source.rf_set`` and ``capture`` per stimulus,
-    and an error ends only its own group.
+    (SerialBackend) gets ``rf_source.rf_set`` and ``capture`` per stimulus;
+    an error fails only its own group, whose other captures still run, so
+    the device is sent the same commands whatever fails.
     """
     groups = list(groups)
     group_len = len(groups[0]) if groups else 0
@@ -247,17 +248,19 @@ def capture_groups(backend, rf_source, groups, n_blocks: int, isolate=()):
     codes = None
     errors = []
     for g, group in enumerate(groups):
-        try:
-            for k, stimulus in enumerate(group):
+        error = None
+        for k, stimulus in enumerate(group):
+            try:
                 rf_source.rf_set(stimulus)
                 samples = backend.capture(n_blocks).samples
-                if codes is None:
-                    codes = np.zeros((len(groups), group_len, samples.size), np.int32)
-                codes[g, k] = samples
-        except isolate as exc:
-            errors.append(exc)
-        else:
-            errors.append(None)
+            except isolate as exc:
+                if error is None:
+                    error = exc
+                continue
+            if codes is None:
+                codes = np.zeros((len(groups), group_len, samples.size), np.int32)
+            codes[g, k] = samples
+        errors.append(error)
     if codes is None:
         codes = np.zeros((len(groups), group_len, 0), np.int32)
     return codes, errors

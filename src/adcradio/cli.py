@@ -419,7 +419,11 @@ def cmd_protocol_loopback(args) -> int:
     looped = run_sweep(plan, client, loop_source)
 
     if list(map(record_line, direct)) == list(map(record_line, looped)):
-        print(f"loopback OK: {len(direct)} records byte-identical through the codec")
+        print(
+            f"loopback OK: {len(direct)} records byte-identical through the codec; "
+            f"{client.retries} retries, {client.timeouts} timeouts, "
+            f"{client.stale_lines_dropped} stale lines dropped"
+        )
         return 0
     print("loopback MISMATCH: direct and codec-driven sweeps differ", file=sys.stderr)
     return 1

@@ -170,14 +170,20 @@ def _finite_number(obj: dict, name: str, nullable: bool = False) -> float | None
 def record_from_dict(obj: dict) -> SensitivityRecord:
     """Inverse of record_to_dict, validating every field.
 
-    The statistics must be finite numbers, or null on a failed record;
-    ``var_off`` must be >= 0, ``failed`` a JSON bool and ``error`` a string
-    or null. A violation is a FileFormatError.
+    The path index must be a JSON integer >= 0 and its label a string. The
+    statistics must be finite numbers, or null on a failed record;
+    ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on - mean_off``,
+    ``failed`` a JSON bool and ``error`` a string or null. A violation is a
+    FileFormatError.
     """
     try:
-        path = ReceptionPathId(
-            index=int(obj["path"]["index"]), label=str(obj["path"].get("label", ""))
-        )
+        index = obj["path"]["index"]
+        if type(index) is not int:
+            raise ValueError(f"path index must be an integer, got {index!r}")
+        label = obj["path"].get("label", "")
+        if not isinstance(label, str):
+            raise ValueError(f"path label must be a string, got {label!r}")
+        path = ReceptionPathId(index=index, label=label)
         failed = obj.get("failed", False)
         if not isinstance(failed, bool):
             raise ValueError(f"failed must be true or false, got {failed!r}")
@@ -190,6 +196,10 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
         )
         if var_off is not None and var_off < 0:
             raise ValueError(f"var_off must be >= 0, got {var_off!r}")
+        if diff is not None and (
+            mean_on is None or mean_off is None or diff != mean_on - mean_off
+        ):
+            raise ValueError(f"diff must be mean_on - mean_off, got {diff!r}")
         return SensitivityRecord(
             path=path,
             config=config_from_dict(obj["config"]),

@@ -1,17 +1,31 @@
-"""Line-oriented wire protocol between a host and a DUT.
+"""Line-oriented wire protocol between a host and a DUT, version 2.
 
-The protocol is 7-bit-safe text, one LF-terminated line per message, chosen
-for debuggability over UART-class links:
+The protocol is 7-bit-safe text, one LF-terminated line of at most
+MAX_LINE_CHARS characters per message, chosen for debuggability over
+UART-class links. Every request line is ``<tag> <command>`` and every line
+of its response echoes the tag; the tag is a 16-bit sequence number in four
+uppercase hex digits:
 
     CFG <path> <mode> <pupd> <val> <otype>   ->  OK | ERR <msg>
-    SMP <n_blocks> <rate_hz> <ovs>           ->  DATA <count>, <count> sample
-                                                 lines (one decimal code each),
-                                                 END        | ERR <msg>
+    SMP <n_blocks> <rate_hz> <ovs>           ->  DATA <count> <crc32>, sample
+                                                 lines, END   | ERR <msg>
     ID?                                      ->  ID <n_paths> <bits> <max_rate> <version>
     RST                                      ->  OK
 
 Enumerations use fixed uppercase tokens: INPUT, OUTPUT, AF, ANALOG; NONE,
 PU, PD, RSV; HI, LO; PP, OD. Fields are single-space separated.
+encode_command and decode_command work on the untagged command.
+
+A DATA frame packs its codes as 4-digit uppercase big-endian hex,
+CODES_PER_LINE codes per sample line and the rest on the last one. The
+header carries the code count and the zlib CRC-32 of the packed bytes in
+8 uppercase hex digits.
+
+Requests run at most once. The server keeps the last request line and its
+response, and answers a repeat of that line by replaying the response
+without running the command again. The host resends a timed-out request
+under the same tag and drops every line that is not the awaited response:
+a stale or duplicated line carries another tag, or none.
 
 CFG selects and resets a reception path; SMP applies the acquisition rate
 and oversampling ratio (without resetting the path) and runs one capture.
@@ -23,6 +37,7 @@ per command. The trailing ID? field is the protocol version.
 from __future__ import annotations
 
 import re
+import zlib
 from collections import deque
 from dataclasses import dataclass
 
@@ -42,9 +57,14 @@ from .backend import (
 )
 from .simulator import AdcConfig, AdcTrace
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_LINE_CHARS = 256
 _MAX_INT_DIGITS = 12
+# A tag is four hex digits and a space ahead of every line.
+_TAG_CHARS = 5
+# Codes per DATA sample line: four hex digits each, within the line limit.
+CODES_PER_LINE = (MAX_LINE_CHARS - _TAG_CHARS) // 4
+_LINE_DIGITS = 4 * CODES_PER_LINE
 
 
 class ProtocolError(Exception):
@@ -148,12 +168,9 @@ def _parse_token(table: dict, field: str, pos: int, name: str):
         raise ProtocolError(f"field {pos} ({name}): unknown token {field!r}") from None
 
 
-def decode_command(line: str | bytes) -> Command:
-    """Parse one protocol line into a structured command.
-
-    Rejects anything malformed with a ProtocolError carrying position info;
-    never raises anything else, regardless of input bytes.
-    """
+def _text_line(line: str | bytes) -> str:
+    """A line as text without its trailing LF; ProtocolError for bytes that
+    are not 7-bit ASCII, a non-text line, or more than MAX_LINE_CHARS."""
     if isinstance(line, (bytes, bytearray)):
         try:
             line = bytes(line).decode("ascii")
@@ -164,6 +181,16 @@ def decode_command(line: str | bytes) -> Command:
     line = line.rstrip("\n")
     if len(line) > MAX_LINE_CHARS:
         raise ProtocolError(f"line too long ({len(line)} > {MAX_LINE_CHARS} chars)")
+    return line
+
+
+def decode_command(line: str | bytes) -> Command:
+    """Parse one protocol line into a structured command.
+
+    Rejects anything malformed with a ProtocolError carrying position info;
+    never raises anything else, regardless of input bytes.
+    """
+    line = _text_line(line)
     if any(c in line for c in "\r\n\x00"):
         raise ProtocolError("line contains control characters")
     if line == "":
@@ -202,58 +229,106 @@ def decode_command(line: str | bytes) -> Command:
 
 def _err_line(message: str) -> str:
     clean = " ".join(str(message).split()) or "error"
-    return ("ERR " + clean)[:MAX_LINE_CHARS]
+    return ("ERR " + clean)[: MAX_LINE_CHARS - _TAG_CHARS]
 
 
-# A DATA frame's sample lines joined by LF: codes of 1 to _MAX_INT_DIGITS
-# ASCII digits.
-_SAMPLE_FRAME = re.compile(rf"[0-9]{{1,{_MAX_INT_DIGITS}}}(?:\n[0-9]{{1,{_MAX_INT_DIGITS}}})*")
+_TAG = re.compile("[0-9A-F]{4} ")
+_HEX_TEXT = re.compile("[0-9A-F]*")
+_NOT_HEX = re.compile("[^0-9A-F]")
 
 
-def _sample_codes(lines: list[str], full_scale: int) -> np.ndarray:
+def _data_frame(codes: np.ndarray) -> list[str]:
+    """The untagged lines of a DATA frame: header, sample lines, END."""
+    packed = codes.astype(">u2").tobytes()
+    text = packed.hex().upper()
+    lines = [f"DATA {len(codes)} {zlib.crc32(packed):08X}"]
+    lines.extend(text[i : i + _LINE_DIGITS] for i in range(0, len(text), _LINE_DIGITS))
+    lines.append("END")
+    return lines
+
+
+def _data_header(line: str) -> tuple[int, int]:
+    """The code count and CRC-32 of a ``DATA <count> <crc32>`` line."""
+    fields = line.split(" ")
+    if len(fields) != 3 or fields[0] != "DATA":
+        raise ProtocolError(f"expected DATA header, got {line!r}")
+    count = _parse_uint(fields[1], 1, "count")
+    if not (len(fields[2]) == 8 and _HEX_TEXT.fullmatch(fields[2])):
+        raise ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {fields[2]!r}")
+    return count, int(fields[2], 16)
+
+
+def _frame_codes(lines: list[str], count: int, crc: int, full_scale: int) -> np.ndarray:
     """The codes of a DATA frame's sample lines as int32.
 
-    Every line must be 1 to _MAX_INT_DIGITS ASCII digits and its code lie in
-    [0, full_scale]. The frame is checked and parsed as a whole; only a frame
-    that fails is searched line by line, and its first bad line is a
-    ProtocolError naming the sample index.
+    The frame must hold ``count`` codes in full sample lines of
+    CODES_PER_LINE codes and one shorter last line, as uppercase hex whose
+    bytes have the header's CRC-32, and every code must lie in [0,
+    full_scale]. The frame is checked as a whole; a failure is a
+    ProtocolError naming the first bad sample line, the header's CRC, or
+    the first code above full scale.
     """
-    if not lines:
-        return np.empty(0, dtype=np.int32)
-    frame = "\n".join(lines)
-    if _SAMPLE_FRAME.fullmatch(frame):
-        codes = np.fromstring(frame, dtype=np.int64, sep="\n")
-        if codes.size == len(lines) and codes.max() <= full_scale:
-            return codes.astype(np.int32)
+    full, rest = divmod(count, CODES_PER_LINE)
+    widths = [_LINE_DIGITS] * full + [4 * rest] * (rest > 0)
+    text = "".join(lines)
+    if list(map(len, lines)) != widths or not _HEX_TEXT.fullmatch(text):
+        raise _bad_sample_line(lines, widths)
+    packed = bytes.fromhex(text)
+    actual = zlib.crc32(packed)
+    if actual != crc:
+        raise ProtocolError(f"DATA header: CRC-32 {crc:08X}, sample lines have {actual:08X}")
+    codes = np.frombuffer(packed, dtype=">u2").astype(np.int32)
+    if count and codes.max() > full_scale:
+        i = int(np.argmax(codes > full_scale))
+        raise ProtocolError(f"sample {i}: code {codes[i]} above full scale {full_scale}")
+    return codes
+
+
+def _bad_sample_line(lines: list[str], widths: list[int]) -> ProtocolError:
+    """The error for the first sample line that is not hex or not its width."""
     for i, line in enumerate(lines):
-        if not (line.isascii() and line.isdigit()):
-            raise ProtocolError(f"sample line {i}: invalid code {line!r}")
-        if len(line) > _MAX_INT_DIGITS:
-            raise ProtocolError(f"sample line {i}: code longer than {_MAX_INT_DIGITS} digits")
-        if int(line) > full_scale:
-            raise ProtocolError(f"sample line {i}: code {line} outside [0, {full_scale}]")
-    raise AssertionError("a rejected frame has a bad sample line")
+        bad = _NOT_HEX.search(line)
+        if bad:
+            return ProtocolError(
+                f"sample line {i}: non-hex character {bad.group()!r} at column {bad.start()}"
+            )
+        if i < len(widths) and len(line) != widths[i]:
+            return ProtocolError(f"sample line {i}: {len(line)} hex digits, expected {widths[i]}")
+    return ProtocolError(f"DATA frame: {len(lines)} sample lines, expected {len(widths)}")
 
 
 class DutProtocolServer:
     """Device-side half of the protocol, wrapping a simulator backend.
 
-    handle_line() consumes one command line and returns the full list of
-    response lines; it reports every failure as an ERR line and never raises.
+    handle_line() consumes one request line and returns the full list of
+    response lines, each carrying the request's tag; it reports every
+    failure as an ERR line (untagged for an untagged request) and never
+    raises. A repeat of the last request line is answered by replaying its
+    response; the command does not run again.
     """
 
     def __init__(self, backend: SimulatorBackend):
         self.backend = backend
+        self._last_request: str | None = None
+        self._last_response: tuple[str, ...] = ()
 
     def handle_line(self, line: str | bytes) -> list[str]:
         try:
-            cmd = decode_command(line)
+            line = _text_line(line)
+            if not _TAG.match(line):
+                raise ProtocolError("untagged request: expected 4 uppercase hex digits and a space")
         except ProtocolError as exc:
             return [_err_line(str(exc))]
+        if line == self._last_request:
+            return list(self._last_response)
         try:
-            return self._dispatch(cmd)
-        except (BackendError, ValueError, RuntimeError) as exc:
-            return [_err_line(str(exc))]
+            lines = self._dispatch(decode_command(line[_TAG_CHARS:]))
+        except (ProtocolError, BackendError, ValueError, RuntimeError) as exc:
+            lines = [_err_line(str(exc))]
+        tag = line[:_TAG_CHARS]
+        response = [tag + payload for payload in lines]
+        self._last_request, self._last_response = line, tuple(response)
+        return response
 
     def _dispatch(self, cmd: Command) -> list[str]:
         if isinstance(cmd, ConfigureCommand):
@@ -261,11 +336,7 @@ class DutProtocolServer:
             return ["OK"]
         if isinstance(cmd, CaptureCommand):
             self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
-            trace = self.backend.capture(cmd.n_blocks)
-            lines = [f"DATA {len(trace)}"]
-            lines.extend(str(int(c)) for c in trace.samples)
-            lines.append("END")
-            return lines
+            return _data_frame(self.backend.capture(cmd.n_blocks).samples)
         if isinstance(cmd, IdentifyCommand):
             d = self.backend.describe()
             return [
@@ -297,14 +368,23 @@ class LoopbackTransport:
 class SerialBackend:
     """Host-side backend that drives a DUT through the line protocol.
 
-    Response lines are awaited with a per-line timeout; a timed-out command
-    is resent up to the retry limit before a hard ProtocolTimeoutError.
+    Each request goes out under the next tag. Response lines are awaited
+    with a per-line timeout; a request whose response has not started is
+    resent under the same tag, ``retries`` sends in all, before a hard
+    ProtocolTimeoutError. Lines of another tag or none, and lines of the
+    awaited tag that cannot start a response, are dropped. The counters
+    ``retries``, ``timeouts`` and ``stale_lines_dropped`` say how often.
     """
 
     def __init__(self, transport, timeout_s: float = 2.0, retries: int = 3):
         self.transport = transport
         self.timeout_s = timeout_s
-        self.retries = retries
+        self.max_sends = retries
+        self.retries = 0
+        self.timeouts = 0
+        self.stale_lines_dropped = 0
+        self._tag = 0
+        self._prefix = ""
         self._adc: AdcConfig | None = None
         self._path: ReceptionPathId | None = None
         self._config: PathConfig | None = None
@@ -312,17 +392,33 @@ class SerialBackend:
     # -- protocol plumbing ---------------------------------------------------
 
     def _recv(self) -> str:
-        line = self.transport.recv_line(self.timeout_s)
-        if line is None:
-            raise ProtocolTimeoutError("timed out waiting for response line")
-        return line
+        """The next line carrying the awaited tag, without the tag."""
+        prefix = self._prefix
+        while True:
+            line = self.transport.recv_line(self.timeout_s)
+            if line is None:
+                self.timeouts += 1
+                raise ProtocolTimeoutError(f"timed out waiting for response {prefix[:4]}")
+            if line.startswith(prefix):
+                return line[_TAG_CHARS:]
+            self.stale_lines_dropped += 1
 
-    def _transact(self, request: str) -> str:
+    def _transact(self, command: str) -> str:
+        """Send a command under a new tag; the first line of its response."""
+        self._tag = (self._tag + 1) & 0xFFFF
+        self._prefix = f"{self._tag:04X} "
+        request = self._prefix + command
         last: ProtocolTimeoutError | None = None
-        for _ in range(self.retries):
+        for attempt in range(self.max_sends):
+            if attempt:
+                self.retries += 1
             self.transport.send_line(request)
             try:
-                return self._recv()
+                while True:
+                    line = self._recv()
+                    if line == "OK" or line.startswith(("ERR ", "ID ", "DATA ")):
+                        return line
+                    self.stale_lines_dropped += 1
             except ProtocolTimeoutError as exc:
                 last = exc
         raise last or ProtocolTimeoutError("no response")
@@ -376,23 +472,27 @@ class SerialBackend:
         first = self._transact(encode_command(cmd))
         if first.startswith("ERR "):
             raise BackendError(first[4:])
-        fields = first.split(" ")
-        if len(fields) != 2 or fields[0] != "DATA":
-            raise ProtocolError(f"expected DATA header, got {first!r}")
-        count = _parse_uint(fields[1], 1, "count")
-        # Consume the complete frame before validating anything, so a bad
-        # frame never leaves stale sample lines in the transport.
-        lines = [self._recv() for _ in range(count)]
-        end = self._recv()
-        if end != "END":
-            raise ProtocolError(f"expected END, got {end!r}")
+        count, crc = _data_header(first)
+        # Consume the complete frame before validating anything: the sample
+        # lines up to END, at most one line more than the count needs.
+        n_lines = -(-count // CODES_PER_LINE)
+        lines = []
+        for _ in range(n_lines + 1):
+            line = self._recv()
+            if line == "END":
+                break
+            lines.append(line)
+        else:
+            raise ProtocolError(
+                f"DATA frame: expected END after {n_lines} sample lines, got {line!r}"
+            )
         expected = int(n_blocks) * self._adc.samples_per_block
         if count != expected:
             raise ProtocolError(
                 f"device sent {count} samples, expected {expected}; "
                 "samples_per_block mismatch between host and device"
             )
-        samples = _sample_codes(lines, self._adc.full_scale)
+        samples = _frame_codes(lines, count, crc, self._adc.full_scale)
         meta = {
             "path": self._path.index if self._path else None,
             "config": self._config,

@@ -425,6 +425,9 @@ class SimulatedDut:
 
     def set_adc_rate(self, sample_rate_hz: float, oversampling_ratio: int) -> None:
         """Update acquisition rate/oversampling without resetting analog state."""
+        adc = self.adc
+        if adc.sample_rate_hz == sample_rate_hz and adc.oversampling_ratio == oversampling_ratio:
+            return
         self.adc = replace(
             self.adc,
             sample_rate_hz=sample_rate_hz,

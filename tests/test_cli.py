@@ -309,11 +309,39 @@ class TestReportCommand:
         assert code == 2
         assert "not a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ({"path": {"index": "4", "label": "P4"}}, "path index must be an integer, got '4'"),
+            ({"path": {"index": 4, "label": 7}}, "path label must be a string, got 7"),
+            ({"diff": 5.0}, "diff must be mean_on - mean_off, got 5.0"),
+        ],
+    )
+    def test_bad_record_field_exit_2(self, tmp_path, capsys, field, message):
+        record = {
+            "path": {"index": 4, "label": "P4"},
+            "config": {"mode": "analog", "pupd": "none", "output_value": "low",
+                       "output_type": "push_pull"},
+            "freq_hz": 2e8, "mean_on": 2048.0, "mean_off": 2048.0, "diff": 0.0,
+            "var_off": 0.5, "snr": "none", **field,
+        }
+        bad = tmp_path / "results.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        bad.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+        code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestProtocolLoopbackCommand:
     def test_loopback_identical(self, mini_scenario, capsys):
         assert run_cli("protocol-loopback", "--scenario", mini_scenario) == 0
         assert "byte-identical" in capsys.readouterr().out
+
+    def test_loopback_reports_the_link_counters(self, mini_scenario, capsys):
+        assert run_cli("protocol-loopback", "--scenario", mini_scenario) == 0
+        out = capsys.readouterr().out
+        assert out.rstrip().endswith("; 0 retries, 0 timeouts, 0 stale lines dropped")
 
 
 class TestBundledScenarioNames:

@@ -273,6 +273,34 @@ class TestResultsFiles:
         with pytest.raises(FileFormatError, match="error must be a string or null"):
             self.read_one(tmp_path, failed=True, error=5)
 
+    @pytest.mark.parametrize("index", [4.7, 4.0, "4", True, None, -1])
+    def test_non_integer_path_index_rejected(self, tmp_path, index):
+        with pytest.raises(FileFormatError, match="path index must be"):
+            self.read_one(tmp_path, path={"index": index, "label": "P4"})
+
+    def test_non_string_path_label_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="path label must be a string, got 7"):
+            self.read_one(tmp_path, path={"index": 4, "label": 7})
+
+    def test_path_must_be_an_object(self, tmp_path):
+        with pytest.raises(FileFormatError, match="bad sensitivity record"):
+            self.read_one(tmp_path, path=[4, "P4"])
+
+    def test_diff_other_than_mean_on_minus_mean_off_rejected(self, tmp_path):
+        with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off, got 5.0"):
+            self.read_one(tmp_path, mean_on=1.0, mean_off=1.0, diff=5.0)
+
+    def test_diff_without_means_rejected(self, tmp_path):
+        nulls = dict.fromkeys(("mean_on", "mean_off", "var_off"))
+        with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off"):
+            self.read_one(tmp_path, **nulls, diff=0.0, snr="none", failed=True, error="x")
+
+    def test_diff_is_the_exact_float_difference(self, tmp_path):
+        record = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1)
+        assert record.diff == 0.19999999999999998
+        with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off"):
+            self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.2)
+
     def test_write_read_write_byte_identical(self, tmp_path):
         scenario = load_scenario(bundled_scenario_path("demo_board"))
         backend, source = build_rig(scenario, seed=3)

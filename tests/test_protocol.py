@@ -1,5 +1,8 @@
 """Wire codec, protocol server, and the serial loopback backend."""
 
+import re
+import zlib
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,9 @@ from adcradio.backend import (
     SimulatorBackend,
 )
 from adcradio.protocol import (
+    CODES_PER_LINE,
+    MAX_LINE_CHARS,
+    PROTOCOL_VERSION,
     CaptureCommand,
     ConfigureCommand,
     DutProtocolServer,
@@ -20,6 +26,7 @@ from adcradio.protocol import (
     ProtocolError,
     ResetCommand,
     SerialBackend,
+    _data_frame,
     decode_command,
     encode_command,
 )
@@ -27,6 +34,51 @@ from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, S
 from adcradio.sweep import enumerate_configs
 
 ALL_CONFIGS = enumerate_configs()
+
+
+# Corruptions of a tagged 192-code DATA frame: header, sample lines 0-2 of
+# 248 hex digits, sample line 3 of 24, END.
+
+
+def _flip_a_digit(lines):
+    line = lines[2]
+    lines[2] = line[:9] + ("1" if line[9] == "0" else "0") + line[10:]
+
+
+def _lowercase_line(lines):
+    lines[2] = lines[2][:5] + "a" * 248
+
+
+def _truncate_line(lines):
+    lines[3] = lines[3][:-4]
+
+
+def _drop_line(lines):
+    del lines[3]
+
+
+def _repeat_line(lines):
+    lines.insert(4, lines[3])
+
+
+def _codes(lines):
+    packed = bytes.fromhex("".join(line[5:] for line in lines[1:-1]))
+    return np.frombuffer(packed, ">u2").astype(np.int32)
+
+
+def _reframe(lines, codes):
+    tag = lines[0][:5]
+    lines[:] = [tag + line for line in _data_frame(codes)]
+
+
+def _code_above_full_scale(lines):
+    codes = _codes(lines)
+    codes[130] = 4096
+    _reframe(lines, codes)
+
+
+def _short_count(lines):
+    _reframe(lines, _codes(lines)[:-1])
 
 
 def make_stack(seed=0, n_paths=4, samples_per_block=8):
@@ -112,38 +164,47 @@ class TestCodec:
         assert rejected > 19_000  # essentially everything random is malformed
 
 
+def ask(server, command, tag=1):
+    """One tagged request; its response lines, checked for the tag and
+    returned without it."""
+    prefix = f"{tag:04X} "
+    lines = server.handle_line(prefix + command)
+    assert lines and all(line.startswith(prefix) for line in lines)
+    return [line[len(prefix) :] for line in lines]
+
+
 class TestServer:
     def test_cfg_happy_path(self):
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
         line = encode_command(ConfigureCommand(0, ALL_CONFIGS[0]))
-        assert server.handle_line(line) == ["OK"]
+        assert ask(server, line) == ["OK"]
 
     def test_unknown_path_is_err(self):
         backend, _ = make_stack(n_paths=2)
         server = DutProtocolServer(backend)
-        out = server.handle_line("CFG 2 ANALOG PU LO OD")
+        out = ask(server, "CFG 2 ANALOG PU LO OD")
         assert out[0].startswith("ERR") and "unknown path" in out[0]
 
     def test_capture_before_configure_is_err(self):
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
-        out = server.handle_line("SMP 1 10000 1")
+        out = ask(server, "SMP 1 10000 1")
         assert out[0].startswith("ERR")
 
     def test_unsupported_oversampling_is_err(self):
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
-        server.handle_line("CFG 0 INPUT NONE HI PP")
-        out = server.handle_line("SMP 1 10000 3")
+        ask(server, "CFG 0 INPUT NONE HI PP", tag=1)
+        out = ask(server, "SMP 1 10000 3", tag=2)
         assert out[0].startswith("ERR") and "unsupported" in out[0]
 
     def test_rate_errors_on_the_wire(self):
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
-        server.handle_line("CFG 0 INPUT NONE HI PP")
-        assert server.handle_line("SMP 1 10000 3") == ["ERR unsupported oversampling ratio 3"]
-        assert server.handle_line("SMP 1 0 1") == ["ERR unsupported sample rate 0"]
+        ask(server, "CFG 0 INPUT NONE HI PP", tag=1)
+        assert ask(server, "SMP 1 10000 3", tag=2) == ["ERR unsupported oversampling ratio 3"]
+        assert ask(server, "SMP 1 0 1", tag=3) == ["ERR unsupported sample rate 0"]
 
     def test_uses_only_the_backend_interface(self):
         # The server drives any backend with configure/capture/describe/
@@ -163,31 +224,77 @@ class TestServer:
 
         direct, _ = make_stack(samples_per_block=4)
         wrapped, _ = make_stack(samples_per_block=4)
-        lines = ["ID?", "CFG 0 INPUT NONE HI PP", "SMP 2 20000 4", "SMP 1 10000 1", "RST"]
+        commands = ["ID?", "CFG 0 INPUT NONE HI PP", "SMP 2 20000 4", "SMP 1 10000 1", "RST"]
+        lines = [f"{tag:04X} {command}" for tag, command in enumerate(commands, 1)]
         want = [DutProtocolServer(direct).handle_line(line) for line in lines]
         got = [DutProtocolServer(Facade(wrapped)).handle_line(line) for line in lines]
         assert got == want
+        assert [len(response) for response in got] == [1, 1, 3, 3, 1]
         assert wrapped.adc.sample_rate_hz == 10000.0
 
     def test_data_framing(self):
         backend, _ = make_stack(samples_per_block=4)
         server = DutProtocolServer(backend)
-        server.handle_line("CFG 0 INPUT NONE HI PP")
-        out = server.handle_line("SMP 3 10000 1")
-        assert out[0] == "DATA 12"
-        assert out[-1] == "END"
-        assert len(out) == 14
-        assert all(line.isdigit() for line in out[1:-1])
+        ask(server, "CFG 0 INPUT NONE HI PP", tag=1)
+        out = server.handle_line("0002 SMP 3 10000 1")
+        header = out[0].split(" ")
+        assert header[:3] == ["0002", "DATA", "12"]
+        assert re.fullmatch("[0-9A-F]{8}", header[3])
+        assert out[-1] == "0002 END"
+        assert len(out) == 3
+        assert re.fullmatch("0002 [0-9A-F]{48}", out[1])
+        packed = bytes.fromhex(out[1][5:])
+        assert zlib.crc32(packed) == int(header[3], 16)
+        assert np.frombuffer(packed, ">u2").max() <= 4095
+
+    def test_sample_lines_are_full_but_within_the_line_limit(self):
+        backend, _ = make_stack(samples_per_block=64)
+        server = DutProtocolServer(backend)
+        ask(server, "CFG 0 INPUT NONE HI PP", tag=1)
+        out = ask(server, "SMP 2 10000 1", tag=2)
+        assert out[0].startswith("DATA 128 ") and out[-1] == "END"
+        assert [len(line) for line in out[1:-1]] == [4 * CODES_PER_LINE] * 2 + [4 * 4]
+        assert 5 + 4 * CODES_PER_LINE <= MAX_LINE_CHARS < 5 + 4 * (CODES_PER_LINE + 1)
+        long_err = server.handle_line("0003 CFG " + "9" * 240 + " INPUT NONE HI PP")
+        assert all(len(line) <= MAX_LINE_CHARS for line in long_err)
 
     def test_id_reports_version(self):
         backend, _ = make_stack(n_paths=7)
         server = DutProtocolServer(backend)
-        (line,) = server.handle_line("ID?")
+        (line,) = ask(server, "ID?")
         fields = line.split(" ")
         assert fields[0] == "ID"
         assert fields[1] == "7"
         assert fields[2] == "12"
-        assert fields[4] == "1"
+        assert fields[4] == "2" == str(PROTOCOL_VERSION)
+
+    def test_untagged_request_is_err(self):
+        backend, _ = make_stack()
+        server = DutProtocolServer(backend)
+        for line in ("CFG 0 INPUT NONE HI PP", "00a1 ID?", "001 ID?", "0001ID?", b"0001\xff ID?"):
+            (out,) = server.handle_line(line)
+            assert out.startswith("ERR ")
+        assert not backend.dut.configured
+
+    def test_repeated_request_is_replayed_not_run_again(self):
+        direct, _ = make_stack(seed=5)
+        backend, _ = make_stack(seed=5)
+        server = DutProtocolServer(backend)
+        ask(server, "CFG 0 INPUT NONE HI PP", tag=1)
+        first = ask(server, "SMP 2 10000 1", tag=2)
+        assert ask(server, "SMP 2 10000 1", tag=2) == first
+        second = ask(server, "SMP 2 10000 1", tag=3)
+        reference = DutProtocolServer(direct)
+        ask(reference, "CFG 0 INPUT NONE HI PP", tag=1)
+        assert ask(reference, "SMP 2 10000 1", tag=2) == first
+        assert ask(reference, "SMP 2 10000 1", tag=3) == second != first
+
+    def test_a_new_command_under_the_last_tag_runs(self):
+        backend, _ = make_stack()
+        server = DutProtocolServer(backend)
+        assert ask(server, "CFG 0 INPUT NONE HI PP", tag=7) == ["OK"]
+        assert ask(server, "RST", tag=7) == ["OK"]
+        assert not backend.dut.configured
 
     def test_malformed_yields_err_not_crash(self):
         backend, _ = make_stack()
@@ -256,33 +363,74 @@ class TestSerialBackend:
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("1234567890123", "sample line 2: code longer than 12 digits"),
-            ("99999999999", "sample line 2: code 99999999999 outside [0, 4095]"),
-            ("4096", "sample line 2: code 4096 outside [0, 4095]"),
-            ("-1", "sample line 2: invalid code '-1'"),
-            ("", "sample line 2: invalid code ''"),
-            ("\u0663", "sample line 2: invalid code '\u0663'"),
-            ("12\n34", "sample line 2: invalid code '12\\n34'"),
+            ("1234567890123", "sample line 2: 13 hex digits, expected 248"),
+            ("99999999999", "sample line 2: 11 hex digits, expected 248"),
+            ("4096", "sample line 2: 4 hex digits, expected 248"),
+            ("-1", "sample line 2: non-hex character '-' at column 0"),
+            ("", "sample line 2: 0 hex digits, expected 248"),
+            ("\u0663", "sample line 2: non-hex character '\u0663' at column 0"),
+            ("12\n34", "sample line 2: non-hex character '\\n' at column 2"),
         ],
     )
     def test_bad_sample_line_rejected_after_the_frame(self, line, message):
+        # Sample line 2 of a 192-code frame (three full lines of 62 codes
+        # and one of 6) is replaced by the given text after its tag.
         class CorruptingServer(DutProtocolServer):
             corrupted = False
 
             def handle_line(self, request):
                 lines = super().handle_line(request)
-                if request.startswith("SMP") and not self.corrupted:
+                if request[5:].startswith("SMP") and not self.corrupted:
                     self.corrupted = True
-                    lines[3] = line
+                    lines[3] = lines[3][:5] + line
                 return lines
 
         backend, _ = make_stack(samples_per_block=8)
         client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
         client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
         with pytest.raises(ProtocolError) as excinfo:
-            client.capture(1)
+            client.capture(24)
         assert str(excinfo.value) == message
         # The whole frame was consumed, so the next capture is in step.
+        assert len(client.capture(1)) == 8
+        assert client.stale_lines_dropped == 0
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (_flip_a_digit, "DATA header: CRC-32 {crc}, sample lines have "),
+            (_lowercase_line, "sample line 1: non-hex character 'a' at column 0"),
+            (_truncate_line, "sample line 2: 244 hex digits, expected 248"),
+            (_drop_line, "sample line 2: 24 hex digits, expected 248"),
+            (_repeat_line, "DATA frame: expected END after 4 sample lines, got "),
+            (_code_above_full_scale, "sample 130: code 4096 above full scale 4095"),
+            (_short_count, "device sent 191 samples, expected 192; "),
+        ],
+        ids=["crc", "lowercase", "truncated", "dropped", "repeated", "full-scale", "count"],
+    )
+    def test_corrupted_frame_fails_only_that_capture(self, corrupt, message):
+        # A 192-code frame has a header, sample lines 0-2 of 62 codes, line 3
+        # of 6 codes, and END. A changed, cut, dropped or repeated line, a
+        # code above full scale under a matching CRC, or a short count fails
+        # the capture with a message naming the line, sample or header, and
+        # the next capture stays in step.
+        class CorruptingServer(DutProtocolServer):
+            crc = None
+
+            def handle_line(self, request):
+                lines = super().handle_line(request)
+                if request[5:].startswith("SMP") and self.crc is None:
+                    self.crc = lines[0].split(" ")[3]
+                    corrupt(lines)
+                return lines
+
+        backend, _ = make_stack(samples_per_block=8)
+        server = CorruptingServer(backend)
+        client = SerialBackend(LoopbackTransport(server))
+        client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
+        with pytest.raises(ProtocolError) as excinfo:
+            client.capture(24)
+        assert str(excinfo.value).startswith(message.format(crc=server.crc))
         assert len(client.capture(1)) == 8
 
     def test_reset_clears_configuration(self):

@@ -20,7 +20,7 @@ from adcradio.backend import (
     SimulatorBackend,
 )
 from adcradio.fileio import write_records
-from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend
+from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend, _data_frame
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
     SweepPlan,
@@ -335,10 +335,10 @@ class TestRunSweep:
             smp = 0
 
             def handle_line(self, line):
-                if line.startswith("SMP"):
+                if line[5:].startswith("SMP"):
                     self.smp += 1
                     if self.smp in (3, 9):
-                        return ["ERR injected fault"]
+                        return [line[:5] + "ERR injected fault"]
                 return super().handle_line(line)
 
         backend, source, adc = small_rig(noise=1.0, seed=9)
@@ -346,8 +346,8 @@ class TestRunSweep:
         plan = self.make_plan(adc, 1, 1, 6)
         records = run_sweep(plan, client, source)
         assert len(records) == 6
-        # SMP 3 is the off capture at frequency 1, which skips its on
-        # capture; SMP 9 is then the on capture at frequency 4.
+        # SMP 3 is the off capture at frequency 1 and SMP 9 the off capture
+        # at frequency 4; a failed capture does not skip the on capture.
         assert [r.failed for r in records] == [False, True, False, False, True, False]
         for r in records:
             if r.failed:
@@ -356,29 +356,32 @@ class TestRunSweep:
                 assert r.mean_on is not None and r.var_off > 0
 
     def test_serial_bad_sample_codes_fail_only_their_frequency(self):
-        # An 11-digit code (which would overflow int32) and a code above the
-        # 12-bit full scale are protocol errors naming the sample; they fail
-        # their own frequency and the sweep goes on. SMP 3 is the off capture
-        # at frequency 1, SMP 9 the on capture at frequency 4.
+        # A non-hex sample line and a code above the 12-bit full scale (sent
+        # under a matching CRC) are protocol errors naming the line or the
+        # sample; they fail their own frequency and the sweep goes on. SMP 3
+        # is the off capture at frequency 1, SMP 9 the off capture at
+        # frequency 4.
         class CorruptingServer(DutProtocolServer):
             smp = 0
 
             def handle_line(self, line):
                 lines = super().handle_line(line)
-                if line.startswith("SMP"):
+                if line[5:].startswith("SMP"):
                     self.smp += 1
                     if self.smp == 3:
-                        lines[5] = "99999999999"
+                        lines[1] = lines[1][:21] + "-1" + lines[1][23:]
                     elif self.smp == 9:
-                        lines[2] = "5000"
+                        codes = np.frombuffer(bytes.fromhex(lines[1][5:]), ">u2").astype(int)
+                        codes[1] = 5000
+                        lines = [line[:5] + out for out in _data_frame(codes)]
                 return lines
 
         backend, source, adc = small_rig(noise=1.0, seed=9)
         client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
         records = run_sweep(self.make_plan(adc, 1, 1, 6), client, source)
         assert [r.failed for r in records] == [False, True, False, False, True, False]
-        assert records[1].error == "sample line 4: code 99999999999 outside [0, 4095]"
-        assert records[4].error == "sample line 1: code 5000 outside [0, 4095]"
+        assert records[1].error == "sample line 0: non-hex character '-' at column 16"
+        assert records[4].error == "sample 1: code 5000 above full scale 4095"
         assert all(r.var_off > 0 for r in records if not r.failed)
 
     def test_affine_invariance_through_pipeline(self):
