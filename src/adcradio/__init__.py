@@ -69,7 +69,6 @@ from .signals import (
     generate_bits,
     incident_power_dbm,
     modulate_ook,
-    mw_to_dbm,
 )
 from .simulator import (
     AdcConfig,
@@ -81,8 +80,6 @@ from .simulator import (
     RfChannel,
     SimulatedDut,
     adc_sample,
-    add_impairments,
-    apply_bandwidth,
     coupling_gain,
     detector_output,
 )

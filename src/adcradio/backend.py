@@ -170,10 +170,6 @@ class SimulatorBackend:
             raise UnknownPathError(
                 f"unknown path {path.index} (device has {self.dut.n_paths})"
             )
-        if adc.oversampling_ratio not in ALLOWED_OVERSAMPLING:
-            raise UnsupportedSettingError(
-                f"unsupported oversampling ratio {adc.oversampling_ratio}"
-            )
         self.dut.configure(path.index, config, adc)
 
     @property

@@ -189,8 +189,8 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
 def render_ber_curve(points, out_svg: str | Path, out_csv: str | Path) -> dict:
     """BER versus incident power on a log-BER axis.
 
-    ``points`` is a list of dicts with incident_dbm, ber, and optionally
-    oracle_ber; zero-BER points are drawn at the floor of the axis.
+    ``points`` is a list of dicts with incident_dbm and ber; zero-BER points
+    are drawn at the floor of the axis.
     """
     if not points:
         raise ValueError("no records")
@@ -209,18 +209,13 @@ def render_ber_curve(points, out_svg: str | Path, out_csv: str | Path) -> dict:
         b = max(b, floor)
         return y0 + h * (math.log10(1.0) - math.log10(b)) / (math.log10(1.0) - math.log10(floor))
 
-    for key, color in (("ber", "#2166ac"), ("oracle_ber", "#b2182b")):
-        if key not in points[0]:
-            continue
-        pts = " ".join(f"{sx(p['incident_dbm']):.1f},{sy(p[key]):.1f}" for p in points)
+    pts = " ".join(f"{sx(p['incident_dbm']):.1f},{sy(p['ber']):.1f}" for p in points)
+    parts.append(f"<polyline points='{pts}' fill='none' stroke='#2166ac' stroke-width='1.5'/>")
+    for p in points:
         parts.append(
-            f"<polyline points='{pts}' fill='none' stroke='{color}' stroke-width='1.5'/>"
+            f"<circle cx='{sx(p['incident_dbm']):.1f}' cy='{sy(p['ber']):.1f}' "
+            "r='3' fill='#2166ac'/>"
         )
-        for p in points:
-            parts.append(
-                f"<circle cx='{sx(p['incident_dbm']):.1f}' cy='{sy(p[key]):.1f}' "
-                f"r='3' fill='{color}'/>"
-            )
     _axes(parts, x0, y0, w, h, "incident power (dBm)", "BER")
     for p in (min(powers), max(powers)):
         parts.append(_text(sx(p), y0 + h + 16, f"{p:.0f}", "middle"))

@@ -18,10 +18,9 @@ SPEED_OF_LIGHT_M_S = 299_792_458.0
 
 @dataclass(frozen=True, eq=False)
 class BitSequence:
-    """An ordered payload of binary symbols, optionally tagged with its RNG seed."""
+    """An ordered payload of binary symbols."""
 
     bits: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         bits = np.asarray(self.bits, dtype=np.uint8)
@@ -61,10 +60,6 @@ class BasebandEnvelope:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -94,7 +89,7 @@ def generate_bits(n: int, seed: int) -> BitSequence:
         raise ValueError("n must be >= 0")
     rng = np.random.default_rng(seed)
     bits = rng.integers(0, 2, size=int(n), dtype=np.uint8)
-    return BitSequence(bits=bits, seed=seed)
+    return BitSequence(bits=bits)
 
 
 def modulate_ook(
@@ -140,9 +135,3 @@ def incident_power_dbm(budget: LinkBudget) -> float:
 
 def dbm_to_mw(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0)
-
-
-def mw_to_dbm(mw: float) -> float:
-    if mw <= 0:
-        raise ValueError("power in mW must be positive")
-    return 10.0 * math.log10(mw)

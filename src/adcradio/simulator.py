@@ -22,7 +22,7 @@ from typing import Hashable, Mapping
 import numpy as np
 from scipy.signal import lfilter
 
-from .signals import LinkBudget, dbm_to_mw, incident_power_dbm
+from .signals import dbm_to_mw, fspl_db
 
 ALLOWED_OVERSAMPLING = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
@@ -181,6 +181,8 @@ def detector_output(
 
 
 def _lowpass_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
+    """Coefficient of the first-order low-pass with cutoff bandwidth_hz; the
+    discretization is exact for the step response (63.2% after 1/(2*pi*bw) s)."""
     return 1.0 - math.exp(-2.0 * math.pi * bandwidth_hz / sample_rate_hz)
 
 
@@ -192,8 +194,6 @@ def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarra
     calls bit-identical to one call over both halves.
     """
     x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        return x.copy(), y_prev
     if alpha >= 1.0:
         out = x.copy()
         return out, float(out[-1])
@@ -202,26 +202,6 @@ def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarra
     zi = np.array([(1.0 - alpha) * y_prev])
     out, _ = lfilter(b, a, x, zi=zi)
     return out, float(out[-1])
-
-
-def apply_bandwidth(
-    values: np.ndarray, baseband_bandwidth_hz: float, sample_rate_hz: float
-) -> np.ndarray:
-    """First-order low-pass with cutoff at the baseband bandwidth.
-
-    The discretization is exact for the exponential step response: a step
-    reaches 63.2% after 1/(2*pi*bw) seconds. Initial state is 0.
-    """
-    if baseband_bandwidth_hz <= 0:
-        raise ValueError("baseband_bandwidth_hz must be positive")
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
-    x = np.asarray(values, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
-    alpha = _lowpass_alpha(baseband_bandwidth_hz, sample_rate_hz)
-    out, _ = _lowpass(x, alpha, 0.0)
-    return out
 
 
 @dataclass
@@ -260,8 +240,6 @@ def _impair(
 ) -> np.ndarray:
     """Add noise, drift, and bursts in place of a fresh array; advances state."""
     n = values.size
-    if n == 0:
-        return values.copy()
     out = values
     if model.noise_sigma > 0:
         out = out + rng.normal(0.0, model.noise_sigma, n)
@@ -295,24 +273,6 @@ def _impair(
         out = values.copy()
     state.sample_index += n
     return out
-
-
-def add_impairments(
-    values: np.ndarray,
-    model: CouplingModel,
-    rng: np.random.Generator,
-    sample_rate_hz: float = 1.0,
-) -> np.ndarray:
-    """White noise + random-walk/sine drift + Poisson offset bursts, from rest.
-
-    ``sample_rate_hz`` converts the model's time-based parameters (burst rate
-    and duration, sine period) to samples; with the default of 1 they are
-    interpreted per-sample.
-    """
-    if sample_rate_hz <= 0:
-        raise ValueError("sample_rate_hz must be positive")
-    x = np.asarray(values, dtype=np.float64)
-    return _impair(x, model, rng, _DeviceState(), raw_rate_hz=sample_rate_hz)
 
 
 def adc_sample(
@@ -355,14 +315,15 @@ class RfChannel:
             raise ValueError("distance_m must be positive")
 
     def incident_dbm(self, power_dbm: float, freq_hz: float) -> float:
-        budget = LinkBudget(
-            p_tx_dbm=power_dbm,
-            g_tx_dbi=self.g_tx_dbi,
-            g_rx_dbi=self.g_rx_dbi,
-            distance_m=self.distance_m,
-            freq_hz=freq_hz,
+        """Power arriving at the device, in dBm: the transmit power plus both
+        antenna gains, less the free-space path loss and the attenuation."""
+        return (
+            power_dbm
+            + self.g_tx_dbi
+            + self.g_rx_dbi
+            - fspl_db(self.distance_m, freq_hz)
+            - self.attenuation_db
         )
-        return incident_power_dbm(budget) - self.attenuation_db
 
 
 class SimulatedDut:

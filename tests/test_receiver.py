@@ -24,7 +24,8 @@ from adcradio.simulator import (
     Resonance,
     RfChannel,
     SimulatedDut,
-    apply_bandwidth,
+    _lowpass,
+    _lowpass_alpha,
 )
 from adcradio.sweep import enumerate_configs
 
@@ -210,7 +211,7 @@ class TestEyeOpening:
     def test_rate_far_beyond_bandwidth_closes_eye(self):
         bits = generate_bits(400, seed=10)
         env = modulate_ook(bits, 4, 1.0).values
-        smeared = apply_bandwidth(env, 200.0, 400_000.0)
+        smeared = _lowpass(env, _lowpass_alpha(200.0, 400_000.0), 0.0)[0]
         rng = np.random.default_rng(10)
         eye = eye_opening(smeared + rng.normal(0, 1e-3, smeared.size), 4, 0.0)
         assert eye < 0.1

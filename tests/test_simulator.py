@@ -12,9 +12,11 @@ from adcradio.simulator import (
     Resonance,
     RfChannel,
     SimulatedDut,
+    _DeviceState,
+    _impair,
+    _lowpass,
+    _lowpass_alpha,
     adc_sample,
-    add_impairments,
-    apply_bandwidth,
     coupling_gain,
     detector_output,
 )
@@ -79,24 +81,34 @@ class TestDetectorOutput:
             detector_output(np.array([-1.0]), 1.0, 1.0)
 
 
+def lowpass(values, bandwidth_hz, sample_rate_hz):
+    """The baseband low-pass that capture_schedule runs, from rest."""
+    return _lowpass(values, _lowpass_alpha(bandwidth_hz, sample_rate_hz), 0.0)[0]
+
+
+def impair(values, model, rng, sample_rate_hz=1.0):
+    """The impairments that capture_schedule adds, from a fresh device state."""
+    return _impair(values, model, rng, _DeviceState(), sample_rate_hz)
+
+
 class TestApplyBandwidth:
     def test_step_reaches_63_percent_at_time_constant(self):
         fs = 100_000.0
         bw = 1_000.0
         tau_samples = fs / (2 * np.pi * bw)
-        out = apply_bandwidth(np.ones(5000), bw, fs)
+        out = lowpass(np.ones(5000), bw, fs)
         crossing = int(np.argmax(out >= 1 - np.exp(-1)))
         assert abs(crossing - tau_samples) <= 1.0
 
     def test_dc_gain_is_unity(self):
-        out = apply_bandwidth(np.ones(50_000), 2_000.0, 100_000.0)
+        out = lowpass(np.ones(50_000), 2_000.0, 100_000.0)
         assert out[-1] == pytest.approx(1.0, abs=1e-6)
 
     def test_slow_symbols_keep_full_swing(self):
         # symbol rate far below bandwidth: the eye stays ~fully open
         sps = 1000
         pattern = np.repeat([0.0, 1.0, 0.0, 1.0, 1.0, 0.0], sps)
-        out = apply_bandwidth(pattern, 5_000.0, 100_000.0)
+        out = lowpass(pattern, 5_000.0, 100_000.0)
         mid = out[len(out) // 2 - sps // 4 : len(out) // 2 + sps // 4]
         assert np.ptp(out) > 0.99
 
@@ -106,7 +118,7 @@ class TestApplyBandwidth:
         swings = []
         for sps in (800, 80, 8, 4):
             pattern = np.repeat(np.tile([1.0, 0.0], 200), sps)
-            out = apply_bandwidth(pattern, bw, fs)
+            out = lowpass(pattern, bw, fs)
             settled = out[10 * sps :]
             swings.append(np.ptp(settled))
         assert all(a > b for a, b in zip(swings, swings[1:]))
@@ -115,12 +127,12 @@ class TestApplyBandwidth:
 class TestAddImpairments:
     def test_all_disabled_is_identity(self):
         x = np.linspace(0, 5, 100)
-        out = add_impairments(x, CouplingModel(), np.random.default_rng(0))
+        out = impair(x, CouplingModel(), np.random.default_rng(0))
         np.testing.assert_array_equal(out, x)
 
     def test_noise_sigma_matches_estimate(self):
         model = CouplingModel(noise_sigma=3.0)
-        out = add_impairments(np.zeros(10**5), model, np.random.default_rng(1))
+        out = impair(np.zeros(10**5), model, np.random.default_rng(1))
         assert out.std() == pytest.approx(3.0, rel=0.02)
 
     def test_burst_count_is_poisson(self):
@@ -129,7 +141,7 @@ class TestAddImpairments:
         counts = []
         for seed in range(100):
             model = CouplingModel(burst=BurstSpec(rate_per_s=rate, amplitude=50.0, duration_s=dur))
-            out = add_impairments(np.zeros(n), model, np.random.default_rng(seed), fs)
+            out = impair(np.zeros(n), model, np.random.default_rng(seed), fs)
             rising = np.count_nonzero(np.diff((out > 25).astype(int)) == 1)
             rising += int(out[0] > 25)
             counts.append(rising)
@@ -139,7 +151,7 @@ class TestAddImpairments:
 
     def test_walk_variance_grows(self):
         model = CouplingModel(drift=DriftSpec(walk_step=0.5))
-        out = add_impairments(np.zeros(40_000), model, np.random.default_rng(3))
+        out = impair(np.zeros(40_000), model, np.random.default_rng(3))
         early = out[:1000].var()
         late = np.var(out[-1000:] - out[-1000])
         assert abs(out[-1]) > abs(out[0])
