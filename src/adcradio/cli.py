@@ -17,10 +17,12 @@ from .backend import BackendError, ReceptionPathId, RfSourceError, RfStimulus
 from .fileio import (
     FileFormatError,
     ber_report_to_dict,
+    read_ber_curve,
     read_bits,
     read_records,
     read_trace,
     record_line,
+    write_ber_curve,
     write_bits,
     write_manifest,
     write_records,
@@ -107,11 +109,17 @@ def _parse_configs(arg: str):
     return [allc[i] for i in indices]
 
 
-def _dc_window(trace, override: int | None = None) -> int:
-    """DC window in symbols: the override, else the trace's hint, else 15."""
-    if override is not None:
-        return override
-    return int(trace.meta.get("dc_window_symbols", 15))
+def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int | None:
+    """A receiver setting: the flag if given, else the trace's hint, else
+    ``default``. A hint must be a JSON integer (not a bool or a float)."""
+    if flag is not None:
+        return flag
+    value = trace.meta.get(name)
+    if value is None:
+        return default
+    if type(value) is not int:
+        raise FileFormatError(f"trace hint {name} must be an integer, got {value!r}")
+    return value
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -158,15 +166,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_demod(args) -> int:
     trace = read_trace(args.trace)
-    sps = args.samples_per_symbol
-    if sps is None:
-        sps = trace.meta.get("samples_per_symbol")
+    sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
     if sps is None:
         raise UsageError(
             "--samples-per-symbol required (trace metadata carries no hint)"
         )
     params = DemodParams(
-        samples_per_symbol=int(sps), dc_window_symbols=_dc_window(trace, args.dc_window)
+        samples_per_symbol=sps,
+        dc_window_symbols=_hint(trace, "dc_window_symbols", args.dc_window, 15),
     )
     bits = demodulate(trace, params)
     outputs = []
@@ -253,8 +260,7 @@ def cmd_ber(args) -> int:
             f"BER {report.ber:.4g} ({report.error_count}/{report.total_bits})"
         )
     if args.out:
-        payload = {"kind": "ber-curve", "schema_version": 1, "points": points}
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        write_ber_curve(args.out, points)
         write_manifest(
             Path(args.out).with_suffix(".manifest.json"),
             command="ber",
@@ -293,21 +299,17 @@ def cmd_report(args) -> int:
             spectrum = max(spectra, key=lambda s: peak_snr(s)[1])
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
-        try:
-            doc = json.loads(Path(args.results).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise FileFormatError(f"cannot read ber-curve input: {exc}")
-        if doc.get("kind") != "ber-curve":
-            raise UsageError(f"{args.results} is not a ber-curve file")
-        if not doc.get("points"):
+        points = read_ber_curve(args.results)
+        if not points:
             raise UsageError("no records")
-        info = render_ber_curve(doc["points"], out_svg, out_csv)
+        info = render_ber_curve(points, out_svg, out_csv)
     elif args.kind == "eye":
         trace = read_trace(args.results)
-        sps = args.samples_per_symbol or trace.meta.get("samples_per_symbol")
+        sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
         if sps is None:
             raise UsageError("--samples-per-symbol required for eye reports")
-        info = render_eye(trace, int(sps), out_svg, out_csv, _dc_window(trace))
+        dc_window = _hint(trace, "dc_window_symbols", None, 15)
+        info = render_eye(trace, sps, out_svg, out_csv, dc_window)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown report kind {args.kind}")
     write_manifest(

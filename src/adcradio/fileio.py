@@ -6,6 +6,7 @@ carrying a schema_version, so they stay bit-exact, diffable, and readable:
     trace files    - header object, then one decimal ADC code per line
     results files  - header object, then one sensitivity record object per line
     bits files     - ASCII '0'/'1', one per line
+    ber-curve      - a single JSON object: header fields plus the BER points
     manifests      - a single JSON object tying outputs to their inputs/seed
 """
 
@@ -28,11 +29,30 @@ from .sweep import SensitivityRecord, snr_from_json, snr_to_json
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
+BER_CURVE_SCHEMA_VERSION = 1
 MANIFEST_SCHEMA_VERSION = 1
 
 
 class FileFormatError(ValueError):
     """Unreadable or schema-incompatible artifact file."""
+
+
+def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
+    """The JSON object in ``text``, which must carry ``kind`` and
+    ``schema_version``; anything else is a FileFormatError naming the file."""
+    try:
+        header = json.loads(text)
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: bad {name} header: {exc}") from None
+    if not isinstance(header, dict):
+        raise FileFormatError(f"{path}: bad {name} header: not a JSON object")
+    if header.get("schema_version") != version:
+        raise FileFormatError(
+            f"{path}: unsupported {name} schema_version {header.get('schema_version')!r}"
+        )
+    if header.get("kind") != kind:
+        raise FileFormatError(f"{path}: not a {name} file (kind={header.get('kind')!r})")
+    return header
 
 
 # -- trace files ---------------------------------------------------------------
@@ -77,11 +97,18 @@ def _trace_config(path: Path, header: dict) -> AdcConfig:
         if name not in header:
             raise FileFormatError(f"{path}: trace header lacks {name!r}")
         value = header[name]
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number and math.isfinite(value)) or (kind is int and value != int(value)):
+        try:
+            if kind is float:
+                fields[name] = _finite_number(header, name)
+            elif type(value) is int or (type(value) is float and value.is_integer()):
+                fields[name] = int(value)
+            else:
+                raise ValueError
+        except ValueError:
             expected = "an integer" if kind is int else "a finite number"
-            raise FileFormatError(f"{path}: trace header {name} must be {expected}, got {value!r}")
-        fields[name] = kind(value)
+            raise FileFormatError(
+                f"{path}: trace header {name} must be {expected}, got {value!r}"
+            ) from None
     try:
         return AdcConfig(**fields)
     except ValueError as exc:
@@ -93,19 +120,7 @@ def read_trace(path: str | Path) -> AdcTrace:
     if not path.exists():
         raise FileFormatError(f"trace not found: {path}")
     with open(path) as f:
-        first = f.readline()
-        try:
-            header = json.loads(first)
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: bad trace header: {exc}") from None
-        if not isinstance(header, dict):
-            raise FileFormatError(f"{path}: bad trace header: not a JSON object")
-        if header.get("schema_version") != TRACE_SCHEMA_VERSION:
-            raise FileFormatError(
-                f"{path}: unsupported trace schema_version {header.get('schema_version')!r}"
-            )
-        if header.get("kind") != "adc-trace":
-            raise FileFormatError(f"{path}: not a trace file (kind={header.get('kind')!r})")
+        header = _header(path, f.readline(), "trace", "adc-trace", TRACE_SCHEMA_VERSION)
         config = _trace_config(path, header)
         full_scale = config.full_scale
         samples = []
@@ -281,19 +296,9 @@ def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
     if not path.exists():
         raise FileFormatError(f"results not found: {path}")
     with open(path) as f:
-        try:
-            header = json.loads(f.readline())
-        except json.JSONDecodeError as exc:
-            raise FileFormatError(f"{path}: bad results header: {exc}") from None
-        if not isinstance(header, dict):
-            raise FileFormatError(f"{path}: bad results header: not a JSON object")
-        if header.get("schema_version") != RESULTS_SCHEMA_VERSION:
-            raise FileFormatError(
-                f"{path}: unsupported results schema_version "
-                f"{header.get('schema_version')!r}"
-            )
-        if header.get("kind") != "sensitivity-records":
-            raise FileFormatError(f"{path}: not a results file (kind={header.get('kind')!r})")
+        header = _header(
+            path, f.readline(), "results", "sensitivity-records", RESULTS_SCHEMA_VERSION
+        )
         records = []
         for lineno, line in enumerate(f, start=2):
             text = line.strip()
@@ -339,6 +344,45 @@ def ber_report_to_dict(report: BerReport) -> dict:
     out["error_positions"] = list(report.error_positions)
     out["burst_runs"] = [list(run) for run in report.burst_runs]
     return out
+
+
+# -- ber-curve documents ---------------------------------------------------------
+
+
+def write_ber_curve(path: str | Path, points: list[dict]) -> None:
+    doc = {"kind": "ber-curve", "schema_version": BER_CURVE_SCHEMA_VERSION, "points": points}
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+
+
+def read_ber_curve(path: str | Path) -> list[dict]:
+    """The points of a ber-curve document, validated.
+
+    Every point is an object with the keys of the first point, among them a
+    finite ``incident_dbm`` and a finite ``ber`` in [0, 1]. A violation is a
+    FileFormatError naming the point.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileFormatError(f"ber-curve not found: {path}")
+    doc = _header(path, path.read_text(), "ber-curve", "ber-curve", BER_CURVE_SCHEMA_VERSION)
+    points = doc.get("points")
+    if not isinstance(points, list):
+        raise FileFormatError(f"{path}: ber-curve points must be a list, got {points!r}")
+    for i, point in enumerate(points):
+        try:
+            if not isinstance(point, dict):
+                raise ValueError("not a JSON object")
+            for name in ("incident_dbm", "ber"):
+                if name not in point:
+                    raise ValueError(f"lacks {name!r}")
+                _finite_number(point, name)
+            if not 0 <= point["ber"] <= 1:
+                raise ValueError(f"ber must lie in [0, 1], got {point['ber']!r}")
+            if point.keys() != points[0].keys():
+                raise ValueError("its keys differ from those of point 0")
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: bad ber-curve point {i}: {exc}") from None
+    return points
 
 
 # -- run manifests ---------------------------------------------------------------

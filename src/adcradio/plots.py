@@ -60,6 +60,16 @@ def _text(x: float, y: float, s: str, anchor: str = "start") -> str:
     return f"<text x='{x:.1f}' y='{y:.1f}' text-anchor='{anchor}' {_FONT}>{s}</text>"
 
 
+def _write(parts: list[str], out_svg, out_csv, header: list[str], rows) -> None:
+    """Close and write the SVG, and write the CSV header and rows."""
+    parts.append("</svg>")
+    Path(out_svg).write_text("\n".join(parts) + "\n")
+    with open(out_csv, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _axes(
     parts: list[str],
     x0: int,
@@ -122,14 +132,12 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
     parts.append(
         _text(x0 + w + 12, y0 + 14, "hatched = high (zero off-state variance)")
     )
-    parts.append("</svg>")
-    Path(out_svg).write_text("\n".join(parts) + "\n")
-
-    with open(out_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["path_index", "config_index", "peak_freq_hz", "peak_snr"])
-        for (row, col), (freq, best) in sorted(peaks.items()):
-            writer.writerow([paths[row], col, f"{freq:.0f}", _snr_label(best)])
+    header = ["path_index", "config_index", "peak_freq_hz", "peak_snr"]
+    rows = (
+        [paths[row], col, f"{freq:.0f}", _snr_label(best)]
+        for (row, col), (freq, best) in sorted(peaks.items())
+    )
+    _write(parts, out_svg, out_csv, header, rows)
     return {"rows": len(paths), "cols": len(configs)}
 
 
@@ -175,14 +183,8 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
     parts.append(
         _text(x0, y0 - 10, f"path {spectrum.path.index} {spectrum.config.short()}")
     )
-    parts.append("</svg>")
-    Path(out_svg).write_text("\n".join(parts) + "\n")
-
-    with open(out_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["freq_hz", "snr"])
-        for freq, s in spectrum.points:
-            writer.writerow([f"{freq:.0f}", _snr_label(s)])
+    rows = ([f"{freq:.0f}", _snr_label(s)] for freq, s in spectrum.points)
+    _write(parts, out_svg, out_csv, ["freq_hz", "snr"], rows)
     return {"points": len(spectrum.points)}
 
 
@@ -223,16 +225,9 @@ def render_ber_curve(points, out_svg: str | Path, out_csv: str | Path) -> dict:
     while decade <= 1.0:
         parts.append(_text(x0 - 6, sy(decade) + 4, f"{decade:.0e}", "end"))
         decade *= 10
-    parts.append(_text(x0, y0 - 10, "measured (blue) vs oracle (red)"))
-    parts.append("</svg>")
-    Path(out_svg).write_text("\n".join(parts) + "\n")
-
-    with open(out_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        keys = list(points[0].keys())
-        writer.writerow(keys)
-        for p in points:
-            writer.writerow([p[k] for k in keys])
+    parts.append(_text(x0, y0 - 10, "measured BER vs incident power"))
+    keys = list(points[0].keys())
+    _write(parts, out_svg, out_csv, keys, ([p[k] for k in keys] for p in points))
     return {"points": len(points)}
 
 
@@ -246,6 +241,8 @@ def render_eye(
     """Overlaid two-symbol segments of the normalized waveform (eye diagram),
     at most ``_EYE_MAX_SEGMENTS`` of them."""
     sps = int(samples_per_symbol)
+    if sps < 2:
+        raise ValueError("samples_per_symbol must be >= 2")
     if len(trace) < 4 * sps:
         raise ValueError("trace too short for an eye diagram")
     scaled = condition(trace, sps, dc_window_symbols)
@@ -280,12 +277,6 @@ def render_eye(
         )
     _axes(parts, x0, y0, w, h, "sample within two symbols", "normalized amplitude")
     parts.append(_text(x0, y0 - 10, f"eye diagram, {len(segments)} segments, sps={sps}"))
-    parts.append("</svg>")
-    Path(out_svg).write_text("\n".join(parts) + "\n")
-
-    with open(out_csv, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["segment"] + [f"s{i}" for i in range(seg_len)])
-        for k, seg in enumerate(segments):
-            writer.writerow([k] + [f"{v:.6f}" for v in seg])
+    rows = ([k] + [f"{v:.6f}" for v in seg] for k, seg in enumerate(segments))
+    _write(parts, out_svg, out_csv, ["segment"] + [f"s{i}" for i in range(seg_len)], rows)
     return {"segments": len(segments), "symbol_means": len(means)}

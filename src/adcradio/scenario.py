@@ -11,6 +11,7 @@ description; `load_scenario` validates with precise error messages.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -104,6 +105,24 @@ def _int_field(value, where: str) -> int:
     return number
 
 
+def _numeric_object(cls, obj, where: str, ints: tuple[str, ...] = ()):
+    """``cls`` built from an object of numbers: integers (as _int_field reads
+    them) for the fields named in ``ints``, finite numbers, kept as written,
+    for the others. Anything else is a ScenarioError naming the field."""
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
+    fields = dict(obj)
+    for key, value in obj.items():
+        if key in ints:
+            fields[key] = _int_field(value, f"{where}.{key}")
+        elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
+            raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from None
+
+
 def _model_from_dict(obj: dict, where: str) -> CouplingModel:
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
@@ -176,18 +195,10 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     if n_paths < 1:
         raise ScenarioError(f"dut.n_paths: must be >= 1, got {n_paths}")
     seed = _int_field(doc.get("seed", 0), "seed")
-    try:
-        adc = AdcConfig(**dut.get("adc", {}))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"dut.adc: {exc}") from None
-    try:
-        channel = RfChannel(**doc.get("channel", {}))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"channel: {exc}") from None
-    try:
-        source = SimulatedRfSource(**doc.get("rf_source", {}))
-    except TypeError as exc:
-        raise ScenarioError(f"rf_source: {exc}") from None
+    adc_ints = ("resolution_bits", "oversampling_ratio", "samples_per_block")
+    adc = _numeric_object(AdcConfig, dut.get("adc", {}), "dut.adc", adc_ints)
+    channel = _numeric_object(RfChannel, doc.get("channel", {}), "channel")
+    source = _numeric_object(SimulatedRfSource, doc.get("rf_source", {}), "rf_source")
     default_model = _model_from_dict(dut.get("default_coupling", {}), "dut.default_coupling")
     coupling: dict = {}
     entries = dut.get("coupling", [])
@@ -211,11 +222,10 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         raise ScenarioError("dut.path_labels: expected a list of strings")
     if len(labels) > n_paths:
         raise ScenarioError(f"dut.path_labels: {len(labels)} labels for {n_paths} paths")
-    tx = doc.get("transmission", {})
-    try:
-        transmission = TransmissionDefaults(**tx)
-    except TypeError as exc:
-        raise ScenarioError(f"transmission: {exc}") from None
+    tx_ints = ("path", "config_index", "dc_window_symbols")
+    transmission = _numeric_object(
+        TransmissionDefaults, doc.get("transmission", {}), "transmission", tx_ints
+    )
     return Scenario(
         seed=seed,
         n_paths=n_paths,

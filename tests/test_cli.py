@@ -173,6 +173,41 @@ class TestSimulateAndDemod:
         assert run_cli("demod", "--trace", bad) == 2
         assert f"{bad}:7: sample {code} outside [0, 4095]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["demod", "eye"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("samples_per_symbol", [4]),
+            ("samples_per_symbol", 2.5),
+            ("samples_per_symbol", True),
+            ("dc_window_symbols", [4]),
+            ("dc_window_symbols", 41.0),
+        ],
+    )
+    def test_non_integer_trace_hint_exit_2(self, tmp_path, capsys, command, field, value):
+        bad = tmp_path / "hint.trace"
+        self.write_trace_file(bad, {**self.TRACE_HEADER, field: value})
+        if command == "demod":
+            code = run_cli("demod", "--trace", bad)
+        else:
+            code = run_cli("report", "--results", bad, "--kind", "eye", "--out", tmp_path / "e")
+        assert code == 2
+        assert f"trace hint {field} must be an integer, got {value!r}" in capsys.readouterr().err
+
+    def test_flag_overrides_a_bad_hint(self, tmp_path):
+        bad = tmp_path / "hint.trace"
+        self.write_trace_file(bad, {**self.TRACE_HEADER, "samples_per_symbol": 2.5})
+        assert run_cli("demod", "--trace", bad, "--samples-per-symbol", 16) == 0
+        eye = ("report", "--results", bad, "--kind", "eye", "--out", tmp_path / "e")
+        assert run_cli(*eye, "--samples-per-symbol", 16) == 0
+
+    def test_eye_rejects_one_sample_per_symbol(self, tmp_path, capsys):
+        trace = tmp_path / "ok.trace"
+        self.write_trace_file(trace, self.TRACE_HEADER)
+        eye = ("report", "--results", trace, "--kind", "eye", "--out", tmp_path / "e")
+        assert run_cli(*eye, "--samples-per-symbol", 1) == 2
+        assert "samples_per_symbol must be >= 2" in capsys.readouterr().err
+
     def test_incompatible_bit_rate_exit_2(self, mini_scenario, tmp_path):
         code = run_cli(
             "simulate", "--scenario", mini_scenario, "--bits", 10,
@@ -294,6 +329,51 @@ class TestReportCommand:
         prefix = tmp_path / "bercurve"
         assert run_cli("report", "--results", curve, "--kind", "ber-curve", "--out", prefix) == 0
         assert (tmp_path / "bercurve.svg").exists()
+
+    CURVE = {
+        "kind": "ber-curve",
+        "schema_version": 1,
+        "points": [
+            {"power_dbm": 20.0, "incident_dbm": -4.1, "bits": 100, "errors": 9, "ber": 0.09},
+            {"power_dbm": 24.7, "incident_dbm": 0.6, "bits": 100, "errors": 1, "ber": 0.01},
+        ],
+    }
+
+    def report_ber_curve(self, tmp_path, doc):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        code = run_cli("report", "--results", path, "--kind", "ber-curve", "--out", tmp_path / "b")
+        assert not (tmp_path / "b.svg").exists()
+        return code, path
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d["points"][0].pop("incident_dbm"), "point 0: lacks 'incident_dbm'"),
+            (
+                lambda d: d["points"][1].update(incident_dbm=float("nan")),
+                "point 1: incident_dbm must be a finite number, got nan",
+            ),
+            (lambda d: d["points"][1].pop("ber"), "point 1: lacks 'ber'"),
+            (
+                lambda d: d["points"][0].update(ber=float("inf")),
+                "point 0: ber must be a finite number, got inf",
+            ),
+            (lambda d: d.update(schema_version=99), "unsupported ber-curve schema_version 99"),
+        ],
+        ids=["no-incident", "nan-incident", "no-ber", "inf-ber", "version-99"],
+    )
+    def test_bad_ber_curve_exit_2(self, tmp_path, capsys, change, message):
+        doc = json.loads(json.dumps(self.CURVE))
+        change(doc)
+        code, path = self.report_ber_curve(tmp_path, doc)
+        assert code == 2
+        assert f"error: {path}: " in (err := capsys.readouterr().err) and message in err
+
+    def test_ber_curve_root_must_be_an_object_exit_2(self, tmp_path, capsys):
+        code, path = self.report_ber_curve(tmp_path, [self.CURVE])
+        assert code == 2
+        assert f"{path}: bad ber-curve header: not a JSON object" in capsys.readouterr().err
 
     def test_empty_results_exit_2(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

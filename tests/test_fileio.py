@@ -13,11 +13,13 @@ from hypothesis import strategies as st
 from adcradio.backend import ReceptionPathId
 from adcradio.fileio import (
     FileFormatError,
+    read_ber_curve,
     read_bits,
     read_records,
     read_trace,
     record_line,
     record_to_dict,
+    write_ber_curve,
     write_bits,
     write_records,
     write_trace,
@@ -122,6 +124,8 @@ class TestTraceFiles:
             ("sample_rate_hz", -1.0),
             ("oversampling_ratio", 3),
             ("samples_per_block", 0),
+            pytest.param("resolution_bits", 10**400, id="resolution_bits-1e400"),
+            pytest.param("sample_rate_hz", 10**400, id="sample_rate_hz-1e400"),
         ],
     )
     def test_invalid_adc_field_rejected(self, tmp_path, field, value):
@@ -370,6 +374,55 @@ class TestRecordLine:
             assert record_line(record) == json.dumps(record_to_dict(record))
 
 
+class TestBerCurveFiles:
+    POINTS = [
+        {"power_dbm": 20.0, "incident_dbm": -4.1, "bits": 100, "errors": 0, "ber": 0.0},
+        {"power_dbm": 24.7, "incident_dbm": 0.6, "bits": 100, "errors": 1, "ber": 0.01},
+    ]
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "curve.json"
+        write_ber_curve(path, self.POINTS)
+        doc = {"kind": "ber-curve", "schema_version": 1, "points": self.POINTS}
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        assert read_ber_curve(path) == self.POINTS
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileFormatError, match="ber-curve not found"):
+            read_ber_curve(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"kind": "ber-curve", "schema_version": 1}, "points must be a list, got None"),
+            ({"kind": "ber-curve", "schema_version": 1, "points": [7]}, "point 0: not a JSON"),
+            ({"kind": "sensitivity-records", "schema_version": 1}, "not a ber-curve file"),
+            ({"kind": "ber-curve", "points": []}, "unsupported ber-curve schema_version None"),
+        ],
+    )
+    def test_bad_document_rejected(self, tmp_path, doc, message):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            read_ber_curve(path)
+
+    @pytest.mark.parametrize(
+        "point, message",
+        [
+            ({"ber": 1.5}, "point 1: ber must lie in [0, 1], got 1.5"),
+            ({"ber": -0.1}, "point 1: ber must lie in [0, 1], got -0.1"),
+            ({"incident_dbm": "0.6"}, "point 1: incident_dbm must be a finite number"),
+            ({"ber": True}, "point 1: ber must be a finite number, got True"),
+            ({"extra": 1}, "point 1: its keys differ from those of point 0"),
+        ],
+    )
+    def test_bad_point_rejected(self, tmp_path, point, message):
+        path = tmp_path / "curve.json"
+        write_ber_curve(path, [self.POINTS[0], {**self.POINTS[1], **point}])
+        with pytest.raises(FileFormatError, match=re.escape(message)):
+            read_ber_curve(path)
+
+
 class TestBitsFiles:
     def test_round_trip(self, tmp_path):
         bits = generate_bits(100, seed=3)
@@ -444,6 +497,29 @@ class TestScenario:
             doc["dut"]["coupling"][0]["path"] = value
         with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}: expected an integer"):
             scenario_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "section, field, value, expected",
+        [
+            ("transmission", "path", "x", "an integer"),
+            ("transmission", "bit_rate_hz", "fast", "a finite number"),
+            ("rf_source", "max_power_dbm", "x", "a finite number"),
+            ("channel", "g_tx_dbi", None, "a finite number"),
+            ("dut.adc", "resolution_bits", 12.5, "an integer"),
+            ("dut.adc", "sample_rate_hz", float("inf"), "a finite number"),
+        ],
+    )
+    def test_non_numeric_field_named(self, section, field, value, expected):
+        doc = minimal_scenario_doc(transmission={}, rf_source={}, channel={})
+        target = doc["dut"]["adc"] if section == "dut.adc" else doc[section]
+        target[field] = value
+        message = rf"^{re.escape(section)}\.{field}: expected {expected}, got"
+        with pytest.raises(ScenarioError, match=message):
+            scenario_from_dict(doc)
+
+    def test_numeric_sections_must_be_objects(self):
+        with pytest.raises(ScenarioError, match="^transmission: expected an object, got list"):
+            scenario_from_dict(minimal_scenario_doc(transmission=[1]))
 
     def test_zero_paths_rejected(self):
         doc = minimal_scenario_doc()
