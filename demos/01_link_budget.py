@@ -7,7 +7,7 @@
 
 import numpy as np
 
-from adcradio import LinkBudget, dbm_to_mw, fspl_db, incident_power_dbm
+from adcradio import RfChannel, dbm_to_mw, fspl_db
 
 P_TX_DBM = 43.0
 G_TX_DBI = 6.5
@@ -17,9 +17,8 @@ print(f"transmitter: {P_TX_DBM:.0f} dBm (+{G_TX_DBI} dBi antenna) at {FREQ_HZ/1e
 print()
 print("distance    FSPL      incident")
 for d in (1.0, 3.0, 10.0, 20.0, 50.0):
-    budget = LinkBudget(P_TX_DBM, G_TX_DBI, 0.0, d, FREQ_HZ)
     loss = fspl_db(d, FREQ_HZ)
-    inc = incident_power_dbm(budget)
+    inc = RfChannel(g_tx_dbi=G_TX_DBI, distance_m=d).incident_dbm(P_TX_DBM, FREQ_HZ)
     print(f"{d:6.0f} m  {loss:6.2f} dB  {inc:+7.2f} dBm ({dbm_to_mw(inc):8.3f} mW)")
 
 print()

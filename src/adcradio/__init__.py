@@ -56,18 +56,14 @@ from .scenario import (
     build_rig,
     bundled_scenario_path,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
 )
 from .signals import (
     BasebandEnvelope,
     BitSequence,
-    LinkBudget,
     dbm_to_mw,
     fspl_db,
     generate_bits,
-    incident_power_dbm,
     modulate_ook,
 )
 from .simulator import (

@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,16 +32,15 @@ from .fileio import (
 from .plots import render_ber_curve, render_eye, render_heatmap, render_spectrum
 from .protocol import DutProtocolServer, LoopbackTransport, SerialBackend
 from .receiver import DemodParams, ber, demodulate, ideal_sync_ber_experiment
-from .scenario import ScenarioError, bundled_scenario_path, build_rig, load_scenario
-from .signals import (
-    BitSequence,
-    LinkBudget,
-    dbm_to_mw,
-    fspl_db,
-    generate_bits,
-    incident_power_dbm,
-    modulate_ook,
+from .scenario import (
+    ScenarioError,
+    build_rig,
+    bundled_scenario_path,
+    json_int,
+    load_scenario,
 )
+from .signals import BitSequence, dbm_to_mw, fspl_db, generate_bits, modulate_ook
+from .simulator import RfChannel
 from .sweep import (
     SweepPlan,
     classify_sensitive,
@@ -117,9 +117,7 @@ def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int
     value = trace.meta.get(name)
     if value is None:
         return default
-    if type(value) is not int:
-        raise FileFormatError(f"trace hint {name} must be an integer, got {value!r}")
-    return value
+    return json_int(value, f"trace hint {name}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -325,16 +323,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_linkbudget(args) -> int:
-    budget = LinkBudget(
-        p_tx_dbm=args.power_dbm,
-        g_tx_dbi=args.gain_tx,
-        g_rx_dbi=args.gain_rx,
-        distance_m=args.distance,
-        freq_hz=args.freq,
-    )
-    loss = fspl_db(budget.distance_m, budget.freq_hz)
-    incident = incident_power_dbm(budget)
-    print(f"FSPL({budget.distance_m} m, {budget.freq_hz / 1e6:.1f} MHz) = {loss:.2f} dB")
+    channel = RfChannel(g_tx_dbi=args.gain_tx, g_rx_dbi=args.gain_rx, distance_m=args.distance)
+    loss = fspl_db(args.distance, args.freq)
+    incident = channel.incident_dbm(args.power_dbm, args.freq)
+    print(f"FSPL({args.distance} m, {args.freq / 1e6:.1f} MHz) = {loss:.2f} dB")
     print(f"incident power = {incident:.2f} dBm = {dbm_to_mw(incident):.4g} mW")
     return 0
 
@@ -342,30 +334,32 @@ def cmd_linkbudget(args) -> int:
 def cmd_simulate(args) -> int:
     scenario, scenario_path = _resolve_scenario(args.scenario)
     seed = args.seed if args.seed is not None else scenario.seed
-    tx = scenario.transmission
-    freq = args.freq if args.freq is not None else tx.freq_hz
-    power = args.power_dbm if args.power_dbm is not None else tx.power_dbm
-    bit_rate = args.bit_rate if args.bit_rate is not None else tx.bit_rate_hz
-    path_index = args.path if args.path is not None else tx.path
-    config_index = args.config_index if args.config_index is not None else tx.config_index
+    flags = {
+        "freq_hz": args.freq,
+        "power_dbm": args.power_dbm,
+        "bit_rate_hz": args.bit_rate,
+        "path": args.path,
+        "config_index": args.config_index,
+    }
+    tx = replace(scenario.transmission, **{k: v for k, v in flags.items() if v is not None})
 
     rate = scenario.adc.sample_rate_hz
-    sps = rate / bit_rate
+    sps = rate / tx.bit_rate_hz
     if sps != int(sps) or int(sps) < 2:
         raise UsageError(
-            f"ADC rate {rate} Hz / bit rate {bit_rate} Hz must be an integer "
+            f"ADC rate {rate} Hz / bit rate {tx.bit_rate_hz} Hz must be an integer "
             f"samples-per-symbol >= 2, got {sps}"
         )
     sps = int(sps)
 
     bits = generate_bits(args.bits, seed)
-    envelope = modulate_ook(bits, sps, amplitude=1.0, symbol_rate_hz=bit_rate)
+    envelope = modulate_ook(bits, sps, amplitude=1.0, symbol_rate_hz=tx.bit_rate_hz)
     backend, source = build_rig(scenario, seed=seed)
-    config = enumerate_configs()[config_index]
-    path = ReceptionPathId(index=path_index, label=f"P{path_index}")
+    config = enumerate_configs()[tx.config_index]
+    path = ReceptionPathId(index=tx.path, label=f"P{tx.path}")
     backend.configure(path, config, scenario.adc)
     source.rf_set(
-        RfStimulus(freq_hz=freq, power_dbm=power, enabled=True, envelope=envelope)
+        RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=envelope)
     )
     total_samples = len(bits) * sps
     n_blocks = -(-total_samples // scenario.adc.samples_per_block) if total_samples else 0
@@ -377,7 +371,7 @@ def cmd_simulate(args) -> int:
         trace,
         extra_meta={
             "samples_per_symbol": sps,
-            "bit_rate_hz": bit_rate,
+            "bit_rate_hz": tx.bit_rate_hz,
             "payload_bits": len(bits),
             "payload_seed": seed,
             "dc_window_symbols": tx.dc_window_symbols,
@@ -394,9 +388,9 @@ def cmd_simulate(args) -> int:
         seed=seed,
         outputs=outputs,
         scenario=scenario_path,
-        extra={"bits": len(bits), "bit_rate_hz": bit_rate, "freq_hz": freq},
+        extra={"bits": len(bits), "bit_rate_hz": tx.bit_rate_hz, "freq_hz": tx.freq_hz},
     )
-    print(f"{len(trace)} samples ({len(bits)} bits at {bit_rate:.0f} bps) -> {out}")
+    print(f"{len(trace)} samples ({len(bits)} bits at {tx.bit_rate_hz:.0f} bps) -> {out}")
     return 0
 
 

@@ -13,8 +13,7 @@ carrying a schema_version, so they stay bit-exact, diffable, and readable:
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -22,7 +21,16 @@ import numpy as np
 
 from .backend import PathConfig, ReceptionPathId
 from .receiver import BerReport
-from .scenario import ScenarioError, config_from_dict, config_to_dict
+from .scenario import (
+    ADC_INTS,
+    ScenarioError,
+    config_from_dict,
+    config_to_dict,
+    json_int,
+    json_number,
+    json_object,
+    schema_version_is,
+)
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 from .sweep import SensitivityRecord, snr_from_json, snr_to_json
@@ -46,7 +54,7 @@ def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
         raise FileFormatError(f"{path}: bad {name} header: {exc}") from None
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: bad {name} header: not a JSON object")
-    if header.get("schema_version") != version:
+    if not schema_version_is(header, version):
         raise FileFormatError(
             f"{path}: unsupported {name} schema_version {header.get('schema_version')!r}"
         )
@@ -56,6 +64,10 @@ def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
 
 
 # -- trace files ---------------------------------------------------------------
+
+
+# The ADC fields every trace header carries.
+_ADC_FIELDS = tuple(f.name for f in fields(AdcConfig))
 
 
 def write_trace(path: str | Path, trace: AdcTrace, extra_meta: dict | None = None) -> None:
@@ -80,48 +92,21 @@ def write_trace(path: str | Path, trace: AdcTrace, extra_meta: dict | None = Non
             f.write(f"{int(code)}\n")
 
 
-# The ADC fields of a trace header and their types.
-_TRACE_ADC_FIELDS = {
-    "resolution_bits": int,
-    "sample_rate_hz": float,
-    "oversampling_ratio": int,
-    "samples_per_block": int,
-}
-
-
-def _trace_config(path: Path, header: dict) -> AdcConfig:
-    """The header's ADC fields as an AdcConfig; a missing or invalid field
-    is a FileFormatError naming the file and the field."""
-    fields = {}
-    for name, kind in _TRACE_ADC_FIELDS.items():
-        if name not in header:
-            raise FileFormatError(f"{path}: trace header lacks {name!r}")
-        value = header[name]
-        try:
-            if kind is float:
-                fields[name] = _finite_number(header, name)
-            elif type(value) is int or (type(value) is float and value.is_integer()):
-                fields[name] = int(value)
-            else:
-                raise ValueError
-        except ValueError:
-            expected = "an integer" if kind is int else "a finite number"
-            raise FileFormatError(
-                f"{path}: trace header {name} must be {expected}, got {value!r}"
-            ) from None
-    try:
-        return AdcConfig(**fields)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: invalid trace header: {exc}") from None
-
-
 def read_trace(path: str | Path) -> AdcTrace:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"trace not found: {path}")
     with open(path) as f:
         header = _header(path, f.readline(), "trace", "adc-trace", TRACE_SCHEMA_VERSION)
-        config = _trace_config(path, header)
+        for name in _ADC_FIELDS:
+            if name not in header:
+                raise FileFormatError(f"{path}: trace header lacks {name!r}")
+        try:
+            config = json_object(
+                AdcConfig, {name: header[name] for name in _ADC_FIELDS}, "header", ADC_INTS
+            )
+        except ScenarioError as exc:
+            raise FileFormatError(f"{path}: trace {exc}") from None
         full_scale = config.full_scale
         samples = []
         for lineno, line in enumerate(f, start=2):
@@ -140,7 +125,7 @@ def read_trace(path: str | Path) -> AdcTrace:
     meta = {
         k: v
         for k, v in header.items()
-        if k not in ("schema_version", "kind", *_TRACE_ADC_FIELDS)
+        if k not in ("schema_version", "kind", *_ADC_FIELDS)
     }
     return AdcTrace(samples=np.asarray(samples, np.int32), config=config, meta=meta)
 
@@ -165,23 +150,6 @@ def record_to_dict(record: SensitivityRecord) -> dict:
     return out
 
 
-def _finite_number(obj: dict, name: str, nullable: bool = False) -> float | None:
-    """A record field that must be a finite JSON number (or null, where
-    ``nullable``), as a float; anything else is a ValueError naming it."""
-    value = obj[name]
-    if value is None and nullable:
-        return None
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    expected = "a finite number or null" if nullable else "a finite number"
-    raise ValueError(f"{name} must be {expected}, got {value!r}")
-
-
 def record_from_dict(obj: dict) -> SensitivityRecord:
     """Inverse of record_to_dict, validating every field.
 
@@ -192,9 +160,7 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
     FileFormatError.
     """
     try:
-        index = obj["path"]["index"]
-        if type(index) is not int:
-            raise ValueError(f"path index must be an integer, got {index!r}")
+        index = json_int(obj["path"]["index"], "path index")
         label = obj["path"].get("label", "")
         if not isinstance(label, str):
             raise ValueError(f"path label must be a string, got {label!r}")
@@ -206,7 +172,7 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
         if error is not None and not isinstance(error, str):
             raise ValueError(f"error must be a string or null, got {error!r}")
         mean_on, mean_off, diff, var_off = (
-            _finite_number(obj, name, nullable=failed)
+            None if failed and obj[name] is None else json_number(obj[name], name)
             for name in ("mean_on", "mean_off", "diff", "var_off")
         )
         if var_off is not None and var_off < 0:
@@ -218,7 +184,7 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
         return SensitivityRecord(
             path=path,
             config=config_from_dict(obj["config"]),
-            freq_hz=_finite_number(obj, "freq_hz"),
+            freq_hz=json_number(obj["freq_hz"], "freq_hz"),
             mean_on=mean_on,
             mean_off=mean_off,
             diff=diff,
@@ -375,7 +341,7 @@ def read_ber_curve(path: str | Path) -> list[dict]:
             for name in ("incident_dbm", "ber"):
                 if name not in point:
                     raise ValueError(f"lacks {name!r}")
-                _finite_number(point, name)
+                json_number(point[name], name)
             if not 0 <= point["ber"] <= 1:
                 raise ValueError(f"ber must lie in [0, 1], got {point['ber']!r}")
             if point.keys() != points[0].keys():

@@ -6,15 +6,22 @@ settings, per-path coupling models), the propagation channel, the RF source
 limits, the master seed, and optional transmission defaults used by the
 payload-simulation workflow. See docs/file-formats.md for the field-by-field
 description; `load_scenario` validates with precise error messages.
+
+`json_int` and `json_number` are the one rule for a JSON field's type that
+every reader in the package uses, for scenarios, traces, results records,
+ber-curves and trace hints alike.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .backend import (
     GpioMode,
@@ -35,11 +42,21 @@ from .simulator import (
     SimulatedDut,
 )
 
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
+
 SCENARIO_SCHEMA_VERSION = 1
+
+# The number of GPIO configurations, as sweep.enumerate_configs() lists them.
+N_CONFIGS = len(GpioMode) * len(GpioPull) * len(OutputValue) * len(OutputType)
+
+# The integer fields of AdcConfig, for json_object.
+ADC_INTS = ("resolution_bits", "oversampling_ratio", "samples_per_block")
 
 
 class ScenarioError(ValueError):
-    """Scenario file missing, malformed, or failing schema validation."""
+    """Scenario file missing, malformed, or failing schema validation; also
+    a JSON field of the wrong type (json_int, json_number) in any file."""
 
 
 @dataclass(frozen=True)
@@ -57,6 +74,18 @@ class TransmissionDefaults:
     power_dbm: float = 43.0
     bit_rate_hz: float = 1000.0
     dc_window_symbols: int = 15
+
+    def __post_init__(self):
+        if not 0 <= self.config_index < N_CONFIGS:
+            raise ValueError(
+                f"config_index must lie in 0..{N_CONFIGS - 1}, got {self.config_index!r}"
+            )
+        if not self.bit_rate_hz > 0:
+            raise ValueError(f"bit_rate_hz must be > 0, got {self.bit_rate_hz!r}")
+        if self.dc_window_symbols < 3 or self.dc_window_symbols % 2 == 0:
+            raise ValueError(
+                f"dc_window_symbols must be an odd count >= 3, got {self.dc_window_symbols!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -83,6 +112,8 @@ def config_to_dict(config: PathConfig) -> dict:
 
 
 def config_from_dict(obj: dict) -> PathConfig:
+    if not isinstance(obj, dict):
+        raise ScenarioError(f"bad path configuration {obj!r}: expected an object")
     try:
         return PathConfig(
             mode=GpioMode(obj["mode"]),
@@ -94,96 +125,89 @@ def config_from_dict(obj: dict) -> PathConfig:
         raise ScenarioError(f"bad path configuration {obj!r}: {exc}") from None
 
 
-def _int_field(value, where: str) -> int:
-    """An integer-valued field; booleans and fractional numbers are rejected."""
+def json_int(value, where: str) -> int:
+    """``value`` if it is a JSON integer. Bools, floats (even ``16.0``) and
+    strings are a ScenarioError naming ``where``."""
+    if type(value) is not int:
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def json_number(value, where: str) -> float:
+    """``value`` as a float if it is a finite JSON number (an int or a float,
+    not a bool); anything else is a ScenarioError naming ``where``."""
+    if type(value) is int or type(value) is float:
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(f"{where} must be a finite number, got {value!r}")
+
+
+def schema_version_is(doc: dict, expected: int) -> bool:
+    """Whether ``doc`` carries ``schema_version`` as the JSON integer
+    ``expected``; ``true`` and ``1.0`` are not version 1."""
     try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or isinstance(value, bool) or (isinstance(value, float) and number != value):
-        raise ScenarioError(f"{where}: expected an integer, got {value!r}")
-    return number
+        return json_int(doc.get("schema_version"), "schema_version") == expected
+    except ScenarioError:
+        return False
 
 
-def _numeric_object(cls, obj, where: str, ints: tuple[str, ...] = ()):
-    """``cls`` built from an object of numbers: integers (as _int_field reads
-    them) for the fields named in ``ints``, finite numbers, kept as written,
-    for the others. Anything else is a ScenarioError naming the field."""
+@functools.cache
+def _parameters(cls) -> frozenset[str]:
+    """The keyword parameters of ``cls``; looked up once per class, as
+    inspect.signature costs far more than the rest of a scenario load."""
+    return frozenset(inspect.signature(cls).parameters)
+
+
+def json_object(cls, obj, where: str, ints: tuple[str, ...] = ()):
+    """``cls`` built from the JSON object ``obj`` of its own fields: JSON
+    integers for the fields named in ``ints``, finite numbers (as floats) for
+    the others. An unknown key, a value of another type or one ``cls``
+    rejects is a ScenarioError naming the field."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
-    fields = dict(obj)
-    for key, value in obj.items():
-        if key in ints:
-            fields[key] = _int_field(value, f"{where}.{key}")
-        elif type(value) is not int and not (type(value) is float and math.isfinite(value)):
-            raise ScenarioError(f"{where}.{key}: expected a finite number, got {value!r}")
+    unknown = obj.keys() - _parameters(cls)
+    if unknown:
+        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
+    fields = {
+        key: (json_int if key in ints else json_number)(value, f"{where}.{key}")
+        for key, value in obj.items()
+    }
     try:
         return cls(**fields)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from None
 
 
-def _model_from_dict(obj: dict, where: str) -> CouplingModel:
+def _model_from_dict(obj, where: str) -> CouplingModel:
+    """A CouplingModel from its JSON object: the scalar fields through
+    json_object, then the resonance list and the drift and burst objects."""
     if not isinstance(obj, dict):
         raise ScenarioError(f"{where}: expected an object, got {type(obj).__name__}")
-    known = {
-        "resonances",
-        "nonlinearity_exponent",
-        "baseband_bandwidth_hz",
-        "noise_sigma",
-        "drift",
-        "burst",
-        "dc_operating_point",
+    scalars = dict(obj)
+    resonances = scalars.pop("resonances", [])
+    if not isinstance(resonances, list):
+        raise ScenarioError(f"{where}.resonances: expected a list, got {resonances!r}")
+    nested = {
+        "resonances": tuple(
+            json_object(Resonance, r, f"{where}.resonances[{i}]")
+            for i, r in enumerate(resonances)
+        ),
+        "drift": json_object(DriftSpec, scalars.pop("drift", {}), f"{where}.drift"),
+        "burst": json_object(BurstSpec, scalars.pop("burst", {}), f"{where}.burst"),
     }
-    unknown = set(obj) - known
-    if unknown:
-        raise ScenarioError(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        resonances = tuple(
-            Resonance(
-                center_hz=float(r["center_hz"]),
-                bandwidth_hz=float(r["bandwidth_hz"]),
-                peak_gain=float(r["peak_gain"]),
-            )
-            for r in obj.get("resonances", [])
-        )
-        drift = DriftSpec(**obj.get("drift", {}))
-        burst = BurstSpec(**obj.get("burst", {}))
-        return CouplingModel(
-            resonances=resonances,
-            nonlinearity_exponent=float(obj.get("nonlinearity_exponent", 1.0)),
-            baseband_bandwidth_hz=float(obj.get("baseband_bandwidth_hz", 50e3)),
-            noise_sigma=float(obj.get("noise_sigma", 0.0)),
-            drift=drift,
-            burst=burst,
-            dc_operating_point=float(obj.get("dc_operating_point", 2048.0)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"{where}: {exc}") from None
-
-
-def _model_to_dict(model: CouplingModel) -> dict:
-    out: dict = {}
-    if model.resonances:
-        out["resonances"] = [asdict(r) for r in model.resonances]
-    out["nonlinearity_exponent"] = model.nonlinearity_exponent
-    out["baseband_bandwidth_hz"] = model.baseband_bandwidth_hz
-    out["noise_sigma"] = model.noise_sigma
-    if model.drift != DriftSpec():
-        out["drift"] = asdict(model.drift)
-    if model.burst != BurstSpec():
-        out["burst"] = asdict(model.burst)
-    out["dc_operating_point"] = model.dc_operating_point
-    return out
+    return replace(json_object(CouplingModel, scalars, where), **nested)
 
 
 def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario root must be an object")
-    version = doc.get("schema_version")
-    if version != SCENARIO_SCHEMA_VERSION:
+    if not schema_version_is(doc, SCENARIO_SCHEMA_VERSION):
         raise ScenarioError(
-            f"unsupported scenario schema_version {version!r} "
+            f"unsupported scenario schema_version {doc.get('schema_version')!r} "
             f"(expected {SCENARIO_SCHEMA_VERSION})"
         )
     dut = doc.get("dut")
@@ -191,14 +215,13 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         raise ScenarioError("scenario is missing the 'dut' object")
     if "n_paths" not in dut:
         raise ScenarioError("dut is missing 'n_paths'")
-    n_paths = _int_field(dut["n_paths"], "dut.n_paths")
+    n_paths = json_int(dut["n_paths"], "dut.n_paths")
     if n_paths < 1:
         raise ScenarioError(f"dut.n_paths: must be >= 1, got {n_paths}")
-    seed = _int_field(doc.get("seed", 0), "seed")
-    adc_ints = ("resolution_bits", "oversampling_ratio", "samples_per_block")
-    adc = _numeric_object(AdcConfig, dut.get("adc", {}), "dut.adc", adc_ints)
-    channel = _numeric_object(RfChannel, doc.get("channel", {}), "channel")
-    source = _numeric_object(SimulatedRfSource, doc.get("rf_source", {}), "rf_source")
+    seed = json_int(doc.get("seed", 0), "seed")
+    adc = json_object(AdcConfig, dut.get("adc", {}), "dut.adc", ADC_INTS)
+    channel = json_object(RfChannel, doc.get("channel", {}), "channel")
+    source = json_object(SimulatedRfSource, doc.get("rf_source", {}), "rf_source")
     default_model = _model_from_dict(dut.get("default_coupling", {}), "dut.default_coupling")
     coupling: dict = {}
     entries = dut.get("coupling", [])
@@ -208,11 +231,14 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
         where = f"dut.coupling[{i}]"
         if not isinstance(entry, dict) or "path" not in entry:
             raise ScenarioError(f"{where}: must be an object with a 'path'")
-        path = _int_field(entry["path"], f"{where}.path")
+        path = json_int(entry["path"], f"{where}.path")
         if not 0 <= path < n_paths:
             raise ScenarioError(f"{where}: path {path} outside 0..{n_paths - 1}")
         config = entry.get("config")
-        key = (path, config_from_dict(config) if config is not None else None)
+        try:
+            key = (path, config_from_dict(config) if config is not None else None)
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}.config: {exc}") from None
         model_fields = {
             k: v for k, v in entry.items() if k not in ("path", "config")
         }
@@ -223,9 +249,13 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     if len(labels) > n_paths:
         raise ScenarioError(f"dut.path_labels: {len(labels)} labels for {n_paths} paths")
     tx_ints = ("path", "config_index", "dc_window_symbols")
-    transmission = _numeric_object(
+    transmission = json_object(
         TransmissionDefaults, doc.get("transmission", {}), "transmission", tx_ints
     )
+    if not 0 <= transmission.path < n_paths:
+        raise ScenarioError(
+            f"transmission.path: path {transmission.path} outside 0..{n_paths - 1}"
+        )
     return Scenario(
         seed=seed,
         n_paths=n_paths,
@@ -240,48 +270,18 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     )
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    entries = []
-    for (path, config), model in scenario.coupling.items():
-        entry: dict = {"path": path}
-        if config is not None:
-            entry["config"] = config_to_dict(config)
-        entry.update(_model_to_dict(model))
-        entries.append(entry)
-    return {
-        "schema_version": SCENARIO_SCHEMA_VERSION,
-        "seed": scenario.seed,
-        "channel": asdict(scenario.channel),
-        "rf_source": {
-            "min_power_dbm": scenario.source.min_power_dbm,
-            "max_power_dbm": scenario.source.max_power_dbm,
-            "min_freq_hz": scenario.source.min_freq_hz,
-            "max_freq_hz": scenario.source.max_freq_hz,
-        },
-        "dut": {
-            "n_paths": scenario.n_paths,
-            "adc": asdict(scenario.adc),
-            "default_coupling": _model_to_dict(scenario.default_model),
-            "coupling": entries,
-            **({"path_labels": list(scenario.path_labels)} if scenario.path_labels else {}),
-        },
-        "transmission": asdict(scenario.transmission),
-    }
-
-
-def load_scenario(path: str | Path) -> Scenario:
-    path = Path(path)
-    if not path.exists():
+def load_scenario(path: str | Path | Traversable) -> Scenario:
+    """The scenario in ``path``: a filesystem path, or a Traversable such as
+    bundled_scenario_path returns (which may lie inside a zip file)."""
+    if isinstance(path, str):
+        path = Path(path)
+    if not path.is_file():
         raise ScenarioError(f"scenario not found: {path}")
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
-    return scenario_from_dict(doc, name=path.stem)
-
-
-def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    return scenario_from_dict(doc, name=Path(path.name).stem)
 
 
 def build_rig(
@@ -309,12 +309,12 @@ def build_rig(
     return SimulatorBackend(dut, source), source
 
 
-def bundled_scenario_path(name: str) -> Path:
-    """Filesystem path of a scenario shipped with the package."""
+def bundled_scenario_path(name: str) -> Traversable:
+    """A scenario shipped with the package, as load_scenario reads it; from
+    a zipped install it is a path inside the zip file."""
     base = resources.files("adcradio") / "scenarios"
     candidate = base / (name if name.endswith(".json") else f"{name}.json")
-    with resources.as_file(candidate) as p:
-        if not p.exists():
-            available = sorted(f.name for f in (base.iterdir()) if f.name.endswith(".json"))
-            raise ScenarioError(f"no bundled scenario {name!r}; available: {available}")
-        return Path(p)
+    if not candidate.is_file():
+        available = sorted(f.name for f in base.iterdir() if f.name.endswith(".json"))
+        raise ScenarioError(f"no bundled scenario {name!r}; available: {available}")
+    return candidate

@@ -61,28 +61,6 @@ class BasebandEnvelope:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Transmitter setup and geometry needed to estimate power at the device.
-
-    The receive gain defaults to 0 dBi: the parasitic aperture of the device
-    is unknown, so incident power is quoted for an isotropic receiver and any
-    coupling efficiency is modeled separately in the device simulator.
-    """
-
-    p_tx_dbm: float
-    g_tx_dbi: float = 0.0
-    g_rx_dbi: float = 0.0
-    distance_m: float = 1.0
-    freq_hz: float = 868e6
-
-    def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ValueError("distance_m must be positive")
-        if self.freq_hz <= 0:
-            raise ValueError("freq_hz must be positive")
-
-
 def generate_bits(n: int, seed: int) -> BitSequence:
     """Draw ``n`` uniform random bits, reproducible bit-exactly from ``seed``."""
     if n < 0:
@@ -121,16 +99,6 @@ def fspl_db(distance_m: float, freq_hz: float) -> float:
     if freq_hz <= 0:
         raise ValueError("freq_hz must be positive")
     return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / SPEED_OF_LIGHT_M_S)
-
-
-def incident_power_dbm(budget: LinkBudget) -> float:
-    """Estimated power arriving at the device, in dBm."""
-    return (
-        budget.p_tx_dbm
-        + budget.g_tx_dbi
-        + budget.g_rx_dbi
-        - fspl_db(budget.distance_m, budget.freq_hz)
-    )
 
 
 def dbm_to_mw(dbm: float) -> float:

@@ -36,6 +36,7 @@ from .backend import (
     capture_groups,
 )
 from .protocol import ProtocolError
+from .scenario import ScenarioError, json_number
 from .simulator import AdcConfig, AdcTrace
 
 logger = logging.getLogger(__name__)
@@ -101,9 +102,10 @@ def snr_from_json(obj) -> float:
     if obj == "none":
         return -math.inf
     if isinstance(obj, dict) and set(obj) == {"db"}:
-        db = obj["db"]
-        if isinstance(db, (int, float)) and not isinstance(db, bool) and math.isfinite(db):
-            return float(db)
+        try:
+            return json_number(obj["db"], "db")
+        except ScenarioError:
+            pass
     raise ValueError(f"bad serialized SNR {obj!r}")
 
 

@@ -46,8 +46,6 @@ from adcradio.signals import (
     BitSequence,
     fspl_db,
     generate_bits,
-    incident_power_dbm,
-    LinkBudget,
     modulate_ook,
 )
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
@@ -445,7 +443,7 @@ def test_criterion_08_bandwidth_eye():
 def test_criterion_09_link_budget():
     t0 = time.perf_counter()
     loss = fspl_db(1.0, 868e6)
-    incident = incident_power_dbm(LinkBudget(43.0, 6.5, 0.0, 20.0, 868e6))
+    incident = RfChannel(g_tx_dbi=6.5, distance_m=20.0).incident_dbm(43.0, 868e6)
     elapsed = time.perf_counter() - t0
     ok = abs(loss - 31.2) <= 0.1 and abs(incident - (-7.7)) <= 0.1 and elapsed < 1.0
     report(

@@ -1,9 +1,15 @@
 """Command-line behaviors: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import pytest
 
+import adcradio
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace
 from adcradio.plots import render_eye
@@ -214,6 +220,23 @@ class TestSimulateAndDemod:
             "--bit-rate", 7000.0, "--out", tmp_path / "x.trace",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--config-index", 99, "config_index must lie in 0..63, got 99"),
+            ("--config-index", -1, "config_index must lie in 0..63, got -1"),
+            ("--bit-rate", 0, "bit_rate_hz must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_transmission_flag_exit_2(self, mini_scenario, tmp_path, capsys, flag, value,
+                                          message):
+        out = tmp_path / "x.trace"
+        code = run_cli("simulate", "--scenario", mini_scenario, "--bits", 10, flag, value,
+                       "--out", out)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBerCommand:
@@ -429,6 +452,89 @@ class TestBundledScenarioNames:
         out = tmp_path / "demo.trace"
         code = run_cli("simulate", "--scenario", "link_3m", "--bits", 50, "--out", out)
         assert code == 0
+
+    def test_runs_from_a_zipped_package(self, tmp_path):
+        # A zip import reads the bundled scenarios through importlib.resources;
+        # no file of them exists on disk.
+        package = Path(adcradio.__file__).parent
+        archive = tmp_path / "adcradio.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for file in sorted(package.rglob("*")):
+                if file.is_file() and "__pycache__" not in file.parts:
+                    zf.write(file, Path("adcradio") / file.relative_to(package))
+        env = {**os.environ, "PYTHONPATH": str(archive)}
+        result = subprocess.run(
+            [sys.executable, "-m", "adcradio.cli", "protocol-loopback", "--scenario", "link_3m"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert "loopback OK" in result.stdout
+
+
+class TestScenarioFieldTypes:
+    """A scenario field of the wrong JSON type is a usage error naming it."""
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda d: d["dut"].update(n_paths="3"), "dut.n_paths must be an integer, got '3'"),
+            (lambda d: d.update(seed="7"), "seed must be an integer, got '7'"),
+            (
+                lambda d: d["dut"]["coupling"][0].update(noise_sigma="14"),
+                "dut.coupling[0].noise_sigma must be a finite number, got '14'",
+            ),
+            (
+                lambda d: d["dut"]["coupling"][0]["resonances"][0].update(center_hz="4.3e8"),
+                "dut.coupling[0].resonances[0].center_hz must be a finite number, got '4.3e8'",
+            ),
+            (
+                lambda d: d["dut"]["coupling"][0].update(drift={"walk_step": True}),
+                "dut.coupling[0].drift.walk_step must be a finite number, got True",
+            ),
+            (
+                lambda d: d["dut"]["default_coupling"].update(noise_sigma=float("nan")),
+                "dut.default_coupling.noise_sigma must be a finite number, got nan",
+            ),
+            (
+                lambda d: d["channel"].update(distance_m=float("inf")),
+                "channel.distance_m must be a finite number, got inf",
+            ),
+            (
+                lambda d: d["dut"]["coupling"][0].update(config=5),
+                "dut.coupling[0].config: bad path configuration 5",
+            ),
+            (
+                lambda d: d["dut"]["coupling"][0]["resonances"][0].update(q=5.0),
+                "dut.coupling[0].resonances[0]: unknown keys ['q']",
+            ),
+            (lambda d: d.update(schema_version=True), "schema_version True"),
+            (lambda d: d.update(schema_version=1.0), "schema_version 1.0"),
+            (
+                lambda d: d["transmission"].update(config_index=64),
+                "transmission: config_index must lie in 0..63, got 64",
+            ),
+            (
+                lambda d: d["transmission"].update(bit_rate_hz=0),
+                "transmission: bit_rate_hz must be > 0, got 0.0",
+            ),
+            (
+                lambda d: d["transmission"].update(dc_window_symbols=40),
+                "transmission: dc_window_symbols must be an odd count >= 3, got 40",
+            ),
+            (
+                lambda d: d["transmission"].update(path=2),
+                "transmission.path: path 2 outside 0..1",
+            ),
+        ],
+    )
+    def test_bad_field_exit_2(self, mini_scenario, tmp_path, capsys, change, message):
+        doc = json.loads(mini_scenario.read_text())
+        change(doc)
+        mini_scenario.write_text(json.dumps(doc))
+        out = tmp_path / "x.trace"
+        assert run_cli("simulate", "--scenario", mini_scenario, "--bits", 10, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBundledLinkReproduction:

@@ -1,5 +1,6 @@
 """Trace/results/bits file formats and scenario documents."""
 
+import copy
 import json
 import math
 import re
@@ -7,7 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from adcradio.backend import ReceptionPathId
@@ -31,7 +32,6 @@ from adcradio.scenario import (
     config_to_dict,
     load_scenario,
     scenario_from_dict,
-    save_scenario,
 )
 from adcradio.signals import generate_bits
 from adcradio.simulator import AdcConfig, AdcTrace
@@ -78,9 +78,12 @@ class TestTraceFiles:
 
     def test_wrong_schema_version_rejected(self, tmp_path):
         path = tmp_path / "bad.trace"
-        path.write_text(json.dumps({"schema_version": 99, "kind": "adc-trace"}) + "\n1\n")
-        with pytest.raises(FileFormatError, match="schema_version"):
-            read_trace(path)
+        for version in (99, True, 1.0):
+            header = {**self.HEADER, "schema_version": version}
+            path.write_text(json.dumps(header) + "\n1\n")
+            message = f"schema_version {re.escape(repr(version))}$"
+            with pytest.raises(FileFormatError, match=message):
+                read_trace(path)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileFormatError, match="not found"):
@@ -177,7 +180,13 @@ class TestResultsFiles:
         assert json.loads(lines[2])["snr"] == "high"
         assert json.loads(lines[3])["snr"] == "none"
 
-    @pytest.mark.parametrize("db", ["Infinity", "-Infinity", "NaN", "true", '"9.0"'])
+    @pytest.mark.parametrize(
+        "db",
+        [
+            "Infinity", "-Infinity", "NaN", "true", '"9.0"',
+            pytest.param("1" + "0" * 400, id="1e400"),
+        ],
+    )
     def test_non_finite_db_rejected(self, tmp_path, db):
         record = {
             "path": {"index": 4, "label": "P4"},
@@ -201,6 +210,14 @@ class TestResultsFiles:
         write_records(path, [])
         first = json.loads(path.read_text().splitlines()[0])
         assert first["schema_version"] == 1
+
+    @pytest.mark.parametrize("version", [2, True, 1.0, "1"])
+    def test_wrong_schema_version_rejected(self, tmp_path, version):
+        path = tmp_path / "results.jsonl"
+        header = {"schema_version": version, "kind": "sensitivity-records"}
+        path.write_text(json.dumps(header) + "\n")
+        with pytest.raises(FileFormatError, match=f"schema_version {re.escape(repr(version))}$"):
+            read_records(path)
 
     def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "results.jsonl"
@@ -398,6 +415,14 @@ class TestBerCurveFiles:
             ({"kind": "ber-curve", "schema_version": 1, "points": [7]}, "point 0: not a JSON"),
             ({"kind": "sensitivity-records", "schema_version": 1}, "not a ber-curve file"),
             ({"kind": "ber-curve", "points": []}, "unsupported ber-curve schema_version None"),
+            (
+                {"kind": "ber-curve", "schema_version": True, "points": []},
+                "unsupported ber-curve schema_version True",
+            ),
+            (
+                {"kind": "ber-curve", "schema_version": 1.0, "points": []},
+                "unsupported ber-curve schema_version 1.0",
+            ),
         ],
     )
     def test_bad_document_rejected(self, tmp_path, doc, message):
@@ -437,30 +462,59 @@ class TestBitsFiles:
             read_bits(path)
 
 
+def key_paths(node, prefix=()):
+    """The key path of every value inside a JSON document, depth first."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from key_paths(child, prefix + (key,))
+
+
+DEMO_BOARD = json.loads(bundled_scenario_path("demo_board").read_text())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
 class TestScenario:
+    @example(key_path=("dut", "coupling", 2, "config"), value=5)
+    @example(key_path=("dut", "coupling", 0, "resonances"), value=3)
+    @example(key_path=("schema_version",), value=True)
+    @given(key_path=st.sampled_from(list(key_paths(DEMO_BOARD))), value=JSON_VALUES)
+    def test_a_field_of_another_type_loads_or_is_a_scenario_error(self, key_path, value):
+        doc = copy.deepcopy(DEMO_BOARD)
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        assume(type(value) is not type(parent[key_path[-1]]))
+        parent[key_path[-1]] = value
+        try:
+            scenario_from_dict(doc)
+        except ScenarioError:
+            pass
+
     def test_minimal_document(self):
         s = scenario_from_dict(minimal_scenario_doc())
         assert s.n_paths == 2
         assert s.adc.samples_per_block == 8
         assert s.default_model.noise_sigma == 1.0
 
-    def test_round_trip(self, tmp_path):
-        s = load_scenario(bundled_scenario_path("link_20m"))
-        path = tmp_path / "copy.json"
-        save_scenario(s, path)
-        again = load_scenario(path)
-        assert again.n_paths == s.n_paths
-        assert again.coupling == s.coupling
-        assert again.adc == s.adc
-        assert again.transmission == s.transmission
-
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_scenario(tmp_path / "ghost.json")
 
     def test_bad_schema_version(self):
-        with pytest.raises(ScenarioError, match="schema_version"):
-            scenario_from_dict(minimal_scenario_doc(schema_version=3))
+        for version in (3, True, 1.0):
+            with pytest.raises(ScenarioError, match=f"schema_version {version!r} "):
+                scenario_from_dict(minimal_scenario_doc(schema_version=version))
 
     def test_unknown_coupling_keys_rejected(self):
         doc = minimal_scenario_doc()
@@ -495,7 +549,7 @@ class TestScenario:
             doc["dut"]["n_paths"] = value
         else:
             doc["dut"]["coupling"][0]["path"] = value
-        with pytest.raises(ScenarioError, match=rf"^{re.escape(field)}: expected an integer"):
+        with pytest.raises(ScenarioError, match=rf"^{re.escape(field)} must be an integer, got"):
             scenario_from_dict(doc)
 
     @pytest.mark.parametrize(
@@ -513,7 +567,7 @@ class TestScenario:
         doc = minimal_scenario_doc(transmission={}, rf_source={}, channel={})
         target = doc["dut"]["adc"] if section == "dut.adc" else doc[section]
         target[field] = value
-        message = rf"^{re.escape(section)}\.{field}: expected {expected}, got"
+        message = rf"^{re.escape(section)}\.{field} must be {expected}, got"
         with pytest.raises(ScenarioError, match=message):
             scenario_from_dict(doc)
 

@@ -5,15 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from adcradio.signals import (
-    BitSequence,
-    LinkBudget,
-    dbm_to_mw,
-    fspl_db,
-    generate_bits,
-    incident_power_dbm,
-    modulate_ook,
-)
+from adcradio.signals import BitSequence, dbm_to_mw, fspl_db, generate_bits, modulate_ook
+from adcradio.simulator import RfChannel
 
 
 class TestGenerateBits:
@@ -102,21 +95,21 @@ class TestFspl:
 
 class TestIncidentPower:
     def test_reference_1m_setup(self):
-        budget = LinkBudget(43.0, 6.5, 0.0, 1.0, 868e6)
-        assert incident_power_dbm(budget) == pytest.approx(18.3, abs=0.1)
+        channel = RfChannel(g_tx_dbi=6.5, distance_m=1.0)
+        assert channel.incident_dbm(43.0, 868e6) == pytest.approx(18.3, abs=0.1)
 
     def test_reference_20m_setup(self):
-        budget = LinkBudget(43.0, 6.5, 0.0, 20.0, 868e6)
-        assert incident_power_dbm(budget) == pytest.approx(-7.7, abs=0.1)
+        channel = RfChannel(g_tx_dbi=6.5, distance_m=20.0)
+        assert channel.incident_dbm(43.0, 868e6) == pytest.approx(-7.7, abs=0.1)
 
     def test_cancellation(self):
         loss = fspl_db(5.0, 700e6)
-        budget = LinkBudget(loss, 0.0, 0.0, 5.0, 700e6)
-        assert incident_power_dbm(budget) == pytest.approx(0.0, abs=1e-12)
+        channel = RfChannel(g_tx_dbi=0.0, distance_m=5.0)
+        assert channel.incident_dbm(loss, 700e6) == pytest.approx(0.0, abs=1e-12)
 
     def test_invalid_budget(self):
         with pytest.raises(ValueError):
-            LinkBudget(43.0, 6.5, 0.0, 0.0, 868e6)
+            RfChannel(g_tx_dbi=6.5, distance_m=0.0)
 
 
 class TestDbmMw:
