@@ -109,6 +109,15 @@ def _parse_configs(arg: str):
     return [allc[i] for i in indices]
 
 
+def _seed(args, scenario) -> int:
+    """The --seed flag if given, else the scenario's seed."""
+    if args.seed is None:
+        return scenario.seed
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    return args.seed
+
+
 def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int | None:
     """A receiver setting: the flag if given, else the trace's hint, else
     ``default``. A hint must be a JSON integer (not a bool or a float)."""
@@ -125,7 +134,7 @@ def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int
 
 def cmd_sweep(args) -> int:
     scenario, scenario_path = _resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     backend, source = build_rig(scenario, seed=seed)
     paths = _parse_paths(args.paths, scenario.n_paths, scenario.path_labels)
     configs = _parse_configs(args.configs)
@@ -218,7 +227,7 @@ def cmd_ber(args) -> int:
     if not args.scenario:
         raise UsageError("ber needs either --decoded + --reference or --scenario")
     scenario, scenario_path = _resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     try:
         powers = [float(tok) for tok in args.powers.split(",") if tok != ""]
     except ValueError:
@@ -333,7 +342,7 @@ def cmd_linkbudget(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario, scenario_path = _resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     flags = {
         "freq_hz": args.freq,
         "power_dbm": args.power_dbm,
@@ -342,6 +351,8 @@ def cmd_simulate(args) -> int:
         "config_index": args.config_index,
     }
     tx = replace(scenario.transmission, **{k: v for k, v in flags.items() if v is not None})
+    if not 0 <= tx.path < scenario.n_paths:
+        raise UsageError(f"--path {tx.path} outside 0..{scenario.n_paths - 1}")
 
     rate = scenario.adc.sample_rate_hz
     sps = rate / tx.bit_rate_hz
@@ -396,7 +407,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_protocol_loopback(args) -> int:
     scenario, _ = _resolve_scenario(args.scenario)
-    seed = args.seed if args.seed is not None else scenario.seed
+    seed = _seed(args, scenario)
     n_paths = min(scenario.n_paths, 4)
     paths = [ReceptionPathId(index=i, label=f"P{i}") for i in range(n_paths)]
     plan = SweepPlan(

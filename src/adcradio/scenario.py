@@ -114,6 +114,9 @@ def config_to_dict(config: PathConfig) -> dict:
 def config_from_dict(obj: dict) -> PathConfig:
     if not isinstance(obj, dict):
         raise ScenarioError(f"bad path configuration {obj!r}: expected an object")
+    unknown = obj.keys() - _parameters(PathConfig)
+    if unknown:
+        raise ScenarioError(f"bad path configuration {obj!r}: unknown keys {sorted(unknown)}")
     try:
         return PathConfig(
             mode=GpioMode(obj["mode"]),
@@ -219,6 +222,8 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     if n_paths < 1:
         raise ScenarioError(f"dut.n_paths: must be >= 1, got {n_paths}")
     seed = json_int(doc.get("seed", 0), "seed")
+    if seed < 0:
+        raise ScenarioError(f"seed: must be >= 0, got {seed}")
     adc = json_object(AdcConfig, dut.get("adc", {}), "dut.adc", ADC_INTS)
     channel = json_object(RfChannel, doc.get("channel", {}), "channel")
     source = json_object(SimulatedRfSource, doc.get("rf_source", {}), "rf_source")

@@ -214,64 +214,71 @@ class _DeviceState:
     burst_left: int = 0  # raw samples of burst still active
 
 
-def _impairs_per_state(model: CouplingModel) -> bool:
-    """Whether the model has impairments beyond white noise.
-
-    White noise is one normal draw per raw sample, so one draw over a run of
-    states equals a draw per state. Random-walk steps interleave with the
-    noise draws and their running sum restarts from the carried walk value,
-    bursts interleave uniform draws, and the sinusoid is left per state too,
-    so these models impair state by state, in capture order.
-    """
-    drift, burst = model.drift, model.burst
-    return (
-        drift.walk_step > 0
-        or (drift.sine_amplitude > 0 and drift.sine_period_s > 0)
-        or (burst.rate_per_s > 0 and burst.duration_s > 0)
-    )
-
-
 def _impair(
     values: np.ndarray,
     model: CouplingModel,
     rng: np.random.Generator,
     state: _DeviceState,
     raw_rate_hz: float,
+    states: int = 1,
 ) -> np.ndarray:
-    """Add noise, drift, and bursts in place of a fresh array; advances state."""
-    n = values.size
+    """Add noise, drift and bursts to a pass of ``states`` equal-length states
+    held back to back in ``values``; returns a fresh array, advances state.
+
+    The random draws are those of one call per state, in capture order:
+    noise normal, walk step normal, burst uniform. With several states and
+    more than one of these streams, a loop draws them state by state into
+    one array per stream; otherwise each stream is drawn over the whole pass
+    where it is used, which gives the same numbers. The arithmetic then runs
+    once over the pass: each state's walk starts from the one before, and
+    the sinusoid and the bursts follow the global raw sample index, so a
+    burst carries across states.
+    """
+    size = values.size
+    n = size // states
+    drift, burst = model.drift, model.burst
+    draws = [  # each stream's draw of m values, or None when it is off
+        (lambda m: rng.normal(0.0, model.noise_sigma, m)) if model.noise_sigma > 0 else None,
+        (lambda m: rng.normal(0.0, drift.walk_step, m)) if drift.walk_step > 0 else None,
+        rng.random if burst.rate_per_s > 0 and burst.duration_s > 0 else None,
+    ]
+    if states > 1 and sum(d is not None for d in draws) > 1:
+        drawn = [None if d is None else np.empty((states, n)) for d in draws]
+        for k in range(states):
+            for d, rows in zip(draws, drawn):
+                if d is not None:
+                    rows[k] = d(n)
+        draws = [None if rows is None else rows.reshape for rows in drawn]  # read flat
+    noise, walk_steps, uniform = draws
     out = values
-    if model.noise_sigma > 0:
-        out = out + rng.normal(0.0, model.noise_sigma, n)
-    drift = model.drift
-    if drift.walk_step > 0:
-        steps = rng.normal(0.0, drift.walk_step, n)
-        walk = state.walk_value + np.cumsum(steps)
-        state.walk_value = float(walk[-1])
-        out = out + walk
+    if noise is not None:
+        out = out + noise(size)
+    if walk_steps is not None:
+        walk = np.cumsum(walk_steps(size).reshape(states, n), axis=1)
+        # Sequential sums of the row ends: each row starts from the previous
+        # row's last walk value, exactly as per-state captures carry it.
+        offsets = np.cumsum(np.concatenate(([state.walk_value], walk[:, -1])))
+        state.walk_value = float(offsets[-1])
+        out = out + (offsets[:-1, None] + walk).reshape(size)
     if drift.sine_amplitude > 0 and drift.sine_period_s > 0:
-        t = (state.sample_index + np.arange(n)) / raw_rate_hz
+        t = (state.sample_index + np.arange(size)) / raw_rate_hz
         out = out + drift.sine_amplitude * np.sin(2.0 * math.pi * t / drift.sine_period_s)
-    burst = model.burst
-    if burst.rate_per_s > 0 and burst.duration_s > 0:
-        p = burst.rate_per_s / raw_rate_hz
-        starts = np.flatnonzero(rng.random(n) < p)
-        dur = max(1, int(round(burst.duration_s * raw_rate_hz)))
-        delta = np.zeros(n + 1)
+    if uniform is not None:
+        starts = np.flatnonzero(uniform(size) < burst.rate_per_s / raw_rate_hz)
+        ends = starts + max(1, int(round(burst.duration_s * raw_rate_hz)))
+        delta = np.zeros(size + 1)
         if state.burst_left > 0:
             delta[0] += 1
-            delta[min(state.burst_left, n)] -= 1
-        for s in starts:
-            delta[s] += 1
-            delta[min(s + dur, n)] -= 1
+            delta[min(state.burst_left, size)] -= 1
+        np.add.at(delta, starts, 1)
+        np.add.at(delta, np.minimum(ends, size), -1)
         active = np.cumsum(delta[:-1]) > 0
         if active.any():
             out = out + burst.amplitude * active
-        ends = [state.burst_left] + [int(s) + dur for s in starts]
-        state.burst_left = max(0, max(ends) - n)
+        state.burst_left = max(0, int(np.max(ends, initial=state.burst_left)) - size)
     if out is values:
         out = values.copy()
-    state.sample_index += n
+    state.sample_index += size
     return out
 
 
@@ -419,8 +426,10 @@ class SimulatedDut:
         samples_per_block), bit-identical to one capture(n_blocks, s) per
         stimulus, and leaves the same device and RNG state. Consecutive
         states run in vectorized passes of up to _PASS_RAW_SAMPLES raw
-        conversions: coupling, one low-pass over the pass, impairments, and
-        one quantization.
+        conversions: coupling, then one low-pass, one _impair call and one
+        quantization over the whole pass. The impairments are batched over
+        the pass but draw their random numbers per state, as one capture per
+        state does.
         """
         if self._path is None:
             raise RuntimeError("capture before configure")
@@ -446,11 +455,7 @@ class SimulatedDut:
         alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
         filtered, state.filter_value = _lowpass(offset, alpha, state.filter_value)
         analog = filtered + model.dc_operating_point
-        if len(stimuli) > 1 and _impairs_per_state(model):
-            for part in analog.reshape(len(stimuli), n_raw):
-                part[:] = _impair(part, model, self._rng, state, adc.raw_rate_hz)
-        else:
-            analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz)
+        analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, len(stimuli))
         n_codes = analog.size // adc.oversampling_ratio
         return adc_sample(analog, adc, n_samples=n_codes).samples
 

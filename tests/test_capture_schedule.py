@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adcradio import simulator
@@ -34,19 +34,20 @@ FREQS = (300e6, 480e6, 500e6, 900e6)
 
 @st.composite
 def models(draw):
-    kind = draw(st.sampled_from(["noise", "walk", "sine", "burst"]))
-    drift, burst = DriftSpec(), BurstSpec()
-    if kind == "walk":
-        drift = DriftSpec(walk_step=draw(st.floats(0.01, 0.5)))
-    elif kind == "sine":
-        drift = DriftSpec(
-            sine_amplitude=draw(st.floats(0.5, 20.0)), sine_period_s=draw(st.floats(1e-3, 0.1))
-        )
-    elif kind == "burst":
+    """Noise plus any combination of walk, sine and bursts. A burst may last
+    up to 20 ms, longer than a whole state (at most 384 raw samples), so a
+    carried burst can span several states of a pass."""
+    drift, burst = {}, BurstSpec()
+    if draw(st.booleans()):
+        drift["walk_step"] = draw(st.floats(0.01, 0.5))
+    if draw(st.booleans()):
+        drift["sine_amplitude"] = draw(st.floats(0.5, 20.0))
+        drift["sine_period_s"] = draw(st.floats(1e-3, 0.1))
+    if draw(st.booleans()):
         burst = BurstSpec(
             rate_per_s=draw(st.floats(50.0, 2000.0)),
             amplitude=draw(st.floats(-40.0, 40.0)),
-            duration_s=draw(st.floats(1e-4, 5e-3)),
+            duration_s=draw(st.floats(1e-4, 2e-2)),
         )
     return CouplingModel(
         resonances=(Resonance(500e6, 80e6, draw(st.sampled_from([0.0, 40.0, 900.0]))),),
@@ -54,9 +55,20 @@ def models(draw):
         # 1 GHz puts the low-pass pole at alpha >= 1 (no filtering).
         baseband_bandwidth_hz=draw(st.sampled_from([2e3, 50e3, 1e9])),
         noise_sigma=draw(st.sampled_from([0.0, 0.7, 3.0])),
-        drift=drift,
+        drift=DriftSpec(**drift),
         burst=burst,
     )
+
+
+# The impairments of demo_board path 42 (link_* path 1), with 20 times its
+# burst rate and bursts that last 10 of the example's 24-sample states.
+NOISE_WALK_SINE_BURST = CouplingModel(
+    resonances=(Resonance(500e6, 80e6, 40.0),),
+    baseband_bandwidth_hz=3000.0,
+    noise_sigma=6.0,
+    drift=DriftSpec(walk_step=0.01, sine_amplitude=2.0, sine_period_s=8.0),
+    burst=BurstSpec(rate_per_s=50.0, amplitude=60.0, duration_s=0.024),
+)
 
 
 envelopes = st.builds(
@@ -80,6 +92,17 @@ def state_of(dut):
     return astuple(dut._state), dut._rng.bit_generator.state
 
 
+@example(
+    model=NOISE_WALK_SINE_BURST,
+    ratio=1,
+    samples_per_block=8,
+    n_blocks=3,
+    prefix_blocks=2,
+    prefix=None,
+    schedule=[None, RfStimulus(freq_hz=500e6, power_dbm=10.0, enabled=True)] * 6,
+    pass_cap=simulator._PASS_RAW_SAMPLES,
+    seed=1,  # bursts start in states 3 and 7 and carry through the next ones
+)
 @given(
     model=models(),
     ratio=st.sampled_from([1, 4, 16]),

@@ -13,6 +13,7 @@ import adcradio
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace
 from adcradio.plots import render_eye
+from adcradio.scenario import config_to_dict
 from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
 
 
@@ -227,6 +228,8 @@ class TestSimulateAndDemod:
             ("--config-index", 99, "config_index must lie in 0..63, got 99"),
             ("--config-index", -1, "config_index must lie in 0..63, got -1"),
             ("--bit-rate", 0, "bit_rate_hz must be > 0, got 0.0"),
+            ("--path", 9, "--path 9 outside 0..1"),
+            ("--path", -1, "--path -1 outside 0..1"),
         ],
     )
     def test_bad_transmission_flag_exit_2(self, mini_scenario, tmp_path, capsys, flag, value,
@@ -418,6 +421,11 @@ class TestReportCommand:
             ({"path": {"index": "4", "label": "P4"}}, "path index must be an integer, got '4'"),
             ({"path": {"index": 4, "label": 7}}, "path label must be a string, got 7"),
             ({"diff": 5.0}, "diff must be mean_on - mean_off, got 5.0"),
+            (
+                {"config": {"mode": "analog", "pupd": "none", "output_value": "low",
+                            "output_type": "push_pull", "bogus": 1}},
+                "unknown keys ['bogus']",
+            ),
         ],
     )
     def test_bad_record_field_exit_2(self, tmp_path, capsys, field, message):
@@ -434,6 +442,23 @@ class TestReportCommand:
         code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
         assert code == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("sweep", ("--out", "sweep_out")),
+        ("ber", ("--bits", 10)),
+        ("simulate", ("--bits", 10, "--out", "x.trace")),
+        ("protocol-loopback", ()),
+    ],
+)
+def test_negative_seed_is_usage_error(mini_scenario, tmp_path, monkeypatch, capsys, command,
+                                      flags):
+    monkeypatch.chdir(tmp_path)
+    code = run_cli(command, "--scenario", mini_scenario, "--seed", -1, *flags)
+    assert code == 2
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestProtocolLoopbackCommand:
@@ -524,6 +549,13 @@ class TestScenarioFieldTypes:
             (
                 lambda d: d["transmission"].update(path=2),
                 "transmission.path: path 2 outside 0..1",
+            ),
+            (lambda d: d.update(seed=-1), "seed: must be >= 0, got -1"),
+            (
+                lambda d: d["dut"]["coupling"][0].update(
+                    config={**config_to_dict(recommended_configs()[0]), "bogus": 1}
+                ),
+                "unknown keys ['bogus']",
             ),
         ],
     )

@@ -1,7 +1,11 @@
 """Device physics: coupling, rectification, bandwidth, impairments, ADC."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adcradio.backend import RfStimulus
 from adcradio.simulator import (
@@ -156,6 +160,59 @@ class TestAddImpairments:
         late = np.var(out[-1000:] - out[-1000])
         assert abs(out[-1]) > abs(out[0])
         assert out[20_000:].var() > out[:100].var()
+
+    @example(  # a burst carried in, and new ones lasting two of the six states
+        noise_sigma=6.0,
+        drift=DriftSpec(walk_step=0.01, sine_amplitude=2.0, sine_period_s=8.0),
+        burst=BurstSpec(rate_per_s=500.0, amplitude=60.0, duration_s=0.004),
+        states=6,
+        n=20,
+        start=_DeviceState(sample_index=95, walk_value=-3.5, burst_left=50),
+        seed=2,
+    )
+    @given(
+        noise_sigma=st.sampled_from([0.0, 0.7, 3.0]),
+        drift=st.builds(
+            DriftSpec,
+            walk_step=st.just(0.0) | st.floats(0.01, 0.5),
+            sine_amplitude=st.just(0.0) | st.floats(0.5, 20.0),
+            sine_period_s=st.floats(1e-3, 0.1),
+        ),
+        burst=st.just(BurstSpec())
+        | st.builds(
+            BurstSpec,
+            rate_per_s=st.floats(50.0, 2000.0),
+            amplitude=st.floats(-40.0, 40.0),
+            duration_s=st.floats(1e-4, 2e-2),
+        ),
+        states=st.integers(1, 8),
+        n=st.integers(1, 40),
+        start=st.builds(
+            _DeviceState,
+            sample_index=st.integers(0, 10**6),
+            walk_value=st.floats(-50.0, 50.0),
+            burst_left=st.integers(0, 400),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_call_over_a_pass_equals_one_call_per_state(
+        self, noise_sigma, drift, burst, states, n, start, seed
+    ):
+        model = CouplingModel(noise_sigma=noise_sigma, drift=drift, burst=burst)
+        values = np.linspace(1000.0, 3000.0, states * n)
+        batched, reference = replace(start), replace(start)
+        batched_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        out = _impair(values, model, batched_rng, batched, 10_000.0, states)
+        expected = [
+            _impair(part, model, reference_rng, reference, 10_000.0)
+            for part in values.reshape(states, n)
+        ]
+
+        assert out.tobytes() == np.concatenate(expected).tobytes()
+        assert out is not values
+        assert batched == reference  # sample_index, walk_value and burst_left
+        assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestAdcSample:
