@@ -13,6 +13,7 @@ carrying a schema_version, so they stay bit-exact, diffable, and readable:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -52,6 +53,8 @@ def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
         header = json.loads(text)
     except ValueError as exc:
         raise FileFormatError(f"{path}: bad {name} header: {exc}") from None
+    except RecursionError:
+        raise FileFormatError(f"{path}: bad {name} header: JSON nested too deeply") from None
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: bad {name} header: not a JSON object")
     if not schema_version_is(header, version):
@@ -197,12 +200,6 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
         raise FileFormatError(f"bad sensitivity record {obj!r}: {exc}") from None
 
 
-# The prefix of the last record_line call: (path, config, encoded prefix).
-# Records of one sweep cell share their path and config objects, so the
-# prefix is encoded once per cell; the tuple is replaced whole, never edited.
-_last_prefix: tuple = (None, None, "")
-
-
 def _json_number(value) -> str:
     """A number as json.dumps writes it: float repr when finite."""
     if type(value) is float and value - value == 0.0:
@@ -210,51 +207,97 @@ def _json_number(value) -> str:
     return json.dumps(value)
 
 
-def record_line(record: SensitivityRecord) -> str:
-    """The JSON line of a record, equal to json.dumps(record_to_dict(record)).
-
-    The path/config prefix is encoded by json.dumps once per run of records
-    sharing the same path and config objects; finite floats are written with
-    float repr, as json.dumps writes them, and everything else goes through
-    json.dumps.
-    """
-    global _last_prefix
-    path, config, prefix = _last_prefix
-    if record.path is not path or record.config is not config:
-        head = {
-            "path": {"index": record.path.index, "label": record.path.label},
-            "config": config_to_dict(record.config),
-        }
-        prefix = json.dumps(head)[:-1] + ', "freq_hz": '
-        _last_prefix = (record.path, record.config, prefix)
-    snr = snr_to_json(record.snr)
+def _snr_text(snr) -> str:
+    """The JSON text of an SNR, as json.dumps writes snr_to_json(snr)."""
+    snr = snr_to_json(snr)
     if isinstance(snr, dict):
-        snr_text = '{"db": ' + _json_number(snr["db"]) + "}"
-    else:
-        snr_text = json.dumps(snr)
-    tail = "}"
-    if record.failed:
-        tail = ', "failed": true, "error": ' + json.dumps(record.error) + "}"
-    return (
-        f"{prefix}{_json_number(record.freq_hz)}"
-        f', "mean_on": {_json_number(record.mean_on)}'
-        f', "mean_off": {_json_number(record.mean_off)}'
-        f', "diff": {_json_number(record.diff)}'
-        f', "var_off": {_json_number(record.var_off)}'
-        f', "snr": {snr_text}{tail}'
-    )
+        return '{"db": ' + _json_number(snr["db"]) + "}"
+    return json.dumps(snr)
+
+
+def _run_lines(run: list[SensitivityRecord], freq_texts: dict[float, str]) -> str:
+    """The lines of a run of records sharing one path and config object,
+    each ``json.dumps(record_to_dict(r)) + "\n"``, joined.
+
+    The path/config prefix is encoded once. A record that has not failed,
+    whose ``freq_hz``, statistics and SNR are exact floats and whose
+    ``freq_hz`` and statistics are finite, is written with ``!r``, which on
+    an exact float is float.__repr__, as json.dumps writes a finite float.
+    Its ``freq_hz`` text comes from ``freq_texts`` and its ``var_off`` text
+    is reused while the value repeats (a sweep pools one variance over all
+    frequencies of a cell). Zeros are never reused: 0.0 and -0.0 compare equal but print
+    apart. Any other record is written field by field under the json.dumps
+    rules.
+    """
+    head = {
+        "path": {"index": run[0].path.index, "label": run[0].path.label},
+        "config": config_to_dict(run[0].config),
+    }
+    prefix = json.dumps(head)[:-1] + ', "freq_hz": '
+    lines = []
+    var = var_text = None
+    for r in run:
+        freq, on, off, diff, var_off, snr = (
+            r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr
+        )
+        if (
+            not r.failed
+            and type(freq) is type(on) is type(off) is type(diff) is type(var_off) is float
+            and type(snr) is float
+            # The sum is finite only if every term is (an overflow merely
+            # sends the record the general way).
+            and math.isfinite(freq + on + off + diff + var_off)
+        ):
+            if var_off != var or not var_off:
+                var, var_text = var_off, repr(var_off)
+            freq_text = freq_texts.get(freq)
+            if freq_text is None:
+                freq_text = repr(freq)
+                if freq:
+                    freq_texts[freq] = freq_text
+            snr_text = f'{{"db": {snr!r}}}' if snr - snr == 0.0 else _snr_text(snr)
+            lines.append(
+                f'{prefix}{freq_text}, "mean_on": {on!r}, "mean_off": {off!r}'
+                f', "diff": {diff!r}, "var_off": {var_text}, "snr": {snr_text}}}\n'
+            )
+        else:
+            tail = "}\n"
+            if r.failed:
+                tail = ', "failed": true, "error": ' + json.dumps(r.error) + "}\n"
+            lines.append(
+                f'{prefix}{_json_number(freq)}, "mean_on": {_json_number(on)}'
+                f', "mean_off": {_json_number(off)}, "diff": {_json_number(diff)}'
+                f', "var_off": {_json_number(var_off)}, "snr": {_snr_text(snr)}{tail}'
+            )
+    return "".join(lines)
+
+
+def record_line(record: SensitivityRecord) -> str:
+    """The JSON line of a record, equal to json.dumps(record_to_dict(record))."""
+    return _run_lines([record], {})[:-1]
 
 
 def write_records(path: str | Path, records, header_extra: dict | None = None) -> None:
-    """Write a results file, one record_line per record, streamed."""
+    """Write a results file, one record per line, streamed: ``records`` may
+    be any iterable, and one run of records sharing their path and config
+    objects is held at a time. The ``freq_hz`` texts are reused across the
+    runs of one call only."""
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
         **(header_extra or {}),
     }
+    freq_texts: dict[float, str] = {}
+    run: list[SensitivityRecord] = []
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        f.writelines(record_line(record) + "\n" for record in records)
+        for record in records:
+            if run and (record.path is not run[0].path or record.config is not run[0].config):
+                f.write(_run_lines(run, freq_texts))
+                run = []
+            run.append(record)
+        if run:
+            f.write(_run_lines(run, freq_texts))
 
 
 def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
@@ -271,9 +314,12 @@ def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
             if not text:
                 continue
             try:
-                records.append(record_from_dict(json.loads(text)))
-            except json.JSONDecodeError as exc:
+                obj = json.loads(text)
+            except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
                 raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
+            except RecursionError:
+                raise FileFormatError(f"{path}:{lineno}: JSON nested too deeply") from None
+            records.append(record_from_dict(obj))
     return header, records
 
 

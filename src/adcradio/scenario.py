@@ -284,8 +284,10 @@ def load_scenario(path: str | Path | Traversable) -> Scenario:
         raise ScenarioError(f"scenario not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ScenarioError(f"{path}: JSON nested too deeply") from None
     return scenario_from_dict(doc, name=Path(path.name).stem)
 
 

@@ -109,9 +109,15 @@ def snr_from_json(obj) -> float:
     raise ValueError(f"bad serialized SNR {obj!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SensitivityRecord:
-    """One sweep cell: statistics and SNR for (path, config, frequency)."""
+    """One sweep cell: statistics and SNR for (path, config, frequency).
+
+    A plain value object: nothing mutates or hashes a record once made (not
+    frozen, since a frozen slots dataclass costs about five times as much to
+    build, and a sweep builds one per cell). Use dataclasses.replace for a
+    changed copy.
+    """
 
     path: ReceptionPathId
     config: PathConfig
@@ -236,8 +242,10 @@ def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[Sensiti
     """Records of one (path, config) from its (n_freqs, 2, samples) off/on
     codes; the statistics of all frequencies are computed together.
 
-    The statistics of the frequencies that captured fill four columns whose
-    failed entries stay None; one comprehension then builds every record.
+    The statistics of the frequencies that captured become plain float
+    lists, walked by one iterator; one comprehension then builds every
+    record, taking the next row of statistics for a frequency that captured
+    and making a failed record for one that did not.
     """
     ok = np.array([exc is None for exc in errors])
     n_capture = plan.blocks_per_state + SETTLE_BLOCKS
@@ -246,26 +254,21 @@ def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[Sensiti
     off, on = means[:, 0], means[:, 1]
     mean_on = on.mean(axis=1)
     mean_off = off.mean(axis=1)
+    diff = (mean_on - mean_off).tolist()
     if pool:
-        var_off = np.full(len(off), _off_variance(off.ravel()))
+        var_off = [float(_off_variance(off.ravel()))] * len(diff)
     else:
-        var_off = _off_variance(off)
-    columns = np.full((4, len(errors)), None, dtype=object)
-    columns[:, ok] = (mean_on, mean_off, mean_on - mean_off, var_off)
+        var_off = _off_variance(off).tolist()
+    stats = zip(
+        mean_on.tolist(), mean_off.tolist(), diff, var_off, map(snr_from_stats, diff, var_off)
+    )
     return [
-        SensitivityRecord(
-            path,
-            config,
-            freq,
-            on_f,
-            off_f,
-            diff,
-            var,
-            -math.inf if exc is not None else snr_from_stats(diff, var),
-            exc is not None,
-            None if exc is None else str(exc),
+        SensitivityRecord(path, config, freq, *next(stats))
+        if exc is None
+        else SensitivityRecord(
+            path, config, freq, None, None, None, None, -math.inf, True, str(exc)
         )
-        for freq, on_f, off_f, diff, var, exc in zip(plan.freqs_hz, *columns.tolist(), errors)
+        for freq, exc in zip(plan.freqs_hz, errors)
     ]
 
 

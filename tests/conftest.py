@@ -3,7 +3,7 @@
 Property tests run under one derandomized Hypothesis profile with a fixed
 example count and no example database, so every run of the suite draws the
 same examples. The "adcradio-1000" profile is the same with 1,000 examples;
-CI runs the batched-capture properties under it with
+CI runs the batched-capture and record-file properties under it with
 ``--hypothesis-profile adcradio-1000``.
 """
 

@@ -569,6 +569,35 @@ class TestScenarioFieldTypes:
         assert not out.exists()
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the parser's recursion limit is a usage error naming
+    the file, not a RecursionError traceback."""
+
+    DEEP = "[" * 200_000 + "]" * 200_000
+
+    def test_results_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        bad.write_text(json.dumps(header) + "\n" + self.DEEP + "\n")
+        code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert f"{bad}:2: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_trace_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.trace"
+        bad.write_text(self.DEEP + "\n2048\n")
+        assert run_cli("demod", "--trace", bad) == 2
+        assert f"{bad}: bad trace header: JSON nested too deeply" in capsys.readouterr().err
+
+    def test_scenario_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text(self.DEEP)
+        out = tmp_path / "x.trace"
+        assert run_cli("simulate", "--scenario", bad, "--bits", 10, "--out", out) == 2
+        assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBundledLinkReproduction:
     """The shipped near/far scenarios decode as calibrated, end to end
     through the file-based CLI workflow."""

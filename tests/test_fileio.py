@@ -341,25 +341,30 @@ class TestResultsFiles:
         assert back == records
 
 
-def _labels():
-    return st.text(max_size=8) | st.sampled_from(
-        ['q"uote', "back\\slash", "caf\u00e9 \u65e5\u672c", "tab\tnl\n\x00\x7f", ""]
-    )
-
-
 _STATISTICS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, -0.0, 1e-5, 1e16, 2048.0, 5e-324]
 )
+_LABELS = st.text(max_size=8) | st.sampled_from(
+    ['q"uote', "back\\slash", "caf\u00e9 \u65e5\u672c", "tab\tnl\n\x00\x7f", ""]
+)
+_CONFIGS = st.sampled_from(enumerate_configs())
+_FREQS = st.floats(1.0, 1e10) | st.sampled_from([2e8, 1e16, 1e-5])
+_SNRS = st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, -0.0])
+_ERRORS = st.text(max_size=20) | st.just("line one\nline two: \"quoted\" \\")
 
 
 @st.composite
-def sensitivity_records(draw):
-    path = ReceptionPathId(draw(st.integers(0, 10**6)), draw(_labels()))
-    config = draw(st.sampled_from(enumerate_configs()))
-    freq = draw(st.floats(1.0, 1e10) | st.sampled_from([2e8, 1e16, 1e-5]))
-    snr = draw(st.floats(allow_nan=False) | st.sampled_from([math.inf, -math.inf, -0.0]))
+def sensitivity_records(draw, cell=None):
+    """A record of ``cell``, a (path, config) pair, or of a drawn one."""
+    if cell is None:
+        path = ReceptionPathId(draw(st.integers(0, 10**6)), draw(_LABELS))
+        config = draw(_CONFIGS)
+    else:
+        path, config = cell
+    freq = draw(_FREQS)
+    snr = draw(_SNRS)
     if draw(st.booleans()):
-        error = draw(st.text(max_size=20) | st.just("line one\nline two: \"quoted\" \\"))
+        error = draw(_ERRORS)
         return SensitivityRecord(
             path, config, freq, None, None, None, None, -math.inf, failed=True, error=error
         )
@@ -384,11 +389,89 @@ class TestRecordLine:
         ]
     )
     def test_equals_json_dumps_of_record_to_dict(self, records):
-        # Runs sharing path/config objects exercise the cached prefix; the
-        # repeat of the first record after the others checks it is refreshed.
+        # record_line keeps no state between calls: records sharing path and
+        # config objects, and the first record again after the others, each
+        # give their own line.
         shared = [replace(r, path=records[0].path, config=records[0].config) for r in records]
         for record in records + shared + records[:1]:
             assert record_line(record) == json.dumps(record_to_dict(record))
+
+
+# Values json.dumps writes its own way, which the writer must send the
+# general way: non-finite floats, ints, bools and signed zeros.
+_ODD_VALUES = st.sampled_from(
+    [math.nan, math.inf, -math.inf, 0.0, -0.0, 0, 7, -3, True, False, 10**20]
+)
+_NUMBER_FIELDS = ("freq_hz", "mean_on", "mean_off", "diff", "var_off", "snr")
+
+
+@st.composite
+def record_runs(draw):
+    """Records of up to three cells, in runs of records sharing the path and
+    config objects of one cell or equal copies of them, cells interleaved,
+    with some numbers replaced by odd values."""
+    cells = [(r.path, r.config) for r in draw(st.lists(sensitivity_records(), max_size=3))]
+    records = []
+    for _ in range(draw(st.integers(0, 4)) if cells else 0):
+        path, config = draw(st.sampled_from(cells))
+        if draw(st.booleans()):
+            path, config = ReceptionPathId(path.index, path.label), replace(config)
+        for record in draw(st.lists(sensitivity_records((path, config)), min_size=1, max_size=3)):
+            odd = draw(st.dictionaries(st.sampled_from(_NUMBER_FIELDS), _ODD_VALUES, max_size=2))
+            records.append(replace(record, **odd))
+    return records
+
+
+def _zero_record(freq, on, off, var, snr):
+    return SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, freq, on, off, on - off, var, snr)
+
+
+_OTHER_PATH = ReceptionPathId(8, "P8")
+_OTHER_CONFIG = enumerate_configs()[5]
+
+
+class TestWriteRecords:
+    @given(record_runs())
+    @example(
+        [
+            # Two paths sharing one config object, interleaved.
+            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 2e8, 1.5, 0.5, 1.0, 0.25, 6.0),
+            SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 2e8, 1.5, 0.5, 1.0, 0.25, 6.0),
+            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 3e8, 1.5, 0.5, 1.0, 0.25, 6.0),
+            # A failed record with statistics, as read_records may load one.
+            SensitivityRecord(
+                _OTHER_PATH, _SPECIAL_CONFIG, 3e8, 1.5, 0.5, 1.0, 0.25, -math.inf,
+                failed=True, error="e",
+            ),
+            # Bool and int SNRs and statistics.
+            SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 4e8, 1.5, 0.5, 1.0, 0.25, True),
+            SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 5e8, 2, 1, 1, 0, 7),
+            SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 6e8, True, False, 1, 0.5, 2.0),
+            # The same path object under another config.
+            SensitivityRecord(_OTHER_PATH, _OTHER_CONFIG, 6e8, 1.5, 0.5, 1.0, 0.25, 6.0),
+        ]
+    )
+    @example(
+        [
+            _zero_record(0.0, 0.0, -0.0, 0.0, -math.inf),
+            _zero_record(-0.0, -0.0, 0.0, -0.0, 0.0),
+            _zero_record(0.0, 1.5, 1.5, -0.0, -0.0),
+            _zero_record(-0.0, 1.5, 0.5, 0.0, 0.0),
+            _zero_record(2e8, 1.5, 0.5, 0.25, 6.0),
+            _zero_record(2e8, 1.5, 0.5, 0.25, math.nan),
+        ]
+    )
+    def test_bytes_equal_json_dumps_of_each_record(self, tmp_path_factory, records):
+        header = {"schema_version": 1, "kind": "sensitivity-records", "seed": 3}
+        want = "".join(
+            line + "\n"
+            for line in [json.dumps(header)] + [json.dumps(record_to_dict(r)) for r in records]
+        ).encode()
+        path = tmp_path_factory.getbasetemp() / "written.jsonl"
+        write_records(path, records, header_extra={"seed": 3})
+        assert path.read_bytes() == want
+        write_records(path, (r for r in records), header_extra={"seed": 3})
+        assert path.read_bytes() == want
 
 
 class TestBerCurveFiles:
@@ -623,3 +706,88 @@ class TestScenario:
     def test_bundled_unknown_name(self):
         with pytest.raises(ScenarioError, match="no bundled scenario"):
             bundled_scenario_path("does_not_exist")
+
+
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def valid_records():
+    """Records that read_records accepts: an ok record's diff is exactly
+    mean_on - mean_off and its var_off is >= 0."""
+    return (
+        sensitivity_records()
+        .map(
+            lambda r: r
+            if r.failed
+            else replace(r, diff=r.mean_on - r.mean_off, var_off=abs(r.var_off))
+        )
+        .filter(lambda r: r.failed or math.isfinite(r.diff))
+    )
+
+
+@st.composite
+def mutated_record_lines(draw):
+    """A valid record line with one field, at any depth, replaced by another
+    JSON value or deleted."""
+    doc = record_to_dict(draw(valid_records()))
+    key_path = draw(st.sampled_from(list(key_paths(doc))))
+    parent = doc
+    for key in key_path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[key_path[-1]]
+    else:
+        parent[key_path[-1]] = draw(JSON_VALUES)
+    return json.dumps(doc)
+
+
+# (line, whether the writer wrote it): a valid results line, one with a
+# field mutated, deeply nested JSON on its own or in place of a field, or any
+# text.
+RESULTS_LINES = st.one_of(
+    valid_records().map(lambda r: (record_line(r), True)),
+    *(
+        lines.map(lambda line: (line, False))
+        for lines in (
+            mutated_record_lines(),
+            st.sampled_from([10, 900, 990, 1000, 5000, 200_000]).map(_nested),
+            st.sampled_from([900, 990, 5000]).map(
+                lambda depth: json.dumps(TestResultsFiles.GOOD_RECORD).replace(
+                    '"P4"', _nested(depth)
+                )
+            ),
+            st.text(max_size=40),
+        )
+    ),
+)
+
+
+class TestReadRecordsProperty:
+    @given(case=RESULTS_LINES)
+    @example(case=(_nested(200_000), False))
+    @example(case=("1" * 5000, False))
+    @example(
+        case=(json.dumps(TestResultsFiles.GOOD_RECORD).replace("2050.0", "1" * 5000), False)
+    )
+    def test_a_line_loads_and_writes_back_or_is_a_file_format_error(
+        self, tmp_path_factory, case
+    ):
+        line, written_by_the_writer = case
+        base = tmp_path_factory.getbasetemp()
+        source = base / "line.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        source.write_text(json.dumps(header) + "\n" + line + "\n", encoding="utf-8")
+        try:
+            _, records = read_records(source)
+        except FileFormatError:
+            assert not written_by_the_writer
+            return
+        first, second = base / "first.jsonl", base / "second.jsonl"
+        write_records(first, records)
+        _, back = read_records(first)
+        write_records(second, back)
+        assert back == records
+        assert second.read_bytes() == first.read_bytes()
+        if written_by_the_writer:
+            assert first.read_text(encoding="utf-8").splitlines()[1:] == [line]

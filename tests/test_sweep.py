@@ -1,5 +1,6 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
+import json
 import math
 import random
 import warnings
@@ -19,10 +20,13 @@ from adcradio.backend import (
     SimulatedRfSource,
     SimulatorBackend,
 )
-from adcradio.fileio import write_records
+from adcradio import sweep
+from adcradio.fileio import record_to_dict, write_records
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend, _data_frame
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
+    SETTLE_BLOCKS,
+    SensitivityRecord,
     SweepPlan,
     block_mean,
     classify_sensitive,
@@ -213,6 +217,40 @@ class TestConfigSpace:
         assert set(recommended_configs()) <= set(enumerate_configs())
 
 
+def reference_cell_records(path, config, plan, codes, errors, pool):
+    """sweep._cell_records as first written: the statistics of the
+    frequencies that captured scattered into four object columns whose failed
+    entries stay None, then one record per frequency."""
+    ok = np.array([exc is None for exc in errors])
+    n_capture = plan.blocks_per_state + SETTLE_BLOCKS
+    means = block_mean(codes[ok], plan.samples_per_block)
+    means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
+    off, on = means[:, 0], means[:, 1]
+    mean_on = on.mean(axis=1)
+    mean_off = off.mean(axis=1)
+    if pool:
+        var_off = np.full(len(off), sweep._off_variance(off.ravel()))
+    else:
+        var_off = sweep._off_variance(off)
+    columns = np.full((4, len(errors)), None, dtype=object)
+    columns[:, ok] = (mean_on, mean_off, mean_on - mean_off, var_off)
+    records = []
+    for freq, on_f, off_f, diff, var, exc in zip(plan.freqs_hz, *columns.tolist(), errors):
+        if exc is None:
+            records.append(
+                SensitivityRecord(
+                    path, config, freq, on_f, off_f, diff, var, snr_from_stats(diff, var)
+                )
+            )
+        else:
+            records.append(
+                SensitivityRecord(
+                    path, config, freq, None, None, None, None, -math.inf, True, str(exc)
+                )
+            )
+    return records
+
+
 def small_rig(coupling=None, noise=0.0, seed=0, n_paths=3):
     adc = AdcConfig(samples_per_block=16)
     dut = SimulatedDut(
@@ -383,6 +421,53 @@ class TestRunSweep:
         assert records[1].error == "sample line 0: non-hex character '-' at column 16"
         assert records[4].error == "sample 1: code 5000 above full scale 4095"
         assert all(r.var_off > 0 for r in records if not r.failed)
+
+    def test_serial_cell_with_failed_and_ok_frequencies_matches_the_reference(
+        self, monkeypatch
+    ):
+        # _cell_records builds ok and failed frequencies in one comprehension;
+        # its records must equal those of the column-by-column reference for
+        # a cell in which some frequencies failed (SMP 3 and 9, the off
+        # captures at frequencies 1 and 4 of path 0) and one in which none did.
+        made = []
+
+        def recording_cell_records(*args):
+            records = real_cell_records(*args)
+            made.append((args, records))
+            return records
+
+        real_cell_records = sweep._cell_records
+        monkeypatch.setattr(sweep, "_cell_records", recording_cell_records)
+
+        class CorruptingServer(DutProtocolServer):
+            smp = 0
+
+            def handle_line(self, line):
+                lines = super().handle_line(line)
+                if line[5:].startswith("SMP"):
+                    self.smp += 1
+                    if self.smp in (3, 9):
+                        lines[1] = lines[1][:21] + "-1" + lines[1][23:]
+                return lines
+
+        backend, source, adc = small_rig(noise=1.0, seed=9)
+        client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
+        records = run_sweep(self.make_plan(adc, 2, 1, 6), client, source)
+        assert [r.failed for r in records] == [False, True, False, False, True, False] + [False] * 6
+        assert len(made) == 2
+        for args, got in made:
+            want = reference_cell_records(*args)
+            assert got == want
+            assert [json.dumps(record_to_dict(r)) for r in got] == [
+                json.dumps(record_to_dict(r)) for r in want
+            ]
+        for r in records[:6]:
+            if r.failed:
+                assert (r.mean_on, r.mean_off, r.diff, r.var_off) == (None,) * 4
+                assert r.snr == -math.inf
+                assert r.error == "sample line 0: non-hex character '-' at column 16"
+            else:
+                assert r.error is None and r.var_off > 0 and r.snr > -math.inf
 
     def test_affine_invariance_through_pipeline(self):
         # one cell's records: shifting/scaling every sample leaves SNR alone;
