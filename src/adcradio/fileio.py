@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
@@ -44,6 +45,31 @@ MANIFEST_SCHEMA_VERSION = 1
 
 class FileFormatError(ValueError):
     """Unreadable or schema-incompatible artifact file."""
+
+
+# Characters of a reason kept in an error message; a reason quotes the value
+# it refuses, which may be a whole deeply nested JSON value.
+_MAX_REASON_CHARS = 200
+
+
+def _open_text(path: Path):
+    """``path`` open for reading as UTF-8 text. Bytes that are not UTF-8 are
+    kept as lone surrogates (surrogateescape) for _utf8_line to report."""
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _utf8_line(path: Path, lineno: int, line: str) -> str:
+    """A line read by _open_text; a FileFormatError naming ``<file>:<line>``
+    if the file held bytes there that are not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
+            raise FileFormatError(
+                f"{path}:{lineno}: not UTF-8 text: byte 0x{byte:02X} at column {exc.start + 1}"
+            ) from None
+    return line
 
 
 def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
@@ -99,8 +125,9 @@ def read_trace(path: str | Path) -> AdcTrace:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"trace not found: {path}")
-    with open(path) as f:
-        header = _header(path, f.readline(), "trace", "adc-trace", TRACE_SCHEMA_VERSION)
+    with _open_text(path) as f:
+        text = _utf8_line(path, 1, f.readline())
+        header = _header(path, text, "trace", "adc-trace", TRACE_SCHEMA_VERSION)
         for name in _ADC_FIELDS:
             if name not in header:
                 raise FileFormatError(f"{path}: trace header lacks {name!r}")
@@ -113,7 +140,7 @@ def read_trace(path: str | Path) -> AdcTrace:
         full_scale = config.full_scale
         samples = []
         for lineno, line in enumerate(f, start=2):
-            text = line.strip()
+            text = _utf8_line(path, lineno, line).strip()
             if not text:
                 continue
             try:
@@ -160,7 +187,7 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
     statistics must be finite numbers, or null on a failed record;
     ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on - mean_off``,
     ``failed`` a JSON bool and ``error`` a string or null. A violation is a
-    FileFormatError.
+    FileFormatError quoting a bounded excerpt of ``obj``.
     """
     try:
         index = json_int(obj["path"]["index"], "path index")
@@ -197,7 +224,10 @@ def record_from_dict(obj: dict) -> SensitivityRecord:
             error=error,
         )
     except (KeyError, TypeError, ValueError, ScenarioError) as exc:
-        raise FileFormatError(f"bad sensitivity record {obj!r}: {exc}") from None
+        reason = str(exc)
+        if len(reason) > _MAX_REASON_CHARS:
+            reason = reason[:_MAX_REASON_CHARS] + "..."
+        raise FileFormatError(f"bad sensitivity record {reprlib.repr(obj)}: {reason}") from None
 
 
 def _json_number(value) -> str:
@@ -304,13 +334,17 @@ def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"results not found: {path}")
-    with open(path) as f:
+    with _open_text(path) as f:
         header = _header(
-            path, f.readline(), "results", "sensitivity-records", RESULTS_SCHEMA_VERSION
+            path,
+            _utf8_line(path, 1, f.readline()),
+            "results",
+            "sensitivity-records",
+            RESULTS_SCHEMA_VERSION,
         )
         records = []
         for lineno, line in enumerate(f, start=2):
-            text = line.strip()
+            text = _utf8_line(path, lineno, line).strip()
             if not text:
                 continue
             try:
@@ -319,7 +353,10 @@ def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
                 raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
             except RecursionError:
                 raise FileFormatError(f"{path}:{lineno}: JSON nested too deeply") from None
-            records.append(record_from_dict(obj))
+            try:
+                records.append(record_from_dict(obj))
+            except FileFormatError as exc:
+                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     return header, records
 
 
@@ -337,9 +374,9 @@ def read_bits(path: str | Path) -> BitSequence:
     if not path.exists():
         raise FileFormatError(f"bits file not found: {path}")
     values = []
-    with open(path) as f:
+    with _open_text(path) as f:
         for lineno, line in enumerate(f, start=1):
-            text = line.strip()
+            text = _utf8_line(path, lineno, line).strip()
             if not text:
                 continue
             if text not in ("0", "1"):
@@ -376,7 +413,9 @@ def read_ber_curve(path: str | Path) -> list[dict]:
     path = Path(path)
     if not path.exists():
         raise FileFormatError(f"ber-curve not found: {path}")
-    doc = _header(path, path.read_text(), "ber-curve", "ber-curve", BER_CURVE_SCHEMA_VERSION)
+    with _open_text(path) as f:
+        text = "".join(_utf8_line(path, lineno, line) for lineno, line in enumerate(f, start=1))
+    doc = _header(path, text, "ber-curve", "ber-curve", BER_CURVE_SCHEMA_VERSION)
     points = doc.get("points")
     if not isinstance(points, list):
         raise FileFormatError(f"{path}: ber-curve points must be a list, got {points!r}")

@@ -147,14 +147,14 @@ def encode_command(cmd: Command) -> str:
 
 def _split_fields(line: str) -> list[str]:
     fields = line.split(" ")
-    for pos, f in enumerate(fields):
-        if f == "":
-            raise ProtocolError(f"field {pos}: empty (check spacing)")
+    if "" in fields:
+        raise ProtocolError(f"field {fields.index('')}: empty (check spacing)")
     return fields
 
 
 def _parse_uint(field: str, pos: int, name: str) -> int:
-    if not field.isdigit():
+    # str.isdigit also accepts digits that int() refuses, such as "\u00b2".
+    if not (field.isascii() and field.isdigit()):
         raise ProtocolError(f"field {pos} ({name}): invalid unsigned integer {field!r}")
     if len(field) > _MAX_INT_DIGITS:
         raise ProtocolError(f"field {pos} ({name}): integer too long")
@@ -190,8 +190,12 @@ def decode_command(line: str | bytes) -> Command:
     Rejects anything malformed with a ProtocolError carrying position info;
     never raises anything else, regardless of input bytes.
     """
-    line = _text_line(line)
-    if any(c in line for c in "\r\n\x00"):
+    return _parse_command(_text_line(line))
+
+
+def _parse_command(line: str) -> Command:
+    """decode_command of a line that _text_line has already checked."""
+    if "\r" in line or "\n" in line or "\x00" in line:
         raise ProtocolError("line contains control characters")
     if line == "":
         raise ProtocolError("empty line")
@@ -233,7 +237,7 @@ def _err_line(message: str) -> str:
 
 
 _TAG = re.compile("[0-9A-F]{4} ")
-_HEX_TEXT = re.compile("[0-9A-F]*")
+_CRC_TEXT = re.compile("[0-9A-F]{8}")
 _NOT_HEX = re.compile("[^0-9A-F]")
 
 
@@ -253,7 +257,7 @@ def _data_header(line: str) -> tuple[int, int]:
     if len(fields) != 3 or fields[0] != "DATA":
         raise ProtocolError(f"expected DATA header, got {line!r}")
     count = _parse_uint(fields[1], 1, "count")
-    if not (len(fields[2]) == 8 and _HEX_TEXT.fullmatch(fields[2])):
+    if not _CRC_TEXT.fullmatch(fields[2]):
         raise ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {fields[2]!r}")
     return count, int(fields[2], 16)
 
@@ -271,9 +275,14 @@ def _frame_codes(lines: list[str], count: int, crc: int, full_scale: int) -> np.
     full, rest = divmod(count, CODES_PER_LINE)
     widths = [_LINE_DIGITS] * full + [4 * rest] * (rest > 0)
     text = "".join(lines)
-    if list(map(len, lines)) != widths or not _HEX_TEXT.fullmatch(text):
+    try:
+        packed = bytes.fromhex(text)
+    except ValueError:
+        packed = b""
+    # bytes.fromhex skips ASCII whitespace and takes lowercase digits; the
+    # length and upper() checks refuse both, so only uppercase hex passes.
+    if list(map(len, lines)) != widths or len(packed) != 2 * count or text.upper() != text:
         raise _bad_sample_line(lines, widths)
-    packed = bytes.fromhex(text)
     actual = zlib.crc32(packed)
     if actual != crc:
         raise ProtocolError(f"DATA header: CRC-32 {crc:08X}, sample lines have {actual:08X}")
@@ -322,7 +331,7 @@ class DutProtocolServer:
         if line == self._last_request:
             return list(self._last_response)
         try:
-            lines = self._dispatch(decode_command(line[_TAG_CHARS:]))
+            lines = self._dispatch(_parse_command(line[_TAG_CHARS:]))
         except (ProtocolError, BackendError, ValueError, RuntimeError) as exc:
             lines = [_err_line(str(exc))]
         tag = line[:_TAG_CHARS]
@@ -388,6 +397,10 @@ class SerialBackend:
         self._adc: AdcConfig | None = None
         self._path: ReceptionPathId | None = None
         self._config: PathConfig | None = None
+        # The SMP command of the last capture, built once per configure and
+        # n_blocks. It is still encoded per request: benchmarks/run.py counts
+        # retries as requests sent less encode_command calls.
+        self._capture_command: CaptureCommand | None = None
 
     # -- protocol plumbing ---------------------------------------------------
 
@@ -460,15 +473,20 @@ class SerialBackend:
         self._adc = adc
         self._path = path
         self._config = config
+        self._capture_command = None
 
     def capture(self, n_blocks: int) -> AdcTrace:
-        if self._adc is None:
+        adc = self._adc
+        if adc is None:
             raise NotConfiguredError("capture before configure")
-        cmd = CaptureCommand(
-            n_blocks=int(n_blocks),
-            sample_rate_hz=int(self._adc.sample_rate_hz),
-            oversampling_ratio=self._adc.oversampling_ratio,
-        )
+        n_blocks = int(n_blocks)
+        cmd = self._capture_command
+        if cmd is None or cmd.n_blocks != n_blocks:
+            cmd = self._capture_command = CaptureCommand(
+                n_blocks=n_blocks,
+                sample_rate_hz=int(adc.sample_rate_hz),
+                oversampling_ratio=adc.oversampling_ratio,
+            )
         first = self._transact(encode_command(cmd))
         if first.startswith("ERR "):
             raise BackendError(first[4:])
@@ -486,19 +504,19 @@ class SerialBackend:
             raise ProtocolError(
                 f"DATA frame: expected END after {n_lines} sample lines, got {line!r}"
             )
-        expected = int(n_blocks) * self._adc.samples_per_block
+        expected = n_blocks * adc.samples_per_block
         if count != expected:
             raise ProtocolError(
                 f"device sent {count} samples, expected {expected}; "
                 "samples_per_block mismatch between host and device"
             )
-        samples = _frame_codes(lines, count, crc, self._adc.full_scale)
+        samples = _frame_codes(lines, count, crc, adc.full_scale)
         meta = {
             "path": self._path.index if self._path else None,
             "config": self._config,
             "transport": "serial",
         }
-        return AdcTrace(samples=samples, config=self._adc, meta=meta)
+        return AdcTrace(samples=samples, config=adc, meta=meta)
 
     def reset(self) -> None:
         self._check_ok(self._transact(encode_command(ResetCommand())))

@@ -17,10 +17,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Hashable, Mapping
 
 import numpy as np
-from scipy.signal import lfilter
+# _lowpass calls lfilter's kernel directly. lfilter stays a module attribute
+# because benchmarks/workloads.py traces simulator.lfilter by name.
+from scipy.signal import lfilter  # noqa: F401
+from scipy.signal._sigtools import _linear_filter
 
 from .signals import dbm_to_mw, fspl_db
 
@@ -186,21 +190,35 @@ def _lowpass_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
     return 1.0 - math.exp(-2.0 * math.pi * bandwidth_hz / sample_rate_hz)
 
 
+@lru_cache(maxsize=64)
+def _lowpass_coefficients(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only ``b`` and ``a`` of _lowpass's filter, built once per alpha."""
+    b = np.array([alpha])
+    a = np.array([1.0, alpha - 1.0])
+    b.flags.writeable = a.flags.writeable = False
+    return b, a
+
+
 def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarray, float]:
     """Single-pole IIR y[n] = y[n-1] + alpha*(x[n] - y[n-1]), continued from y_prev.
 
     Returns the output and its last value. Carrying the last output (rather
-    than recovering it from lfilter's final delay) makes a run split in two
-    calls bit-identical to one call over both halves.
+    than recovering it from the filter's final delay) makes a run split in
+    two calls bit-identical to one call over both halves.
+
+    The output is bit for bit that of ``lfilter([alpha], [1, alpha - 1], x,
+    zi=[(1 - alpha) * y_prev])``: this calls the first-order kernel behind
+    lfilter with exactly the arguments lfilter passes it, without the
+    wrapper's per-call checks, which cost several times the filtering of a
+    64-sample capture. The kernel is private scipy API; a test pins it to
+    lfilter. At alpha >= 1 the filter is the identity.
     """
     x = np.asarray(values, dtype=np.float64)
     if alpha >= 1.0:
         out = x.copy()
         return out, float(out[-1])
-    b = np.array([alpha])
-    a = np.array([1.0, alpha - 1.0])
-    zi = np.array([(1.0 - alpha) * y_prev])
-    out, _ = lfilter(b, a, x, zi=zi)
+    b, a = _lowpass_coefficients(alpha)
+    out, _ = _linear_filter(b, a, x, -1, np.array([(1.0 - alpha) * y_prev]))
     return out, float(out[-1])
 
 
@@ -282,14 +300,33 @@ def _impair(
     return out
 
 
+def _quantize(raw: np.ndarray, full_scale: int, ratio: int) -> np.ndarray:
+    """Int32 codes of raw conversions, ``ratio`` consecutive ones per code.
+
+    Each raw conversion rounds (half to even) and clamps one envelope value
+    into [0, full_scale]. At ratio > 1 each code is the rounded, clamped mean
+    of its ``ratio`` conversions. At ratio 1 the codes are the conversions
+    themselves: they are integers in range already, so a second rounding
+    would change nothing and is skipped. raw.size must be a multiple of
+    ratio.
+    """
+    fs = float(full_scale)
+    codes = np.rint(raw).clip(0.0, fs)
+    if ratio > 1:
+        codes = np.rint(codes.reshape(-1, ratio).mean(axis=1)).clip(0.0, fs)
+    return codes.astype(np.int32)
+
+
 def adc_sample(
     values: np.ndarray, adc: AdcConfig, n_samples: int | None = None, meta: dict | None = None
 ) -> AdcTrace:
     """Quantize an analog envelope into ADC codes with oversampling.
 
-    Each raw conversion rounds and clamps one envelope value into the ADC
-    range; each output code is the rounded, clamped mean of
-    ``oversampling_ratio`` consecutive raw conversions.
+    Each raw conversion rounds (half to even) and clamps one envelope value
+    into the ADC range. At oversampling ratio 1 each raw conversion is one
+    output code, with one rounding step; at a higher ratio each output code
+    is the rounded, clamped mean of ``oversampling_ratio`` consecutive raw
+    conversions. Capture passes quantize with the same rule.
     """
     x = np.asarray(values, dtype=np.float64)
     n_out = adc.samples_per_block if n_samples is None else int(n_samples)
@@ -299,11 +336,7 @@ def adc_sample(
         raise ValueError(
             f"envelope too short: need {needed} raw conversions, got {x.size}"
         )
-    fs = float(adc.full_scale)
-    raw = np.clip(np.rint(x[:needed]), 0.0, fs)
-    if ratio > 1:
-        raw = raw.reshape(n_out, ratio).mean(axis=1)
-    codes = np.clip(np.rint(raw), 0.0, fs).astype(np.int32)
+    codes = _quantize(x[:needed], adc.full_scale, ratio)
     return AdcTrace(samples=codes, config=adc, meta=meta or {})
 
 
@@ -456,8 +489,7 @@ class SimulatedDut:
         filtered, state.filter_value = _lowpass(offset, alpha, state.filter_value)
         analog = filtered + model.dc_operating_point
         analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, len(stimuli))
-        n_codes = analog.size // adc.oversampling_ratio
-        return adc_sample(analog, adc, n_samples=n_codes).samples
+        return _quantize(analog, adc.full_scale, adc.oversampling_ratio)
 
     def _coupled_offset(self, stimuli: list, n_raw: int) -> np.ndarray:
         """Detector output of every state of a pass, n_raw raw samples each.
@@ -504,15 +536,20 @@ class SimulatedDut:
                 )
                 power = inc_mw * m * m
             held.append((k, detector_output(power, gain, model.nonlinearity_exponent)))
-        if len(stimuli) == 1 and held:
-            return held[0][1]
-        offset = np.zeros((len(stimuli), n_raw))
-        for k, row in held:
-            offset[k] = row
         if rows:
             levels = detector_output(
                 np.array(powers_mw), np.array(gains), model.nonlinearity_exponent
             )
+        if len(stimuli) == 1:  # a one-state pass needs no scatter into rows
+            if held:
+                return held[0][1]
+            offset = np.empty(n_raw)
+            offset.fill(levels[0] if rows else 0.0)
+            return offset
+        offset = np.zeros((len(stimuli), n_raw))
+        for k, row in held:
+            offset[k] = row
+        if rows:
             offset[rows] = levels[:, None]
         return offset.reshape(-1)
 

@@ -441,7 +441,9 @@ class TestReportCommand:
         bad.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
         code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert f"{bad}:2: bad sensitivity record " in err
 
 
 @pytest.mark.parametrize(
@@ -583,6 +585,21 @@ class TestDeeplyNestedJson:
         assert code == 2
         assert f"{bad}:2: JSON nested too deeply" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("where", ["line", "field"])
+    def test_bad_record_quotes_a_bounded_excerpt(self, tmp_path, capsys, where):
+        # 900 levels parse, but the record they make is refused; the message
+        # names the line and quotes a bounded part of the value.
+        deep = "[" * 900 + "]" * 900
+        line = deep if where == "line" else '{"path": {"index": ' + deep + "}}"
+        bad = tmp_path / "deep.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        bad.write_text(json.dumps(header) + "\n" + line + "\n")
+        code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:2: bad sensitivity record ")
+        assert len(err) < len(str(bad)) + 400
+
     def test_trace_header_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "deep.trace"
         bad.write_text(self.DEEP + "\n2048\n")
@@ -596,6 +613,43 @@ class TestDeeplyNestedJson:
         assert run_cli("simulate", "--scenario", bad, "--bits", 10, "--out", out) == 2
         assert f"{bad}: JSON nested too deeply" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestUndecodableBytes:
+    """A byte that is not UTF-8 in a file the CLI reads is a usage error
+    naming the file and line, not the codec's message alone."""
+
+    def test_results_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "results.jsonl"
+        header = {"schema_version": 1, "kind": "sensitivity-records"}
+        bad.write_bytes(json.dumps(header).encode() + b"\n\xff\xfe\n")
+        code = run_cli("report", "--results", bad, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert f"{bad}:2: not UTF-8 text: byte 0xFF at column 1" in capsys.readouterr().err
+
+    def test_trace_header_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        header = json.dumps({"schema_version": 1, "kind": "adc-trace", "label": "x"})
+        bad.write_bytes(header.replace("x", "\xff").encode("latin-1") + b"\n2048\n")
+        assert run_cli("demod", "--trace", bad) == 2
+        column = header.index("x") + 1
+        err = capsys.readouterr().err
+        assert f"{bad}:1: not UTF-8 text: byte 0xFF at column {column}" in err
+
+    def test_ber_curve_line_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "curve.json"
+        bad.write_bytes(b'{"kind": "ber-curve",\n "schema_version": 1, "x": "\xff"}\n')
+        code = run_cli("report", "--results", bad, "--kind", "ber-curve", "--out", tmp_path / "x")
+        assert code == 2
+        assert f"{bad}:2: not UTF-8 text: byte 0xFF at column 29" in capsys.readouterr().err
+
+    def test_bits_line_exit_2(self, mini_scenario, tmp_path, capsys):
+        trace = tmp_path / "link.trace"
+        assert run_cli("simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace) == 0
+        bad = tmp_path / "bad.bits"
+        bad.write_bytes(b"0\n\xff\n1\n")
+        assert run_cli("demod", "--trace", trace, "--reference", bad) == 2
+        assert f"{bad}:2: not UTF-8 text: byte 0xFF at column 1" in capsys.readouterr().err
 
 
 class TestBundledLinkReproduction:

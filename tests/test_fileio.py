@@ -743,8 +743,8 @@ def mutated_record_lines(draw):
 
 
 # (line, whether the writer wrote it): a valid results line, one with a
-# field mutated, deeply nested JSON on its own or in place of a field, or any
-# text.
+# field mutated, deeply nested JSON on its own or in place of a field, any
+# text, or any bytes.
 RESULTS_LINES = st.one_of(
     valid_records().map(lambda r: (record_line(r), True)),
     *(
@@ -758,6 +758,7 @@ RESULTS_LINES = st.one_of(
                 )
             ),
             st.text(max_size=40),
+            st.binary(max_size=40),
         )
     ),
 )
@@ -777,7 +778,8 @@ class TestReadRecordsProperty:
         base = tmp_path_factory.getbasetemp()
         source = base / "line.jsonl"
         header = {"schema_version": 1, "kind": "sensitivity-records"}
-        source.write_text(json.dumps(header) + "\n" + line + "\n", encoding="utf-8")
+        raw = line if isinstance(line, bytes) else line.encode("utf-8")
+        source.write_bytes(json.dumps(header).encode() + b"\n" + raw + b"\n")
         try:
             _, records = read_records(source)
         except FileFormatError:

@@ -5,6 +5,9 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adcradio.backend import (
     BackendError,
@@ -27,6 +30,9 @@ from adcradio.protocol import (
     ResetCommand,
     SerialBackend,
     _data_frame,
+    _data_header,
+    _frame_codes,
+    _text_line,
     decode_command,
     encode_command,
 )
@@ -162,6 +168,132 @@ class TestCodec:
             except ProtocolError:
                 rejected += 1
         assert rejected > 19_000  # essentially everything random is malformed
+
+    @example(line="SMP \u00b2 1 1")
+    @example(line=b"CFG 1 AF PU HI OD\n")
+    @given(
+        line=st.text(max_size=40)
+        | st.binary(max_size=40)
+        | st.builds(
+            "{} {}".format,
+            st.sampled_from(["SMP", "CFG", "CFG 1", "CFG 1 AF PU", "ID?", "RST"]),
+            st.text(max_size=30),
+        )
+    )
+    def test_any_line_decodes_or_is_a_protocol_error(self, line):
+        try:
+            cmd = decode_command(line)
+        except ProtocolError:
+            return
+        assert decode_command(encode_command(cmd)) == cmd
+
+
+def _edited_frame(codes, edit):
+    """The header and sample lines of a frame of ``codes`` after ``edit``."""
+    header, *lines, _ = _data_frame(np.asarray(codes))
+    return header, edit(lines), 4095
+
+
+@st.composite
+def data_frames(draw):
+    """(header, sample lines, full scale): a DATA frame of random codes, some
+    above full scale, as made by _data_frame or with its header or sample
+    lines changed, or any text; each line as text or as bytes."""
+    full_scale = (1 << draw(st.integers(6, 16))) - 1
+    codes = draw(arrays(np.int64, st.integers(0, 150), elements=st.integers(0, 0xFFFF)))
+    header, *lines, _ = _data_frame(codes)
+    _, count, crc = header.split(" ")
+    header = draw(
+        st.just(header)
+        | st.builds(
+            "DATA {} {}".format,
+            st.sampled_from([count, "0" + count, str(len(codes) + 1), "\u00b2", "\u0663", "-1",
+                             "1" * 13, ""]),
+            st.just(crc),
+        )
+        | st.sampled_from([f"DATA {count} {crc.lower()}", f"DATA {count} {crc[1:]}",
+                           f"DATA {count} {crc} 0", f"DATA  {count} {crc}"])
+        | st.text(max_size=30)
+    )
+    if lines and draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines[i])))
+        char = draw(st.sampled_from("0123456789ABCDEFabcdef \t\n\u00b2\u0663-"))
+        edit = draw(
+            st.sampled_from(
+                ["replace", "insert", "delete", "drop", "repeat", "shift", "split", "lower"]
+            )
+        )
+        line = lines[i]
+        # shift, split and lower keep the frame's bytes and so its CRC.
+        if edit == "shift" and i + 1 < len(lines):
+            lines[i : i + 2] = [line + lines[i + 1][0], lines[i + 1][1:]]
+        elif edit == "split":
+            lines[i : i + 1] = [line[:j], line[j:]]
+        elif edit == "lower":
+            lines[i] = line.lower()
+        elif edit == "replace":
+            lines[i] = line[:j] + char + line[j + 1 :]
+        elif edit == "insert":
+            lines[i] = line[:j] + char + line[j:]
+        elif edit == "delete":
+            lines[i] = line[:j] + line[j + 1 :]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, line)
+    elif draw(st.booleans()):
+        lines = draw(st.lists(st.text(max_size=300), max_size=4))
+    as_bytes = draw(st.booleans())
+    if as_bytes:
+        header = header.encode("utf-8")
+        lines = [line.encode("utf-8") for line in lines]
+    return header, lines, full_scale
+
+
+class TestDataFrameParsing:
+    """DATA frame parsing as SerialBackend.capture runs it: the header, then
+    the sample lines as one frame. A line that arrives as bytes is read with
+    the codec's _text_line first."""
+
+    @given(
+        case=st.integers(6, 16).flatmap(
+            lambda bits: st.tuples(
+                st.just((1 << bits) - 1),
+                arrays(np.int64, st.integers(0, 400), elements=st.integers(0, (1 << bits) - 1)),
+            )
+        )
+    )
+    def test_a_frame_decodes_to_its_codes(self, case):
+        full_scale, codes = case
+        header, *lines, end = _data_frame(codes)
+        assert end == "END"
+        assert all(len(line) <= MAX_LINE_CHARS - 5 for line in (header, *lines))
+        count, crc = _data_header(header)
+        decoded = _frame_codes(lines, count, crc, full_scale)
+        assert decoded.dtype == np.int32
+        assert decoded.tolist() == codes.tolist()
+
+    @example(case=("DATA \u00b2 0000000A", [], 4095))
+    # Eight characters for two codes, whose CRC is that of the three bytes
+    # bytes.fromhex reads when it skips the spaces.
+    @example(case=("DATA 2 E9A01E5A", ["00 1F 2A"], 4095))
+    @example(case=_edited_frame([0xAB], lambda lines: [lines[0].lower()]))
+    @example(case=_edited_frame([1, 2], lambda lines: [lines[0][:4], lines[0][4:]]))
+    @example(case=_edited_frame(range(63), lambda lines: [lines[0] + "0", lines[1][1:]]))
+    @given(case=data_frames())
+    def test_any_header_and_lines_decode_or_are_a_protocol_error(self, case):
+        header, lines, full_scale = case
+        try:
+            count, crc = _data_header(_text_line(header))
+            codes = _frame_codes([_text_line(line) for line in lines], count, crc, full_scale)
+        except ProtocolError:
+            return
+        # Only a canonical frame decodes: the codes re-encode to its lines.
+        header, *sample_lines, _ = _data_frame(codes)
+        assert _data_header(header) == (count, crc)
+        assert sample_lines == [_text_line(line) for line in lines]
+        assert codes.size == 0 or codes.max() <= full_scale
 
 
 def ask(server, command, tag=1):
@@ -324,6 +456,15 @@ class TestSerialBackend:
         client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
         trace = client.capture(3)
         assert len(trace) == 24
+
+    def test_capture_after_reconfigure_sends_the_new_rate(self):
+        backend, _ = make_stack(samples_per_block=8)
+        client = SerialBackend(LoopbackTransport(DutProtocolServer(backend)))
+        for rate, ratio in ((10_000.0, 1), (20_000.0, 4), (10_000.0, 2)):
+            adc = AdcConfig(sample_rate_hz=rate, oversampling_ratio=ratio, samples_per_block=8)
+            client.configure(ReceptionPathId(0), ALL_CONFIGS[0], adc)
+            client.capture(1)
+            assert (backend.adc.sample_rate_hz, backend.adc.oversampling_ratio) == (rate, ratio)
 
     def test_capture_before_configure_raises(self):
         client, _ = self.make_client()

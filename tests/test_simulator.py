@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.signal import lfilter
 
 from adcradio.backend import RfStimulus
 from adcradio.simulator import (
+    ALLOWED_OVERSAMPLING,
     AdcConfig,
     BurstSpec,
     CouplingModel,
@@ -20,6 +23,7 @@ from adcradio.simulator import (
     _impair,
     _lowpass,
     _lowpass_alpha,
+    _quantize,
     adc_sample,
     coupling_gain,
     detector_output,
@@ -126,6 +130,82 @@ class TestApplyBandwidth:
             settled = out[10 * sps :]
             swings.append(np.ptp(settled))
         assert all(a > b for a, b in zip(swings, swings[1:]))
+
+
+# Filter inputs and states: negative values and both signed zeros included.
+_SAMPLES = st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])
+
+
+class TestLowpassKernel:
+    """_lowpass calls scipy's private first-order kernel directly; these pin
+    it to the public lfilter call it stands for."""
+
+    @example(x=np.array([-0.0, 0.0, -0.0]), alpha=0.5, y_prev=-0.0)
+    @example(x=np.array([-0.0, -1.0]), alpha=5e-324, y_prev=0.0)
+    @example(x=np.array([-0.0, 2.5]), alpha=1.0, y_prev=3.0)
+    @given(
+        x=arrays(np.float64, st.integers(1, 20_000), elements=_SAMPLES),
+        alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True) | st.floats(1.0, 4.0),
+        y_prev=_SAMPLES,
+    )
+    def test_equals_lfilter_bit_for_bit(self, x, alpha, y_prev):
+        given_x = x.copy()
+        out, last = _lowpass(x, alpha, y_prev)
+        if alpha < 1.0:
+            expected = lfilter([alpha], [1, alpha - 1], x, zi=[(1 - alpha) * y_prev])[0]
+        else:
+            # At alpha >= 1 the filter is the identity: lfilter would give
+            # an unstable filter above 1, and at 1 it turns -0.0 into 0.0.
+            expected = x
+        assert out.tobytes() == expected.tobytes()
+        assert np.float64(last).tobytes() == out[-1:].tobytes()
+        assert out is not x
+        assert x.tobytes() == given_x.tobytes()
+
+
+# Analog values around and beyond a 6- to 16-bit range, exact halves (which
+# round to even) at both ends of every range, and both infinities. Plain
+# values (no .map) let arrays() fill most of a long array cheaply.
+_ANALOG = st.floats(-100.0, 70_000.0) | st.sampled_from(
+    [-np.inf, np.inf, -0.0, -0.5, 0.5, 1.5, 2.5]
+    + [(1 << bits) - 1 + half for bits in range(6, 17) for half in (-1.5, -0.5, 0.5)]
+)
+
+
+def two_step_codes(raw, full_scale, ratio):
+    """The quantization rule as first written: round and clamp each raw
+    conversion, average ``ratio`` of them, then round and clamp again."""
+    raw = np.clip(np.rint(raw), 0.0, float(full_scale))
+    if ratio > 1:
+        raw = raw.reshape(-1, ratio).mean(axis=1)
+    return np.clip(np.rint(raw), 0.0, float(full_scale)).astype(np.int32)
+
+
+class TestQuantize:
+    @example(case=(1, np.array([0.5, 1.5, 2.5, -0.5, 4094.5, 4095.5])), bits=12)
+    @example(case=(4, np.array([0.5, 1.0, 1.5, 1.0])), bits=12)
+    @given(
+        case=st.sampled_from(ALLOWED_OVERSAMPLING).flatmap(
+            lambda ratio: st.tuples(
+                st.just(ratio),
+                arrays(np.float64, st.integers(0, 8).map(lambda n: n * ratio), elements=_ANALOG),
+            )
+        ),
+        bits=st.integers(6, 16),
+    )
+    def test_equals_the_two_step_rule(self, case, bits):
+        ratio, raw = case
+        full_scale = (1 << bits) - 1
+        expected = two_step_codes(raw, full_scale, ratio)
+        given_raw = raw.copy()
+        codes = _quantize(raw, full_scale, ratio)
+        assert codes.dtype == np.int32
+        assert codes.tobytes() == expected.tobytes()
+        assert raw.tobytes() == given_raw.tobytes()
+        n = raw.size // ratio
+        if n:
+            adc = AdcConfig(resolution_bits=bits, oversampling_ratio=ratio, samples_per_block=n)
+            assert adc_sample(raw, adc).samples.tobytes() == expected.tobytes()
 
 
 class TestAddImpairments:
