@@ -83,6 +83,7 @@ from .sweep import (
     SensitivityRecord,
     SnrSpectrum,
     SweepPlan,
+    SweepResult,
     block_mean,
     classify_sensitive,
     default_sweep_frequencies,

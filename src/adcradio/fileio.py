@@ -35,7 +35,7 @@ from .scenario import (
 )
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, snr_from_json, snr_to_json
+from .sweep import SensitivityRecord, SweepCell, SweepResult, snr_from_json, snr_to_json
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -245,89 +245,111 @@ def _snr_text(snr) -> str:
     return json.dumps(snr)
 
 
-def _run_lines(run: list[SensitivityRecord], freq_texts: dict[float, str]) -> str:
-    """The lines of a run of records sharing one path and config object,
-    each ``json.dumps(record_to_dict(r)) + "\n"``, joined.
+def _cell_lines(cell: SweepCell, freq_texts) -> str:
+    """The lines of the records of one cell, each
+    ``json.dumps(record_to_dict(r)) + "\n"``, joined; ``freq_texts`` holds
+    the JSON text of each record's ``freq_hz``.
 
-    The path/config prefix is encoded once. A record that has not failed,
-    whose ``freq_hz``, statistics and SNR are exact floats and whose
-    ``freq_hz`` and statistics are finite, is written with ``!r``, which on
-    an exact float is float.__repr__, as json.dumps writes a finite float.
-    Its ``freq_hz`` text comes from ``freq_texts`` and its ``var_off`` text
-    is reused while the value repeats (a sweep pools one variance over all
-    frequencies of a cell). Zeros are never reused: 0.0 and -0.0 compare equal but print
-    apart. Any other record is written field by field under the json.dumps
-    rules.
+    The path/config prefix is encoded once. A cell in which no record
+    failed and whose statistics are all exact, finite floats writes them
+    with ``!r``, which on an exact float is float.__repr__, as json.dumps
+    writes a finite float; a pooled ``var_off`` (one value for the whole
+    cell) is formatted once unless it is zero, since 0.0 and -0.0 compare
+    equal but print apart. Any other cell is written field by field under
+    the json.dumps rules.
     """
     head = {
-        "path": {"index": run[0].path.index, "label": run[0].path.label},
-        "config": config_to_dict(run[0].config),
+        "path": {"index": cell.path.index, "label": cell.path.label},
+        "config": config_to_dict(cell.config),
     }
     prefix = json.dumps(head)[:-1] + ', "freq_hz": '
-    lines = []
-    var = var_text = None
-    for r in run:
-        freq, on, off, diff, var_off, snr = (
-            r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr
-        )
-        if (
-            not r.failed
-            and type(freq) is type(on) is type(off) is type(diff) is type(var_off) is float
-            and type(snr) is float
-            # The sum is finite only if every term is (an overflow merely
-            # sends the record the general way).
-            and math.isfinite(freq + on + off + diff + var_off)
-        ):
-            if var_off != var or not var_off:
-                var, var_text = var_off, repr(var_off)
-            freq_text = freq_texts.get(freq)
-            if freq_text is None:
-                freq_text = repr(freq)
-                if freq:
-                    freq_texts[freq] = freq_text
-            snr_text = f'{{"db": {snr!r}}}' if snr - snr == 0.0 else _snr_text(snr)
-            lines.append(
-                f'{prefix}{freq_text}, "mean_on": {on!r}, "mean_off": {off!r}'
-                f', "diff": {diff!r}, "var_off": {var_text}, "snr": {snr_text}}}\n'
-            )
+    stats = (cell.mean_on, cell.mean_off, cell.diff, cell.var_off)
+    snr_texts = [
+        f'{{"db": {snr!r}}}' if type(snr) is float and snr - snr == 0.0 else _snr_text(snr)
+        for snr in cell.snr
+    ]
+    if (
+        not any(cell.failed)
+        and all(set(map(type, column)) <= {float} for column in stats)
+        # The sum is finite only if every term is (an overflow merely sends
+        # the cell the general way).
+        and math.isfinite(sum(map(sum, stats)))
+    ):
+        var = cell.var_off
+        if var and var[0] and var.count(var[0]) == len(var):
+            var_texts = [repr(var[0])] * len(var)
         else:
-            tail = "}\n"
-            if r.failed:
-                tail = ', "failed": true, "error": ' + json.dumps(r.error) + "}\n"
-            lines.append(
-                f'{prefix}{_json_number(freq)}, "mean_on": {_json_number(on)}'
-                f', "mean_off": {_json_number(off)}, "diff": {_json_number(diff)}'
-                f', "var_off": {_json_number(var_off)}, "snr": {_snr_text(snr)}{tail}'
+            var_texts = map(repr, var)
+        lines = [
+            f'{prefix}{freq}, "mean_on": {on!r}, "mean_off": {off!r}, "diff": {diff!r}'
+            f', "var_off": {var_off}, "snr": {snr}}}\n'
+            for freq, on, off, diff, var_off, snr in zip(
+                freq_texts, cell.mean_on, cell.mean_off, cell.diff, var_texts, snr_texts
             )
+        ]
+    else:
+        lines = [
+            f'{prefix}{freq}, "mean_on": {_json_number(on)}, "mean_off": {_json_number(off)}'
+            f', "diff": {_json_number(diff)}, "var_off": {_json_number(var_off)}, "snr": {snr}'
+            + (', "failed": true, "error": ' + json.dumps(error) + "}\n" if failed else "}\n")
+            for freq, on, off, diff, var_off, snr, failed, error in zip(
+                freq_texts, *stats, snr_texts, cell.failed, cell.errors
+            )
+        ]
     return "".join(lines)
+
+
+# The SensitivityRecord fields that a SweepCell holds as columns, in order.
+_COLUMN_FIELDS = ("mean_on", "mean_off", "diff", "var_off", "snr", "failed", "error")
+
+
+def _run_cell(run: list[SensitivityRecord]):
+    """A run of records that share one path and config as the columns of
+    one cell: a (SweepCell, freq_hz texts) pair."""
+    columns = ([getattr(r, name) for r in run] for name in _COLUMN_FIELDS)
+    cell = SweepCell(run[0].path, run[0].config, *columns)
+    return cell, [_json_number(r.freq_hz) for r in run]
+
+
+def _run_cells(records):
+    """_run_cell of each run of ``records`` that share one path and config
+    object; one run is held at a time."""
+    run: list[SensitivityRecord] = []
+    for record in records:
+        if run and (record.path is not run[0].path or record.config is not run[0].config):
+            yield _run_cell(run)
+            run = []
+        run.append(record)
+    if run:
+        yield _run_cell(run)
 
 
 def record_line(record: SensitivityRecord) -> str:
     """The JSON line of a record, equal to json.dumps(record_to_dict(record))."""
-    return _run_lines([record], {})[:-1]
+    return _cell_lines(*_run_cell([record]))[:-1]
 
 
 def write_records(path: str | Path, records, header_extra: dict | None = None) -> None:
-    """Write a results file, one record per line, streamed: ``records`` may
-    be any iterable, and one run of records sharing their path and config
-    objects is held at a time. The ``freq_hz`` texts are reused across the
-    runs of one call only."""
+    """Write a results file, one record per line.
+
+    A SweepResult is written cell by cell from its columns. Any other
+    iterable of records is streamed: each run of records that share their
+    path and config objects is turned into the same columns.
+    """
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
         **(header_extra or {}),
     }
-    freq_texts: dict[float, str] = {}
-    run: list[SensitivityRecord] = []
+    if isinstance(records, SweepResult):
+        freq_texts = [_json_number(freq) for freq in records.freqs_hz]
+        cells = ((cell, freq_texts) for cell in records.cells)
+    else:
+        cells = _run_cells(records)
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        for record in records:
-            if run and (record.path is not run[0].path or record.config is not run[0].config):
-                f.write(_run_lines(run, freq_texts))
-                run = []
-            run.append(record)
-        if run:
-            f.write(_run_lines(run, freq_texts))
+        for cell, texts in cells:
+            f.write(_cell_lines(cell, texts))
 
 
 def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:

@@ -277,13 +277,25 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
 
 def load_scenario(path: str | Path | Traversable) -> Scenario:
     """The scenario in ``path``: a filesystem path, or a Traversable such as
-    bundled_scenario_path returns (which may lie inside a zip file)."""
+    bundled_scenario_path returns (which may lie inside a zip file). The
+    file is read as UTF-8; a byte that is not is a ScenarioError naming
+    ``<file>:<line>`` and the column."""
     if isinstance(path, str):
         path = Path(path)
     if not path.is_file():
         raise ScenarioError(f"scenario not found: {path}")
+    data = path.read_bytes()
     try:
-        doc = json.loads(path.read_text())
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        line_start = data.rfind(b"\n", 0, exc.start) + 1
+        column = len(data[line_start : exc.start].decode("utf-8")) + 1
+        raise ScenarioError(
+            f"{path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02X} at column {column}"
+        ) from None
+    try:
+        doc = json.loads(text)
     except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
         raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
     except RecursionError:

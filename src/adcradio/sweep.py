@@ -20,7 +20,9 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from operator import index as as_index
 
 import numpy as np
 
@@ -73,6 +75,11 @@ class SweepPlan:
             raise ValueError("paths, configs, and freqs_hz must be non-empty")
         if any(b <= a for a, b in zip(self.freqs_hz, self.freqs_hz[1:])):
             raise ValueError("freqs_hz must be strictly increasing")
+        # One cell per (path index, config), as spectra_from_records groups.
+        if len({p.index for p in self.paths}) < len(self.paths):
+            raise ValueError("paths must have distinct indices")
+        if len(set(self.configs)) < len(self.configs):
+            raise ValueError("configs must be distinct")
         if self.samples_per_block < 1 or self.blocks_per_state < 1:
             raise ValueError("samples_per_block and blocks_per_state must be >= 1")
 
@@ -129,6 +136,85 @@ class SensitivityRecord:
     snr: float  # dB; +inf "high", -inf "none"
     failed: bool = False
     error: str | None = None
+
+
+@dataclass(slots=True)
+class SweepCell:
+    """The results of one (path, config) as columns, one entry per frequency
+    of the sweep: the fields of its SensitivityRecords but for the
+    frequency. A frequency that failed has None statistics, a -inf SNR,
+    failed True and its error text."""
+
+    path: ReceptionPathId
+    config: PathConfig
+    mean_on: list
+    mean_off: list
+    diff: list
+    var_off: list
+    snr: list
+    failed: list
+    errors: list
+
+
+class SweepResult(Sequence[SensitivityRecord]):
+    """What run_sweep returns: the plan's frequencies and one SweepCell per
+    (path, config), in plan order.
+
+    A sequence of SensitivityRecords, one per (path, config, frequency) in
+    plan order; indexing, slicing and iteration build them on demand, so the
+    sweep itself builds none. Record k is frequency k % len(freqs_hz) of
+    cell k // len(freqs_hz). A slice is a list of records. Assigning a
+    record to an index writes its fields into the columns; it must have
+    that index's path, config and frequency.
+    """
+
+    __slots__ = ("freqs_hz", "cells")
+
+    def __init__(self, freqs_hz: tuple[float, ...], cells: list[SweepCell]):
+        self.freqs_hz = freqs_hz
+        self.cells = cells
+
+    def __len__(self) -> int:
+        return len(self.cells) * len(self.freqs_hz)
+
+    def _locate(self, k) -> tuple[SweepCell, int]:
+        """The cell of record ``k`` and the record's row in it."""
+        i = as_index(k)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"record {k} out of range for {len(self)} records")
+        cell, j = divmod(i, len(self.freqs_hz))
+        return self.cells[cell], j
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(*k.indices(len(self)))]
+        c, j = self._locate(k)
+        return SensitivityRecord(
+            c.path, c.config, self.freqs_hz[j], c.mean_on[j], c.mean_off[j], c.diff[j],
+            c.var_off[j], c.snr[j], c.failed[j], c.errors[j],
+        )
+
+    def __setitem__(self, k, record: SensitivityRecord) -> None:
+        c, j = self._locate(k)
+        if (record.path, record.config, record.freq_hz) != (c.path, c.config, self.freqs_hz[j]):
+            raise ValueError(f"record {k} must keep its path, config and frequency")
+        c.mean_on[j], c.mean_off[j], c.diff[j], c.var_off[j] = (
+            record.mean_on, record.mean_off, record.diff, record.var_off
+        )
+        c.snr[j], c.failed[j], c.errors[j] = record.snr, record.failed, record.error
+
+    def __iter__(self):
+        for c in self.cells:
+            rows = zip(
+                self.freqs_hz, c.mean_on, c.mean_off, c.diff, c.var_off, c.snr, c.failed, c.errors
+            )
+            for row in rows:
+                yield SensitivityRecord(c.path, c.config, *row)
+
+    def __repr__(self) -> str:
+        return f"SweepResult({len(self.cells)} cells x {len(self.freqs_hz)} frequencies)"
 
 
 @dataclass(frozen=True)
@@ -189,9 +275,10 @@ def estimate_snr(on_means, off_means) -> float:
     return snr_from_stats(float(on.mean() - off.mean()), float(_off_variance(off)))
 
 
-def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
-    """Drive backend + RF source over the full plan and emit one record per
-    (path, config, frequency) cell, in plan order.
+def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
+    """Drive backend + RF source over the full plan: a SweepResult, one
+    record per (path, config, frequency) cell in plan order, held as one
+    SweepCell of columns per (path, config).
 
     Off-state blocks are captured before on-state blocks at each frequency,
     with ``SETTLE_BLOCKS`` discarded after each RF toggle; each (path,
@@ -211,7 +298,7 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
         )
         for freq in plan.freqs_hz
     ]
-    records: list[SensitivityRecord] = []
+    cells: list[SweepCell] = []
 
     for path in plan.paths:
         for config in plan.configs:
@@ -234,22 +321,27 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> list[SensitivityRecord]:
                             freq,
                             exc,
                         )
-            records.extend(_cell_records(path, config, plan, codes, errors, pool))
-    return records
+            cells.append(_cell_columns(path, config, plan, codes, errors, pool))
+    return SweepResult(plan.freqs_hz, cells)
 
 
-def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[SensitivityRecord]:
-    """Records of one (path, config) from its (n_freqs, 2, samples) off/on
-    codes; the statistics of all frequencies are computed together.
+def _snr_column(diff: list[float], var_off: list[float]) -> list[float]:
+    """snr_from_stats of each (diff, var_off) pair. Per value, not numpy:
+    np.log10 is not math.log10 to the last bit on every platform, and the
+    SNR is written to results files."""
+    return list(map(snr_from_stats, diff, var_off))
 
-    The statistics of the frequencies that captured become plain float
-    lists, walked by one iterator; one comprehension then builds every
-    record, taking the next row of statistics for a frequency that captured
-    and making a failed record for one that did not.
-    """
-    ok = np.array([exc is None for exc in errors])
+
+def _cell_columns(path, config, plan, codes, errors, pool: bool) -> SweepCell:
+    """The columns of one (path, config) from its (n_freqs, 2, samples)
+    off/on codes; the statistics of all frequencies are computed together
+    and become plain float lists. Where a frequency failed, its row holds
+    the failed entries instead."""
+    failed = [exc is not None for exc in errors]
+    if any(failed):
+        codes = codes[[not f for f in failed]]
     n_capture = plan.blocks_per_state + SETTLE_BLOCKS
-    means = block_mean(codes[ok], plan.samples_per_block)
+    means = block_mean(codes, plan.samples_per_block)
     means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
     off, on = means[:, 0], means[:, 1]
     mean_on = on.mean(axis=1)
@@ -259,25 +351,30 @@ def _cell_records(path, config, plan, codes, errors, pool: bool) -> list[Sensiti
         var_off = [float(_off_variance(off.ravel()))] * len(diff)
     else:
         var_off = _off_variance(off).tolist()
-    stats = zip(
-        mean_on.tolist(), mean_off.tolist(), diff, var_off, map(snr_from_stats, diff, var_off)
+    columns = [mean_on.tolist(), mean_off.tolist(), diff, var_off, _snr_column(diff, var_off)]
+    if any(failed):
+        rows = iter(zip(*columns))
+        failed_row = (None, None, None, None, -math.inf)
+        columns = [
+            list(column)
+            for column in zip(*(failed_row if f else next(rows) for f in failed))
+        ]
+    return SweepCell(
+        path, config, *columns, failed, [None if exc is None else str(exc) for exc in errors]
     )
-    return [
-        SensitivityRecord(path, config, freq, *next(stats))
-        if exc is None
-        else SensitivityRecord(
-            path, config, freq, None, None, None, None, -math.inf, True, str(exc)
-        )
-        for freq, exc in zip(plan.freqs_hz, errors)
-    ]
 
 
 def spectra_from_records(records) -> list[SnrSpectrum]:
-    """Group records into per-(path, config) spectra, preserving order.
+    """Per-(path, config) spectra, in order of first appearance.
 
-    Consecutive records of one cell share their path and config objects, so
+    A SweepResult gives one spectrum per cell, read from its SNR column.
+    Any other iterable of records is grouped by path index and config:
+    consecutive records of one cell share their path and config objects, so
     the group is looked up only when either object changes.
     """
+    if isinstance(records, SweepResult):
+        freqs = records.freqs_hz
+        return [SnrSpectrum(c.path, c.config, tuple(zip(freqs, c.snr))) for c in records.cells]
     grouped: dict[tuple[int, PathConfig], tuple[ReceptionPathId, list]] = {}
     path = config = points = None
     for rec in records:

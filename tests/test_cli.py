@@ -652,6 +652,20 @@ class TestUndecodableBytes:
         assert f"{bad}:2: not UTF-8 text: byte 0xFF at column 1" in capsys.readouterr().err
 
 
+    def test_scenario_line_exit_2(self, mini_scenario, tmp_path, capsys):
+        # The byte follows a two-byte UTF-8 character on its line: the
+        # column counts characters, as in the other readers.
+        lines = json.dumps(json.loads(mini_scenario.read_text()), indent=1).encode().split(b"\n")
+        assert lines[2] == b' "seed": 42,'
+        lines[2] = b' "seed": "4\xc3\xa92\xff",'
+        mini_scenario.write_bytes(b"\n".join(lines))
+        out = tmp_path / "x.trace"
+        assert run_cli("simulate", "--scenario", mini_scenario, "--bits", 10, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{mini_scenario}:3: not UTF-8 text: byte 0xFF at column 14" in err
+        assert not out.exists()
+
+
 class TestBundledLinkReproduction:
     """The shipped near/far scenarios decode as calibrated, end to end
     through the file-based CLI workflow."""

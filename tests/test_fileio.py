@@ -34,7 +34,7 @@ from adcradio.scenario import (
     scenario_from_dict,
 )
 from adcradio.signals import generate_bits
-from adcradio.simulator import AdcConfig, AdcTrace
+from adcradio.simulator import ALLOWED_OVERSAMPLING, AdcConfig, AdcTrace
 from adcradio.sweep import SensitivityRecord, SweepPlan, enumerate_configs, run_sweep
 
 
@@ -332,7 +332,7 @@ class TestResultsFiles:
             samples_per_block=scenario.adc.samples_per_block,
             adc=scenario.adc,
         )
-        records = run_sweep(plan, backend, source) + self.make_records()
+        records = [*run_sweep(plan, backend, source), *self.make_records()]
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         write_records(first, records, header_extra={"seed": 3})
         header, back = read_records(first)
@@ -793,3 +793,114 @@ class TestReadRecordsProperty:
         assert second.read_bytes() == first.read_bytes()
         if written_by_the_writer:
             assert first.read_text(encoding="utf-8").splitlines()[1:] == [line]
+
+
+_TRACE_HEADER_KEYS = (
+    "schema_version", "kind", "resolution_bits", "sample_rate_hz", "oversampling_ratio",
+    "samples_per_block",
+)
+
+
+@st.composite
+def written_traces(draw):
+    """A trace as write_trace writes it: any ADC configuration, codes in its
+    full scale and JSON metadata, including a PathConfig."""
+    config = AdcConfig(
+        resolution_bits=draw(st.integers(6, 16)),
+        sample_rate_hz=draw(st.floats(1e-3, 1e9) | st.sampled_from([16000.0, 5e-324])),
+        oversampling_ratio=draw(st.sampled_from(ALLOWED_OVERSAMPLING)),
+        samples_per_block=draw(st.integers(1, 64)),
+    )
+    codes = draw(st.lists(st.integers(0, config.full_scale), max_size=20))
+    # Keys of the header's own fields would overwrite them.
+    keys = st.text(max_size=6).filter(lambda key: key not in _TRACE_HEADER_KEYS)
+    meta = draw(st.dictionaries(keys, JSON_VALUES, max_size=3))
+    if draw(st.booleans()):
+        meta["config"] = draw(_CONFIGS)
+    return AdcTrace(samples=np.array(codes, np.int32), config=config, meta=meta)
+
+
+def trace_bytes(trace: AdcTrace) -> bytes:
+    """The bytes write_trace writes for ``trace``."""
+    header = {
+        "schema_version": 1,
+        "kind": "adc-trace",
+        **{name: getattr(trace.config, name) for name in _TRACE_HEADER_KEYS[2:]},
+        **{k: config_to_dict(v) if k == "config" else v for k, v in trace.meta.items()},
+    }
+    return "".join(
+        line + "\n" for line in [json.dumps(header), *map(str, trace.samples.tolist())]
+    ).encode()
+
+
+@st.composite
+def mutated_trace_bytes(draw):
+    """A written trace with one header field, at any depth, replaced by
+    another JSON value or deleted, or with sample lines of any text."""
+    data = trace_bytes(draw(written_traces()))
+    header, _, body = data.partition(b"\n")
+    if draw(st.booleans()):
+        doc = json.loads(header)
+        key_path = draw(st.sampled_from(list(key_paths(doc))))
+        parent = doc
+        for key in key_path[:-1]:
+            parent = parent[key]
+        if draw(st.booleans()):
+            del parent[key_path[-1]]
+        else:
+            parent[key_path[-1]] = draw(JSON_VALUES)
+        header = json.dumps(doc).encode()
+    else:
+        lines = draw(st.lists(st.text(max_size=8) | st.sampled_from(
+            ["-1", "+7", " 12 ", "1_0", "٣", "4096", "1" * 5000, "0x10", "1e3"]
+        ), max_size=4))
+        body = "\n".join(lines).encode("utf-8", "surrogatepass")
+    return header + b"\n" + body
+
+
+# (bytes, whether write_trace wrote them): a written trace, one with a header
+# field or its samples mutated, deeply nested JSON as the header, any text
+# or any bytes.
+TRACE_FILES = st.one_of(
+    written_traces().map(lambda t: (trace_bytes(t), True)),
+    *(
+        files.map(lambda data: (data, False))
+        for files in (
+            mutated_trace_bytes(),
+            st.sampled_from([10, 990, 5000, 200_000]).map(
+                lambda depth: _nested(depth).encode() + b"\n2048\n"
+            ),
+            st.text(max_size=40).map(lambda text: text.encode("utf-8", "surrogatepass")),
+            st.binary(max_size=40),
+        )
+    ),
+)
+
+
+class TestReadTraceProperty:
+    @given(case=TRACE_FILES)
+    @example(case=(b'{"schema_version": 1, "kind": "adc-trace"}\n', False))
+    @example(case=(trace_bytes(AdcTrace(np.array([7], np.int32), AdcConfig())) + b"\xff\n", False))
+    @example(case=(b"", False))
+    def test_any_bytes_load_and_write_back_or_are_a_file_format_error(
+        self, tmp_path_factory, case
+    ):
+        data, written_by_the_writer = case
+        base = tmp_path_factory.getbasetemp()
+        source = base / "any.trace"
+        source.write_bytes(data)
+        try:
+            trace = read_trace(source)
+        except FileFormatError:
+            assert not written_by_the_writer
+            return
+        first, second = base / "first.trace", base / "second.trace"
+        write_trace(first, trace)
+        back = read_trace(first)
+        assert back.samples.tolist() == trace.samples.tolist()
+        assert back.config == trace.config
+        assert json.dumps(back.meta) == json.dumps(trace.meta)
+        write_trace(second, back)
+        assert second.read_bytes() == first.read_bytes()
+        if written_by_the_writer:
+            assert first.read_bytes() == data

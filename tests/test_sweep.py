@@ -1,13 +1,18 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
+import contextlib
 import json
 import math
 import random
+import struct
 import warnings
+from collections.abc import Sequence
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from adcradio.backend import (
     BackendError,
@@ -94,6 +99,14 @@ class TestEstimateSnr:
             assert est == pytest.approx(base, abs=1e-9)
 
 
+_DIFFS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-160, 1e160]
+)
+_VARIANCES = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 1e-160, 1e160]
+)
+
+
 class TestSnrValues:
     def test_none_below_finite_below_high(self):
         none = snr_from_stats(0.0, 1.0)
@@ -130,6 +143,36 @@ class TestSnrValues:
     def test_snr_from_stats_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             snr_from_stats(1.0, -1.0)
+
+    @given(st.lists(st.tuples(_DIFFS, _VARIANCES), max_size=12))
+    @example(
+        [
+            (0.0, 0.0), (-0.0, 0.0), (0.0, 2.5), (-0.0, 2.5), (3.0, 0.0), (-3.0, -0.0),
+            (5e-324, 5e-324), (1e300, 1e-300), (-1.7976931348623157e308, 1.0),
+            # 10*np.log10(d*d/v) is one ulp off the scalar rule here on an
+            # AVX-512 host.
+            (0.6286511054669665, 0.49489194949673243),
+        ]
+    )
+    @example([(1e-200, 1.0), (2.0, 0.5)])
+    def test_snr_column_equals_snr_from_stats_bit_for_bit(self, pairs):
+        # The column keeps math.log10 per value: numpy's log10 differs from
+        # it in the last bit on some inputs and hosts, which would change
+        # the bytes of results files. Where d*d/v underflows to zero both
+        # raise the same ValueError.
+        def scalar(d, v):
+            try:
+                return snr_from_stats(d, v)
+            except ValueError:
+                return None
+
+        ok = [(d, v, want) for d, v in pairs if (want := scalar(d, v)) is not None]
+        got = sweep._snr_column([d for d, _, _ in ok], [v for _, v, _ in ok])
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", w) for _, _, w in ok]
+        for d, v in pairs:
+            if scalar(d, v) is None:
+                with pytest.raises(ValueError, match="math domain error"):
+                    sweep._snr_column([d], [v])
 
 
 def spectrum_of(points):
@@ -249,6 +292,33 @@ def reference_cell_records(path, config, plan, codes, errors, pool):
                 )
             )
     return records
+
+
+@contextlib.contextmanager
+def recorded_cells():
+    """The (arguments, SweepCell) of each sweep._cell_columns call made
+    inside the block."""
+    made = []
+    real = sweep._cell_columns
+
+    def recording(*args):
+        cell = real(*args)
+        made.append((args, cell))
+        return cell
+
+    sweep._cell_columns = recording
+    try:
+        yield made
+    finally:
+        sweep._cell_columns = real
+
+
+def assert_equal_records(got, want):
+    """Equal records that also write equal lines, which tells -0.0 from 0.0."""
+    assert got == want
+    assert [json.dumps(record_to_dict(r)) for r in got] == [
+        json.dumps(record_to_dict(r)) for r in want
+    ]
 
 
 def small_rig(coupling=None, noise=0.0, seed=0, n_paths=3):
@@ -422,23 +492,13 @@ class TestRunSweep:
         assert records[4].error == "sample 1: code 5000 above full scale 4095"
         assert all(r.var_off > 0 for r in records if not r.failed)
 
-    def test_serial_cell_with_failed_and_ok_frequencies_matches_the_reference(
-        self, monkeypatch
-    ):
-        # _cell_records builds ok and failed frequencies in one comprehension;
-        # its records must equal those of the column-by-column reference for
-        # a cell in which some frequencies failed (SMP 3 and 9, the off
-        # captures at frequencies 1 and 4 of path 0) and one in which none did.
-        made = []
-
-        def recording_cell_records(*args):
-            records = real_cell_records(*args)
-            made.append((args, records))
-            return records
-
-        real_cell_records = sweep._cell_records
-        monkeypatch.setattr(sweep, "_cell_records", recording_cell_records)
-
+    def test_serial_cell_with_failed_and_ok_frequencies_matches_the_reference(self):
+        # _cell_columns turns ok and failed frequencies into one set of
+        # columns; the records they give must equal those of the
+        # column-by-column reference for a cell in which some frequencies
+        # failed (SMP 3 and 9, the off captures at frequencies 1 and 4 of
+        # path 0) and one in which none did, with pooled and unpooled
+        # variance.
         class CorruptingServer(DutProtocolServer):
             smp = 0
 
@@ -450,24 +510,24 @@ class TestRunSweep:
                         lines[1] = lines[1][:21] + "-1" + lines[1][23:]
                 return lines
 
-        backend, source, adc = small_rig(noise=1.0, seed=9)
-        client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
-        records = run_sweep(self.make_plan(adc, 2, 1, 6), client, source)
-        assert [r.failed for r in records] == [False, True, False, False, True, False] + [False] * 6
-        assert len(made) == 2
-        for args, got in made:
-            want = reference_cell_records(*args)
-            assert got == want
-            assert [json.dumps(record_to_dict(r)) for r in got] == [
-                json.dumps(record_to_dict(r)) for r in want
-            ]
-        for r in records[:6]:
-            if r.failed:
-                assert (r.mean_on, r.mean_off, r.diff, r.var_off) == (None,) * 4
-                assert r.snr == -math.inf
-                assert r.error == "sample line 0: non-hex character '-' at column 16"
-            else:
-                assert r.error is None and r.var_off > 0 and r.snr > -math.inf
+        for blocks, pool in ((1, None), (3, False), (3, True)):
+            backend, source, adc = small_rig(noise=1.0, seed=9)
+            client = SerialBackend(LoopbackTransport(CorruptingServer(backend)))
+            plan = self.make_plan(adc, 2, 1, 6, blocks_per_state=blocks, pool_off_variance=pool)
+            with recorded_cells() as made:
+                records = list(run_sweep(plan, client, source))
+            assert [r.failed for r in records] == [False, True, False, False, True, False] + [
+                False
+            ] * 6
+            assert len(made) == 2
+            assert_equal_records(records, [r for args, _ in made for r in reference_cell_records(*args)])
+            for r in records[:6]:
+                if r.failed:
+                    assert (r.mean_on, r.mean_off, r.diff, r.var_off) == (None,) * 4
+                    assert r.snr == -math.inf
+                    assert r.error == "sample line 0: non-hex character '-' at column 16"
+                else:
+                    assert r.error is None and r.var_off > 0 and r.snr > -math.inf
 
     def test_affine_invariance_through_pipeline(self):
         # one cell's records: shifting/scaling every sample leaves SNR alone;
@@ -491,7 +551,7 @@ class TestRunSweep:
             for r in records
         ]
         interleaved = [r for pair in zip(records, copies) for r in pair]
-        shuffled = records + copies
+        shuffled = [*records, *copies]
         random.Random(0).shuffle(shuffled)
         for batch in (records, interleaved, shuffled):
             reference = {}
@@ -531,3 +591,173 @@ class TestRunSweep:
         out = tmp_path / "results.jsonl"
         write_records(out, records)
         assert "NaN" not in out.read_text()
+
+
+class TestSweepResult:
+    def sweep(self, n_paths=2, n_configs=2, n_freqs=3):
+        backend, source, adc = small_rig(noise=2.0, seed=6)
+        plan = TestRunSweep().make_plan(adc, n_paths, n_configs, n_freqs)
+        return run_sweep(plan, backend, source), plan
+
+    def test_is_a_sequence_of_records_in_plan_order(self):
+        result, plan = self.sweep()
+        assert isinstance(result, Sequence)
+        assert len(result) == plan.n_cells == 12
+        records = list(result)
+        assert all(type(r) is SensitivityRecord for r in records)
+        assert [result[i] for i in range(-12, 12)] == records + records
+        assert result[4] == records[4] and result[-1] == records[11]
+        assert result[np.int64(5)] == records[5]
+        for bounds in (slice(None), slice(2, 9), slice(None, None, -1), slice(-5, None, 2)):
+            assert result[bounds] == records[bounds]
+        assert result[3:5] == records[3:5] and isinstance(result[3:5], list)
+        (first, *_), *_ = [result]
+        assert first == records[0]
+
+    def test_assigning_a_record_writes_its_fields_into_the_columns(self, tmp_path):
+        result, _ = self.sweep()
+        changed = replace(result[-7], mean_on=-1.5, diff=3.0, snr=2.5, failed=True, error="x")
+        result[-7] = changed
+        records = list(result)
+        assert records[5] == result[5] == changed
+        write_records(tmp_path / "a.jsonl", result)
+        write_records(tmp_path / "b.jsonl", records)
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        for other in (
+            replace(changed, freq_hz=1.0),
+            replace(changed, path=ReceptionPathId(9)),
+            replace(changed, config=result[0].config),
+        ):
+            with pytest.raises(ValueError, match="must keep its path, config and frequency"):
+                result[5] = other
+        with pytest.raises(IndexError):
+            result[12] = changed
+        assert result[5] == changed
+
+    def test_index_out_of_range_raises(self):
+        result, _ = self.sweep()
+        for i in (12, -13, 100):
+            with pytest.raises(IndexError):
+                result[i]
+        with pytest.raises(TypeError):
+            result[1.0]
+
+    def test_sweep_builds_no_record(self, monkeypatch):
+        built = []
+        init = SensitivityRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SensitivityRecord, "__init__", counting_init)
+        result, _ = self.sweep()
+        spectra_from_records(result)
+        assert built == []
+        list(result)
+        assert len(built) == 12
+
+    def test_duplicate_paths_or_configs_rejected(self):
+        # spectra_from_records groups by path index and config, so a plan
+        # must not hold either twice.
+        _, plan = self.sweep()
+        with pytest.raises(ValueError, match="paths must have distinct indices"):
+            replace(plan, paths=(plan.paths[0], ReceptionPathId(plan.paths[0].index, "again")))
+        with pytest.raises(ValueError, match="configs must be distinct"):
+            replace(plan, configs=(plan.configs[0], replace(plan.configs[0])))
+
+
+@st.composite
+def sweep_cases(draw):
+    """A small plan and the faults to inject into its sweep: the capture
+    calls that fail (a schedule per cell through SimulatorBackend, one SMP
+    exchange per capture through SerialBackend) and the paths whose
+    configure fails."""
+    n_paths, n_configs, n_freqs = (draw(st.integers(1, n)) for n in (3, 2, 6))
+    serial = draw(st.booleans())
+    captures = n_paths * n_configs * (2 * n_freqs if serial else 1)
+    return dict(
+        shape=(n_paths, n_configs, n_freqs),
+        blocks=draw(st.integers(1, 3)),
+        pool=draw(st.sampled_from([None, True, False])),
+        noise=draw(st.sampled_from([0.0, 1.0, 3.0])),
+        seed=draw(st.integers(0, 2**16)),
+        serial=serial,
+        failing=draw(st.sets(st.integers(1, captures), max_size=4)),
+        bad_paths=draw(st.sets(st.integers(0, n_paths - 1), max_size=1)),
+    )
+
+
+def faulty_sweep(case):
+    """run_sweep over ``case``, with the reference records of every cell."""
+    model = CouplingModel(resonances=(Resonance(500e6, 40e6, 300.0),), noise_sigma=case["noise"])
+    backend, source, adc = small_rig(
+        coupling={(0, None): model}, noise=case["noise"], seed=case["seed"]
+    )
+    plan = TestRunSweep().make_plan(
+        adc, *case["shape"], blocks_per_state=case["blocks"], pool_off_variance=case["pool"]
+    )
+    failing, bad_paths = case["failing"], case["bad_paths"]
+
+    class FaultyServer(DutProtocolServer):
+        smp = 0
+
+        def handle_line(self, line):
+            if line[5:].startswith("SMP"):
+                self.smp += 1
+                if self.smp in failing:
+                    return [line[:5] + "ERR injected fault"]
+            elif line[5:].startswith("CFG") and int(line[9:].split()[0]) in bad_paths:
+                return [line[:5] + "ERR no such pin"]
+            return super().handle_line(line)
+
+    class FaultyBackend(SimulatorBackend):
+        schedules = 0
+
+        def configure(self, path, config, adc):
+            if path.index in bad_paths:
+                raise BackendError("no such pin")
+            super().configure(path, config, adc)
+
+        def capture_schedule(self, stimuli, n_blocks):
+            self.schedules += 1
+            if self.schedules in failing:
+                raise BackendError("injected fault")
+            return super().capture_schedule(stimuli, n_blocks)
+
+    if case["serial"]:
+        device = SerialBackend(LoopbackTransport(FaultyServer(backend)))
+    else:
+        device = FaultyBackend(backend.dut, source)
+    with recorded_cells() as made:
+        result = run_sweep(plan, device, source)
+    return result, [r for args, _ in made for r in reference_cell_records(*args)]
+
+
+class TestSweepResultProperty:
+    @given(sweep_cases())
+    @example(
+        dict(shape=(2, 1, 6), blocks=1, pool=None, noise=1.0, seed=9, serial=True,
+             failing={3, 9}, bad_paths=set())
+    )
+    @example(
+        dict(shape=(3, 2, 4), blocks=3, pool=False, noise=0.0, seed=1, serial=False,
+             failing={2}, bad_paths={1})
+    )
+    def test_records_writer_and_spectra_equal_those_of_the_listed_records(
+        self, tmp_path_factory, case
+    ):
+        result, reference = faulty_sweep(case)
+        records = list(result)
+        assert_equal_records(records, reference)
+        assert [result[i] for i in range(len(result))] == records
+        base = tmp_path_factory.getbasetemp()
+        from_result, from_list = base / "result.jsonl", base / "list.jsonl"
+        write_records(from_result, result, header_extra={"seed": 1})
+        write_records(from_list, records, header_extra={"seed": 1})
+        header = {"schema_version": 1, "kind": "sensitivity-records", "seed": 1}
+        want = "".join(
+            json.dumps(obj) + "\n" for obj in [header, *map(record_to_dict, records)]
+        ).encode()
+        assert from_result.read_bytes() == from_list.read_bytes() == want
+        assert spectra_from_records(result) == spectra_from_records(records)
