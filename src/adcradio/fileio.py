@@ -31,11 +31,13 @@ from .scenario import (
     json_int,
     json_number,
     json_object,
+    json_text,
     schema_version_is,
+    text_lines,
 )
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, SweepCell, SweepResult, snr_from_json, snr_to_json
+from .sweep import SensitivityRecord, SweepCell, record_cells, snr_from_json, snr_to_json
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -52,35 +54,10 @@ class FileFormatError(ValueError):
 _MAX_REASON_CHARS = 200
 
 
-def _open_text(path: Path):
-    """``path`` open for reading as UTF-8 text. Bytes that are not UTF-8 are
-    kept as lone surrogates (surrogateescape) for _utf8_line to report."""
-    return open(path, encoding="utf-8", errors="surrogateescape")
-
-
-def _utf8_line(path: Path, lineno: int, line: str) -> str:
-    """A line read by _open_text; a FileFormatError naming ``<file>:<line>``
-    if the file held bytes there that are not UTF-8."""
-    if not line.isascii():
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
-            raise FileFormatError(
-                f"{path}:{lineno}: not UTF-8 text: byte 0x{byte:02X} at column {exc.start + 1}"
-            ) from None
-    return line
-
-
 def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
     """The JSON object in ``text``, which must carry ``kind`` and
     ``schema_version``; anything else is a FileFormatError naming the file."""
-    try:
-        header = json.loads(text)
-    except ValueError as exc:
-        raise FileFormatError(f"{path}: bad {name} header: {exc}") from None
-    except RecursionError:
-        raise FileFormatError(f"{path}: bad {name} header: JSON nested too deeply") from None
+    header = json_text(text, f"{path}: bad {name} header", FileFormatError)
     if not isinstance(header, dict):
         raise FileFormatError(f"{path}: bad {name} header: not a JSON object")
     if not schema_version_is(header, version):
@@ -123,35 +100,30 @@ def write_trace(path: str | Path, trace: AdcTrace, extra_meta: dict | None = Non
 
 def read_trace(path: str | Path) -> AdcTrace:
     path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"trace not found: {path}")
-    with _open_text(path) as f:
-        text = _utf8_line(path, 1, f.readline())
-        header = _header(path, text, "trace", "adc-trace", TRACE_SCHEMA_VERSION)
-        for name in _ADC_FIELDS:
-            if name not in header:
-                raise FileFormatError(f"{path}: trace header lacks {name!r}")
+    lines = text_lines(path, "trace", FileFormatError)
+    header = _header(path, next(lines, (1, ""))[1], "trace", "adc-trace", TRACE_SCHEMA_VERSION)
+    for name in _ADC_FIELDS:
+        if name not in header:
+            raise FileFormatError(f"{path}: trace header lacks {name!r}")
+    try:
+        config = json_object(
+            AdcConfig, {name: header[name] for name in _ADC_FIELDS}, "header", ADC_INTS
+        )
+    except ScenarioError as exc:
+        raise FileFormatError(f"{path}: trace {exc}") from None
+    full_scale = config.full_scale
+    samples = []
+    for lineno, line in lines:
+        text = line.strip()
+        if not text:
+            continue
         try:
-            config = json_object(
-                AdcConfig, {name: header[name] for name in _ADC_FIELDS}, "header", ADC_INTS
-            )
-        except ScenarioError as exc:
-            raise FileFormatError(f"{path}: trace {exc}") from None
-        full_scale = config.full_scale
-        samples = []
-        for lineno, line in enumerate(f, start=2):
-            text = _utf8_line(path, lineno, line).strip()
-            if not text:
-                continue
-            try:
-                code = int(text)
-            except ValueError:
-                raise FileFormatError(f"{path}:{lineno}: invalid sample {text!r}") from None
-            if not 0 <= code <= full_scale:
-                raise FileFormatError(
-                    f"{path}:{lineno}: sample {code} outside [0, {full_scale}]"
-                )
-            samples.append(code)
+            code = int(text)
+        except ValueError:
+            raise FileFormatError(f"{path}:{lineno}: invalid sample {text!r}") from None
+        if not 0 <= code <= full_scale:
+            raise FileFormatError(f"{path}:{lineno}: sample {code} outside [0, {full_scale}]")
+        samples.append(code)
     meta = {
         k: v
         for k, v in header.items()
@@ -299,86 +271,55 @@ def _cell_lines(cell: SweepCell, freq_texts) -> str:
     return "".join(lines)
 
 
-# The SensitivityRecord fields that a SweepCell holds as columns, in order.
-_COLUMN_FIELDS = ("mean_on", "mean_off", "diff", "var_off", "snr", "failed", "error")
-
-
-def _run_cell(run: list[SensitivityRecord]):
-    """A run of records that share one path and config as the columns of
-    one cell: a (SweepCell, freq_hz texts) pair."""
-    columns = ([getattr(r, name) for r in run] for name in _COLUMN_FIELDS)
-    cell = SweepCell(run[0].path, run[0].config, *columns)
-    return cell, [_json_number(r.freq_hz) for r in run]
-
-
-def _run_cells(records):
-    """_run_cell of each run of ``records`` that share one path and config
-    object; one run is held at a time."""
-    run: list[SensitivityRecord] = []
-    for record in records:
-        if run and (record.path is not run[0].path or record.config is not run[0].config):
-            yield _run_cell(run)
-            run = []
-        run.append(record)
-    if run:
-        yield _run_cell(run)
+def _record_lines(records):
+    """_cell_lines of each cell of record_cells(records); the frequencies'
+    texts are made again only when a cell holds another frequency column."""
+    freqs = freq_texts = None
+    for cell in record_cells(records):
+        if cell.freqs_hz is not freqs:
+            freqs = cell.freqs_hz
+            freq_texts = [_json_number(freq) for freq in freqs]
+        yield _cell_lines(cell, freq_texts)
 
 
 def record_line(record: SensitivityRecord) -> str:
     """The JSON line of a record, equal to json.dumps(record_to_dict(record))."""
-    return _cell_lines(*_run_cell([record]))[:-1]
+    return "".join(_record_lines([record]))[:-1]
 
 
 def write_records(path: str | Path, records, header_extra: dict | None = None) -> None:
     """Write a results file, one record per line.
 
-    A SweepResult is written cell by cell from its columns. Any other
-    iterable of records is streamed: each run of records that share their
-    path and config objects is turned into the same columns.
+    ``records`` is a SweepResult or any other iterable of records; either
+    is written from the columns of its cells (sweep.record_cells), one cell
+    at a time, so an iterable is streamed.
     """
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
         **(header_extra or {}),
     }
-    if isinstance(records, SweepResult):
-        freq_texts = [_json_number(freq) for freq in records.freqs_hz]
-        cells = ((cell, freq_texts) for cell in records.cells)
-    else:
-        cells = _run_cells(records)
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        for cell, texts in cells:
-            f.write(_cell_lines(cell, texts))
+        f.writelines(_record_lines(records))
 
 
 def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
     path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"results not found: {path}")
-    with _open_text(path) as f:
-        header = _header(
-            path,
-            _utf8_line(path, 1, f.readline()),
-            "results",
-            "sensitivity-records",
-            RESULTS_SCHEMA_VERSION,
-        )
-        records = []
-        for lineno, line in enumerate(f, start=2):
-            text = _utf8_line(path, lineno, line).strip()
-            if not text:
-                continue
-            try:
-                obj = json.loads(text)
-            except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-                raise FileFormatError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-            except RecursionError:
-                raise FileFormatError(f"{path}:{lineno}: JSON nested too deeply") from None
-            try:
-                records.append(record_from_dict(obj))
-            except FileFormatError as exc:
-                raise FileFormatError(f"{path}:{lineno}: {exc}") from None
+    lines = text_lines(path, "results", FileFormatError)
+    header = _header(
+        path, next(lines, (1, ""))[1], "results", "sensitivity-records", RESULTS_SCHEMA_VERSION
+    )
+    records = []
+    for lineno, line in lines:
+        text = line.strip()
+        if not text:
+            continue
+        obj = json_text(text, f"{path}:{lineno}", FileFormatError)
+        try:
+            records.append(record_from_dict(obj))
+        except FileFormatError as exc:
+            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
     return header, records
 
 
@@ -393,17 +334,14 @@ def write_bits(path: str | Path, bits: BitSequence) -> None:
 
 def read_bits(path: str | Path) -> BitSequence:
     path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"bits file not found: {path}")
     values = []
-    with _open_text(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            text = _utf8_line(path, lineno, line).strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise FileFormatError(f"{path}:{lineno}: expected 0 or 1, got {text!r}")
-            values.append(int(text))
+    for lineno, line in text_lines(path, "bits file", FileFormatError):
+        text = line.strip()
+        if not text:
+            continue
+        if text not in ("0", "1"):
+            raise FileFormatError(f"{path}:{lineno}: expected 0 or 1, got {text!r}")
+        values.append(int(text))
     return BitSequence(bits=np.asarray(values, np.uint8))
 
 
@@ -433,10 +371,7 @@ def read_ber_curve(path: str | Path) -> list[dict]:
     FileFormatError naming the point.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileFormatError(f"ber-curve not found: {path}")
-    with _open_text(path) as f:
-        text = "".join(_utf8_line(path, lineno, line) for lineno, line in enumerate(f, start=1))
+    text = "".join(line for _, line in text_lines(path, "ber-curve", FileFormatError))
     doc = _header(path, text, "ber-curve", "ber-curve", BER_CURVE_SCHEMA_VERSION)
     points = doc.get("points")
     if not isinstance(points, list):

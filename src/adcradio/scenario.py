@@ -9,7 +9,8 @@ description; `load_scenario` validates with precise error messages.
 
 `json_int` and `json_number` are the one rule for a JSON field's type that
 every reader in the package uses, for scenarios, traces, results records,
-ber-curves and trace hints alike.
+ber-curves and trace hints alike; `text_lines` and `json_text` are the one
+way those readers open a file and parse its JSON.
 """
 
 from __future__ import annotations
@@ -158,6 +159,46 @@ def schema_version_is(doc: dict, expected: int) -> bool:
         return False
 
 
+def text_lines(path: Path | Traversable, what: str, error: type[ValueError]):
+    """``(lineno, line)`` for each line of the UTF-8 text file ``path``, a
+    filesystem path or a Traversable, counting from 1.
+
+    A path that is not a file (missing, or a directory) raises
+    ``error("<what> not found: <path>")``; a line holding bytes that are not
+    UTF-8 raises ``error`` naming ``<path>:<line>``, the first such byte and
+    its column in characters. ``error`` is the reader's own exception type.
+    """
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    # surrogateescape keeps each undecodable byte as a lone surrogate, so the
+    # line it lies on can be named.
+    with path.open(encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    byte = ord(line[exc.start]) - 0xDC00  # surrogateescape's mapping
+                    raise error(
+                        f"{path}:{lineno}: not UTF-8 text: byte 0x{byte:02X} "
+                        f"at column {exc.start + 1}"
+                    ) from None
+            yield lineno, line
+
+
+def json_text(text: str, where: str, error: type[ValueError]):
+    """The JSON value of ``text``. Text that is not JSON (an integer literal
+    of over 4,300 digits included) raises ``error("<where>: invalid JSON:
+    ...")``, and JSON nested past the parser's recursion limit
+    ``error("<where>: JSON nested too deeply")``."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise error(f"{where}: invalid JSON: {exc}") from None
+    except RecursionError:
+        raise error(f"{where}: JSON nested too deeply") from None
+
+
 @functools.cache
 def _parameters(cls) -> frozenset[str]:
     """The keyword parameters of ``cls``; looked up once per class, as
@@ -277,29 +318,12 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
 
 def load_scenario(path: str | Path | Traversable) -> Scenario:
     """The scenario in ``path``: a filesystem path, or a Traversable such as
-    bundled_scenario_path returns (which may lie inside a zip file). The
-    file is read as UTF-8; a byte that is not is a ScenarioError naming
-    ``<file>:<line>`` and the column."""
+    bundled_scenario_path returns (which may lie inside a zip file), read
+    through text_lines and json_text."""
     if isinstance(path, str):
         path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"scenario not found: {path}")
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = data.count(b"\n", 0, exc.start) + 1
-        line_start = data.rfind(b"\n", 0, exc.start) + 1
-        column = len(data[line_start : exc.start].decode("utf-8")) + 1
-        raise ScenarioError(
-            f"{path}:{lineno}: not UTF-8 text: byte 0x{data[exc.start]:02X} at column {column}"
-        ) from None
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:  # bad JSON, or an integer of over 4300 digits
-        raise ScenarioError(f"{path}: invalid JSON: {exc}") from None
-    except RecursionError:
-        raise ScenarioError(f"{path}: JSON nested too deeply") from None
+    text = "".join(line for _, line in text_lines(path, "scenario", ScenarioError))
+    doc = json_text(text, str(path), ScenarioError)
     return scenario_from_dict(doc, name=Path(path.name).stem)
 
 

@@ -141,12 +141,13 @@ class SensitivityRecord:
 @dataclass(slots=True)
 class SweepCell:
     """The results of one (path, config) as columns, one entry per frequency
-    of the sweep: the fields of its SensitivityRecords but for the
-    frequency. A frequency that failed has None statistics, a -inf SNR,
-    failed True and its error text."""
+    of ``freqs_hz`` (in a sweep, the plan's tuple, shared by every cell):
+    the fields of its SensitivityRecords. A frequency that failed has None
+    statistics, a -inf SNR, failed True and its error text."""
 
     path: ReceptionPathId
     config: PathConfig
+    freqs_hz: Sequence[float]
     mean_on: list
     mean_off: list
     diff: list
@@ -158,7 +159,7 @@ class SweepCell:
 
 class SweepResult(Sequence[SensitivityRecord]):
     """What run_sweep returns: the plan's frequencies and one SweepCell per
-    (path, config), in plan order.
+    (path, config), in plan order, each holding the plan's frequency tuple.
 
     A sequence of SensitivityRecords, one per (path, config, frequency) in
     plan order; indexing, slicing and iteration build them on demand, so the
@@ -192,13 +193,13 @@ class SweepResult(Sequence[SensitivityRecord]):
             return [self[i] for i in range(*k.indices(len(self)))]
         c, j = self._locate(k)
         return SensitivityRecord(
-            c.path, c.config, self.freqs_hz[j], c.mean_on[j], c.mean_off[j], c.diff[j],
+            c.path, c.config, c.freqs_hz[j], c.mean_on[j], c.mean_off[j], c.diff[j],
             c.var_off[j], c.snr[j], c.failed[j], c.errors[j],
         )
 
     def __setitem__(self, k, record: SensitivityRecord) -> None:
         c, j = self._locate(k)
-        if (record.path, record.config, record.freq_hz) != (c.path, c.config, self.freqs_hz[j]):
+        if (record.path, record.config, record.freq_hz) != (c.path, c.config, c.freqs_hz[j]):
             raise ValueError(f"record {k} must keep its path, config and frequency")
         c.mean_on[j], c.mean_off[j], c.diff[j], c.var_off[j] = (
             record.mean_on, record.mean_off, record.diff, record.var_off
@@ -208,7 +209,7 @@ class SweepResult(Sequence[SensitivityRecord]):
     def __iter__(self):
         for c in self.cells:
             rows = zip(
-                self.freqs_hz, c.mean_on, c.mean_off, c.diff, c.var_off, c.snr, c.failed, c.errors
+                c.freqs_hz, c.mean_on, c.mean_off, c.diff, c.var_off, c.snr, c.failed, c.errors
             )
             for row in rows:
                 yield SensitivityRecord(c.path, c.config, *row)
@@ -359,37 +360,40 @@ def _cell_columns(path, config, plan, codes, errors, pool: bool) -> SweepCell:
             list(column)
             for column in zip(*(failed_row if f else next(rows) for f in failed))
         ]
-    return SweepCell(
-        path, config, *columns, failed, [None if exc is None else str(exc) for exc in errors]
-    )
+    texts = [None if exc is None else str(exc) for exc in errors]
+    return SweepCell(path, config, plan.freqs_hz, *columns, failed, texts)
+
+
+def record_cells(records):
+    """The SweepCells of ``records``, in order: a SweepResult's own cells;
+    for any other iterable of SensitivityRecords, one cell per run of
+    consecutive records with equal path and config, one run held at a time.
+    The one place that knows how records are laid out in cells."""
+    if isinstance(records, SweepResult):
+        yield from records.cells
+        return
+    for (path, config), run in itertools.groupby(records, lambda r: (r.path, r.config)):
+        rows = [
+            (r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr, r.failed, r.error)
+            for r in run
+        ]
+        yield SweepCell(path, config, *map(list, zip(*rows)))
 
 
 def spectra_from_records(records) -> list[SnrSpectrum]:
-    """Per-(path, config) spectra, in order of first appearance.
-
-    A SweepResult gives one spectrum per cell, read from its SNR column.
-    Any other iterable of records is grouped by path index and config:
-    consecutive records of one cell share their path and config objects, so
-    the group is looked up only when either object changes.
-    """
-    if isinstance(records, SweepResult):
-        freqs = records.freqs_hz
-        return [SnrSpectrum(c.path, c.config, tuple(zip(freqs, c.snr))) for c in records.cells]
-    grouped: dict[tuple[int, PathConfig], tuple[ReceptionPathId, list]] = {}
-    path = config = points = None
-    for rec in records:
-        if rec.path is not path or rec.config is not config:
-            path, config = rec.path, rec.config
-            key = (path.index, config)
-            group = grouped.get(key)
-            if group is None:
-                group = grouped[key] = (path, [])
-            points = group[1]
-        points.append((rec.freq_hz, rec.snr))
-    return [
-        SnrSpectrum(path=path, config=key[1], points=tuple(points))
-        for key, (path, points) in grouped.items()
-    ]
+    """Per-(path index, config) spectra, in order of first appearance, from
+    the SNR columns of record_cells(records); a cell whose path index and
+    config have appeared before extends that spectrum."""
+    spectra: dict[tuple[int, PathConfig], SnrSpectrum] = {}
+    for cell in record_cells(records):
+        key = (cell.path.index, cell.config)
+        points = tuple(zip(cell.freqs_hz, cell.snr))
+        spectrum = spectra.get(key)
+        if spectrum is None:
+            spectra[key] = SnrSpectrum(cell.path, cell.config, points)
+        else:
+            spectra[key] = replace(spectrum, points=spectrum.points + points)
+    return list(spectra.values())
 
 
 def config_order(spectra) -> dict[PathConfig, int]:
