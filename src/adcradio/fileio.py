@@ -74,12 +74,20 @@ def _header(path: Path, text: str, name: str, kind: str, version: int) -> dict:
 
 # The ADC fields every trace header carries.
 _ADC_FIELDS = tuple(f.name for f in fields(AdcConfig))
+# The header fields a trace's metadata must not set.
+_TRACE_FIELDS = ("schema_version", "kind", *_ADC_FIELDS)
 
 
 def write_trace(path: str | Path, trace: AdcTrace, extra_meta: dict | None = None) -> None:
+    """Write a trace file: a header of the trace's ADC settings and its
+    metadata, ``extra_meta`` taking precedence, then one code per line.
+    Metadata that would set a header field of its own is a ValueError."""
     meta = dict(trace.meta)
     if extra_meta:
         meta.update(extra_meta)
+    for key in _TRACE_FIELDS:
+        if key in meta:
+            raise ValueError(f"trace metadata must not set the header field {key!r}")
     config = meta.get("config")
     if isinstance(config, PathConfig):
         meta["config"] = config_to_dict(config)
@@ -124,11 +132,7 @@ def read_trace(path: str | Path) -> AdcTrace:
         if not 0 <= code <= full_scale:
             raise FileFormatError(f"{path}:{lineno}: sample {code} outside [0, {full_scale}]")
         samples.append(code)
-    meta = {
-        k: v
-        for k, v in header.items()
-        if k not in ("schema_version", "kind", *_ADC_FIELDS)
-    }
+    meta = {k: v for k, v in header.items() if k not in _TRACE_FIELDS}
     return AdcTrace(samples=np.asarray(samples, np.int32), config=config, meta=meta)
 
 

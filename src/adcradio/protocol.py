@@ -45,6 +45,7 @@ import numpy as np
 
 from .backend import (
     BackendError,
+    DutDescriptor,
     GpioMode,
     GpioPull,
     NotConfiguredError,
@@ -447,8 +448,6 @@ class SerialBackend:
     # -- backend interface ----------------------------------------------------
 
     def describe(self):
-        from .backend import DutDescriptor
-
         line = self._transact(encode_command(IdentifyCommand()))
         fields = line.split(" ")
         if len(fields) != 5 or fields[0] != "ID":

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .backend import RfStimulus, capture_groups
+from . import signals
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 
@@ -262,9 +263,7 @@ def ideal_sync_ber_experiment(
     """
     if n_bits < 1:
         raise ValueError("n_bits must be >= 1")
-    from .signals import generate_bits
-
-    bits = generate_bits(n_bits, seed)
+    bits = signals.generate_bits(n_bits, seed)  # looked up at call time, so it can be traced
     block_adc = replace(adc, samples_per_block=int(samples_per_bit))
     backend.configure(path, config, block_adc)
     on = (RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True),)

@@ -252,14 +252,20 @@ def _off_variance(off_means: np.ndarray) -> np.ndarray:
 
 def snr_from_stats(diff: float, var_off: float) -> float:
     """SNR in dB from a mean difference and an off-state variance: -inf
-    without a difference, +inf with one over zero variance."""
+    without a difference, +inf with one over zero variance. Where
+    ``diff**2 / var_off`` under- or overflows, the SNR is taken from the
+    logarithms of the two, so a nonzero difference over a finite positive
+    variance has a finite SNR."""
     if var_off < 0:
         raise ValueError("var_off must be >= 0")
     if diff == 0.0:
         return -math.inf
     if var_off == 0.0:
         return math.inf
-    return 10.0 * math.log10(diff * diff / var_off)
+    ratio = diff * diff / var_off
+    if ratio == 0.0 or ratio == math.inf:  # under- or overflow of the ratio
+        return 20.0 * math.log10(abs(diff)) - 10.0 * math.log10(var_off)
+    return 10.0 * math.log10(ratio)
 
 
 def estimate_snr(on_means, off_means) -> float:

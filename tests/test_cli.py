@@ -615,6 +615,27 @@ class TestDeeplyNestedJson:
         assert not out.exists()
 
 
+class TestReaderPaths:
+    """Every reader opens its file one way: a directory is not found, and a
+    trace header that is not JSON says so."""
+
+    def test_directory_as_results_exit_2(self, tmp_path, capsys):
+        code = run_cli("report", "--results", tmp_path, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert f"results not found: {tmp_path}" in capsys.readouterr().err
+
+    def test_directory_as_trace_exit_2(self, tmp_path, capsys):
+        assert run_cli("demod", "--trace", tmp_path) == 2
+        assert f"trace not found: {tmp_path}" in capsys.readouterr().err
+
+    def test_trace_header_not_json_exit_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.trace"
+        bad.write_text("adc-trace\n2048\n")
+        assert run_cli("demod", "--trace", bad) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}: bad trace header: invalid JSON: Expecting value: line 1 column 1" in err
+
+
 class TestUndecodableBytes:
     """A byte that is not UTF-8 in a file the CLI reads is a usage error
     naming the file and line, not the codec's message alone."""

@@ -26,6 +26,7 @@ from adcradio.fileio import (
     write_trace,
 )
 from adcradio.scenario import (
+    Scenario,
     ScenarioError,
     bundled_scenario_path,
     build_rig,
@@ -877,6 +878,37 @@ TRACE_FILES = st.one_of(
 )
 
 
+class TestWriteTraceMetadata:
+    @pytest.mark.parametrize("key", _TRACE_HEADER_KEYS)
+    @pytest.mark.parametrize("where", ["meta", "extra_meta"])
+    def test_a_header_field_in_metadata_is_a_value_error(self, tmp_path, key, where):
+        trace = AdcTrace(samples=np.array([1, 2], np.int32), config=AdcConfig())
+        path = tmp_path / "t.trace"
+        with pytest.raises(ValueError, match=f"must not set the header field {key!r}"):
+            if where == "meta":
+                write_trace(path, replace(trace, meta={key: 8}))
+            else:
+                write_trace(path, trace, extra_meta={key: 8})
+        assert not path.exists()
+
+    @given(
+        meta=st.dictionaries(
+            st.text(max_size=6) | st.sampled_from(_TRACE_HEADER_KEYS), JSON_VALUES, max_size=3
+        )
+    )
+    def test_metadata_reads_back_or_is_refused(self, tmp_path_factory, meta):
+        trace = AdcTrace(samples=np.array([7], np.int32), config=AdcConfig(), meta=meta)
+        path = tmp_path_factory.getbasetemp() / "meta.trace"
+        if meta.keys() & set(_TRACE_HEADER_KEYS):
+            with pytest.raises(ValueError, match="must not set the header field"):
+                write_trace(path, trace)
+            return
+        write_trace(path, trace)
+        back = read_trace(path)
+        assert back.config == trace.config
+        assert json.dumps(back.meta) == json.dumps(meta)
+
+
 class TestReadTraceProperty:
     @given(case=TRACE_FILES)
     @example(case=(b'{"schema_version": 1, "kind": "adc-trace"}\n', False))
@@ -904,3 +936,38 @@ class TestReadTraceProperty:
         assert second.read_bytes() == first.read_bytes()
         if written_by_the_writer:
             assert first.read_bytes() == data
+
+
+DEMO_BOARD_BYTES = bundled_scenario_path("demo_board").read_bytes()
+
+
+@st.composite
+def demo_board_one_byte_replaced(draw):
+    """demo_board's bytes with the byte at one position replaced by any byte."""
+    i = draw(st.integers(0, len(DEMO_BOARD_BYTES) - 1))
+    return DEMO_BOARD_BYTES[:i] + bytes([draw(st.integers(0, 255))]) + DEMO_BOARD_BYTES[i + 1 :]
+
+
+# The bytes of a scenario file: any bytes, demo_board with one byte
+# replaced, or deeply nested JSON.
+SCENARIO_FILES = st.one_of(
+    st.binary(max_size=60),
+    demo_board_one_byte_replaced(),
+    st.sampled_from([10, 990, 5000, 200_000]).map(lambda depth: _nested(depth).encode()),
+)
+
+
+class TestLoadScenarioProperty:
+    @given(data=SCENARIO_FILES)
+    @example(data=DEMO_BOARD_BYTES)
+    @example(data=DEMO_BOARD_BYTES.replace(b'"seed": ', b'"seed": \xff', 1))
+    @example(data=b"")
+    def test_any_bytes_load_or_are_a_scenario_error(self, tmp_path_factory, data):
+        source = tmp_path_factory.getbasetemp() / "any.json"
+        source.write_bytes(data)
+        try:
+            scenario = load_scenario(source)
+        except ScenarioError:
+            return
+        assert isinstance(scenario, Scenario) and scenario.name == "any"
+        build_rig(scenario)

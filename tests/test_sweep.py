@@ -114,6 +114,16 @@ class TestSnrValues:
         assert none < snr_from_stats(1e-3, 1e6) < snr_from_stats(1e3, 1e-6)
         assert snr_from_stats(1e3, 1e-6) < snr_from_stats(1.0, 0.0) == math.inf
 
+    def test_representable_extremes_have_finite_snrs(self):
+        # diff * diff underflows to 0 for the first and overflows to inf for
+        # the others; the SNR comes from the logarithms instead of raising a
+        # math domain error or reading as the "high" sentinel.
+        assert snr_from_stats(1e-200, 1.0) == pytest.approx(-4000.0)
+        assert snr_from_stats(-1e-200, 1.0) == pytest.approx(-4000.0)
+        assert snr_from_stats(1e200, 1.0) == pytest.approx(4000.0)
+        assert snr_from_stats(1.0, 1e-320) == pytest.approx(3200.0)
+        assert snr_to_json(snr_from_stats(1e200, 1.0)) == {"db": pytest.approx(4000.0)}
+
     def test_json_round_trip(self):
         assert snr_to_json(-math.inf) == "none"
         assert snr_to_json(math.inf) == "high"
