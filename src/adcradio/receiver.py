@@ -18,8 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .backend import RfStimulus, capture_groups
 from . import signals
+from .backend import RfStimulus, capture_groups
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 
