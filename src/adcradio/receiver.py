@@ -52,6 +52,14 @@ class BerReport:
         return sum(length for _, length in self.burst_runs if length >= min_length)
 
 
+def _running_sum(x: np.ndarray) -> np.ndarray:
+    """0 followed by the cumulative sum of x: cs[j] - cs[i] sums x[i:j]."""
+    cs = np.empty(x.size + 1)
+    cs[0] = 0.0
+    np.cumsum(x, out=cs[1:])
+    return cs
+
+
 def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average; the window shrinks one-sidedly at the edges."""
     x = np.asarray(samples, dtype=np.float64)
@@ -63,17 +71,26 @@ def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     if window > n:
         raise ValueError(f"window {window} larger than input length {n}")
     half = window // 2
-    cs = np.concatenate(([0.0], np.cumsum(x)))
-    idx = np.arange(n)
-    lo = np.maximum(0, idx - half)
-    hi = np.minimum(n, idx + half + 1)
-    return (cs[hi] - cs[lo]) / (hi - lo)
+    cs = _running_sum(x)
+    out = np.empty(n)
+    # Interior samples see the whole window: two slices of the running sum.
+    inner = out[half : n - half]
+    np.subtract(cs[window:], cs[: n + 1 - window], out=inner)
+    inner /= window
+    # The 2*half edge samples average over what lies inside the input.
+    edge = np.r_[0:half, n - half : n]
+    lo = np.maximum(0, edge - half)
+    hi = np.minimum(n, edge + half + 1)
+    out[edge] = (cs[hi] - cs[lo]) / (hi - lo)
+    return out
 
 
 def remove_dc(samples: np.ndarray, window: int) -> np.ndarray:
     """Subtract a centered moving average to strip DC and slow drift."""
     x = np.asarray(samples, dtype=np.float64)
-    return x - moving_average(x, window)
+    out = moving_average(x, window)
+    np.subtract(x, out, out=out)
+    return out
 
 
 def normalize(samples: np.ndarray) -> np.ndarray:
@@ -82,7 +99,8 @@ def normalize(samples: np.ndarray) -> np.ndarray:
     The output is invariant under positive gain changes of the input.
     """
     x = np.asarray(samples, dtype=np.float64)
-    spread = float(np.percentile(x, 90) - np.percentile(x, 10))
+    p10, p90 = np.percentile(x, [10, 90])
+    spread = float(p90 - p10)
     if spread == 0.0:
         raise ValueError("cannot normalize a constant signal (zero spread)")
     return x / spread
@@ -97,7 +115,8 @@ def recover_timing(samples: np.ndarray, samples_per_symbol: int) -> float:
 
     Scores each of ``_TIMING_GRID`` evenly spaced candidate phases by the
     summed |difference| across the sample pairs straddling its hypothesized
-    symbol boundaries; the first best grid point wins. Requires a signal with transitions (>= 10 zero crossings).
+    symbol boundaries; the first best grid point wins. The signal needs
+    transitions: at least 10 zero crossings.
     """
     x = np.asarray(samples, dtype=np.float64)
     sps = int(samples_per_symbol)
@@ -146,7 +165,7 @@ def _symbol_central_means(x: np.ndarray, phase: float, sps: int) -> np.ndarray:
     q = span // 4
     lo = lo + q
     hi = hi - q
-    cs = np.concatenate(([0.0], np.cumsum(x)))
+    cs = _running_sum(x)
     return (cs[hi] - cs[lo]) / (hi - lo)
 
 

@@ -251,6 +251,11 @@ def _impair(
     once over the pass: each state's walk starts from the one before, and
     the sinusoid and the bursts follow the global raw sample index, so a
     burst carries across states.
+
+    The sum is built in place in arrays drawn or made here (the noise, the
+    walk, the sinusoid, the burst levels), adding ``values`` into the first
+    of them; values itself is never written. With every impairment off it
+    returns a copy.
     """
     size = values.size
     n = size // states
@@ -268,19 +273,30 @@ def _impair(
                     rows[k] = d(n)
         draws = [None if rows is None else rows.reshape for rows in drawn]  # read flat
     noise, walk_steps, uniform = draws
-    out = values
+    out = None  # the first term drawn or built here; values is added into it
     if noise is not None:
-        out = out + noise(size)
+        out = noise(size)
+        out += values
     if walk_steps is not None:
-        walk = np.cumsum(walk_steps(size).reshape(states, n), axis=1)
+        walk = walk_steps(size).reshape(states, n)
+        np.cumsum(walk, axis=1, out=walk)
         # Sequential sums of the row ends: each row starts from the previous
         # row's last walk value, exactly as per-state captures carry it.
         offsets = np.cumsum(np.concatenate(([state.walk_value], walk[:, -1])))
         state.walk_value = float(offsets[-1])
-        out = out + (offsets[:-1, None] + walk).reshape(size)
+        walk += offsets[:-1, None]
+        out = _add_into(walk.reshape(size), out, values)
+        del walk  # free each term before the next: a long pass holds fewer arrays
     if drift.sine_amplitude > 0 and drift.sine_period_s > 0:
-        t = (state.sample_index + np.arange(size)) / raw_rate_hz
-        out = out + drift.sine_amplitude * np.sin(2.0 * math.pi * t / drift.sine_period_s)
+        sine = np.arange(size, dtype=np.float64)
+        sine += state.sample_index
+        sine /= raw_rate_hz
+        sine *= 2.0 * math.pi
+        sine /= drift.sine_period_s
+        np.sin(sine, out=sine)
+        sine *= drift.sine_amplitude
+        out = _add_into(sine, out, values)
+        del sine
     if uniform is not None:
         starts = np.flatnonzero(uniform(size) < burst.rate_per_s / raw_rate_hz)
         ends = starts + max(1, int(round(burst.duration_s * raw_rate_hz)))
@@ -290,13 +306,25 @@ def _impair(
             delta[min(state.burst_left, size)] -= 1
         np.add.at(delta, starts, 1)
         np.add.at(delta, np.minimum(ends, size), -1)
-        active = np.cumsum(delta[:-1]) > 0
+        np.cumsum(delta, out=delta)
+        active = delta[:-1] > 0
         if active.any():
-            out = out + burst.amplitude * active
+            term = np.multiply(burst.amplitude, active, out=delta[:-1])
+            out = _add_into(term, out, values)
         state.burst_left = max(0, int(np.max(ends, initial=state.burst_left)) - size)
-    if out is values:
+    if out is None:
         out = values.copy()
     state.sample_index += size
+    return out
+
+
+def _add_into(term: np.ndarray, out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
+    """``out + term`` written into ``out``, or, while ``out`` is None,
+    ``values + term`` written into ``term``; both arrays are _impair's own."""
+    if out is None:
+        term += values
+        return term
+    out += term
     return out
 
 
@@ -309,11 +337,16 @@ def _quantize(raw: np.ndarray, full_scale: int, ratio: int) -> np.ndarray:
     themselves: they are integers in range already, so a second rounding
     would change nothing and is skipped. raw.size must be a multiple of
     ratio.
+
+    Rounding makes one new array, which the clamp then writes in place;
+    raw itself is never written.
     """
     fs = float(full_scale)
-    codes = np.rint(raw).clip(0.0, fs)
+    codes = np.rint(raw)
+    codes.clip(0.0, fs, out=codes)
     if ratio > 1:
-        codes = np.rint(codes.reshape(-1, ratio).mean(axis=1)).clip(0.0, fs)
+        codes = np.rint(codes.reshape(-1, ratio).mean(axis=1))
+        codes.clip(0.0, fs, out=codes)
     return codes.astype(np.int32)
 
 
@@ -482,12 +515,18 @@ class SimulatedDut:
         return codes.reshape(len(stimuli), n_out)
 
     def _capture_pass(self, stimuli: list, n_raw: int) -> np.ndarray:
-        """Codes of n_raw raw conversions per stimulus, as one flat array."""
+        """Codes of n_raw raw conversions per stimulus, as one flat array.
+
+        The DC operating point is added in place into the low-pass output,
+        which the pass owns; _impair and _quantize write only arrays of
+        their own, so no caller's array is written.
+        """
         adc, model, state = self.adc, self._model, self._state
-        offset = self._coupled_offset(stimuli, n_raw)
         alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
-        filtered, state.filter_value = _lowpass(offset, alpha, state.filter_value)
-        analog = filtered + model.dc_operating_point
+        offset = self._coupled_offset(stimuli, n_raw)
+        analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
+        del offset  # freed before _impair draws: a long pass holds fewer arrays
+        analog += model.dc_operating_point
         analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, len(stimuli))
         return _quantize(analog, adc.full_scale, adc.oversampling_ratio)
 

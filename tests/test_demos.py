@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke test: every demo script, and the link fault tool, runs to completion
+against the package."""
 
 import os
 import shutil
@@ -30,3 +31,17 @@ def test_demo_runs(demo, tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+
+
+def test_link_faults_tool_reports_every_stage():
+    result = subprocess.run(
+        [sys.executable, str(REPO / "tools" / "link_faults.py"), "--payloads", "1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    stages = [line.split()[0] for line in result.stdout.splitlines()[1:]]
+    assert stages == [
+        "capture", "remove_dc", "normalize", "recover_timing", "slice_bits", "payload"
+    ]

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from adcradio.backend import ReceptionPathId, SimulatedRfSource, SimulatorBackend
 from adcradio.receiver import (
@@ -12,6 +15,7 @@ from adcradio.receiver import (
     demodulate,
     eye_opening,
     ideal_sync_ber_experiment,
+    moving_average,
     normalize,
     recover_timing,
     remove_dc,
@@ -74,6 +78,82 @@ class TestNormalize:
     def test_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
             normalize(np.full(50, 1.0))
+
+
+def reference_moving_average(samples, window):
+    """The centered moving average as first written: one index pair per sample."""
+    x = np.asarray(samples, dtype=np.float64)
+    n = x.size
+    half = window // 2
+    cs = np.concatenate(([0.0], np.cumsum(x)))
+    idx = np.arange(n)
+    lo = np.maximum(0, idx - half)
+    hi = np.minimum(n, idx + half + 1)
+    return (cs[hi] - cs[lo]) / (hi - lo)
+
+
+def reference_spread(samples):
+    """The P90-P10 spread as first written: one percentile call each."""
+    x = np.asarray(samples, dtype=np.float64)
+    return float(np.percentile(x, 90) - np.percentile(x, 10))
+
+
+def _signal(seed, n, kind):
+    """A long input drawn from numpy: ADC codes, wide floats, or a noisy step."""
+    rng = np.random.default_rng(seed)
+    if kind == "codes":
+        return rng.integers(0, 4096, n, dtype=np.int32)
+    if kind == "floats":
+        return rng.uniform(-1e9, 1e9, n)
+    return np.repeat(rng.normal(0.0, 50.0, 8), -(-n // 8))[:n] + rng.normal(0.0, 1.0, n)
+
+
+@st.composite
+def front_end_cases(draw):
+    """An input (int32 codes or float64, odd or even length) and an odd
+    window up to its length: 1, the largest, or any between."""
+    x = draw(
+        arrays(np.int32, st.integers(1, 40), elements=st.integers(-(2**31), 2**31 - 1))
+        | arrays(np.float64, st.integers(1, 40), elements=st.floats(-1e9, 1e9))
+        | st.builds(
+            _signal,
+            st.integers(0, 2**32 - 1),
+            st.integers(1, 6000),
+            st.sampled_from(["codes", "floats", "step"]),
+        )
+    )
+    largest = x.size if x.size % 2 else x.size - 1
+    window = draw(
+        st.sampled_from([1, largest]) | st.integers(0, largest // 2).map(lambda k: 2 * k + 1)
+    )
+    return x, window
+
+
+class TestFrontEndReference:
+    """moving_average, remove_dc and normalize equal the formulas they
+    replace bit for bit, and leave their input untouched."""
+
+    @example(case=(np.array([5, -3, 7], dtype=np.int32), 3))  # window == n
+    @example(case=(np.array([1.5, -2.0, 4.0, 0.25]), 1))  # window 1, even length
+    @example(case=(np.arange(10, dtype=np.int32), 9))  # even length, widest window
+    @example(case=(np.array([2.0]), 1))
+    @given(case=front_end_cases())
+    def test_equals_the_reference_formulas(self, case):
+        x, window = case
+        given_x = x.copy()
+        average = reference_moving_average(x, window)
+        assert moving_average(x, window).tobytes() == average.tobytes()
+        centered = np.asarray(x, dtype=np.float64) - average
+        assert remove_dc(x, window).tobytes() == centered.tobytes()
+        for signal in (x, centered):
+            spread = reference_spread(signal)
+            if spread == 0.0:
+                with pytest.raises(ValueError, match="zero spread"):
+                    normalize(signal)
+            else:
+                expected = np.asarray(signal, dtype=np.float64) / spread
+                assert normalize(signal).tobytes() == expected.tobytes()
+        assert x.tobytes() == given_x.tobytes()
 
 
 class TestRecoverTiming:

@@ -206,6 +206,7 @@ class TestQuantize:
         if n:
             adc = AdcConfig(resolution_bits=bits, oversampling_ratio=ratio, samples_per_block=n)
             assert adc_sample(raw, adc).samples.tobytes() == expected.tobytes()
+            assert raw.tobytes() == given_raw.tobytes()
 
 
 class TestAddImpairments:
@@ -280,6 +281,7 @@ class TestAddImpairments:
     ):
         model = CouplingModel(noise_sigma=noise_sigma, drift=drift, burst=burst)
         values = np.linspace(1000.0, 3000.0, states * n)
+        given_values = values.copy()
         batched, reference = replace(start), replace(start)
         batched_rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
 
@@ -291,6 +293,7 @@ class TestAddImpairments:
 
         assert out.tobytes() == np.concatenate(expected).tobytes()
         assert out is not values
+        assert values.tobytes() == given_values.tobytes()
         assert batched == reference  # sample_index, walk_value and burst_left
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
 

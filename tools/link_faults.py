@@ -1,0 +1,100 @@
+#!/usr/bin/env python3
+"""Per-stage time and minor page faults of a 12,565-bit link payload.
+
+Runs payloads on link_3m and link_20m in turn, in one process, as the
+``link_decode`` benchmark workload does (modulate, one capture of the whole
+payload, demodulate), and prints for each stage the median wall time and
+the mean number of minor page faults per payload. A minor fault is a page
+the process touches for the first time since the allocator took it from
+the kernel, so the count shows how much of a stage's time goes to fresh
+memory rather than arithmetic. The first payloads are run untimed.
+
+Run from the repository root (Linux; faults come from getrusage):
+
+    python3 tools/link_faults.py --payloads 40
+"""
+
+from __future__ import annotations
+
+import argparse
+import resource
+import sys
+from pathlib import Path
+from statistics import mean, median
+from time import perf_counter
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from adcradio import backend, receiver, scenario, signals, sweep  # noqa: E402
+
+STAGES = ("capture", "remove_dc", "normalize", "recover_timing", "slice_bits")
+WARMUP = 4
+
+
+def minor_faults() -> int:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def timed(record: dict, name: str, fn):
+    """fn wrapped to add its wall time and minor faults to record[name]."""
+
+    def wrapper(*args, **kwargs):
+        f0, t0 = minor_faults(), perf_counter()
+        out = fn(*args, **kwargs)
+        record[name] = (perf_counter() - t0, minor_faults() - f0)
+        return out
+
+    return wrapper
+
+
+def payload(scn, seed: int, record: dict) -> None:
+    """One payload as the benchmark runs it, its stages timed into record."""
+    tx = scn.transmission
+    sps = int(scn.adc.sample_rate_hz / tx.bit_rate_hz)
+    bits = signals.generate_bits(12_565, seed)
+    rig, source = scenario.build_rig(scn, seed=seed)
+    envelope = signals.modulate_ook(bits, sps, 1.0, symbol_rate_hz=tx.bit_rate_hz)
+    rig.configure(
+        backend.ReceptionPathId(tx.path, f"P{tx.path}"),
+        sweep.enumerate_configs()[tx.config_index],
+        scn.adc,
+    )
+    source.rf_set(
+        backend.RfStimulus(
+            freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=envelope
+        )
+    )
+    n_blocks = -(-len(bits) * sps // scn.adc.samples_per_block)
+    trace = timed(record, "capture", rig.capture)(n_blocks)
+    params = receiver.DemodParams(samples_per_symbol=sps, dc_window_symbols=tx.dc_window_symbols)
+    receiver.demodulate(trace, params)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--payloads", type=int, default=40)
+    args = parser.parse_args()
+    if args.payloads < 1:
+        parser.error("--payloads must be >= 1")
+    scenarios = [
+        scenario.load_scenario(scenario.bundled_scenario_path(name))
+        for name in ("link_3m", "link_20m")
+    ]
+    record: dict = {}
+    for name in STAGES[1:]:  # demodulate looks these up at call time
+        setattr(receiver, name, timed(record, name, getattr(receiver, name)))
+    rows = []
+    for i in range(WARMUP + args.payloads):
+        record.clear()
+        timed(record, "payload", payload)(scenarios[i % 2], 1000 + i, record)
+        if i >= WARMUP:
+            rows.append(dict(record))
+    print(f"{args.payloads} payloads, median ms and mean minor faults per payload")
+    for name in STAGES + ("payload",):
+        ms = median(row[name][0] for row in rows) * 1e3
+        faults = mean(row[name][1] for row in rows)
+        print(f"{name:15s} {ms:8.2f} ms {faults:8.0f} faults")
+
+
+if __name__ == "__main__":
+    main()
