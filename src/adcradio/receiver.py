@@ -3,12 +3,16 @@
 The decode chain is deliberately simple enough to run on the device itself:
 
     remove_dc   - centered moving average subtraction (tracks slow drift)
-    normalize   - scale by the P90-P10 percentile spread (adaptive scaling)
     recover_timing - grid search for the symbol phase maximizing transition
                      energy at hypothesized boundaries
     slice_bits  - average the central half of each symbol, threshold at 0
 
-plus BER accounting against a known reference sequence and an eye-opening
+Every decision is scale-free (a sign and an argmax), so the chain runs on
+the DC-removed signal as it is. ``normalize`` (scale by the P90-P10
+percentile spread) is a reporting step: ``condition`` applies it for the
+eye-opening metric and the eye plot, where the scale is the number shown.
+
+Plus BER accounting against a known reference sequence and an eye-opening
 metric for judging decodability at a given symbol rate.
 """
 
@@ -110,13 +114,49 @@ def normalize(samples: np.ndarray) -> np.ndarray:
 _TIMING_GRID = 16
 
 
+def _timing_energies(x: np.ndarray, sps: int) -> list[float]:
+    """Transition energy of each grid phase j / ``_TIMING_GRID``: the summed
+    |x[b] - x[b-1]| over its boundaries b inside [1, n - 1], in order.
+
+    Phase j's boundaries are rint((k + j / _TIMING_GRID) * sps), k = 0, 1, ...
+    They are computed exactly, as k*sps plus an offset: with
+    (q, r) = divmod(j*sps, _TIMING_GRID) the offset is q below the half-sample
+    point (r < _TIMING_GRID / 2), q + 1 above it, and at the half the one of
+    the two that makes the boundary even, as np.rint rounds a tie. Where the
+    offset is the same for every k (every phase of an even sps), the
+    boundary samples are a strided view of x. Only the half-sample tie of an
+    odd sps alternates between q and q + 1, and gathers through an index
+    array. Either way the sum adds the same differences in the same order
+    as gathering rint's indices would, so each energy is the same float.
+    """
+    n = x.size
+    half = _TIMING_GRID // 2
+    energies = []
+    for j in range(_TIMING_GRID):
+        q, r = divmod(j * sps, _TIMING_GRID)
+        if r == half and sps % 2:
+            b = np.arange(q, n, sps)  # q = (sps - 1) // 2 >= 1
+            b += b & 1
+            b = b[b < n]
+            d = x[b] - x[b - 1]
+        else:
+            offset = q + (r > half or (r == half and q % 2 == 1))
+            start = offset or sps  # boundary 0 has no sample before it
+            d = x[start:n:sps] - x[start - 1 : n - 1 : sps]
+        np.abs(d, out=d)
+        energies.append(float(d.sum()))
+    return energies
+
+
 def recover_timing(samples: np.ndarray, samples_per_symbol: int) -> float:
     """Symbol phase in [0, 1) that maximizes transition energy.
 
-    Scores each of ``_TIMING_GRID`` evenly spaced candidate phases by the
-    summed |difference| across the sample pairs straddling its hypothesized
-    symbol boundaries; the first best grid point wins. The signal needs
-    transitions: at least 10 zero crossings.
+    Scores each of ``_TIMING_GRID`` evenly spaced candidate phases j/16 by
+    the summed |difference| across the sample pairs straddling its
+    hypothesized symbol boundaries, rint((k + j/16) * sps) rounded half to
+    even (see ``_timing_energies``); the first best grid point wins, so
+    phases that round to the same boundaries tie and the lowest is taken.
+    The signal needs transitions: at least 10 zero crossings.
     """
     x = np.asarray(samples, dtype=np.float64)
     sps = int(samples_per_symbol)
@@ -130,20 +170,12 @@ def recover_timing(samples: np.ndarray, samples_per_symbol: int) -> float:
         raise ValueError(
             f"too few transitions to recover timing ({crossings} zero crossings)"
         )
-    # Boundaries are collected over the whole signal and clipped to a common
-    # index range, so phases that round to the same physical boundaries score
-    # identically and the tie goes to the lowest phase.
-    ks = np.arange(0, int(n / sps) + 2)
-    phases = np.arange(_TIMING_GRID) / _TIMING_GRID
     best_phase = 0.0
     best_energy = -1.0
-    for phase in phases:
-        b = np.rint((ks + phase) * sps).astype(np.int64)
-        b = b[(b >= 1) & (b <= n - 1)]
-        energy = float(np.abs(x[b] - x[b - 1]).sum())
+    for j, energy in enumerate(_timing_energies(x, sps)):
         if energy > best_energy:
             best_energy = energy
-            best_phase = float(phase)
+            best_phase = j / _TIMING_GRID
     return best_phase
 
 
@@ -176,30 +208,46 @@ def slice_bits(samples: np.ndarray, phase: float, samples_per_symbol: int) -> Bi
     return BitSequence(bits=(means > 0).astype(np.uint8))
 
 
-def condition(
+def _remove_dc_symbols(
     trace: AdcTrace | np.ndarray, samples_per_symbol: int, dc_window_symbols: int
 ) -> np.ndarray:
-    """remove_dc -> normalize, the front end shared by every decision stage.
-
-    The DC window spans ``dc_window_symbols`` symbols, clipped to the trace
-    length and shortened by one sample if that makes it even.
-    """
+    """remove_dc over a window of ``dc_window_symbols`` symbols, clipped to
+    the trace length and shortened by one sample if that makes it even."""
     samples = trace.samples if isinstance(trace, AdcTrace) else trace
     x = np.asarray(samples, dtype=np.float64)
     window = min(dc_window_symbols * samples_per_symbol, x.size)
     if window % 2 == 0:
         window -= 1
-    return normalize(remove_dc(x, window))
+    return remove_dc(x, window)
+
+
+def condition(
+    trace: AdcTrace | np.ndarray, samples_per_symbol: int, dc_window_symbols: int
+) -> np.ndarray:
+    """remove_dc -> normalize: the DC-removed signal at unit robust scale,
+    for the metrics that report an amplitude (eye opening, eye plot).
+
+    Uses the same DC window as ``demodulate``. A constant trace has zero
+    spread and raises ValueError.
+    """
+    return normalize(_remove_dc_symbols(trace, samples_per_symbol, dc_window_symbols))
 
 
 def demodulate(trace: AdcTrace | np.ndarray, params: DemodParams) -> BitSequence:
-    """Full decode: remove_dc -> normalize -> recover_timing -> slice_bits."""
+    """Full decode: remove_dc -> recover_timing -> slice_bits.
+
+    The DC window spans ``params.dc_window_symbols`` symbols, clipped to the
+    trace length and made odd. Timing and slicing run on the DC-removed
+    signal unscaled: both decide by a sign or an argmax, which a positive
+    scale could move only through rounding. A constant trace has no
+    transitions and raises ValueError from recover_timing.
+    """
     if len(trace) == 0:
         return BitSequence(bits=np.empty(0, np.uint8))
     sps = params.samples_per_symbol
-    scaled = condition(trace, sps, params.dc_window_symbols)
-    phase = recover_timing(scaled, sps)
-    return slice_bits(scaled, phase, sps)
+    centered = _remove_dc_symbols(trace, sps, params.dc_window_symbols)
+    phase = recover_timing(centered, sps)
+    return slice_bits(centered, phase, sps)
 
 
 def ber(decoded: BitSequence, reference: BitSequence) -> BerReport:

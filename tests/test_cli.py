@@ -215,6 +215,17 @@ class TestSimulateAndDemod:
         assert run_cli(*eye, "--samples-per-symbol", 1) == 2
         assert "samples_per_symbol must be >= 2" in capsys.readouterr().err
 
+    def test_constant_trace_exit_2(self, tmp_path, capsys):
+        # demod decides on the DC-removed signal, which a constant trace
+        # leaves without transitions; the eye report scales it first
+        trace = tmp_path / "flat.trace"
+        trace.write_text(json.dumps(self.TRACE_HEADER) + "\n" + "2000\n" * 1024)
+        assert run_cli("demod", "--trace", trace) == 2
+        assert "too few transitions" in capsys.readouterr().err
+        eye = ("report", "--results", trace, "--kind", "eye", "--out", tmp_path / "e")
+        assert run_cli(*eye) == 2
+        assert "zero spread" in capsys.readouterr().err
+
     def test_incompatible_bit_rate_exit_2(self, mini_scenario, tmp_path):
         code = run_cli(
             "simulate", "--scenario", mini_scenario, "--bits", 10,

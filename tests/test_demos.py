@@ -42,6 +42,4 @@ def test_link_faults_tool_reports_every_stage():
     )
     assert result.returncode == 0, result.stderr
     stages = [line.split()[0] for line in result.stdout.splitlines()[1:]]
-    assert stages == [
-        "capture", "remove_dc", "normalize", "recover_timing", "slice_bits", "payload"
-    ]
+    assert stages == ["capture", "remove_dc", "recover_timing", "slice_bits", "payload"]

@@ -1,6 +1,7 @@
 """DC removal, scaling, timing recovery, slicing, BER accounting, eye metric."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis.extra.numpy import arrays
 from adcradio.backend import ReceptionPathId, SimulatedRfSource, SimulatorBackend
 from adcradio.receiver import (
     DemodParams,
+    _timing_energies,
     ber,
     demodulate,
     eye_opening,
@@ -175,6 +177,126 @@ class TestRecoverTiming:
         x = np.zeros(400)
         with pytest.raises(ValueError, match="transitions"):
             recover_timing(x, 16)
+
+
+def reference_recover_timing(samples, samples_per_symbol):
+    """recover_timing as first written, returning (phase, energies): every
+    grid phase rounds, masks and gathers its own boundary indices."""
+    x = np.asarray(samples, dtype=np.float64)
+    sps = int(samples_per_symbol)
+    n = x.size
+    if n < 2 * sps:
+        raise ValueError("need at least two symbols to recover timing")
+    crossings = int(np.count_nonzero(np.diff(x > 0)))
+    if crossings < 10:
+        raise ValueError(
+            f"too few transitions to recover timing ({crossings} zero crossings)"
+        )
+    ks = np.arange(0, int(n / sps) + 2)
+    phases = np.arange(16) / 16
+    best_phase = 0.0
+    best_energy = -1.0
+    energies = []
+    for phase in phases:
+        b = np.rint((ks + phase) * sps).astype(np.int64)
+        b = b[(b >= 1) & (b <= n - 1)]
+        energy = float(np.abs(x[b] - x[b - 1]).sum())
+        energies.append(energy)
+        if energy > best_energy:
+            best_energy = energy
+            best_phase = float(phase)
+    return best_phase, energies
+
+
+def _timing_signal(seed, sps, n, kind):
+    """n samples at sps: small integers (exact ties between phases), a
+    delayed integer OOK square wave with integer noise, or float noise."""
+    rng = np.random.default_rng(seed)
+    if kind == "integers":
+        return rng.integers(-2, 3, n).astype(np.float64)
+    if kind == "square":
+        levels = np.repeat(rng.choice([-3.0, 3.0], n // sps + 2), sps)
+        delay = int(rng.integers(0, sps))
+        return levels[delay : delay + n] + rng.integers(-1, 2, n)
+    return rng.normal(0.0, 1.0, n)
+
+
+@st.composite
+def timing_cases(draw):
+    """sps from 2 to 64, weighted toward the rounding ties (odd sps, and
+    sps % 8 == 4), with a length that need not be a multiple of sps."""
+    sps = draw(
+        st.integers(2, 64)
+        | st.integers(0, 7).map(lambda k: 8 * k + 4)
+        | st.integers(1, 31).map(lambda k: 2 * k + 1)
+    )
+    n = draw(st.integers(2 * sps, 40 * sps + sps - 1))
+    kind = draw(st.sampled_from(["integers", "square", "floats"]))
+    return _timing_signal(draw(st.integers(0, 2**32 - 1)), sps, n, kind), sps
+
+
+class TestTimingReference:
+    """recover_timing's exact integer boundaries give the phase and every
+    energy of the float-rounding formula it replaces, bit for bit."""
+
+    @example(case=(np.tile([2.0, -2.0, -2.0], 40), 3))  # odd sps, phase 1/2 alternates
+    @example(case=(np.tile([1.0, 1.0, -1.0, -1.0], 30)[:-1], 4))  # even sps tie, ragged
+    @example(case=(np.tile([1.0, -1.0], 61), 2))
+    @example(case=(_timing_signal(7, 12, 12 * 30 + 5, "square"), 12))
+    @given(case=timing_cases())
+    def test_equals_the_reference_formula(self, case):
+        x, sps = case
+        given_x = x.copy()
+        try:
+            phase, energies = reference_recover_timing(x, sps)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                recover_timing(x, sps)
+            return
+        assert np.array(_timing_energies(x, sps)).tobytes() == np.array(energies).tobytes()
+        assert recover_timing(x, sps) == phase
+        assert x.tobytes() == given_x.tobytes()
+
+
+@st.composite
+def ook_cases(draw):
+    """A noisy OOK capture at sps with an offset, a delay and a ragged end,
+    and the demodulator settings to decode it."""
+    sps = draw(st.integers(2, 40))
+    bits = generate_bits(draw(st.integers(20, 400)), draw(st.integers(0, 2**32 - 1)))
+    amplitude = draw(st.floats(0.01, 1000.0))
+    offset = draw(st.floats(-5000.0, 5000.0))
+    sigma = amplitude * draw(st.floats(0.01, 0.6))
+    delay = draw(st.integers(0, sps - 1))
+    trim = draw(st.integers(0, sps - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    env = np.concatenate([np.zeros(delay), modulate_ook(bits, sps, amplitude).values])
+    x = env[: env.size - trim] + offset + rng.normal(0.0, sigma, env.size - trim)
+    window = draw(st.integers(1, 20).map(lambda k: 2 * k + 1))
+    return x, DemodParams(samples_per_symbol=sps, dc_window_symbols=window)
+
+
+class TestDecodeEquivalence:
+    """demodulate on the DC-removed signal decodes the bits, at the phase,
+    of the path that scaled by the P90-P10 spread first."""
+
+    @given(case=ook_cases())
+    def test_equals_the_normalized_path(self, case):
+        x, params = case
+        sps = params.samples_per_symbol
+        window = min(params.dc_window_symbols * sps, x.size)
+        if window % 2 == 0:
+            window -= 1
+        centered = remove_dc(x, window)
+        try:
+            phase, _ = reference_recover_timing(normalize(centered), sps)
+        except ValueError:
+            with pytest.raises(ValueError):
+                demodulate(x, params)
+            return
+        assert recover_timing(centered, sps) == phase
+        expected = slice_bits(normalize(centered), phase, sps)
+        assert demodulate(x, params).bits.tobytes() == expected.bits.tobytes()
 
 
 class TestSliceBits:

@@ -27,7 +27,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from adcradio import backend, receiver, scenario, signals, sweep  # noqa: E402
 
-STAGES = ("capture", "remove_dc", "normalize", "recover_timing", "slice_bits")
+STAGES = ("capture", "remove_dc", "recover_timing", "slice_bits")
 WARMUP = 4
 
 
