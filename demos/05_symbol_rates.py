@@ -5,23 +5,19 @@
 # 100 kbps through a path with ~30 kHz of baseband bandwidth. The eye
 # opening shrinks as edges smear together, yet even 100 kbps still decodes.
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from adcradio import (
-    BasebandEnvelope,
     BitSequence,
-    DemodParams,
-    ReceptionPathId,
-    RfStimulus,
     ber,
-    build_rig,
     bundled_scenario_path,
     demodulate,
-    enumerate_configs,
     eye_opening,
     load_scenario,
+    transmit,
 )
 from adcradio.plots import render_eye
 
@@ -29,26 +25,21 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 scenario = load_scenario(bundled_scenario_path("bandwidth_eval"))
-tx = scenario.transmission
 fs = scenario.adc.sample_rate_hz
 print(f"baseband bandwidth 30 kHz, ADC at {fs/1e3:.0f} kS/s\n")
 
 print("   rate      eye     BER")
 for rate in (500, 1000, 10_000, 50_000, 100_000):
-    sps = int(fs / rate)
     n = max(400, min(8000, int(rate * 0.2)))
     if n % 2:
         n += 1
     bits = BitSequence(bits=np.tile([1, 0], n // 2).astype(np.uint8))
-    env = BasebandEnvelope(values=np.repeat(bits.bits.astype(float), sps), sample_rate=fs)
-
-    backend, source = build_rig(scenario)
-    backend.configure(ReceptionPathId(tx.path), enumerate_configs()[tx.config_index], scenario.adc)
-    source.rf_set(RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=env))
-    trace = backend.capture(-(-n * sps // scenario.adc.samples_per_block))
+    tx = replace(scenario.transmission, bit_rate_hz=rate)
+    trace, params = transmit(scenario, bits, tx=tx)
+    sps = params.samples_per_symbol
 
     eye = eye_opening(trace, sps, 0.0)
-    decoded = demodulate(trace, DemodParams(samples_per_symbol=sps))
+    decoded = demodulate(trace, params)
     report = ber(BitSequence(bits=decoded.bits[:n]), bits)
     print(f"{rate:7d}  {eye:7.3f}  {report.ber:.4f}")
     if rate == 50_000:

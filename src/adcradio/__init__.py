@@ -57,6 +57,7 @@ from .scenario import (
     bundled_scenario_path,
     load_scenario,
     scenario_from_dict,
+    transmit,
 )
 from .signals import (
     BasebandEnvelope,

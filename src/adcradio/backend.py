@@ -10,6 +10,7 @@ backend can slot in without touching the analysis code.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,6 +78,14 @@ class PathConfig:
             f"{self.mode.value}/{self.pupd.value}/"
             f"{self.output_value.value}/{self.output_type.value}"
         )
+
+
+def enumerate_configs() -> list[PathConfig]:
+    """All 64 GPIO configurations in deterministic mode-major order."""
+    return [
+        PathConfig(mode=m, pupd=p, output_value=v, output_type=t)
+        for m, p, v, t in itertools.product(GpioMode, GpioPull, OutputValue, OutputType)
+    ]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .backend import BackendError, ReceptionPathId, RfSourceError, RfStimulus
+from .backend import BackendError, ReceptionPathId, RfSourceError
 from .fileio import (
     FileFormatError,
     ber_report_to_dict,
@@ -38,8 +38,9 @@ from .scenario import (
     bundled_scenario_path,
     json_int,
     load_scenario,
+    transmit,
 )
-from .signals import BitSequence, dbm_to_mw, fspl_db, generate_bits, modulate_ook
+from .signals import BitSequence, dbm_to_mw, fspl_db, generate_bits
 from .simulator import RfChannel
 from .sweep import (
     SweepPlan,
@@ -354,34 +355,15 @@ def cmd_simulate(args) -> int:
     if not 0 <= tx.path < scenario.n_paths:
         raise UsageError(f"--path {tx.path} outside 0..{scenario.n_paths - 1}")
 
-    rate = scenario.adc.sample_rate_hz
-    sps = rate / tx.bit_rate_hz
-    if sps != int(sps) or int(sps) < 2:
-        raise UsageError(
-            f"ADC rate {rate} Hz / bit rate {tx.bit_rate_hz} Hz must be an integer "
-            f"samples-per-symbol >= 2, got {sps}"
-        )
-    sps = int(sps)
-
     bits = generate_bits(args.bits, seed)
-    envelope = modulate_ook(bits, sps, amplitude=1.0, symbol_rate_hz=tx.bit_rate_hz)
-    backend, source = build_rig(scenario, seed=seed)
-    config = enumerate_configs()[tx.config_index]
-    path = ReceptionPathId(index=tx.path, label=f"P{tx.path}")
-    backend.configure(path, config, scenario.adc)
-    source.rf_set(
-        RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=envelope)
-    )
-    total_samples = len(bits) * sps
-    n_blocks = -(-total_samples // scenario.adc.samples_per_block) if total_samples else 0
-    trace = backend.capture(n_blocks)
+    trace, params = transmit(scenario, bits, rig=build_rig(scenario, seed=seed), tx=tx)
 
     out = Path(args.out)
     write_trace(
         out,
         trace,
         extra_meta={
-            "samples_per_symbol": sps,
+            "samples_per_symbol": params.samples_per_symbol,
             "bit_rate_hz": tx.bit_rate_hz,
             "payload_bits": len(bits),
             "payload_seed": seed,

@@ -11,6 +11,9 @@ description; `load_scenario` validates with precise error messages.
 every reader in the package uses, for scenarios, traces, results records,
 ber-curves and trace hints alike; `text_lines` and `json_text` are the one
 way those readers open a file and parse its JSON.
+
+`build_rig` turns a scenario into a simulated device and RF source;
+`transmit` is the one path that sends a link payload over them.
 """
 
 from __future__ import annotations
@@ -24,17 +27,23 @@ from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from . import signals
 from .backend import (
     GpioMode,
     GpioPull,
     OutputType,
     OutputValue,
     PathConfig,
+    ReceptionPathId,
+    RfStimulus,
     SimulatedRfSource,
     SimulatorBackend,
+    enumerate_configs,
 )
+from .receiver import DemodParams
 from .simulator import (
     AdcConfig,
+    AdcTrace,
     BurstSpec,
     CouplingModel,
     DriftSpec,
@@ -48,8 +57,7 @@ if TYPE_CHECKING:
 
 SCENARIO_SCHEMA_VERSION = 1
 
-# The number of GPIO configurations, as sweep.enumerate_configs() lists them.
-N_CONFIGS = len(GpioMode) * len(GpioPull) * len(OutputValue) * len(OutputType)
+N_CONFIGS = len(enumerate_configs())
 
 # The integer fields of AdcConfig, for json_object.
 ADC_INTS = ("resolution_bits", "oversampling_ratio", "samples_per_block")
@@ -350,6 +358,44 @@ def build_rig(
         max_freq_hz=scenario.source.max_freq_hz,
     )
     return SimulatorBackend(dut, source), source
+
+
+def transmit(
+    scenario: Scenario,
+    bits: signals.BitSequence,
+    rig: tuple[SimulatorBackend, SimulatedRfSource] | None = None,
+    tx: TransmissionDefaults | None = None,
+) -> tuple[AdcTrace, DemodParams]:
+    """Send ``bits`` as OOK over ``tx`` (default: the scenario's
+    transmission) and capture the whole payload on ``rig`` (default: a fresh
+    ``build_rig(scenario)``).
+
+    Configures path ``tx.path`` with ``enumerate_configs()[tx.config_index]``
+    and the scenario's ADC, keys the source with the modulated envelope and
+    captures every block the payload needs. Returns the trace and the
+    DemodParams that decode it. The ADC rate over ``tx.bit_rate_hz`` must be
+    an integer samples-per-symbol >= 2, else ValueError.
+    """
+    tx = scenario.transmission if tx is None else tx
+    backend, source = build_rig(scenario) if rig is None else rig
+    rate = scenario.adc.sample_rate_hz
+    sps = rate / tx.bit_rate_hz
+    if sps != int(sps) or int(sps) < 2:
+        raise ValueError(
+            f"ADC rate {rate} Hz / bit rate {tx.bit_rate_hz} Hz must be an integer "
+            f"samples-per-symbol >= 2, got {sps}"
+        )
+    sps = int(sps)
+    # Called through the module, so a wrapper on signals.modulate_ook sees it.
+    envelope = signals.modulate_ook(bits, sps, 1.0, symbol_rate_hz=tx.bit_rate_hz)
+    backend.configure(
+        ReceptionPathId(tx.path, f"P{tx.path}"), enumerate_configs()[tx.config_index], scenario.adc
+    )
+    source.rf_set(
+        RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=envelope)
+    )
+    trace = backend.capture(-(-len(bits) * sps // scenario.adc.samples_per_block))
+    return trace, DemodParams(sps, tx.dc_window_symbols)
 
 
 def bundled_scenario_path(name: str) -> Traversable:

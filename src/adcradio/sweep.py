@@ -36,6 +36,7 @@ from .backend import (
     ReceptionPathId,
     RfStimulus,
     capture_groups,
+    enumerate_configs,  # re-exported: sweep.enumerate_configs is public
 )
 from .protocol import ProtocolError
 from .scenario import ScenarioError, json_number
@@ -418,14 +419,6 @@ def peak_snr(spectrum: SnrSpectrum) -> tuple[float, float]:
 def classify_sensitive(spectrum: SnrSpectrum, threshold_db: float = DEFAULT_THRESHOLD_DB) -> bool:
     """True iff the peak SNR reaches the threshold (or is "high")."""
     return peak_snr(spectrum)[1] >= threshold_db
-
-
-def enumerate_configs() -> list[PathConfig]:
-    """All 64 GPIO configurations in deterministic mode-major order."""
-    return [
-        PathConfig(mode=m, pupd=p, output_value=v, output_type=t)
-        for m, p, v, t in itertools.product(GpioMode, GpioPull, OutputValue, OutputType)
-    ]
 
 
 def recommended_configs() -> list[PathConfig]:

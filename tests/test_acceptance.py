@@ -7,6 +7,7 @@ summary lines alongside the pytest verdicts.
 import json
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -40,9 +41,8 @@ from adcradio.receiver import (
     eye_opening,
     ideal_sync_ber_experiment,
 )
-from adcradio.scenario import build_rig, bundled_scenario_path, load_scenario
+from adcradio.scenario import build_rig, bundled_scenario_path, load_scenario, transmit
 from adcradio.signals import (
-    BasebandEnvelope,
     BitSequence,
     fspl_db,
     generate_bits,
@@ -318,23 +318,9 @@ def test_criterion_05_ideal_sync_ber():
 
 def _decode_link(scenario_name: str) -> BerReport:
     scenario = load_scenario(bundled_scenario_path(scenario_name))
-    tx = scenario.transmission
-    sps = int(scenario.adc.sample_rate_hz / tx.bit_rate_hz)
     bits = generate_bits(12565, scenario.seed)
-    env = modulate_ook(bits, sps, 1.0, symbol_rate_hz=tx.bit_rate_hz)
-    backend, source = build_rig(scenario)
-    backend.configure(
-        ReceptionPathId(tx.path), enumerate_configs()[tx.config_index], scenario.adc
-    )
-    source.rf_set(
-        RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=env)
-    )
-    n_blocks = -(-len(bits) * sps // scenario.adc.samples_per_block)
-    trace = backend.capture(n_blocks)
-    decoded = demodulate(
-        trace,
-        DemodParams(samples_per_symbol=sps, dc_window_symbols=tx.dc_window_symbols),
-    )
+    trace, params = transmit(scenario, bits)
+    decoded = demodulate(trace, params)
     return ber(BitSequence(bits=decoded.bits[: len(bits)]), bits)
 
 
@@ -402,29 +388,18 @@ def test_criterion_07_timing_robustness():
 def test_criterion_08_bandwidth_eye():
     t0 = time.perf_counter()
     scenario = load_scenario(bundled_scenario_path("bandwidth_eval"))
-    tx = scenario.transmission
-    cfg = enumerate_configs()[tx.config_index]
-    fs = scenario.adc.sample_rate_hz
     rates = [500, 1000, 10_000, 50_000, 100_000]
     n_bits = {500: 600, 1000: 1200, 10_000: 4000, 50_000: 8000, 100_000: 8000}
     eyes = []
     ber_100k = None
     for rate in rates:
-        sps = int(fs / rate)
         n = n_bits[rate]
         bits = BitSequence(bits=np.tile([1, 0], n // 2).astype(np.uint8))
-        env = BasebandEnvelope(
-            values=np.repeat(bits.bits.astype(float), sps), sample_rate=fs
-        )
-        backend, source = build_rig(scenario)
-        backend.configure(ReceptionPathId(tx.path), cfg, scenario.adc)
-        source.rf_set(
-            RfStimulus(freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=env)
-        )
-        trace = backend.capture(-(-n * sps // scenario.adc.samples_per_block))
-        eyes.append(eye_opening(trace, sps, 0.0))
+        tx = replace(scenario.transmission, bit_rate_hz=rate)
+        trace, params = transmit(scenario, bits, tx=tx)
+        eyes.append(eye_opening(trace, params.samples_per_symbol, 0.0))
         if rate == 100_000:
-            decoded = demodulate(trace, DemodParams(samples_per_symbol=sps))
+            decoded = demodulate(trace, params)
             ber_100k = ber(BitSequence(bits=decoded.bits[:n]), bits).ber
     strictly_decreasing = all(a > b for a, b in zip(eyes, eyes[1:]))
     elapsed = time.perf_counter() - t0

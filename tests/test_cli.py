@@ -1,10 +1,12 @@
-"""Command-line behaviors: exit codes, artifacts, determinism."""
+"""Command-line behaviors: exit codes, artifacts, determinism; and
+`scenario.transmit`, the library call behind `simulate`."""
 
 import json
 import os
 import subprocess
 import sys
 import zipfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,8 @@ import adcradio
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace
 from adcradio.plots import render_eye
-from adcradio.scenario import config_to_dict
+from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
+from adcradio.signals import generate_bits
 from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
 
 
@@ -226,12 +229,16 @@ class TestSimulateAndDemod:
         assert run_cli(*eye) == 2
         assert "zero spread" in capsys.readouterr().err
 
-    def test_incompatible_bit_rate_exit_2(self, mini_scenario, tmp_path):
+    def test_incompatible_bit_rate_exit_2(self, mini_scenario, tmp_path, capsys):
         code = run_cli(
             "simulate", "--scenario", mini_scenario, "--bits", 10,
             "--bit-rate", 7000.0, "--out", tmp_path / "x.trace",
         )
         assert code == 2
+        assert (
+            "ADC rate 16000.0 Hz / bit rate 7000.0 Hz must be an integer "
+            "samples-per-symbol >= 2, got 2.2857" in capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -251,6 +258,22 @@ class TestSimulateAndDemod:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestTransmit:
+    """The library call behind `simulate`: it enforces the samples-per-symbol
+    rule before it touches the rig."""
+
+    @pytest.mark.parametrize(
+        "bit_rate, got", [(7000.0, "got 2.2857"), (16000.0, "got 1.0")]
+    )
+    def test_bad_samples_per_symbol_is_value_error(self, mini_scenario, bit_rate, got):
+        scenario = load_scenario(mini_scenario)
+        rig = build_rig(scenario)
+        tx = replace(scenario.transmission, bit_rate_hz=bit_rate)
+        with pytest.raises(ValueError, match=f"must be an integer samples-per-symbol >= 2, {got}"):
+            transmit(scenario, generate_bits(10, 1), rig=rig, tx=tx)
+        assert not rig[0].dut.configured
 
 
 class TestBerCommand:

@@ -2,12 +2,13 @@
 """Per-stage time and minor page faults of a 12,565-bit link payload.
 
 Runs payloads on link_3m and link_20m in turn, in one process, as the
-``link_decode`` benchmark workload does (modulate, one capture of the whole
-payload, demodulate), and prints for each stage the median wall time and
-the mean number of minor page faults per payload. A minor fault is a page
-the process touches for the first time since the allocator took it from
-the kernel, so the count shows how much of a stage's time goes to fresh
-memory rather than arithmetic. The first payloads are run untimed.
+``link_decode`` benchmark workload does (``scenario.transmit`` modulates and
+captures the whole payload, ``receiver.demodulate`` decodes it), and prints
+for each stage the median wall time and the mean number of minor page
+faults per payload. A minor fault is a page the process touches for the
+first time since the allocator took it from the kernel, so the count shows
+how much of a stage's time goes to fresh memory rather than arithmetic. The
+first payloads are run untimed.
 
 Run from the repository root (Linux; faults come from getrusage):
 
@@ -25,7 +26,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from adcradio import backend, receiver, scenario, signals, sweep  # noqa: E402
+from adcradio import receiver, scenario, signals  # noqa: E402
 
 STAGES = ("capture", "remove_dc", "recover_timing", "slice_bits")
 WARMUP = 4
@@ -49,24 +50,10 @@ def timed(record: dict, name: str, fn):
 
 def payload(scn, seed: int, record: dict) -> None:
     """One payload as the benchmark runs it, its stages timed into record."""
-    tx = scn.transmission
-    sps = int(scn.adc.sample_rate_hz / tx.bit_rate_hz)
     bits = signals.generate_bits(12_565, seed)
     rig, source = scenario.build_rig(scn, seed=seed)
-    envelope = signals.modulate_ook(bits, sps, 1.0, symbol_rate_hz=tx.bit_rate_hz)
-    rig.configure(
-        backend.ReceptionPathId(tx.path, f"P{tx.path}"),
-        sweep.enumerate_configs()[tx.config_index],
-        scn.adc,
-    )
-    source.rf_set(
-        backend.RfStimulus(
-            freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True, envelope=envelope
-        )
-    )
-    n_blocks = -(-len(bits) * sps // scn.adc.samples_per_block)
-    trace = timed(record, "capture", rig.capture)(n_blocks)
-    params = receiver.DemodParams(samples_per_symbol=sps, dc_window_symbols=tx.dc_window_symbols)
+    rig.capture = timed(record, "capture", rig.capture)
+    trace, params = scenario.transmit(scn, bits, rig=(rig, source))
     receiver.demodulate(trace, params)
 
 
