@@ -209,7 +209,81 @@ class TestQuantize:
             assert raw.tobytes() == given_raw.tobytes()
 
 
+def reference_impair(values, model, rng, state, raw_rate_hz):
+    """One state's impairments, summed term by term into a fresh array:
+    noise plus values first when noise is on (else a copy of values), then
+    the walk, the sinusoid and the bursts. Advances ``state`` as _impair does."""
+    n = values.size
+    drift, burst = model.drift, model.burst
+    noise = rng.normal(0.0, model.noise_sigma, n) if model.noise_sigma > 0 else None
+    steps = rng.normal(0.0, drift.walk_step, n) if drift.walk_step > 0 else None
+    bursty = burst.rate_per_s > 0 and burst.duration_s > 0
+    uniform = rng.random(n) if bursty else None
+    total = noise + values if noise is not None else values.copy()
+    if steps is not None:
+        walk = np.cumsum(steps) + state.walk_value
+        total = total + walk
+        state.walk_value = float(walk[-1])
+    if drift.sine_amplitude > 0 and drift.sine_period_s > 0:
+        index = np.arange(n, dtype=np.float64) + state.sample_index
+        phase = index / raw_rate_hz * (2.0 * np.pi) / drift.sine_period_s
+        total = total + np.sin(phase) * drift.sine_amplitude
+    if uniform is not None:
+        length = max(1, int(round(burst.duration_s * raw_rate_hz)))
+        active = np.arange(n) < state.burst_left
+        ends = [state.burst_left]
+        for start in np.flatnonzero(uniform < burst.rate_per_s / raw_rate_hz):
+            active[start : start + length] = True
+            ends.append(start + length)
+        if active.any():
+            total = total + burst.amplitude * active
+        state.burst_left = max(0, max(ends) - n)
+    state.sample_index += n
+    return total
+
+
 class TestAddImpairments:
+    @given(
+        values=arrays(np.float64, st.integers(1, 60), elements=_SAMPLES),
+        noise_sigma=st.sampled_from([0.0, 0.7, 3.0]),
+        drift=st.builds(
+            DriftSpec,
+            walk_step=st.just(0.0) | st.floats(0.01, 0.5),
+            sine_amplitude=st.just(0.0) | st.floats(0.5, 20.0),
+            sine_period_s=st.floats(1e-3, 0.1),
+        ),
+        burst=st.just(BurstSpec())
+        | st.builds(
+            BurstSpec,
+            rate_per_s=st.floats(50.0, 2000.0),
+            amplitude=st.floats(-40.0, 40.0),
+            duration_s=st.floats(1e-4, 2e-2),
+        ),
+        start=st.builds(
+            _DeviceState,
+            sample_index=st.integers(0, 10**6),
+            walk_value=st.floats(-50.0, 50.0),
+            burst_left=st.integers(0, 400),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_state_equals_the_term_by_term_sum(
+        self, values, noise_sigma, drift, burst, start, seed
+    ):
+        model = CouplingModel(noise_sigma=noise_sigma, drift=drift, burst=burst)
+        given_values = values.copy()
+        state, reference = replace(start), replace(start)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        out = _impair(values, model, rng, state, 10_000.0)
+        expected = reference_impair(given_values, model, reference_rng, reference, 10_000.0)
+
+        assert out.tobytes() == expected.tobytes()
+        assert out is not values
+        assert values.tobytes() == given_values.tobytes()
+        assert state == reference
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_all_disabled_is_identity(self):
         x = np.linspace(0, 5, 100)
         out = impair(x, CouplingModel(), np.random.default_rng(0))
