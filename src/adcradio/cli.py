@@ -159,7 +159,7 @@ def cmd_sweep(args) -> int:
     write_manifest(
         out_dir / "manifest.json",
         command="sweep",
-        argv=sys.argv[1:],
+        argv=args.argv,
         seed=seed,
         outputs=[results_path],
         scenario=scenario_path,
@@ -210,7 +210,7 @@ def cmd_demod(args) -> int:
         write_manifest(
             Path(args.out).with_suffix(".manifest.json"),
             command="demod",
-            argv=sys.argv[1:],
+            argv=args.argv,
             seed=None,
             outputs=outputs,
         )
@@ -272,7 +272,7 @@ def cmd_ber(args) -> int:
         write_manifest(
             Path(args.out).with_suffix(".manifest.json"),
             command="ber",
-            argv=sys.argv[1:],
+            argv=args.argv,
             seed=seed,
             outputs=[args.out],
             scenario=scenario_path,
@@ -285,8 +285,6 @@ def cmd_report(args) -> int:
     out_csv = Path(f"{args.out}.csv")
     if args.kind == "heatmap":
         _, records = read_records(args.results)
-        if not records:
-            raise UsageError("no records")
         info = render_heatmap(records, out_svg, out_csv)
     elif args.kind == "spectrum":
         _, records = read_records(args.results)
@@ -307,10 +305,7 @@ def cmd_report(args) -> int:
             spectrum = max(spectra, key=lambda s: peak_snr(s)[1])
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
-        points = read_ber_curve(args.results)
-        if not points:
-            raise UsageError("no records")
-        info = render_ber_curve(points, out_svg, out_csv)
+        info = render_ber_curve(read_ber_curve(args.results), out_svg, out_csv)
     elif args.kind == "eye":
         trace = read_trace(args.results)
         sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
@@ -323,7 +318,7 @@ def cmd_report(args) -> int:
     write_manifest(
         Path(f"{args.out}.manifest.json"),
         command="report",
-        argv=sys.argv[1:],
+        argv=args.argv,
         seed=None,
         outputs=[out_svg, out_csv],
         extra=info,
@@ -377,7 +372,7 @@ def cmd_simulate(args) -> int:
     write_manifest(
         out.with_suffix(".manifest.json"),
         command="simulate",
-        argv=sys.argv[1:],
+        argv=args.argv,
         seed=seed,
         outputs=outputs,
         scenario=scenario_path,
@@ -505,8 +500,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # what the manifests record
     try:
         return args.func(args)
     except (UsageError, ScenarioError, FileFormatError, ValueError) as exc:

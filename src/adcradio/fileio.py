@@ -221,18 +221,32 @@ def _snr_text(snr) -> str:
     return json.dumps(snr)
 
 
+def _column_texts(column):
+    """The JSON text of each value of one statistic column.
+
+    A column of exact, finite floats is written with repr, which on an exact
+    float is float.__repr__, as json.dumps writes a finite float; one
+    nonzero value throughout (a pooled ``var_off``) is formatted once, and
+    zero never is, since 0.0 and -0.0 compare equal but print apart. Any
+    other column is written value by value under the json.dumps rules.
+    """
+    # The sum is finite only if every term is (an overflow merely sends the
+    # column the general way).
+    if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
+        if column and column[0] and column.count(column[0]) == len(column):
+            return [repr(column[0])] * len(column)
+        return map(repr, column)
+    return map(_json_number, column)
+
+
 def _cell_lines(cell: SweepCell, freq_texts) -> str:
     """The lines of the records of one cell, each
     ``json.dumps(record_to_dict(r)) + "\n"``, joined; ``freq_texts`` holds
     the JSON text of each record's ``freq_hz``.
 
-    The path/config prefix is encoded once. A cell in which no record
-    failed and whose statistics are all exact, finite floats writes them
-    with ``!r``, which on an exact float is float.__repr__, as json.dumps
-    writes a finite float; a pooled ``var_off`` (one value for the whole
-    cell) is formatted once unless it is zero, since 0.0 and -0.0 compare
-    equal but print apart. Any other cell is written field by field under
-    the json.dumps rules.
+    The path/config prefix is encoded once, each statistic column's texts
+    are made by _column_texts, and each line ends with the failed suffix
+    when its record failed.
     """
     head = {
         "path": {"index": cell.path.index, "label": cell.path.label},
@@ -244,35 +258,17 @@ def _cell_lines(cell: SweepCell, freq_texts) -> str:
         f'{{"db": {snr!r}}}' if type(snr) is float and snr - snr == 0.0 else _snr_text(snr)
         for snr in cell.snr
     ]
-    if (
-        not any(cell.failed)
-        and all(set(map(type, column)) <= {float} for column in stats)
-        # The sum is finite only if every term is (an overflow merely sends
-        # the cell the general way).
-        and math.isfinite(sum(map(sum, stats)))
-    ):
-        var = cell.var_off
-        if var and var[0] and var.count(var[0]) == len(var):
-            var_texts = [repr(var[0])] * len(var)
-        else:
-            var_texts = map(repr, var)
-        lines = [
-            f'{prefix}{freq}, "mean_on": {on!r}, "mean_off": {off!r}, "diff": {diff!r}'
-            f', "var_off": {var_off}, "snr": {snr}}}\n'
-            for freq, on, off, diff, var_off, snr in zip(
-                freq_texts, cell.mean_on, cell.mean_off, cell.diff, var_texts, snr_texts
-            )
-        ]
-    else:
-        lines = [
-            f'{prefix}{freq}, "mean_on": {_json_number(on)}, "mean_off": {_json_number(off)}'
-            f', "diff": {_json_number(diff)}, "var_off": {_json_number(var_off)}, "snr": {snr}'
-            + (', "failed": true, "error": ' + json.dumps(error) + "}\n" if failed else "}\n")
-            for freq, on, off, diff, var_off, snr, failed, error in zip(
-                freq_texts, *stats, snr_texts, cell.failed, cell.errors
-            )
-        ]
-    return "".join(lines)
+    endings = [
+        ', "failed": true, "error": ' + json.dumps(error) + "}\n" if failed else "}\n"
+        for failed, error in zip(cell.failed, cell.errors)
+    ]
+    return "".join([
+        f'{prefix}{freq}, "mean_on": {on}, "mean_off": {off}, "diff": {diff}'
+        f', "var_off": {var_off}, "snr": {snr}{end}'
+        for freq, on, off, diff, var_off, snr, end in zip(
+            freq_texts, *map(_column_texts, stats), snr_texts, endings
+        )
+    ])
 
 
 def _record_lines(records):

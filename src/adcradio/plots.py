@@ -11,7 +11,7 @@ import csv
 import math
 from pathlib import Path
 
-from .receiver import _symbol_central_means, condition
+from .receiver import condition
 from .sweep import SnrSpectrum, config_order, peak_snr, snr_to_json, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
@@ -250,7 +250,6 @@ def render_eye(
     n_seg = min(_EYE_MAX_SEGMENTS, (scaled.size - sps) // sps - 1)
     if n_seg < 2:
         raise ValueError("trace too short for an eye diagram")
-    means = _symbol_central_means(scaled, 0.0, sps)
     lo, hi = float(scaled.min()), float(scaled.max())
     if hi == lo:
         hi = lo + 1.0
@@ -279,4 +278,5 @@ def render_eye(
     parts.append(_text(x0, y0 - 10, f"eye diagram, {len(segments)} segments, sps={sps}"))
     rows = ([k] + [f"{v:.6f}" for v in seg] for k, seg in enumerate(segments))
     _write(parts, out_svg, out_csv, ["segment"] + [f"s{i}" for i in range(seg_len)], rows)
-    return {"segments": len(segments), "symbol_means": len(means)}
+    # The number of whole symbols at phase 0, which slice_bits would decide.
+    return {"segments": len(segments), "symbol_means": scaled.size // sps}

@@ -252,10 +252,9 @@ def _impair(
     the sinusoid and the bursts follow the global raw sample index, so a
     burst carries across states.
 
-    The sum is built in place in arrays drawn or made here (the noise, the
-    walk, the sinusoid, the burst levels), adding ``values`` into the first
-    of them; values itself is never written. With every impairment off it
-    returns a copy.
+    The sum starts as the drawn noise plus ``values``, or as a copy of
+    values when noise is off, and each later term is added into it in
+    place; values itself is never written.
     """
     size = values.size
     n = size // states
@@ -273,10 +272,11 @@ def _impair(
                     rows[k] = d(n)
         draws = [None if rows is None else rows.reshape for rows in drawn]  # read flat
     noise, walk_steps, uniform = draws
-    out = None  # the first term drawn or built here; values is added into it
     if noise is not None:
         out = noise(size)
         out += values
+    else:
+        out = values.copy()
     if walk_steps is not None:
         walk = walk_steps(size).reshape(states, n)
         np.cumsum(walk, axis=1, out=walk)
@@ -285,7 +285,7 @@ def _impair(
         offsets = np.cumsum(np.concatenate(([state.walk_value], walk[:, -1])))
         state.walk_value = float(offsets[-1])
         walk += offsets[:-1, None]
-        out = _add_into(walk.reshape(size), out, values)
+        out += walk.reshape(size)
         del walk  # free each term before the next: a long pass holds fewer arrays
     if drift.sine_amplitude > 0 and drift.sine_period_s > 0:
         sine = np.arange(size, dtype=np.float64)
@@ -295,7 +295,7 @@ def _impair(
         sine /= drift.sine_period_s
         np.sin(sine, out=sine)
         sine *= drift.sine_amplitude
-        out = _add_into(sine, out, values)
+        out += sine
         del sine
     if uniform is not None:
         starts = np.flatnonzero(uniform(size) < burst.rate_per_s / raw_rate_hz)
@@ -309,22 +309,9 @@ def _impair(
         np.cumsum(delta, out=delta)
         active = delta[:-1] > 0
         if active.any():
-            term = np.multiply(burst.amplitude, active, out=delta[:-1])
-            out = _add_into(term, out, values)
+            out += np.multiply(burst.amplitude, active, out=delta[:-1])
         state.burst_left = max(0, int(np.max(ends, initial=state.burst_left)) - size)
-    if out is None:
-        out = values.copy()
     state.sample_index += size
-    return out
-
-
-def _add_into(term: np.ndarray, out: np.ndarray | None, values: np.ndarray) -> np.ndarray:
-    """``out + term`` written into ``out``, or, while ``out`` is None,
-    ``values + term`` written into ``term``; both arrays are _impair's own."""
-    if out is None:
-        term += values
-        return term
-    out += term
     return out
 
 

@@ -13,8 +13,9 @@ import pytest
 
 import adcradio
 from adcradio.cli import main
-from adcradio.fileio import read_bits, read_records, read_trace
+from adcradio.fileio import read_bits, read_records, read_trace, write_trace
 from adcradio.plots import render_eye
+from adcradio.receiver import _symbol_central_means, condition
 from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
 from adcradio.signals import generate_bits
 from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
@@ -56,6 +57,36 @@ def mini_scenario(tmp_path):
 
 def run_cli(*argv):
     return main([str(a) for a in argv])
+
+
+class TestManifestArgv:
+    def test_every_manifest_records_the_argv_given_to_main(
+        self, mini_scenario, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests/x.py"])
+        trace, bits = tmp_path / "t.trace", tmp_path / "t.bits"
+        runs = {
+            tmp_path / "sweep" / "manifest.json": [
+                "sweep", "--scenario", mini_scenario, "--out", tmp_path / "sweep",
+                "--configs", "0", "--freq-points", "2",
+            ],
+            tmp_path / "t.manifest.json": [
+                "simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace,
+            ],
+            tmp_path / "d.manifest.json": [
+                "demod", "--trace", trace, "--reference", bits, "--out", tmp_path / "d.bits",
+            ],
+            tmp_path / "eye.manifest.json": [
+                "report", "--results", trace, "--kind", "eye", "--out", tmp_path / "eye",
+            ],
+            tmp_path / "c.manifest.json": [
+                "ber", "--scenario", mini_scenario, "--bits", 100, "--out", tmp_path / "c.json",
+            ],
+        }
+        for manifest, argv in runs.items():
+            argv = [str(a) for a in argv]
+            assert main(argv) == 0
+            assert json.loads(manifest.read_text())["argv"] == argv
 
 
 class TestLinkBudget:
@@ -375,6 +406,22 @@ class TestReportCommand:
         assert "bad serialized SNR" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("extra", [0, 5])
+    def test_eye_counts_the_symbols_slice_bits_decides(self, mini_scenario, tmp_path, extra):
+        # symbol_means is the number of central means at phase 0, for a
+        # trace that is, and one that is not, a whole number of symbols.
+        trace_path = tmp_path / "eye.trace"
+        run_cli("simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace_path)
+        trace = read_trace(trace_path)
+        sps = trace.meta["samples_per_symbol"]
+        trace = replace(trace, samples=trace.samples[: 150 * sps + extra])
+        write_trace(trace_path, trace)
+        args = ("report", "--results", trace_path, "--kind", "eye", "--out", tmp_path / "e")
+        assert run_cli(*args) == 0
+        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
+        means = _symbol_central_means(condition(trace, sps, 41), 0.0, sps)
+        assert manifest["symbol_means"] == means.size == 150
+
     def test_eye_from_trace(self, mini_scenario, tmp_path):
         trace_path = tmp_path / "eye.trace"
         run_cli("simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace_path)
@@ -439,6 +486,11 @@ class TestReportCommand:
         empty = tmp_path / "empty.jsonl"
         empty.write_text(json.dumps({"schema_version": 1, "kind": "sensitivity-records"}) + "\n")
         code = run_cli("report", "--results", empty, "--kind", "heatmap", "--out", tmp_path / "x")
+        assert code == 2
+        assert "no records" in capsys.readouterr().err
+
+    def test_empty_ber_curve_exit_2(self, tmp_path, capsys):
+        code, _ = self.report_ber_curve(tmp_path, dict(self.CURVE, points=[]))
         assert code == 2
         assert "no records" in capsys.readouterr().err
 

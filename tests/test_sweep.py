@@ -168,21 +168,13 @@ class TestSnrValues:
     def test_snr_column_equals_snr_from_stats_bit_for_bit(self, pairs):
         # The column keeps math.log10 per value: numpy's log10 differs from
         # it in the last bit on some inputs and hosts, which would change
-        # the bytes of results files. Where d*d/v underflows to zero both
-        # raise the same ValueError.
-        def scalar(d, v):
-            try:
-                return snr_from_stats(d, v)
-            except ValueError:
-                return None
-
-        ok = [(d, v, want) for d, v in pairs if (want := scalar(d, v)) is not None]
-        got = sweep._snr_column([d for d, _, _ in ok], [v for _, v, _ in ok])
-        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", w) for _, _, w in ok]
-        for d, v in pairs:
-            if scalar(d, v) is None:
-                with pytest.raises(ValueError, match="math domain error"):
-                    sweep._snr_column([d], [v])
+        # the bytes of results files. Every drawn variance is >= 0, so every
+        # pair has an SNR, a finite one for a nonzero difference over a
+        # nonzero variance even where d*d/v under- or overflows.
+        want = [snr_from_stats(d, v) for d, v in pairs]
+        assert all(math.isfinite(w) for (d, v), w in zip(pairs, want) if d and v)
+        got = sweep._snr_column([d for d, _ in pairs], [v for _, v in pairs])
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", w) for w in want]
 
 
 def spectrum_of(points):
