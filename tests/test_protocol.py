@@ -16,6 +16,7 @@ from adcradio.backend import (
     RfStimulus,
     SimulatedRfSource,
     SimulatorBackend,
+    UnsupportedSettingError,
 )
 from adcradio.protocol import (
     CODES_PER_LINE,
@@ -592,6 +593,63 @@ class TestSerialBackend:
         client = SerialBackend(DeadTransport(), timeout_s=0.01, retries=3)
         with pytest.raises(ProtocolError, match="timed out"):
             client.describe()
+
+
+class ScriptedTransport:
+    """Answers each request with the next scripted reply, under its tag."""
+
+    def __init__(self, *replies):
+        self.replies = list(replies)
+        self.sent = []
+
+    def send_line(self, line):
+        self.sent.append(line)
+
+    def recv_line(self, timeout_s):
+        return self.sent[-1][:5] + self.replies.pop(0) if self.replies else None
+
+
+class TestSerialBackendRefusals:
+    @pytest.mark.parametrize(
+        "reply, message",
+        [
+            (
+                f"ID 4 12 16000 {PROTOCOL_VERSION + 1}",
+                f"protocol version mismatch: {PROTOCOL_VERSION + 1} != {PROTOCOL_VERSION}",
+            ),
+            ("ID 4 12 16000", "bad ID? response 'ID 4 12 16000'"),
+            (f"ID 4 12 16000 {PROTOCOL_VERSION} 0", "bad ID? response "),
+            (
+                f"ID 1234567890123 12 16000 {PROTOCOL_VERSION}",
+                "field 1 (ID field): integer too long",
+            ),
+            (f"ID 4 12 -1 {PROTOCOL_VERSION}", "field 3 (ID field): invalid unsigned integer '-1'"),
+        ],
+        ids=["version", "short", "long", "13-digit", "negative"],
+    )
+    def test_describe_refuses_a_bad_id_reply(self, reply, message):
+        client = SerialBackend(ScriptedTransport(reply))
+        with pytest.raises(ProtocolError) as excinfo:
+            client.describe()
+        assert str(excinfo.value).startswith(message)
+        assert client.transport.sent == ["0001 ID?"]
+
+    def test_configure_refuses_a_reply_that_is_not_ok_or_err(self):
+        client = SerialBackend(ScriptedTransport(f"ID 4 12 16000 {PROTOCOL_VERSION}"))
+        with pytest.raises(ProtocolError, match="expected OK, got 'ID 4 12 16000 "):
+            client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
+        with pytest.raises(NotConfiguredError):
+            client.capture(1)
+
+    def test_configure_refuses_a_non_integer_sample_rate_before_sending(self):
+        client = SerialBackend(ScriptedTransport("OK"))
+        with pytest.raises(UnsupportedSettingError, match="integer sample rates, got 16000.5"):
+            client.configure(
+                ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(sample_rate_hz=16000.5)
+            )
+        assert client.transport.sent == []
+        with pytest.raises(NotConfiguredError):
+            client.capture(1)
 
 
 class TestRfSource:

@@ -9,7 +9,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from adcradio.backend import ReceptionPathId, SimulatedRfSource, SimulatorBackend
+from adcradio.backend import (
+    NotConfiguredError,
+    ReceptionPathId,
+    SimulatedRfSource,
+    SimulatorBackend,
+)
 from adcradio.receiver import (
     DemodParams,
     _timing_energies,
@@ -178,6 +183,18 @@ class TestRecoverTiming:
         with pytest.raises(ValueError, match="transitions"):
             recover_timing(x, 16)
 
+    def test_needs_two_samples_per_symbol(self):
+        x = np.tile([1.0, -1.0], 100)
+        for sps in (1, 0, -3):
+            with pytest.raises(ValueError, match="samples_per_symbol must be >= 2"):
+                recover_timing(x, sps)
+
+    def test_needs_two_symbols(self):
+        x = np.tile([1.0, -1.0], 16)
+        with pytest.raises(ValueError, match="need at least two symbols"):
+            recover_timing(x[:31], 16)
+        assert 0.0 <= recover_timing(x, 16) < 1.0
+
 
 def reference_recover_timing(samples, samples_per_symbol):
     """recover_timing as first written, returning (phase, energies): every
@@ -325,6 +342,12 @@ class TestSliceBits:
         out = slice_bits(np.zeros(160), 0.0, 16)
         assert len(out) == 10
         assert not out.bits.any()
+
+    def test_shorter_than_one_symbol_gives_no_bits(self):
+        for n in (0, 1, 15):
+            for phase in (0.0, 0.5):
+                assert len(slice_bits(np.ones(n), phase, 16)) == 0
+        assert slice_bits(np.ones(16), 0.0, 16).bits.tolist() == [1]
 
 
 class TestDemodulate:
@@ -486,6 +509,16 @@ class TestBerMonotonicity:
 
 
 class TestIdealSyncExperiment:
+    def test_zero_bits_rejected_before_configuring(self):
+        backend, source, adc = ideal_sync_rig(seed=20)
+        with pytest.raises(ValueError, match="n_bits must be >= 1"):
+            ideal_sync_ber_experiment(
+                backend, source, ReceptionPathId(0), enumerate_configs()[0], adc,
+                freq_hz=500e6, power_dbm=14.0, n_bits=0,
+            )
+        with pytest.raises(NotConfiguredError):
+            backend.capture(1)
+
     def test_high_snr_low_ber(self):
         backend, source, adc = ideal_sync_rig(seed=21)
         report = ideal_sync_ber_experiment(
