@@ -82,7 +82,6 @@ from .simulator import (
 )
 from .sweep import (
     SensitivityRecord,
-    SnrSpectrum,
     SweepPlan,
     SweepResult,
     block_mean,

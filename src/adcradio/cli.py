@@ -47,7 +47,6 @@ from .sweep import (
     classify_sensitive,
     config_order,
     enumerate_configs,
-    peak_snr,
     recommended_configs,
     run_sweep,
     spectra_from_records,
@@ -72,42 +71,37 @@ def _resolve_scenario(spec: str):
     raise ScenarioError(f"scenario not found: {spec}")
 
 
-def _parse_paths(arg: str, n_paths: int, labels) -> list[ReceptionPathId]:
-    def make(i: int) -> ReceptionPathId:
-        label = labels[i] if i < len(labels) else f"P{i}"
-        return ReceptionPathId(index=i, label=label)
-
-    if arg == "all":
-        return [make(i) for i in range(n_paths)]
+def _parse_indices(flag: str, arg: str, items: list, named: dict[str, list]) -> list:
+    """The items that ``arg`` picks: the list a key of ``named`` stands for,
+    or comma-separated indices into ``items``."""
+    if arg in named:
+        return named[arg]
     try:
         indices = [int(tok) for tok in arg.split(",") if tok != ""]
     except ValueError:
-        raise UsageError(f"--paths must be 'all' or comma-separated indices, got {arg!r}")
+        words = ", ".join(map(repr, named))
+        raise UsageError(f"{flag} must be {words} or comma-separated indices, got {arg!r}")
     if not indices:
-        raise UsageError("--paths is empty")
+        raise UsageError(f"{flag} is empty")
     for i in indices:
-        if not 0 <= i < n_paths:
-            raise UsageError(f"path {i} outside 0..{n_paths - 1}")
-    return [make(i) for i in indices]
+        if not 0 <= i < len(items):
+            raise UsageError(f"{flag} index {i} outside 0..{len(items) - 1}")
+    return [items[i] for i in indices]
+
+
+def _parse_paths(arg: str, n_paths: int, labels) -> list[ReceptionPathId]:
+    paths = [
+        ReceptionPathId(index=i, label=labels[i] if i < len(labels) else f"P{i}")
+        for i in range(n_paths)
+    ]
+    return _parse_indices("--paths", arg, paths, {"all": paths})
 
 
 def _parse_configs(arg: str):
-    if arg == "recommended":
-        return recommended_configs()
-    if arg == "all":
-        return enumerate_configs()
-    try:
-        indices = [int(tok) for tok in arg.split(",") if tok != ""]
-    except ValueError:
-        raise UsageError(
-            f"--configs must be 'recommended', 'all', or comma-separated "
-            f"indices into the 64-entry enumeration, got {arg!r}"
-        )
-    allc = enumerate_configs()
-    for i in indices:
-        if not 0 <= i < len(allc):
-            raise UsageError(f"config index {i} outside 0..{len(allc) - 1}")
-    return [allc[i] for i in indices]
+    configs = enumerate_configs()
+    return _parse_indices(
+        "--configs", arg, configs, {"recommended": recommended_configs(), "all": configs}
+    )
 
 
 def _seed(args, scenario) -> int:
@@ -302,7 +296,7 @@ def cmd_report(args) -> int:
         if args.path is not None:
             spectrum = spectra[0]
         else:
-            spectrum = max(spectra, key=lambda s: peak_snr(s)[1])
+            spectrum = max(spectra, key=lambda s: max(s.snr))
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
         info = render_ber_curve(read_ber_curve(args.results), out_svg, out_csv)

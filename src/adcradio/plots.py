@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from .receiver import condition
-from .sweep import SnrSpectrum, config_order, peak_snr, snr_to_json, spectra_from_records
+from .sweep import SweepCell, config_order, peak_snr, snr_to_json, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
 _EYE_MAX_SEGMENTS = 200
@@ -141,12 +141,12 @@ def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
     return {"rows": len(paths), "cols": len(configs)}
 
 
-def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | Path) -> dict:
+def render_spectrum(spectrum: SweepCell, out_svg: str | Path, out_csv: str | Path) -> dict:
     """SNR-over-frequency line for one (path, configuration) cell."""
-    if not spectrum.points:
+    freqs, snr = spectrum.freqs_hz, spectrum.snr
+    if not snr:
         raise ValueError("no records")
-    freqs = [f for f, _ in spectrum.points]
-    finite = [s for _, s in spectrum.points if math.isfinite(s)]
+    finite = [s for s in snr if math.isfinite(s)]
     vmax = max(finite) if finite else 1.0
     vmin = min(finite) if finite else 0.0
     if vmax == vmin:
@@ -163,7 +163,7 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
         return y0 + h - h * (v - vmin) / (high_y - vmin)
 
     pts = []
-    for f, s in spectrum.points:
+    for f, s in zip(freqs, snr):
         if math.isfinite(s):
             pts.append(f"{sx(f):.1f},{sy(s):.1f}")
         elif s == math.inf:
@@ -183,9 +183,9 @@ def render_spectrum(spectrum: SnrSpectrum, out_svg: str | Path, out_csv: str | P
     parts.append(
         _text(x0, y0 - 10, f"path {spectrum.path.index} {spectrum.config.short()}")
     )
-    rows = ([f"{freq:.0f}", _snr_label(s)] for freq, s in spectrum.points)
+    rows = ([f"{freq:.0f}", _snr_label(s)] for freq, s in zip(freqs, snr))
     _write(parts, out_svg, out_csv, ["freq_hz", "snr"], rows)
-    return {"points": len(spectrum.points)}
+    return {"points": len(snr)}
 
 
 def render_ber_curve(points, out_svg: str | Path, out_csv: str | Path) -> dict:

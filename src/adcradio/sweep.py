@@ -21,7 +21,7 @@ import itertools
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import index as as_index
 
 import numpy as np
@@ -144,11 +144,12 @@ class SweepCell:
     """The results of one (path, config) as columns, one entry per frequency
     of ``freqs_hz`` (in a sweep, the plan's tuple, shared by every cell):
     the fields of its SensitivityRecords. A frequency that failed has None
-    statistics, a -inf SNR, failed True and its error text."""
+    statistics, a -inf SNR, failed True and its error text. ``freqs_hz`` and
+    ``snr`` are the cell's SNR spectrum (see spectra_from_records)."""
 
     path: ReceptionPathId
     config: PathConfig
-    freqs_hz: Sequence[float]
+    freqs_hz: tuple[float, ...]
     mean_on: list
     mean_off: list
     diff: list
@@ -217,18 +218,6 @@ class SweepResult(Sequence[SensitivityRecord]):
 
     def __repr__(self) -> str:
         return f"SweepResult({len(self.cells)} cells x {len(self.freqs_hz)} frequencies)"
-
-
-@dataclass(frozen=True)
-class SnrSpectrum:
-    """SNR over frequency for one (path, config) combination."""
-
-    path: ReceptionPathId
-    config: PathConfig
-    points: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
 
 
 def block_mean(trace: AdcTrace | np.ndarray, block_len: int) -> np.ndarray:
@@ -374,8 +363,9 @@ def _cell_columns(path, config, plan, codes, errors, pool: bool) -> SweepCell:
 def record_cells(records):
     """The SweepCells of ``records``, in order: a SweepResult's own cells;
     for any other iterable of SensitivityRecords, one cell per run of
-    consecutive records with equal path and config, one run held at a time.
-    The one place that knows how records are laid out in cells."""
+    consecutive records with equal path and config, one run held at a time,
+    with ``freqs_hz`` a tuple like a sweep's. The one place that knows how
+    records are laid out in cells."""
     if isinstance(records, SweepResult):
         yield from records.cells
         return
@@ -384,22 +374,28 @@ def record_cells(records):
             (r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr, r.failed, r.error)
             for r in run
         ]
-        yield SweepCell(path, config, *map(list, zip(*rows)))
+        freqs, *columns = zip(*rows)
+        yield SweepCell(path, config, freqs, *map(list, columns))
 
 
-def spectra_from_records(records) -> list[SnrSpectrum]:
-    """Per-(path index, config) spectra, in order of first appearance, from
-    the SNR columns of record_cells(records); a cell whose path index and
-    config have appeared before extends that spectrum."""
-    spectra: dict[tuple[int, PathConfig], SnrSpectrum] = {}
+def spectra_from_records(records) -> list[SweepCell]:
+    """Per-(path index, config) spectra, in order of first appearance: the
+    cells of record_cells(records), whose ``freqs_hz`` and ``snr`` columns
+    are the spectrum. For a SweepResult these are its own cell objects, so
+    treat them as read-only. A cell whose path index and config have
+    appeared before extends that spectrum into a new cell, the first one's
+    columns followed by its own; no cell of ``records`` is written."""
+    spectra: dict[tuple[int, PathConfig], SweepCell] = {}
     for cell in record_cells(records):
         key = (cell.path.index, cell.config)
-        points = tuple(zip(cell.freqs_hz, cell.snr))
-        spectrum = spectra.get(key)
-        if spectrum is None:
-            spectra[key] = SnrSpectrum(cell.path, cell.config, points)
+        first = spectra.get(key)
+        if first is None:
+            spectra[key] = cell
         else:
-            spectra[key] = replace(spectrum, points=spectrum.points + points)
+            columns = fields(SweepCell)[2:]  # every field after path and config
+            spectra[key] = replace(
+                first, **{f.name: getattr(first, f.name) + getattr(cell, f.name) for f in columns}
+            )
     return list(spectra.values())
 
 
@@ -408,15 +404,17 @@ def config_order(spectra) -> dict[PathConfig, int]:
     return {c: i for i, c in enumerate(dict.fromkeys(s.config for s in spectra))}
 
 
-def peak_snr(spectrum: SnrSpectrum) -> tuple[float, float]:
-    """Maximum-SNR (frequency, SNR) point; ties go to the first, lowest
-    frequency."""
-    if not spectrum.points:
+def peak_snr(spectrum: SweepCell) -> tuple[float, float]:
+    """Maximum-SNR (frequency, SNR) of a spectrum; ties go to the first,
+    lowest frequency."""
+    snr = spectrum.snr
+    if not snr:
         raise ValueError("empty spectrum")
-    return max(spectrum.points, key=lambda point: point[1])
+    i = snr.index(max(snr))
+    return spectrum.freqs_hz[i], snr[i]
 
 
-def classify_sensitive(spectrum: SnrSpectrum, threshold_db: float = DEFAULT_THRESHOLD_DB) -> bool:
+def classify_sensitive(spectrum: SweepCell, threshold_db: float = DEFAULT_THRESHOLD_DB) -> bool:
     """True iff the peak SNR reaches the threshold (or is "high")."""
     return peak_snr(spectrum)[1] >= threshold_db
 

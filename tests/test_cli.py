@@ -14,11 +14,11 @@ import pytest
 import adcradio
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace, write_trace
-from adcradio.plots import render_eye
+from adcradio.plots import render_eye, render_spectrum
 from adcradio.receiver import _symbol_central_means, condition
 from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
 from adcradio.signals import generate_bits
-from adcradio.sweep import peak_snr, recommended_configs, spectra_from_records
+from adcradio.sweep import enumerate_configs, peak_snr, recommended_configs, spectra_from_records
 
 
 @pytest.fixture()
@@ -138,6 +138,39 @@ class TestSweepCommand:
         code = self.sweep(tmp_path / "ghost.json", tmp_path / "out")
         assert code == 2
         assert "scenario not found" in capsys.readouterr().err
+
+    def test_index_lists_pick_the_swept_paths_and_configs(self, mini_scenario, tmp_path):
+        out = tmp_path / "p"
+        args = ("sweep", "--out", out, "--freq-points", 2)
+        assert run_cli(*args, "--scenario", "demo_board", "--paths", "0,3", "--configs", 0) == 0
+        _, records = read_records(out / "results.jsonl")
+        assert [r.path.index for r in records] == [0, 0, 3, 3]
+        assert run_cli(*args, "--scenario", mini_scenario, "--paths", 1, "--configs", "all") == 0
+        _, records = read_records(out / "results.jsonl")
+        assert [r.config for r in records[::2]] == enumerate_configs()
+        assert {r.path.index for r in records} == {1}
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--paths", "9", "--paths index 9 outside 0..1"),
+            ("--paths", "x", "--paths must be 'all' or comma-separated indices, got 'x'"),
+            ("--paths", ",", "--paths is empty"),
+            ("--configs", "64", "--configs index 64 outside 0..63"),
+            ("--configs", "0,-1", "--configs index -1 outside 0..63"),
+            (
+                "--configs",
+                "1.5",
+                "--configs must be 'recommended', 'all' or comma-separated indices, got '1.5'",
+            ),
+            ("--configs", "", "--configs is empty"),
+        ],
+    )
+    def test_bad_index_list_exit_2(self, mini_scenario, tmp_path, capsys, flag, value, message):
+        args = ("sweep", "--scenario", mini_scenario, "--out", tmp_path / "out", flag, value)
+        assert run_cli(*args) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimulateAndDemod:
@@ -381,6 +414,25 @@ class TestReportCommand:
         assert f"path {best.path.index} {config.short()}" in svg
         assert run_cli(*args, "--config-index", 99) == 2
         assert "no spectrum matches" in capsys.readouterr().err
+
+    def test_spectrum_of_one_path(self, results, tmp_path, capsys):
+        # --path alone takes that path's first spectrum; with --config-index,
+        # the one of that configuration.
+        spectra = spectra_from_records(read_records(results)[1])
+        args = ("report", "--results", results, "--kind", "spectrum")
+        for extra, want in (
+            (("--path", 1), spectra[8]),
+            (("--path", 1, "--config-index", 5), spectra[13]),
+            (("--path", 0, "--config-index", 2), spectra[2]),
+        ):
+            prefix = tmp_path / "spec"
+            assert run_cli(*args, "--out", prefix, *extra) == 0
+            render_spectrum(want, tmp_path / "ref.svg", tmp_path / "ref.csv")
+            assert (tmp_path / "spec.svg").read_bytes() == (tmp_path / "ref.svg").read_bytes()
+            assert (tmp_path / "spec.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+            assert f"path {extra[1]} {want.config.short()}" in (tmp_path / "spec.svg").read_text()
+        assert run_cli(*args, "--out", tmp_path / "none", "--path", 2) == 2
+        assert "no spectrum matches --path/--config-index" in capsys.readouterr().err
 
     def test_eye_uses_the_trace_dc_window(self, tmp_path):
         # link_3m traces carry a 41-symbol DC window hint; the eye must be

@@ -1,6 +1,7 @@
 """Block statistics, SNR estimation, configuration space, sweep orchestration."""
 
 import contextlib
+import copy
 import json
 import math
 import random
@@ -32,7 +33,9 @@ from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, S
 from adcradio.sweep import (
     SETTLE_BLOCKS,
     SensitivityRecord,
+    SweepCell,
     SweepPlan,
+    SweepResult,
     block_mean,
     classify_sensitive,
     enumerate_configs,
@@ -44,7 +47,6 @@ from adcradio.sweep import (
     snr_from_stats,
     snr_to_json,
     spectra_from_records,
-    SnrSpectrum,
 )
 
 
@@ -178,8 +180,13 @@ class TestSnrValues:
 
 
 def spectrum_of(points):
-    cfg = enumerate_configs()[0]
-    return SnrSpectrum(path=ReceptionPathId(0), config=cfg, points=tuple(points))
+    """A cell whose spectrum is the (frequency, SNR) ``points``."""
+    freqs, snr = tuple(f for f, _ in points), [s for _, s in points]
+    n = len(snr)
+    return SweepCell(
+        ReceptionPathId(0), enumerate_configs()[0], freqs,
+        [None] * n, [None] * n, [None] * n, [None] * n, snr, [False] * n, [None] * n,
+    )
 
 
 class TestPeakAndClassify:
@@ -223,6 +230,27 @@ class TestPeakAndClassify:
         decisions = [classify_sensitive(s, t) for t in np.linspace(-10, 40, 26)]
         # once False, never True again as threshold rises
         assert decisions == sorted(decisions, reverse=True)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([-math.inf, math.inf, -0.0, 0.0, 10.0]),
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    @example([math.inf, 3.0, math.inf])
+    @example([-0.0, 0.0, -math.inf])
+    def test_peak_equals_the_max_over_zipped_points(self, snr):
+        # The peak of a cell's columns is the point the per-point form
+        # picked, bit for bit: the first of equal maxima, its zero's sign
+        # included.
+        freqs = [100e6 + 1e6 * k for k in range(len(snr))]
+        old = max(zip(freqs, snr), key=lambda point: point[1])
+        got = peak_snr(spectrum_of(list(zip(freqs, snr))))
+        assert [struct.pack("<d", x) for x in got] == [struct.pack("<d", x) for x in old]
 
 
 class TestConfigSpace:
@@ -559,11 +587,12 @@ class TestRunSweep:
             reference = {}
             for r in batch:
                 reference.setdefault((r.path.index, r.config), (r.path, []))[1].append(
-                    (r.freq_hz, r.snr)
+                    (r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr, r.failed, r.error)
                 )
-            expected = [
-                SnrSpectrum(path, key[1], points) for key, (path, points) in reference.items()
-            ]
+            expected = []
+            for (_, config), (path, rows) in reference.items():
+                freqs, *columns = zip(*rows)
+                expected.append(SweepCell(path, config, freqs, *map(list, columns)))
             assert spectra_from_records(batch) == expected
             assert spectra_from_records(iter(batch)) == expected
 
@@ -658,6 +687,24 @@ class TestSweepResult:
         assert built == []
         list(result)
         assert len(built) == 12
+
+    def test_spectra_are_the_results_own_cells(self):
+        result, _ = self.sweep()
+        spectra = spectra_from_records(result)
+        assert len(spectra) == len(result.cells) == 4
+        assert all(s is c for s, c in zip(spectra, result.cells))
+
+    def test_a_repeated_cell_extends_a_new_spectrum(self):
+        result, _ = self.sweep()
+        cells = [*result.cells, result.cells[0]]
+        before = copy.deepcopy(cells)
+        spectra = spectra_from_records(SweepResult(result.freqs_hz, cells))
+        assert cells == before
+        first = spectra[0]
+        assert first is not cells[0] and spectra[1:] == cells[1:4]
+        assert first.freqs_hz == result.freqs_hz * 2
+        assert first.snr == cells[0].snr * 2 and first.errors == cells[0].errors * 2
+        assert spectra == spectra_from_records([*result, *result[:3]])
 
     def test_duplicate_paths_or_configs_rejected(self):
         # spectra_from_records groups by path index and config, so a plan
