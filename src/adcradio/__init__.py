@@ -25,6 +25,7 @@ from .backend import (
     UnknownPathError,
     UnsupportedSettingError,
 )
+from .fileio import snr_from_json, snr_to_json
 from .protocol import (
     CaptureCommand,
     ConfigureCommand,
@@ -92,8 +93,6 @@ from .sweep import (
     peak_snr,
     recommended_configs,
     run_sweep,
-    snr_from_json,
     snr_from_stats,
-    snr_to_json,
     spectra_from_records,
 )

@@ -31,7 +31,13 @@ from .fileio import (
 )
 from .plots import render_ber_curve, render_eye, render_heatmap, render_spectrum
 from .protocol import DutProtocolServer, LoopbackTransport, SerialBackend
-from .receiver import DemodParams, ber, demodulate, ideal_sync_ber_experiment
+from .receiver import (
+    DEFAULT_DC_WINDOW_SYMBOLS,
+    DemodParams,
+    ber,
+    demodulate,
+    ideal_sync_ber_experiment,
+)
 from .scenario import (
     ScenarioError,
     build_rig,
@@ -43,6 +49,7 @@ from .scenario import (
 from .signals import BitSequence, dbm_to_mw, fspl_db, generate_bits
 from .simulator import RfChannel
 from .sweep import (
+    DEFAULT_THRESHOLD_DB,
     SweepPlan,
     classify_sensitive,
     config_order,
@@ -173,11 +180,8 @@ def cmd_demod(args) -> int:
         raise UsageError(
             "--samples-per-symbol required (trace metadata carries no hint)"
         )
-    params = DemodParams(
-        samples_per_symbol=sps,
-        dc_window_symbols=_hint(trace, "dc_window_symbols", args.dc_window, 15),
-    )
-    bits = demodulate(trace, params)
+    dc_window = _hint(trace, "dc_window_symbols", args.dc_window, DEFAULT_DC_WINDOW_SYMBOLS)
+    bits = demodulate(trace, DemodParams(sps, dc_window))
     outputs = []
     if args.out:
         write_bits(args.out, bits)
@@ -305,7 +309,7 @@ def cmd_report(args) -> int:
         sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
         if sps is None:
             raise UsageError("--samples-per-symbol required for eye reports")
-        dc_window = _hint(trace, "dc_window_symbols", None, 15)
+        dc_window = _hint(trace, "dc_window_symbols", None, DEFAULT_DC_WINDOW_SYMBOLS)
         info = render_eye(trace, sps, out_svg, out_csv, dc_window)
     else:  # pragma: no cover - argparse restricts choices
         raise UsageError(f"unknown report kind {args.kind}")
@@ -430,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-dbm", type=float, default=43.0)
     p.add_argument("--samples-per-block", type=int, default=32)
     p.add_argument("--blocks-per-state", type=int, default=1)
-    p.add_argument("--threshold-db", type=float, default=10.0)
+    p.add_argument("--threshold-db", type=float, default=DEFAULT_THRESHOLD_DB)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("demod", help="decode an OOK trace file")
@@ -439,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference")
     p.add_argument("--samples-per-symbol", type=int)
     p.add_argument("--dc-window", type=int, help="DC window in symbols (odd); "
-                   "defaults to the trace's hint, else 15")
+                   f"defaults to the trace's hint, else {DEFAULT_DC_WINDOW_SYMBOLS}")
     p.set_defaults(func=cmd_demod)
 
     p = sub.add_parser("ber", help="compare bit files, or run the ideal-sync BER experiment")

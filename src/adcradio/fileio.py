@@ -37,7 +37,7 @@ from .scenario import (
 )
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, SweepCell, record_cells, snr_from_json, snr_to_json
+from .sweep import SensitivityRecord, SweepCell, record_cells
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -137,6 +137,30 @@ def read_trace(path: str | Path) -> AdcTrace:
 
 
 # -- results files -------------------------------------------------------------
+
+
+def snr_to_json(snr: float):
+    """JSON form of an SNR: ``{"db": x}``, or "high" for +inf and "none"
+    for -inf."""
+    if snr == math.inf:
+        return "high"
+    if snr == -math.inf:
+        return "none"
+    return {"db": snr}
+
+
+def snr_from_json(obj) -> float:
+    """Inverse of snr_to_json; a "db" value must be a finite number."""
+    if obj == "high":
+        return math.inf
+    if obj == "none":
+        return -math.inf
+    if isinstance(obj, dict) and set(obj) == {"db"}:
+        try:
+            return json_number(obj["db"], "db")
+        except ScenarioError:
+            pass
+    raise ValueError(f"bad serialized SNR {obj!r}")
 
 
 def record_to_dict(record: SensitivityRecord) -> dict:

@@ -11,8 +11,9 @@ import csv
 import math
 from pathlib import Path
 
-from .receiver import condition
-from .sweep import SweepCell, config_order, peak_snr, snr_to_json, spectra_from_records
+from .fileio import snr_to_json
+from .receiver import DEFAULT_DC_WINDOW_SYMBOLS, condition
+from .sweep import SweepCell, config_order, peak_snr, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
 _EYE_MAX_SEGMENTS = 200
@@ -236,7 +237,7 @@ def render_eye(
     samples_per_symbol: int,
     out_svg: str | Path,
     out_csv: str | Path,
-    dc_window_symbols: int = 15,
+    dc_window_symbols: int = DEFAULT_DC_WINDOW_SYMBOLS,
 ) -> dict:
     """Overlaid two-symbol segments of the normalized waveform (eye diagram),
     at most ``_EYE_MAX_SEGMENTS`` of them."""

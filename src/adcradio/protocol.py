@@ -68,8 +68,9 @@ CODES_PER_LINE = (MAX_LINE_CHARS - _TAG_CHARS) // 4
 _LINE_DIGITS = 4 * CODES_PER_LINE
 
 
-class ProtocolError(Exception):
-    """Malformed line, framing problem, or protocol-level failure."""
+class ProtocolError(BackendError):
+    """Malformed line, framing problem, or protocol-level failure: a
+    BackendError, so a sweep marks the cells it hits failed."""
 
 
 class ProtocolTimeoutError(ProtocolError):
@@ -333,7 +334,7 @@ class DutProtocolServer:
             return list(self._last_response)
         try:
             lines = self._dispatch(_parse_command(line[_TAG_CHARS:]))
-        except (ProtocolError, BackendError, ValueError, RuntimeError) as exc:
+        except (BackendError, ValueError, RuntimeError) as exc:
             lines = [_err_line(str(exc))]
         tag = line[:_TAG_CHARS]
         response = [tag + payload for payload in lines]
@@ -398,10 +399,6 @@ class SerialBackend:
         self._adc: AdcConfig | None = None
         self._path: ReceptionPathId | None = None
         self._config: PathConfig | None = None
-        # The SMP command of the last capture, built once per configure and
-        # n_blocks. It is still encoded per request: benchmarks/run.py counts
-        # retries as requests sent less encode_command calls.
-        self._capture_command: CaptureCommand | None = None
 
     # -- protocol plumbing ---------------------------------------------------
 
@@ -472,20 +469,13 @@ class SerialBackend:
         self._adc = adc
         self._path = path
         self._config = config
-        self._capture_command = None
 
     def capture(self, n_blocks: int) -> AdcTrace:
         adc = self._adc
         if adc is None:
             raise NotConfiguredError("capture before configure")
         n_blocks = int(n_blocks)
-        cmd = self._capture_command
-        if cmd is None or cmd.n_blocks != n_blocks:
-            cmd = self._capture_command = CaptureCommand(
-                n_blocks=n_blocks,
-                sample_rate_hz=int(adc.sample_rate_hz),
-                oversampling_ratio=adc.oversampling_ratio,
-            )
+        cmd = CaptureCommand(n_blocks, int(adc.sample_rate_hz), adc.oversampling_ratio)
         first = self._transact(encode_command(cmd))
         if first.startswith("ERR "):
             raise BackendError(first[4:])

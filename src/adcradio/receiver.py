@@ -27,13 +27,16 @@ from .backend import RfStimulus, capture_groups
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 
+# The DC-tracking window, in symbols, wherever none is given.
+DEFAULT_DC_WINDOW_SYMBOLS = 15
+
 
 @dataclass(frozen=True)
 class DemodParams:
     """Demodulator settings. The DC window is in symbols and must be odd."""
 
     samples_per_symbol: int
-    dc_window_symbols: int = 15
+    dc_window_symbols: int = DEFAULT_DC_WINDOW_SYMBOLS
 
     def __post_init__(self):
         if self.samples_per_symbol < 2:
@@ -282,7 +285,7 @@ def eye_opening(
     trace: AdcTrace | np.ndarray,
     samples_per_symbol: int,
     phase: float = 0.0,
-    dc_window_symbols: int = 15,
+    dc_window_symbols: int = DEFAULT_DC_WINDOW_SYMBOLS,
 ) -> float:
     """Worst-case separation between 1-symbols and 0-symbols after
     normalization: P10 of the per-symbol central means over decoded 1-bits

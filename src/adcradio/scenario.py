@@ -40,7 +40,7 @@ from .backend import (
     SimulatorBackend,
     enumerate_configs,
 )
-from .receiver import DemodParams
+from .receiver import DEFAULT_DC_WINDOW_SYMBOLS, DemodParams
 from .simulator import (
     AdcConfig,
     AdcTrace,
@@ -82,7 +82,7 @@ class TransmissionDefaults:
     freq_hz: float = 868e6
     power_dbm: float = 43.0
     bit_rate_hz: float = 1000.0
-    dc_window_symbols: int = 15
+    dc_window_symbols: int = DEFAULT_DC_WINDOW_SYMBOLS
 
     def __post_init__(self):
         if not 0 <= self.config_index < N_CONFIGS:

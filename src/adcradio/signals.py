@@ -38,9 +38,6 @@ class BitSequence:
             return NotImplemented
         return np.array_equal(self.bits, other.bits)
 
-    def __hash__(self):
-        return hash(self.bits.tobytes())
-
 
 @dataclass(frozen=True, eq=False)
 class BasebandEnvelope:

@@ -337,9 +337,7 @@ def _quantize(raw: np.ndarray, full_scale: int, ratio: int) -> np.ndarray:
     return codes.astype(np.int32)
 
 
-def adc_sample(
-    values: np.ndarray, adc: AdcConfig, n_samples: int | None = None, meta: dict | None = None
-) -> AdcTrace:
+def adc_sample(values: np.ndarray, adc: AdcConfig) -> AdcTrace:
     """Quantize an analog envelope into ADC codes with oversampling.
 
     Each raw conversion rounds (half to even) and clamps one envelope value
@@ -349,15 +347,14 @@ def adc_sample(
     conversions. Capture passes quantize with the same rule.
     """
     x = np.asarray(values, dtype=np.float64)
-    n_out = adc.samples_per_block if n_samples is None else int(n_samples)
     ratio = adc.oversampling_ratio
-    needed = n_out * ratio
+    needed = adc.samples_per_block * ratio
     if x.size < needed:
         raise ValueError(
             f"envelope too short: need {needed} raw conversions, got {x.size}"
         )
     codes = _quantize(x[:needed], adc.full_scale, ratio)
-    return AdcTrace(samples=codes, config=adc, meta=meta or {})
+    return AdcTrace(samples=codes, config=adc)
 
 
 @dataclass(frozen=True)
@@ -463,17 +460,16 @@ class SimulatedDut:
         self._state = _DeviceState()
 
     def capture(self, n_blocks: int, stimulus=None) -> AdcTrace:
-        """Acquire n_blocks * samples_per_block codes under the given stimulus.
-
-        The stimulus is any object with freq_hz, power_dbm, enabled, and an
-        optional envelope attribute (a BasebandEnvelope); None means RF off.
-        This is the one-state case of capture_schedule.
+        """Acquire n_blocks * samples_per_block codes under the given stimulus,
+        an RfStimulus or None (RF off). This is the one-state case of
+        capture_schedule.
         """
         codes = self.capture_schedule([stimulus], n_blocks)
         return AdcTrace(samples=codes[0], config=self.adc, meta=self._meta(stimulus))
 
     def capture_schedule(self, stimuli, n_blocks: int) -> np.ndarray:
-        """Acquire n_blocks blocks under each stimulus in turn.
+        """Acquire n_blocks blocks under each stimulus (an RfStimulus or
+        None) in turn.
 
         Returns int32 codes of shape (len(stimuli), n_blocks *
         samples_per_block), bit-identical to one capture(n_blocks, s) per
@@ -533,7 +529,7 @@ class SimulatedDut:
         held = []  # (state, offset) of envelope-modulated states
         freq_hz = power_dbm = None  # carrier of the previous RF-on state
         for k, stimulus in enumerate(stimuli):
-            if stimulus is None or not getattr(stimulus, "enabled", False):
+            if stimulus is None or not stimulus.enabled:
                 continue
             if stimulus.freq_hz != freq_hz or stimulus.power_dbm != power_dbm:
                 freq_hz, power_dbm = stimulus.freq_hz, stimulus.power_dbm
@@ -543,7 +539,7 @@ class SimulatedDut:
                     inc_mw = dbm_to_mw(self.channel.incident_dbm(power_dbm, freq_hz))
             if gain <= 0:
                 continue
-            envelope = getattr(stimulus, "envelope", None)
+            envelope = stimulus.envelope
             if envelope is None:
                 rows.append(k)
                 powers_mw.append(inc_mw)

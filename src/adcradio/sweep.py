@@ -38,8 +38,6 @@ from .backend import (
     capture_groups,
     enumerate_configs,  # re-exported: sweep.enumerate_configs is public
 )
-from .protocol import ProtocolError
-from .scenario import ScenarioError, json_number
 from .simulator import AdcConfig, AdcTrace
 
 logger = logging.getLogger(__name__)
@@ -91,30 +89,6 @@ class SweepPlan:
     @property
     def n_cells(self) -> int:
         return len(self.paths) * len(self.configs) * len(self.freqs_hz)
-
-
-def snr_to_json(snr: float):
-    """JSON form of an SNR: ``{"db": x}``, or "high" for +inf and "none"
-    for -inf."""
-    if snr == math.inf:
-        return "high"
-    if snr == -math.inf:
-        return "none"
-    return {"db": snr}
-
-
-def snr_from_json(obj) -> float:
-    """Inverse of snr_to_json; a "db" value must be a finite number."""
-    if obj == "high":
-        return math.inf
-    if obj == "none":
-        return -math.inf
-    if isinstance(obj, dict) and set(obj) == {"db"}:
-        try:
-            return json_number(obj["db"], "db")
-        except ScenarioError:
-            pass
-    raise ValueError(f"bad serialized SNR {obj!r}")
 
 
 @dataclass(slots=True)
@@ -280,8 +254,8 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
     Off-state blocks are captured before on-state blocks at each frequency,
     with ``SETTLE_BLOCKS`` discarded after each RF toggle; each (path,
     config) is one capture_groups call with an (off, on) group per
-    frequency. Backend or protocol errors mark the affected cells failed and
-    the sweep continues.
+    frequency. A BackendError (a protocol failure is one) marks the affected
+    cells failed and the sweep continues.
     """
     adc = plan.effective_adc
     n_capture = plan.blocks_per_state + SETTLE_BLOCKS
@@ -301,22 +275,17 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
         for config in plan.configs:
             try:
                 backend.configure(path, config, adc)
-            except (BackendError, ProtocolError) as exc:
+            except BackendError as exc:
                 logger.warning("configure failed for path %s %s: %s", path.index, config.short(), exc)
                 codes = np.zeros((len(groups), 2, 0), np.int32)
                 errors = [exc] * len(groups)
             else:
-                codes, errors = capture_groups(
-                    backend, rf_source, groups, n_capture, isolate=(BackendError, ProtocolError)
-                )
+                codes, errors = capture_groups(backend, rf_source, groups, n_capture, BackendError)
                 for freq, exc in zip(plan.freqs_hz, errors):
                     if exc is not None:
                         logger.warning(
                             "cell failed at path %s %s %.0f Hz: %s",
-                            path.index,
-                            config.short(),
-                            freq,
-                            exc,
+                            path.index, config.short(), freq, exc,
                         )
             cells.append(_cell_columns(path, config, plan, codes, errors, pool))
     return SweepResult(plan.freqs_hz, cells)

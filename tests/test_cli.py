@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import adcradio
+from adcradio import cli
 from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace, write_trace
 from adcradio.plots import render_eye, render_spectrum
+from adcradio.protocol import ProtocolError
 from adcradio.receiver import _symbol_central_means, condition
 from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
 from adcradio.signals import generate_bits
@@ -138,6 +140,14 @@ class TestSweepCommand:
         code = self.sweep(tmp_path / "ghost.json", tmp_path / "out")
         assert code == 2
         assert "scenario not found" in capsys.readouterr().err
+
+    def test_protocol_failure_exit_1(self, mini_scenario, tmp_path, monkeypatch, capsys):
+        def fail(plan, backend, rf_source):
+            raise ProtocolError("timed out waiting for response 0001")
+
+        monkeypatch.setattr(cli, "run_sweep", fail)
+        assert self.sweep(mini_scenario, tmp_path / "out") == 1
+        assert capsys.readouterr().err == "error: timed out waiting for response 0001\n"
 
     def test_index_lists_pick_the_swept_paths_and_configs(self, mini_scenario, tmp_path):
         out = tmp_path / "p"

@@ -27,7 +27,7 @@ from adcradio.backend import (
     SimulatorBackend,
 )
 from adcradio import sweep
-from adcradio.fileio import record_to_dict, write_records
+from adcradio.fileio import record_to_dict, snr_from_json, snr_to_json, write_records
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend, _data_frame
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
@@ -43,9 +43,7 @@ from adcradio.sweep import (
     peak_snr,
     recommended_configs,
     run_sweep,
-    snr_from_json,
     snr_from_stats,
-    snr_to_json,
     spectra_from_records,
 )
 
