@@ -1,14 +1,21 @@
 """Device physics: coupling, rectification, bandwidth, impairments, ADC."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.signal import lfilter
 
+import adcradio
+from adcradio import simulator
 from adcradio.backend import RfStimulus
 from adcradio.simulator import (
     ALLOWED_OVERSAMPLING,
@@ -21,6 +28,7 @@ from adcradio.simulator import (
     SimulatedDut,
     _DeviceState,
     _impair,
+    _load_kernel,
     _lowpass,
     _lowpass_alpha,
     _quantize,
@@ -161,6 +169,34 @@ class TestLowpassKernel:
         assert np.float64(last).tobytes() == out[-1:].tobytes()
         assert out is not x
         assert x.tobytes() == given_x.tobytes()
+
+
+class TestKernelLoad:
+    """The first-order kernel loads without importing scipy.signal."""
+
+    @pytest.mark.parametrize(
+        "module, symbol",
+        [("scipy.signal._no_such_module", "_linear_filter"), ("scipy.signal._sigtools", "_no_such_symbol")],
+    )
+    def test_failure_is_an_import_error_naming_symbol_and_scipy(self, module, symbol):
+        with pytest.raises(ImportError) as info:
+            _load_kernel(module, symbol)
+        assert str(info.value) == f"cannot load {module}.{symbol} from scipy {scipy.__version__}"
+
+    def test_importing_the_package_and_cli_leaves_scipy_signal_unloaded(self):
+        # A fresh interpreter: this test module itself imports scipy.signal.
+        env = {**os.environ, "PYTHONPATH": str(Path(adcradio.__file__).parent.parent)}
+        code = "import sys, adcradio, adcradio.cli; assert 'scipy.signal' not in sys.modules"
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_lfilter_is_scipys(self):
+        x = np.linspace(-3.0, 5.0, 50)
+        got = simulator.lfilter([0.3], [1.0, -0.7], x, zi=[0.25])
+        expected = lfilter([0.3], [1.0, -0.7], x, zi=[0.25])
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected, strict=True))
 
 
 # Analog values around and beyond a 6- to 16-bit range, exact halves (which
