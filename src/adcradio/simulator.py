@@ -28,22 +28,17 @@ from .signals import dbm_to_mw, fspl_db
 
 
 def _load_kernel(module: str, symbol: str):
-    """``symbol`` of the extension ``module``, loaded without importing its package.
-
-    Importing the package (``scipy.signal``) would cost about 1 s and 65 MiB
-    per process for one C function; finding the package's spec imports only
-    its parent (``scipy``). Any failure is one ImportError naming the symbol
-    and the installed scipy.
-    """
+    """``symbol`` of the extension ``module``, loaded without importing its package:
+    importing scipy.signal costs about 1 s and 65 MiB per process for one C
+    function. Any failure is one ImportError naming the symbol and scipy's version."""
     try:
-        package = importlib.util.find_spec(module.rpartition(".")[0])
+        package = importlib.util.find_spec(module.rpartition(".")[0])  # imports only scipy
         spec = importlib.machinery.PathFinder.find_spec(module, package.submodule_search_locations)
         loaded = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(loaded)
         return getattr(loaded, symbol)
     except (ImportError, AttributeError) as exc:
         import scipy
-
         raise ImportError(f"cannot load {module}.{symbol} from scipy {scipy.__version__}") from exc
 
 
@@ -51,12 +46,11 @@ _linear_filter = _load_kernel("scipy.signal._sigtools", "_linear_filter")
 
 
 def lfilter(*args, **kwargs):
-    """``scipy.signal.lfilter``, imported on first call. Nothing here calls it;
-    it stays because benchmarks/workloads.py traces simulator.lfilter by name
-    until the benchmark reads library telemetry (ROADMAP item 3)."""
+    """scipy.signal.lfilter, imported on first call. Nothing here calls it; the
+    benchmark traces simulator.lfilter by name until ROADMAP item 3 ends that."""
     from scipy.signal import lfilter as scipy_lfilter
-
     return scipy_lfilter(*args, **kwargs)
+
 
 ALLOWED_OVERSAMPLING = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
