@@ -43,9 +43,9 @@ plan = SweepPlan(
 )
 print(f"sweeping {len(plan.paths)} paths x {len(plan.configs)} configs x "
       f"{len(plan.freqs_hz)} frequencies ({plan.n_cells} cells)...")
-records = run_sweep(plan, backend, source)
+result = run_sweep(plan, backend, source)
 
-spectra = spectra_from_records(records)
+spectra = spectra_from_records(result)
 sensitive = [s for s in spectra if classify_sensitive(s, threshold_db=10.0)]
 print(f"{len(sensitive)} of {len(spectra)} path/config cells are sensitive (>= 10 dB)")
 
@@ -56,6 +56,6 @@ for s in ranked[:8]:
     label = "high" if best == math.inf else f"{best:5.1f} dB"
     print(f"  path {s.path.index:3d}  {s.config.short():45s} {label} @ {freq/1e6:4.0f} MHz")
 
-render_heatmap(records, OUT / "demo_heatmap.svg", OUT / "demo_heatmap.csv")
+render_heatmap(result, OUT / "demo_heatmap.svg", OUT / "demo_heatmap.csv")
 render_spectrum(ranked[0], OUT / "demo_spectrum.svg", OUT / "demo_spectrum.csv")
 print(f"\nwrote {OUT}/demo_heatmap.svg and {OUT}/demo_spectrum.svg")

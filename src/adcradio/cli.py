@@ -22,7 +22,7 @@ from .fileio import (
     read_bits,
     read_records,
     read_trace,
-    record_line,
+    record_to_dict,
     write_ber_curve,
     write_bits,
     write_manifest,
@@ -282,13 +282,13 @@ def cmd_report(args) -> int:
     out_svg = Path(f"{args.out}.svg")
     out_csv = Path(f"{args.out}.csv")
     if args.kind == "heatmap":
-        _, records = read_records(args.results)
-        info = render_heatmap(records, out_svg, out_csv)
+        _, cells = read_records(args.results)
+        info = render_heatmap(cells, out_svg, out_csv)
     elif args.kind == "spectrum":
-        _, records = read_records(args.results)
-        if not records:
+        _, cells = read_records(args.results)
+        if not cells:
             raise UsageError("no records")
-        spectra = spectra_from_records(records)
+        spectra = spectra_from_records(cells)
         if args.config_index is not None:
             order = config_order(spectra)
             spectra = [s for s in spectra if order[s.config] == args.config_index]
@@ -400,7 +400,8 @@ def cmd_protocol_loopback(args) -> int:
     client = SerialBackend(LoopbackTransport(server))
     looped = run_sweep(plan, client, loop_source)
 
-    if list(map(record_line, direct)) == list(map(record_line, looped)):
+    want = [json.dumps(record_to_dict(r)) for r in direct]
+    if [json.dumps(record_to_dict(r)) for r in looped] == want:
         print(
             f"loopback OK: {len(direct)} records byte-identical through the codec; "
             f"{client.retries} retries, {client.timeouts} timeouts, "

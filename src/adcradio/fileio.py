@@ -37,7 +37,7 @@ from .scenario import (
 )
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, SweepCell, record_cells
+from .sweep import SensitivityRecord, SweepCell, SweepResult
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -180,56 +180,6 @@ def record_to_dict(record: SensitivityRecord) -> dict:
     return out
 
 
-def record_from_dict(obj: dict) -> SensitivityRecord:
-    """Inverse of record_to_dict, validating every field.
-
-    The path index must be a JSON integer >= 0 and its label a string. The
-    statistics must be finite numbers, or null on a failed record;
-    ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on - mean_off``,
-    ``failed`` a JSON bool and ``error`` a string or null. A violation is a
-    FileFormatError quoting a bounded excerpt of ``obj``.
-    """
-    try:
-        index = json_int(obj["path"]["index"], "path index")
-        label = obj["path"].get("label", "")
-        if not isinstance(label, str):
-            raise ValueError(f"path label must be a string, got {label!r}")
-        path = ReceptionPathId(index=index, label=label)
-        failed = obj.get("failed", False)
-        if not isinstance(failed, bool):
-            raise ValueError(f"failed must be true or false, got {failed!r}")
-        error = obj.get("error")
-        if error is not None and not isinstance(error, str):
-            raise ValueError(f"error must be a string or null, got {error!r}")
-        mean_on, mean_off, diff, var_off = (
-            None if failed and obj[name] is None else json_number(obj[name], name)
-            for name in ("mean_on", "mean_off", "diff", "var_off")
-        )
-        if var_off is not None and var_off < 0:
-            raise ValueError(f"var_off must be >= 0, got {var_off!r}")
-        if diff is not None and (
-            mean_on is None or mean_off is None or diff != mean_on - mean_off
-        ):
-            raise ValueError(f"diff must be mean_on - mean_off, got {diff!r}")
-        return SensitivityRecord(
-            path=path,
-            config=config_from_dict(obj["config"]),
-            freq_hz=json_number(obj["freq_hz"], "freq_hz"),
-            mean_on=mean_on,
-            mean_off=mean_off,
-            diff=diff,
-            var_off=var_off,
-            snr=snr_from_json(obj["snr"]),
-            failed=failed,
-            error=error,
-        )
-    except (KeyError, TypeError, ValueError, ScenarioError) as exc:
-        reason = str(exc)
-        if len(reason) > _MAX_REASON_CHARS:
-            reason = reason[:_MAX_REASON_CHARS] + "..."
-        raise FileFormatError(f"bad sensitivity record {reprlib.repr(obj)}: {reason}") from None
-
-
 def _json_number(value) -> str:
     """A number as json.dumps writes it: float repr when finite."""
     if type(value) is float and value - value == 0.0:
@@ -295,56 +245,102 @@ def _cell_lines(cell: SweepCell, freq_texts) -> str:
     ])
 
 
-def _record_lines(records):
-    """_cell_lines of each cell of record_cells(records); the frequencies'
-    texts are made again only when a cell holds another frequency column."""
-    freqs = freq_texts = None
-    for cell in record_cells(records):
-        if cell.freqs_hz is not freqs:
-            freqs = cell.freqs_hz
-            freq_texts = [_json_number(freq) for freq in freqs]
-        yield _cell_lines(cell, freq_texts)
-
-
-def record_line(record: SensitivityRecord) -> str:
-    """The JSON line of a record, equal to json.dumps(record_to_dict(record))."""
-    return "".join(_record_lines([record]))[:-1]
-
-
-def write_records(path: str | Path, records, header_extra: dict | None = None) -> None:
-    """Write a results file, one record per line.
-
-    ``records`` is a SweepResult or any other iterable of records; either
-    is written from the columns of its cells (sweep.record_cells), one cell
-    at a time, so an iterable is streamed.
-    """
+def write_records(path: str | Path, results, header_extra: dict | None = None) -> None:
+    """Write a results file, one record per line: ``results`` is a
+    SweepResult or an iterable of SweepCells, written one cell at a time
+    from its columns. A cell's frequencies are turned into text again only
+    when it holds another frequency column than the cell before."""
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
         **(header_extra or {}),
     }
+    cells = results.cells if isinstance(results, SweepResult) else results
+    freqs = freq_texts = None
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
-        f.writelines(_record_lines(records))
+        for cell in cells:
+            if cell.freqs_hz is not freqs:
+                freqs = cell.freqs_hz
+                freq_texts = [_json_number(freq) for freq in freqs]
+            f.write(_cell_lines(cell, freq_texts))
 
 
-def read_records(path: str | Path) -> tuple[dict, list[SensitivityRecord]]:
+def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
+    """The header of a results file and its records as SweepCells, one per
+    run of consecutive lines with equal path and config, in file order.
+
+    Every line is validated. The path index must be a JSON integer >= 0 and
+    its label a string. The statistics must be finite numbers, or null on a
+    failed record; ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on -
+    mean_off``, ``failed`` a JSON bool and ``error`` a string or null, null
+    on a record that has not failed. A violation is a FileFormatError naming
+    the line and quoting a bounded excerpt of it. A path or config equal to
+    the previous line's is not parsed again: the index and label are checked
+    on every line first, and a config object equal to a valid one is valid.
+    """
     path = Path(path)
     lines = text_lines(path, "results", FileFormatError)
     header = _header(
         path, next(lines, (1, ""))[1], "results", "sensitivity-records", RESULTS_SCHEMA_VERSION
     )
-    records = []
+    runs = []  # ((path, config), rows) of each run of lines
+    key = path_id = config = config_obj = rows = None
     for lineno, line in lines:
         text = line.strip()
         if not text:
             continue
         obj = json_text(text, f"{path}:{lineno}", FileFormatError)
         try:
-            records.append(record_from_dict(obj))
-        except FileFormatError as exc:
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from None
-    return header, records
+            index = json_int(obj["path"]["index"], "path index")
+            label = obj["path"].get("label", "")
+            if not isinstance(label, str):
+                raise ValueError(f"path label must be a string, got {label!r}")
+            if path_id is None or index != path_id.index or label != path_id.label:
+                path_id = ReceptionPathId(index=index, label=label)
+            failed = obj.get("failed", False)
+            if not isinstance(failed, bool):
+                raise ValueError(f"failed must be true or false, got {failed!r}")
+            error = obj.get("error")
+            if error is not None and not isinstance(error, str):
+                raise ValueError(f"error must be a string or null, got {error!r}")
+            if error is not None and not failed:
+                raise ValueError(
+                    f"error must be null on a record that has not failed, got {error!r}"
+                )
+            mean_on, mean_off, diff, var_off = (
+                None if failed and obj[name] is None else json_number(obj[name], name)
+                for name in ("mean_on", "mean_off", "diff", "var_off")
+            )
+            if var_off is not None and var_off < 0:
+                raise ValueError(f"var_off must be >= 0, got {var_off!r}")
+            if diff is not None and (
+                mean_on is None or mean_off is None or diff != mean_on - mean_off
+            ):
+                raise ValueError(f"diff must be mean_on - mean_off, got {diff!r}")
+            if config is None or obj["config"] != config_obj:
+                config = config_from_dict(obj["config"])
+                config_obj = obj["config"]
+            row = (
+                json_number(obj["freq_hz"], "freq_hz"), mean_on, mean_off, diff, var_off,
+                snr_from_json(obj["snr"]), failed, error,
+            )
+        except (KeyError, TypeError, ValueError, ScenarioError) as exc:
+            reason = str(exc)
+            if len(reason) > _MAX_REASON_CHARS:
+                reason = reason[:_MAX_REASON_CHARS] + "..."
+            raise FileFormatError(
+                f"{path}:{lineno}: bad sensitivity record {reprlib.repr(obj)}: {reason}"
+            ) from None
+        if (path_id, config) != key:
+            key, rows = (path_id, config), []
+            runs.append((key, rows))
+        rows.append(row)
+    cells = []
+    for (path_id, config), rows in runs:
+        freqs, *columns = zip(*rows)
+        cells.append(SweepCell(path_id, config, freqs, *map(list, columns)))
+    return header, cells
 
 
 # -- bits files ----------------------------------------------------------------

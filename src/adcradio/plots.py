@@ -90,12 +90,13 @@ def _axes(
     )
 
 
-def render_heatmap(records, out_svg: str | Path, out_csv: str | Path) -> dict:
-    """Peak-SNR heatmap: one row per path, one column per configuration.
+def render_heatmap(results, out_svg: str | Path, out_csv: str | Path) -> dict:
+    """Peak-SNR heatmap of ``results``, a SweepResult or SweepCells: one row
+    per path, one column per configuration.
 
     "high" cells get a hatched fill; "none" cells stay white.
     """
-    spectra = spectra_from_records(records)
+    spectra = spectra_from_records(results)
     if not spectra:
         raise ValueError("no records")
     paths = sorted({s.path.index for s in spectra})

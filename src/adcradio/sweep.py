@@ -17,7 +17,6 @@ same path/configuration cell.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -116,8 +115,9 @@ class SensitivityRecord:
 @dataclass(slots=True)
 class SweepCell:
     """The results of one (path, config) as columns, one entry per frequency
-    of ``freqs_hz`` (in a sweep, the plan's tuple, shared by every cell):
-    the fields of its SensitivityRecords. A frequency that failed has None
+    of ``freqs_hz`` (in a sweep, the plan's tuple, shared by every cell; in
+    a file read back, that of one run of lines): the fields of its
+    SensitivityRecords. A frequency that failed has None
     statistics, a -inf SNR, failed True and its error text. ``freqs_hz`` and
     ``snr`` are the cell's SNR spectrum (see spectra_from_records)."""
 
@@ -329,33 +329,16 @@ def _cell_columns(path, config, plan, codes, errors, pool: bool) -> SweepCell:
     return SweepCell(path, config, plan.freqs_hz, *columns, failed, texts)
 
 
-def record_cells(records):
-    """The SweepCells of ``records``, in order: a SweepResult's own cells;
-    for any other iterable of SensitivityRecords, one cell per run of
-    consecutive records with equal path and config, one run held at a time,
-    with ``freqs_hz`` a tuple like a sweep's. The one place that knows how
-    records are laid out in cells."""
-    if isinstance(records, SweepResult):
-        yield from records.cells
-        return
-    for (path, config), run in itertools.groupby(records, lambda r: (r.path, r.config)):
-        rows = [
-            (r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr, r.failed, r.error)
-            for r in run
-        ]
-        freqs, *columns = zip(*rows)
-        yield SweepCell(path, config, freqs, *map(list, columns))
-
-
-def spectra_from_records(records) -> list[SweepCell]:
-    """Per-(path index, config) spectra, in order of first appearance: the
-    cells of record_cells(records), whose ``freqs_hz`` and ``snr`` columns
-    are the spectrum. For a SweepResult these are its own cell objects, so
+def spectra_from_records(results) -> list[SweepCell]:
+    """Per-(path index, config) spectra, in order of first appearance, of
+    ``results``, a SweepResult or an iterable of SweepCells: the cells
+    themselves, whose ``freqs_hz`` and ``snr`` columns are the spectrum, so
     treat them as read-only. A cell whose path index and config have
     appeared before extends that spectrum into a new cell, the first one's
-    columns followed by its own; no cell of ``records`` is written."""
+    columns followed by its own; no given cell is written."""
+    cells = results.cells if isinstance(results, SweepResult) else results
     spectra: dict[tuple[int, PathConfig], SweepCell] = {}
-    for cell in record_cells(records):
+    for cell in cells:
         key = (cell.path.index, cell.config)
         first = spectra.get(key)
         if first is None:

@@ -122,8 +122,8 @@ class TestSweepCommand:
     def test_produces_results_and_manifest(self, mini_scenario, tmp_path):
         out = tmp_path / "run1"
         assert self.sweep(mini_scenario, out) == 0
-        header, records = read_records(out / "results.jsonl")
-        assert len(records) == 2 * 2 * 5
+        header, cells = read_records(out / "results.jsonl")
+        assert [len(c.freqs_hz) for c in cells] == [5] * (2 * 2)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["seed"] == 42
@@ -153,12 +153,12 @@ class TestSweepCommand:
         out = tmp_path / "p"
         args = ("sweep", "--out", out, "--freq-points", 2)
         assert run_cli(*args, "--scenario", "demo_board", "--paths", "0,3", "--configs", 0) == 0
-        _, records = read_records(out / "results.jsonl")
-        assert [r.path.index for r in records] == [0, 0, 3, 3]
+        _, cells = read_records(out / "results.jsonl")
+        assert [(c.path.index, len(c.freqs_hz)) for c in cells] == [(0, 2), (3, 2)]
         assert run_cli(*args, "--scenario", mini_scenario, "--paths", 1, "--configs", "all") == 0
-        _, records = read_records(out / "results.jsonl")
-        assert [r.config for r in records[::2]] == enumerate_configs()
-        assert {r.path.index for r in records} == {1}
+        _, cells = read_records(out / "results.jsonl")
+        assert [c.config for c in cells] == enumerate_configs()
+        assert {c.path.index for c in cells} == {1}
 
     @pytest.mark.parametrize(
         "flag, value, message",

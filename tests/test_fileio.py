@@ -1,6 +1,7 @@
 """Trace/results/bits file formats and scenario documents."""
 
 import copy
+import itertools
 import json
 import math
 import re
@@ -18,7 +19,6 @@ from adcradio.fileio import (
     read_bits,
     read_records,
     read_trace,
-    record_line,
     record_to_dict,
     write_ber_curve,
     write_bits,
@@ -36,7 +36,7 @@ from adcradio.scenario import (
 )
 from adcradio.signals import generate_bits
 from adcradio.simulator import ALLOWED_OVERSAMPLING, AdcConfig, AdcTrace
-from adcradio.sweep import SensitivityRecord, SweepPlan, enumerate_configs, run_sweep
+from adcradio.sweep import SensitivityRecord, SweepCell, SweepPlan, enumerate_configs, run_sweep
 
 
 def minimal_scenario_doc(**overrides):
@@ -147,35 +147,50 @@ class TestTraceFiles:
             read_trace(path)
 
 
-class TestResultsFiles:
-    def make_records(self):
-        cfg = enumerate_configs()[57]
-        path = ReceptionPathId(4, "P4")
-        return [
-            SensitivityRecord(path, cfg, 2e8, 2050.0, 2048.0, 2.0, 0.5, 9.0),
-            SensitivityRecord(path, cfg, 3e8, 2060.0, 2048.0, 12.0, 0.0, math.inf),
-            SensitivityRecord(path, cfg, 4e8, 2048.0, 2048.0, 0.0, 0.0, -math.inf),
-            SensitivityRecord(
-                path, cfg, 5e8, None, None, None, None, -math.inf,
-                failed=True, error="injected",
-            ),
+def cells_of(records):
+    """One SweepCell per run of consecutive records with equal path and
+    config, as the lines of a results file are read."""
+    cells = []
+    for (path, config), run in itertools.groupby(records, lambda r: (r.path, r.config)):
+        rows = [
+            (r.freq_hz, r.mean_on, r.mean_off, r.diff, r.var_off, r.snr, r.failed, r.error)
+            for r in run
         ]
+        freqs, *columns = zip(*rows)
+        cells.append(SweepCell(path, config, freqs, *map(list, columns)))
+    return cells
+
+
+class TestResultsFiles:
+    def make_cell(self):
+        return SweepCell(
+            ReceptionPathId(4, "P4"),
+            enumerate_configs()[57],
+            (2e8, 3e8, 4e8, 5e8),
+            mean_on=[2050.0, 2060.0, 2048.0, None],
+            mean_off=[2048.0, 2048.0, 2048.0, None],
+            diff=[2.0, 12.0, 0.0, None],
+            var_off=[0.5, 0.0, 0.0, None],
+            snr=[9.0, math.inf, -math.inf, -math.inf],
+            failed=[False, False, False, True],
+            errors=[None, None, None, "injected"],
+        )
 
     def test_round_trip(self, tmp_path):
-        records = self.make_records()
+        cell = self.make_cell()
         path = tmp_path / "results.jsonl"
-        write_records(path, records, header_extra={"seed": 5})
+        write_records(path, [cell], header_extra={"seed": 5})
         header, back = read_records(path)
         assert header["schema_version"] == 1
         assert header["seed"] == 5
-        assert len(back) == 4
-        assert [r.snr for r in back] == [9.0, math.inf, -math.inf, -math.inf]
-        assert back[3].failed and back[3].error == "injected"
-        assert back[0].config == records[0].config
+        assert back == [cell]
+        assert back[0].snr == [9.0, math.inf, -math.inf, -math.inf]
+        assert back[0].failed[3] and back[0].errors[3] == "injected"
+        assert back[0].config == cell.config
 
     def test_snr_encoding_on_the_wire(self, tmp_path):
         path = tmp_path / "results.jsonl"
-        write_records(path, self.make_records())
+        write_records(path, [self.make_cell()])
         lines = path.read_text().splitlines()
         assert json.loads(lines[1])["snr"] == {"db": 9.0}
         assert json.loads(lines[2])["snr"] == "high"
@@ -243,17 +258,22 @@ class TestResultsFiles:
         "snr": {"db": 9.0},
     }
 
-    def read_one(self, tmp_path, **fields):
+    def read_lines(self, tmp_path, *records):
+        """The cells of a results file holding ``records``, one per line."""
         path = tmp_path / "results.jsonl"
         header = {"schema_version": 1, "kind": "sensitivity-records"}
-        line = json.dumps({**self.GOOD_RECORD, **fields})
-        path.write_text(json.dumps(header) + "\n" + line + "\n")
-        return read_records(path)[1][0]
+        path.write_text("".join(json.dumps(obj) + "\n" for obj in [header, *records]))
+        return read_records(path)[1]
+
+    def read_one(self, tmp_path, **fields):
+        """The cell of one line, GOOD_RECORD with ``fields`` replaced."""
+        (cell,) = self.read_lines(tmp_path, {**self.GOOD_RECORD, **fields})
+        return cell
 
     def test_valid_record_reads(self, tmp_path):
-        record = self.read_one(tmp_path, mean_on=2050)
-        assert record.mean_on == 2050.0 and isinstance(record.mean_on, float)
-        assert not record.failed and record.error is None
+        cell = self.read_one(tmp_path, mean_on=2050)
+        assert cell.mean_on == [2050.0] and isinstance(cell.mean_on[0], float)
+        assert cell.failed == [False] and cell.errors == [None]
 
     def test_string_statistic_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="mean_on must be a finite number"):
@@ -284,8 +304,8 @@ class TestResultsFiles:
 
     def test_null_statistics_on_failed_record(self, tmp_path):
         nulls = dict.fromkeys(("mean_on", "mean_off", "diff", "var_off"))
-        record = self.read_one(tmp_path, **nulls, snr="none", failed=True, error="boom")
-        assert record.failed and record.error == "boom" and record.mean_on is None
+        cell = self.read_one(tmp_path, **nulls, snr="none", failed=True, error="boom")
+        assert cell.failed == [True] and cell.errors == ["boom"] and cell.mean_on == [None]
 
     def test_string_failed_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="failed must be true or false"):
@@ -295,6 +315,18 @@ class TestResultsFiles:
         with pytest.raises(FileFormatError, match="error must be a string or null"):
             self.read_one(tmp_path, failed=True, error=5)
 
+    @pytest.mark.parametrize("fields", [{"error": "x"}, {"failed": False, "error": ""}])
+    def test_error_text_on_a_record_that_has_not_failed_rejected(self, tmp_path, fields):
+        # The writer writes no error for such a record, so it would not read
+        # back as it was read.
+        with pytest.raises(
+            FileFormatError,
+            match=r"results\.jsonl:2: bad sensitivity record .*: "
+            r"error must be null on a record that has not failed, got '(x|)'$",
+        ):
+            self.read_one(tmp_path, **fields)
+        self.read_one(tmp_path, failed=False, error=None)
+
     @pytest.mark.parametrize("index", [4.7, 4.0, "4", True, None, -1])
     def test_non_integer_path_index_rejected(self, tmp_path, index):
         with pytest.raises(FileFormatError, match="path index must be"):
@@ -303,6 +335,60 @@ class TestResultsFiles:
     def test_non_string_path_label_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="path label must be a string, got 7"):
             self.read_one(tmp_path, path={"index": 4, "label": 7})
+
+    @pytest.mark.parametrize(
+        "path, message",
+        [
+            ({"index": True, "label": "P1"}, "path index must be an integer, got True"),
+            ({"index": 1.0, "label": "P1"}, "path index must be an integer, got 1.0"),
+            ({"index": 1, "label": 1}, "path label must be a string, got 1"),
+        ],
+    )
+    def test_a_path_after_a_line_with_an_equal_path_is_checked(self, tmp_path, path, message):
+        # {"index": 1} == {"index": true} == {"index": 1.0}: a line whose
+        # path equals the last one's is checked as if it came first.
+        first = {**self.GOOD_RECORD, "path": {"index": 1, "label": "P1"}}
+        with pytest.raises(
+            FileFormatError, match=rf"results\.jsonl:3: bad sensitivity record .*: {message}$"
+        ):
+            self.read_lines(tmp_path, first, {**first, "path": path})
+
+    def test_a_config_after_a_valid_one_is_checked(self, tmp_path):
+        bad = {**self.GOOD_RECORD["config"], "mode": "bogus"}
+        with pytest.raises(
+            FileFormatError, match=r"results\.jsonl:3: bad sensitivity record .*: bad path configuration"
+        ):
+            self.read_lines(tmp_path, self.GOOD_RECORD, {**self.GOOD_RECORD, "config": bad})
+
+    def test_each_run_of_lines_with_one_path_and_config_is_one_cell(self, tmp_path):
+        other = {**self.GOOD_RECORD, "path": {"index": 5, "label": "P5"}}
+        # Equal path and config objects with their keys in another order.
+        reordered = {
+            **self.GOOD_RECORD,
+            "path": {"label": "P4", "index": 4},
+            "config": dict(reversed(self.GOOD_RECORD["config"].items())),
+            "freq_hz": 3e8,
+        }
+        cells = self.read_lines(tmp_path, self.GOOD_RECORD, reordered, other, self.GOOD_RECORD)
+        assert [(c.path.index, c.freqs_hz) for c in cells] == [
+            (4, (2e8, 3e8)), (5, (2e8,)), (4, (2e8,))
+        ]
+        assert len({c.config for c in cells}) == 1
+
+    def test_reading_builds_no_record(self, tmp_path, monkeypatch):
+        built = []
+        init = SensitivityRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        path = tmp_path / "results.jsonl"
+        write_records(path, [self.make_cell()])
+        monkeypatch.setattr(SensitivityRecord, "__init__", counting_init)
+        _, cells = read_records(path)
+        assert built == []
+        assert cells == [self.make_cell()]
 
     def test_path_must_be_an_object(self, tmp_path):
         with pytest.raises(FileFormatError, match="bad sensitivity record"):
@@ -318,8 +404,8 @@ class TestResultsFiles:
             self.read_one(tmp_path, **nulls, diff=0.0, snr="none", failed=True, error="x")
 
     def test_diff_is_the_exact_float_difference(self, tmp_path):
-        record = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1)
-        assert record.diff == 0.19999999999999998
+        cell = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1)
+        assert cell.diff == [0.19999999999999998]
         with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off"):
             self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.2)
 
@@ -333,13 +419,13 @@ class TestResultsFiles:
             samples_per_block=scenario.adc.samples_per_block,
             adc=scenario.adc,
         )
-        records = [*run_sweep(plan, backend, source), *self.make_records()]
+        cells = [*run_sweep(plan, backend, source).cells, self.make_cell()]
         first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_records(first, records, header_extra={"seed": 3})
+        write_records(first, cells, header_extra={"seed": 3})
         header, back = read_records(first)
         write_records(second, back, header_extra={"seed": header["seed"]})
         assert first.read_bytes() == second.read_bytes()
-        assert back == records
+        assert back == cells
 
 
 _STATISTICS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
@@ -375,27 +461,6 @@ def sensitivity_records(draw, cell=None):
 
 _SPECIAL_PATH = ReceptionPathId(7, 'a"b\\c\u00e9\x01')
 _SPECIAL_CONFIG = enumerate_configs()[3]
-
-
-class TestRecordLine:
-    @given(st.lists(sensitivity_records(), min_size=1, max_size=4))
-    @example(
-        [
-            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 1e16, -0.0, 1e-5, 1e16, 0.0, math.inf),
-            SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 2e8, 1.0, 2.0, -1.0, 0.25, -12.5),
-            SensitivityRecord(
-                _SPECIAL_PATH, _SPECIAL_CONFIG, 4e8, None, None, None, None, -math.inf,
-                failed=True, error="a\nb",
-            ),
-        ]
-    )
-    def test_equals_json_dumps_of_record_to_dict(self, records):
-        # record_line keeps no state between calls: records sharing path and
-        # config objects, and the first record again after the others, each
-        # give their own line.
-        shared = [replace(r, path=records[0].path, config=records[0].config) for r in records]
-        for record in records + shared + records[:1]:
-            assert record_line(record) == json.dumps(record_to_dict(record))
 
 
 # Values json.dumps writes its own way, which the writer must send the
@@ -469,9 +534,9 @@ class TestWriteRecords:
             for line in [json.dumps(header)] + [json.dumps(record_to_dict(r)) for r in records]
         ).encode()
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
-        write_records(path, records, header_extra={"seed": 3})
+        write_records(path, cells_of(records), header_extra={"seed": 3})
         assert path.read_bytes() == want
-        write_records(path, (r for r in records), header_extra={"seed": 3})
+        write_records(path, iter(cells_of(records)), header_extra={"seed": 3})
         assert path.read_bytes() == want
 
 
@@ -747,7 +812,7 @@ def mutated_record_lines(draw):
 # field mutated, deeply nested JSON on its own or in place of a field, any
 # text, or any bytes.
 RESULTS_LINES = st.one_of(
-    valid_records().map(lambda r: (record_line(r), True)),
+    valid_records().map(lambda r: (json.dumps(record_to_dict(r)), True)),
     *(
         lines.map(lambda line: (line, False))
         for lines in (

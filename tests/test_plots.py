@@ -5,25 +5,30 @@ import math
 
 from adcradio.backend import ReceptionPathId
 from adcradio.plots import render_heatmap, render_spectrum
-from adcradio.sweep import SensitivityRecord, enumerate_configs, spectra_from_records
+from adcradio.sweep import SweepCell, enumerate_configs
 
 CONFIGS = enumerate_configs()[:2]
 
 
-def records_of(cells):
-    """Records for {(path index, config index): [SNR per frequency]}, at
-    100, 200, ... MHz."""
+def cells_of(snrs_by_cell):
+    """Cells for {(path index, config index): [SNR per frequency]}, at 100,
+    200, ... MHz."""
     return [
-        SensitivityRecord(
-            ReceptionPathId(path), CONFIGS[config], 100e6 * (k + 1), 1.0, 0.0, 1.0, 1.0, snr
+        SweepCell(
+            ReceptionPathId(path),
+            CONFIGS[config],
+            tuple(100e6 * (k + 1) for k in range(len(snrs))),
+            *([value] * len(snrs) for value in (1.0, 0.0, 1.0, 1.0)),
+            list(snrs),
+            [False] * len(snrs),
+            [None] * len(snrs),
         )
-        for (path, config), snrs in cells.items()
-        for k, snr in enumerate(snrs)
+        for (path, config), snrs in snrs_by_cell.items()
     ]
 
 
 def spectrum_of(snrs):
-    (spectrum,) = spectra_from_records(records_of({(0, 0): snrs}))
+    (spectrum,) = cells_of({(0, 0): snrs})
     return spectrum
 
 
@@ -43,7 +48,7 @@ def cell_rect(x, y, fill):
 class TestHeatmap:
     def test_high_cells_are_hatched_and_none_cells_white(self, tmp_path):
         # 2 x 2 cells of 18 px from (70, 30): rows are paths, columns configs.
-        records = records_of(
+        cells = cells_of(
             {
                 (0, 0): [-math.inf, -math.inf],
                 (0, 1): [5.0, math.inf],
@@ -51,7 +56,7 @@ class TestHeatmap:
                 (1, 1): [-math.inf, 2.0],
             }
         )
-        svg, csv = rendered(tmp_path, render_heatmap, records)
+        svg, csv = rendered(tmp_path, render_heatmap, cells)
         assert cell_rect(70, 30, "white") in svg
         assert cell_rect(88, 30, "url(#hatch)") in svg
         assert cell_rect(70, 48, "rgb(178,24,43)") in svg  # the highest finite peak

@@ -14,6 +14,7 @@ repeated); request lines carry no checksum, so a request corrupted into
 another valid command would run as sent, and that is not modelled here.
 """
 
+import json
 from dataclasses import replace
 from functools import cache
 
@@ -23,7 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adcradio.backend import ReceptionPathId
-from adcradio.fileio import record_line
+from adcradio.fileio import record_to_dict
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend
 from adcradio.scenario import build_rig, bundled_scenario_path, load_scenario
 from adcradio.sweep import SweepPlan, _off_variance, recommended_configs, run_sweep, snr_from_stats
@@ -50,6 +51,11 @@ def n_requests(plan):
 def direct_sweep(plan):
     backend, source = build_rig(SCENARIO)
     return run_sweep(plan, backend, source)
+
+
+def record_line(record):
+    """The results-file line of a record."""
+    return json.dumps(record_to_dict(record))
 
 
 def loopback_sweep(plan, make_transport, retries=3):

@@ -27,7 +27,13 @@ from adcradio.backend import (
     SimulatorBackend,
 )
 from adcradio import sweep
-from adcradio.fileio import record_to_dict, snr_from_json, snr_to_json, write_records
+from adcradio.fileio import (
+    read_records,
+    record_to_dict,
+    snr_from_json,
+    snr_to_json,
+    write_records,
+)
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend, _data_frame
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
@@ -568,10 +574,10 @@ class TestRunSweep:
         moved = estimate_snr(3.5 * on - 100.0, 3.5 * off - 100.0)
         assert moved == pytest.approx(base, abs=1e-9)
 
-    def test_spectra_group_shuffled_and_interleaved_records(self):
-        # Grouping looks a group up only when the path or config object
-        # changes; equal objects from other runs, shuffled order and
-        # interleaved cells must group exactly as a lookup per record does.
+    def test_spectra_group_shuffled_and_interleaved_records(self, tmp_path):
+        # A results file whose lines for one (path, config) are not
+        # contiguous, shuffled or interleaved with equal copies, must group
+        # into spectra exactly as a lookup per record does.
         backend, source, adc = small_rig(noise=2.0, seed=4)
         records = run_sweep(self.make_plan(adc, 3, 2, 5), backend, source)
         copies = [
@@ -591,8 +597,14 @@ class TestRunSweep:
             for (_, config), (path, rows) in reference.items():
                 freqs, *columns = zip(*rows)
                 expected.append(SweepCell(path, config, freqs, *map(list, columns)))
-            assert spectra_from_records(batch) == expected
-            assert spectra_from_records(iter(batch)) == expected
+            results = tmp_path / "results.jsonl"
+            header = {"schema_version": 1, "kind": "sensitivity-records"}
+            results.write_text(
+                "".join(json.dumps(obj) + "\n" for obj in [header, *map(record_to_dict, batch)])
+            )
+            _, cells = read_records(results)
+            assert spectra_from_records(cells) == expected
+            assert spectra_from_records(iter(cells)) == expected
 
     def test_deterministic_given_seed(self):
         results = []
@@ -650,8 +662,8 @@ class TestSweepResult:
         records = list(result)
         assert records[5] == result[5] == changed
         write_records(tmp_path / "a.jsonl", result)
-        write_records(tmp_path / "b.jsonl", records)
-        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+        lines = (tmp_path / "a.jsonl").read_text().splitlines()[1:]
+        assert lines == [json.dumps(record_to_dict(r)) for r in records]
         for other in (
             replace(changed, freq_hz=1.0),
             replace(changed, path=ReceptionPathId(9)),
@@ -702,7 +714,7 @@ class TestSweepResult:
         assert first is not cells[0] and spectra[1:] == cells[1:4]
         assert first.freqs_hz == result.freqs_hz * 2
         assert first.snr == cells[0].snr * 2 and first.errors == cells[0].errors * 2
-        assert spectra == spectra_from_records([*result, *result[:3]])
+        assert spectra == spectra_from_records(cells)
 
     def test_duplicate_paths_or_configs_rejected(self):
         # spectra_from_records groups by path index and config, so a plan
@@ -799,12 +811,11 @@ class TestSweepResultProperty:
         assert_equal_records(records, reference)
         assert [result[i] for i in range(len(result))] == records
         base = tmp_path_factory.getbasetemp()
-        from_result, from_list = base / "result.jsonl", base / "list.jsonl"
-        write_records(from_result, result, header_extra={"seed": 1})
-        write_records(from_list, records, header_extra={"seed": 1})
+        written = base / "result.jsonl"
+        write_records(written, result, header_extra={"seed": 1})
         header = {"schema_version": 1, "kind": "sensitivity-records", "seed": 1}
         want = "".join(
             json.dumps(obj) + "\n" for obj in [header, *map(record_to_dict, records)]
         ).encode()
-        assert from_result.read_bytes() == from_list.read_bytes() == want
-        assert spectra_from_records(result) == spectra_from_records(records)
+        assert written.read_bytes() == want
+        assert spectra_from_records(result) == spectra_from_records(read_records(written)[1])
