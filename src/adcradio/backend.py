@@ -204,21 +204,28 @@ class SimulatorBackend:
         """Codes of one n_blocks capture per stimulus, in order, as if the RF
         source were set to each stimulus before its capture.
 
-        Each distinct (frequency, power) is checked by the source's rf_set
-        (RfSourceError), and the source is left at the last stimulus.
-        Returns int32 codes of shape (len(stimuli), n_blocks * samples_per_block).
+        Every frequency and power is checked against the source's limits in
+        one array comparison, which a NaN fails. On a failure the source is
+        set as one rf_set per stimulus would leave it: at the stimulus before
+        the first offending one, whose rf_set then raises its RfSourceError.
+        Otherwise the source is left at the last stimulus. Returns int32
+        codes of shape (len(stimuli), n_blocks * samples_per_block).
         """
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
         stimuli = list(stimuli)
-        checked = set()
-        for stimulus in stimuli:
-            limits = (stimulus.freq_hz, stimulus.power_dbm)
-            if limits not in checked:
-                checked.add(limits)
-                self.source.rf_set(stimulus)
         if stimuli:
-            self.source.rf_set(stimuli[-1])
+            source = self.source
+            freqs = np.array([s.freq_hz for s in stimuli])
+            powers = np.array([s.power_dbm for s in stimuli])
+            ok = (source.min_freq_hz <= freqs) & (freqs <= source.max_freq_hz)
+            ok &= (source.min_power_dbm <= powers) & (powers <= source.max_power_dbm)
+            if not ok.all():
+                first = int(ok.argmin())
+                if first:
+                    source.rf_set(stimuli[first - 1])
+                source.rf_set(stimuli[first])
+            source.rf_set(stimuli[-1])
         return self.dut.capture_schedule(stimuli, n_blocks)
 
     def reset(self) -> None:

@@ -195,32 +195,42 @@ def _snr_text(snr) -> str:
     return json.dumps(snr)
 
 
-def _column_texts(column):
+class _FloatTexts(dict):
+    """The repr of each nonzero float looked up, made on first lookup and
+    kept. One instance serves a whole written file, whose statistic columns
+    repeat few values. A zero is formatted anew each time and never kept,
+    since 0.0 and -0.0 are equal keys that print apart."""
+
+    def __missing__(self, value: float) -> str:
+        text = repr(value)
+        if value:
+            self[value] = text
+        return text
+
+
+def _column_texts(column, texts: _FloatTexts):
     """The JSON text of each value of one statistic column.
 
-    A column of exact, finite floats is written with repr, which on an exact
-    float is float.__repr__, as json.dumps writes a finite float; one
-    nonzero value throughout (a pooled ``var_off``) is formatted once, and
-    zero never is, since 0.0 and -0.0 compare equal but print apart. Any
-    other column is written value by value under the json.dumps rules.
+    A column of exact, finite floats is written through ``texts``: repr,
+    which on an exact float is float.__repr__, as json.dumps writes a
+    finite float. Any other column is written value by value under the
+    json.dumps rules.
     """
     # The sum is finite only if every term is (an overflow merely sends the
     # column the general way).
     if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
-        if column and column[0] and column.count(column[0]) == len(column):
-            return [repr(column[0])] * len(column)
-        return map(repr, column)
+        return map(texts.__getitem__, column)
     return map(_json_number, column)
 
 
-def _cell_lines(cell: SweepCell, freq_texts) -> str:
+def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
     """The lines of the records of one cell, each
     ``json.dumps(record_to_dict(r)) + "\n"``, joined; ``freq_texts`` holds
     the JSON text of each record's ``freq_hz``.
 
     The path/config prefix is encoded once, each statistic column's texts
-    are made by _column_texts, and each line ends with the failed suffix
-    when its record failed.
+    are made by _column_texts through ``texts``, and each line ends with
+    the failed suffix when its record failed.
     """
     head = {
         "path": {"index": cell.path.index, "label": cell.path.label},
@@ -240,7 +250,7 @@ def _cell_lines(cell: SweepCell, freq_texts) -> str:
         f'{prefix}{freq}, "mean_on": {on}, "mean_off": {off}, "diff": {diff}'
         f', "var_off": {var_off}, "snr": {snr}{end}'
         for freq, on, off, diff, var_off, snr, end in zip(
-            freq_texts, *map(_column_texts, stats), snr_texts, endings
+            freq_texts, *(_column_texts(c, texts) for c in stats), snr_texts, endings
         )
     ])
 
@@ -249,7 +259,8 @@ def write_records(path: str | Path, results, header_extra: dict | None = None) -
     """Write a results file, one record per line: ``results`` is a
     SweepResult or an iterable of SweepCells, written one cell at a time
     from its columns. A cell's frequencies are turned into text again only
-    when it holds another frequency column than the cell before."""
+    when it holds another frequency column than the cell before; each
+    nonzero statistic value is turned into text once per file."""
     header = {
         "schema_version": RESULTS_SCHEMA_VERSION,
         "kind": "sensitivity-records",
@@ -257,13 +268,20 @@ def write_records(path: str | Path, results, header_extra: dict | None = None) -
     }
     cells = results.cells if isinstance(results, SweepResult) else results
     freqs = freq_texts = None
+    texts = _FloatTexts()
     with open(path, "w", newline="\n") as f:
         f.write(json.dumps(header) + "\n")
         for cell in cells:
             if cell.freqs_hz is not freqs:
                 freqs = cell.freqs_hz
                 freq_texts = [_json_number(freq) for freq in freqs]
-            f.write(_cell_lines(cell, freq_texts))
+            f.write(_cell_lines(cell, freq_texts, texts))
+
+
+def _same_floats(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
+    """Whether two tuples of finite floats are equal bit for bit: equal,
+    with zeros of equal sign (0.0 == -0.0, but they print apart)."""
+    return a == b and (0.0 not in a or repr(a) == repr(b))
 
 
 def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
@@ -278,6 +296,8 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     the line and quoting a bounded excerpt of it. A path or config equal to
     the previous line's is not parsed again: the index and label are checked
     on every line first, and a config object equal to a valid one is valid.
+    A cell whose frequencies equal the previous cell's bit for bit holds
+    that cell's ``freqs_hz`` tuple.
     """
     path = Path(path)
     lines = text_lines(path, "results", FileFormatError)
@@ -337,8 +357,12 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
             runs.append((key, rows))
         rows.append(row)
     cells = []
+    last_freqs = None
     for (path_id, config), rows in runs:
         freqs, *columns = zip(*rows)
+        if _same_floats(freqs, last_freqs):
+            freqs = last_freqs  # one tuple, so the writer formats it once
+        last_freqs = freqs
         cells.append(SweepCell(path_id, config, freqs, *map(list, columns)))
     return header, cells
 

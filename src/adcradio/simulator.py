@@ -500,7 +500,8 @@ class SimulatedDut:
         stimulus, and leaves the same device and RNG state. Consecutive
         states run in vectorized passes of up to _PASS_RAW_SAMPLES raw
         conversions: coupling, then one low-pass, one _impair call and one
-        quantization over the whole pass. The impairments are batched over
+        quantization over the whole pass (a pass that couples nothing skips
+        the coupling and the low-pass). The impairments are batched over
         the pass but draw their random numbers per state, as one capture per
         state does.
         """
@@ -527,13 +528,23 @@ class SimulatedDut:
         The DC operating point is added in place into the low-pass output,
         which the pass owns; _impair and _quantize write only arrays of
         their own, so no caller's array is written.
+
+        A model without resonances couples nothing, so its offset is zero;
+        from a zero filter state the low-pass of zeros is zeros and leaves
+        the state at zero. Such a pass starts from the operating point
+        alone, skipping both steps; neither draws random numbers, so the
+        codes, the device state and the RNG stream are those of the full
+        path.
         """
         adc, model, state = self.adc, self._model, self._state
-        alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
-        offset = self._coupled_offset(stimuli, n_raw)
-        analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
-        del offset  # freed before _impair draws: a long pass holds fewer arrays
-        analog += model.dc_operating_point
+        if not model.resonances and state.filter_value == 0.0:
+            analog = np.full(len(stimuli) * n_raw, model.dc_operating_point)
+        else:
+            alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
+            offset = self._coupled_offset(stimuli, n_raw)
+            analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
+            del offset  # freed before _impair draws: a long pass holds fewer arrays
+            analog += model.dc_operating_point
         analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, len(stimuli))
         return _quantize(analog, adc.full_scale, adc.oversampling_ratio)
 

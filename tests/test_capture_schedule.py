@@ -1,6 +1,7 @@
 """Batched capture: a schedule of states equals one capture per state."""
 
-from dataclasses import astuple
+import math
+from dataclasses import astuple, replace
 from unittest import mock
 
 import numpy as np
@@ -141,6 +142,81 @@ def test_schedule_equals_per_state_captures(
     assert state_of(batched) == state_of(reference)
 
 
+@given(
+    model=models(),
+    ratio=st.sampled_from([1, 4]),
+    samples_per_block=st.integers(1, 8),
+    n_blocks=st.integers(1, 3),
+    state=st.builds(
+        simulator._DeviceState,
+        sample_index=st.integers(0, 10**6),
+        filter_value=st.sampled_from([0.0, -0.0, 3.5]),
+        walk_value=st.sampled_from([0.0, -2.25, 7.0]),
+        burst_left=st.integers(0, 300),
+    ),
+    schedule=st.lists(stimuli, max_size=12),
+    pass_cap=st.sampled_from([16, 100, simulator._PASS_RAW_SAMPLES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_uncoupled_pass_equals_the_full_path(
+    model, ratio, samples_per_block, n_blocks, state, schedule, pass_cap, seed
+):
+    """A model without resonances skips coupling and the low-pass at a zero
+    filter state. The oracle runs the full path on the same model with one
+    resonance of gain 0, which couples nothing: codes, device state and the
+    next RNG draw must be equal."""
+    adc = AdcConfig(
+        sample_rate_hz=10_000.0, oversampling_ratio=ratio, samples_per_block=samples_per_block
+    )
+    uncoupled = replace(model, resonances=())
+    oracle = replace(model, resonances=(Resonance(500e6, 80e6, 0.0),))
+    duts = []
+    for m in (uncoupled, oracle):
+        dut = SimulatedDut(
+            n_paths=2, adc=adc, channel=RfChannel(), coupling={(1, None): m}, seed=seed
+        )
+        dut.configure(1, CFG, adc)
+        dut._state = replace(state)
+        duts.append(dut)
+    skipped, full = duts
+
+    with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", pass_cap):
+        codes = skipped.capture_schedule(schedule, n_blocks)
+        want = full.capture_schedule(schedule, n_blocks)
+
+    np.testing.assert_array_equal(codes, want)
+    assert skipped._state == full._state
+    assert skipped._rng.random() == full._rng.random()
+
+
+# Stimuli that the rig's source (1 MHz-6 GHz, -40-30 dBm) refuses: a
+# frequency or power out of range, or NaN.
+_BAD_LIMITS = [
+    (0.5e6, 20.0), (7e9, 20.0), (math.nan, 20.0), (500e6, 35.0), (500e6, -41.0),
+    (500e6, math.nan), (math.nan, math.nan),
+]
+limit_stimuli = st.builds(
+    RfStimulus,
+    freq_hz=st.sampled_from([1e6, 500e6, 6e9]),
+    power_dbm=st.sampled_from([-40.0, 20.0, 30.0]),
+    enabled=st.booleans(),
+)
+bad_stimuli = st.builds(
+    lambda limits, enabled: RfStimulus(*limits, enabled=enabled),
+    st.sampled_from(_BAD_LIMITS),
+    st.booleans(),
+)
+
+
+@st.composite
+def refused_schedules(draw):
+    """Stimuli in and out of range, with at least one refused one at any
+    position."""
+    schedule = draw(st.lists(limit_stimuli | bad_stimuli, max_size=7))
+    schedule.insert(draw(st.integers(0, len(schedule))), draw(bad_stimuli))
+    return schedule
+
+
 class TestBackendSchedule:
     def rig(self, seed=4):
         model = CouplingModel(resonances=(Resonance(500e6, 80e6, 900.0),), noise_sigma=1.5)
@@ -175,6 +251,27 @@ class TestBackendSchedule:
         ]
         with pytest.raises(RfSourceError):
             backend.capture_schedule(schedule, 1)
+        assert state_of(backend.dut) == before
+
+    @given(schedule=refused_schedules(), start=st.none() | limit_stimuli)
+    def test_a_refused_stimulus_fails_as_one_rf_set_per_stimulus(self, schedule, start):
+        """The RfSourceError is that of rf_set on the first stimulus out of
+        range or NaN, at any position, and the source is left where one
+        rf_set per stimulus leaves it. Nothing is captured."""
+        backend, source, adc = self.rig()
+        backend.configure(ReceptionPathId(1), CFG, adc)
+        reference = SimulatedRfSource(max_power_dbm=30.0)
+        if start is not None:
+            source.rf_set(start)
+            reference.rf_set(start)
+        with pytest.raises(RfSourceError) as want:
+            for stimulus in schedule:
+                reference.rf_set(stimulus)
+        before = state_of(backend.dut)
+        with pytest.raises(RfSourceError) as got:
+            backend.capture_schedule(schedule, 1)
+        assert str(got.value) == str(want.value)
+        assert source.stimulus is reference.stimulus
         assert state_of(backend.dut) == before
 
     def test_capture_before_configure(self):

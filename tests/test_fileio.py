@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from adcradio import fileio
 from adcradio.backend import ReceptionPathId
 from adcradio.fileio import (
     FileFormatError,
@@ -36,7 +37,14 @@ from adcradio.scenario import (
 )
 from adcradio.signals import generate_bits
 from adcradio.simulator import ALLOWED_OVERSAMPLING, AdcConfig, AdcTrace
-from adcradio.sweep import SensitivityRecord, SweepCell, SweepPlan, enumerate_configs, run_sweep
+from adcradio.sweep import (
+    SensitivityRecord,
+    SweepCell,
+    SweepPlan,
+    enumerate_configs,
+    recommended_configs,
+    run_sweep,
+)
 
 
 def minimal_scenario_doc(**overrides):
@@ -390,6 +398,57 @@ class TestResultsFiles:
         assert built == []
         assert cells == [self.make_cell()]
 
+    def test_cells_with_bit_equal_frequencies_share_one_tuple(self, tmp_path):
+        def cell(index, freqs):
+            return replace(self.make_cell(), path=ReceptionPathId(index, f"P{index}"),
+                           freqs_hz=freqs)
+
+        cells = [
+            cell(1, (0.0, 3e8, 4e8, 5e8)),
+            cell(2, (0.0, 3e8, 4e8, 5e8)),
+            cell(3, (-0.0, 3e8, 4e8, 5e8)),
+            cell(4, (-0.0, 3e8, 4e8, 5e8)),
+            cell(5, (2e8, 3e8, 4e8, 5e8)),
+            cell(6, (2e8, 3e8, 4e8, 5e8)),
+        ]
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_records(first, cells)
+        _, back = read_records(first)
+        assert back == cells
+        assert [back[k].freqs_hz is back[k - 1].freqs_hz for k in range(1, 6)] == [
+            True, False, True, False, True
+        ]
+        assert [repr(c.freqs_hz[0]) for c in back] == (
+            ["0.0"] * 2 + ["-0.0"] * 2 + ["200000000.0"] * 2
+        )
+        write_records(second, back)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_a_desk_file_read_back_writes_81_frequency_texts(self, tmp_path, monkeypatch):
+        """Every read cell of a desk file holds one frequency tuple, so
+        writing the cells back turns 81 frequencies into text, not 56,376."""
+        scenario = load_scenario(bundled_scenario_path("demo_board"))
+        plan = SweepPlan(
+            paths=tuple(ReceptionPathId(i, f"P{i}") for i in range(87)),
+            configs=tuple(recommended_configs()),
+            freqs_hz=tuple(np.linspace(200e6, 1000e6, 81)),
+            samples_per_block=32,
+            adc=scenario.adc,
+        )
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_records(first, run_sweep(plan, *build_rig(scenario)))
+        _, cells = read_records(first)
+        assert len(cells) == 696
+        assert len({id(cell.freqs_hz) for cell in cells}) == 1
+        texts = []
+        number_text = fileio._json_number
+        monkeypatch.setattr(
+            fileio, "_json_number", lambda value: texts.append(value) or number_text(value)
+        )
+        write_records(second, cells)
+        assert texts == list(plan.freqs_hz)
+        assert second.read_bytes() == first.read_bytes()
+
     def test_path_must_be_an_object(self, tmp_path):
         with pytest.raises(FileFormatError, match="bad sensitivity record"):
             self.read_one(tmp_path, path=[4, "P4"])
@@ -496,7 +555,65 @@ _OTHER_PATH = ReceptionPathId(8, "P8")
 _OTHER_CONFIG = enumerate_configs()[5]
 
 
+# Statistics that recur across cells and columns: nonzero values and both
+# zeros, which compare equal but print apart.
+_SHARED_STATISTICS = st.sampled_from([0.0, -0.0, 2048.5, -1.25, 0.1, 5e-324, 1e16])
+
+
+@st.composite
+def shared_value_records(draw):
+    """Records of up to four cells whose four statistics all draw from one
+    small set of values."""
+    records = []
+    for index in range(draw(st.integers(1, 4))):
+        path, config = ReceptionPathId(index, f"P{index}"), draw(_CONFIGS)
+        for k in range(draw(st.integers(1, 5))):
+            stats = [draw(_SHARED_STATISTICS) for _ in range(4)]
+            records.append(SensitivityRecord(path, config, 1e8 * (k + 1), *stats, 6.0))
+    return records
+
+
 class TestWriteRecords:
+    @given(shared_value_records())
+    def test_values_shared_across_cells_and_columns_write_as_json_dumps(
+        self, tmp_path_factory, records
+    ):
+        want = "".join(
+            line + "\n"
+            for line in [json.dumps({"schema_version": 1, "kind": "sensitivity-records"})]
+            + [json.dumps(record_to_dict(r)) for r in records]
+        ).encode()
+        path = tmp_path_factory.getbasetemp() / "shared.jsonl"
+        write_records(path, cells_of(records))
+        assert path.read_bytes() == want
+
+    def test_each_file_formats_its_own_values(self, tmp_path, monkeypatch):
+        """Each nonzero statistic is formatted once per file and each zero
+        every time; a second file formats its values anew."""
+        records = [
+            _zero_record(2e8, 1.5, 0.5, 0.25, 6.0),
+            _zero_record(3e8, 0.5, 1.5, 0.25, 6.0),
+            _zero_record(4e8, 0.0, -0.0, -0.0, 6.0),
+            replace(_zero_record(2e8, 1.5, 1.5, 0.0, 6.0), path=_OTHER_PATH),
+        ]
+        formatted = []
+        missing = fileio._FloatTexts.__missing__
+        monkeypatch.setattr(
+            fileio._FloatTexts,
+            "__missing__",
+            lambda texts, value: formatted.append(repr(value)) or missing(texts, value),
+        )
+        write_records(tmp_path / "a.jsonl", cells_of(records))
+        in_first = list(formatted)
+        write_records(tmp_path / "b.jsonl", cells_of(records))
+        # Row by row: mean_on, mean_off, diff, var_off; the last row is
+        # another cell's.
+        assert in_first == [
+            "1.5", "0.5", "1.0", "0.25", "-1.0", "0.0", "-0.0", "0.0", "-0.0", "0.0", "0.0"
+        ]
+        assert formatted == in_first * 2
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
     @given(record_runs())
     @example(
         [
