@@ -60,6 +60,8 @@ ALLOWED_OVERSAMPLING = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 # experiment 16k ran faster than 32k or 64k and kept peak memory lowest.
 _PASS_RAW_SAMPLES = 1 << 14
 
+_INT64_MAX = np.iinfo(np.int64).max
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -244,6 +246,36 @@ def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarra
     b, a = _lowpass_coefficients(alpha)
     out, _ = _linear_filter(b, a, x, -1, np.array([(1.0 - alpha) * y_prev]))
     return out, float(out[-1])
+
+
+def _hold(envelope, raw_rate_hz: float, first: int, n_raw: int) -> np.ndarray:
+    """Zero-order hold of ``envelope`` on raw samples first .. first + n_raw - 1.
+
+    Raw sample i holds envelope sample i * p // q, where p/q is the
+    envelope rate over the raw rate reduced from the two floats' exact
+    integer ratios, or 0 past the envelope's end. The floor is exact: no
+    rounding of i / raw rate * envelope rate takes the sample before the
+    right one. At p == q the held samples are a slice of the envelope's
+    values, returned as a view when the envelope covers all of them, so
+    the caller must not write the result. Otherwise the indices are int64
+    while i * p fits in it, else Python integers.
+    """
+    values = envelope.values
+    a, b = float(envelope.sample_rate).as_integer_ratio()
+    c, d = float(raw_rate_hz).as_integer_ratio()
+    g = math.gcd(a * d, b * c)
+    p, q = a * d // g, b * c // g
+    end = min(first + n_raw, -(-values.size * q // p))  # i * p // q < size before end
+    if p == q:
+        inside = values[first:end]
+    else:
+        i = np.arange(first, end, dtype=np.int64 if end * p <= _INT64_MAX else object)
+        inside = values[(i * p // q).astype(np.intp, copy=False)]
+    if inside.size == n_raw:
+        return inside
+    held = np.zeros(n_raw)
+    held[: inside.size] = inside
+    return held
 
 
 @dataclass
@@ -558,6 +590,16 @@ class SimulatedDut:
         state's carrier (frequency, power) differs from the previous RF-on
         state's: a pass of on/off bits on one carrier computes them once, and
         a sweep pass, whose carriers all differ, pays one comparison each.
+
+        A state with an envelope adds inc_mw * m * m through the detector,
+        where m is the envelope held by _hold: raw sample i holds envelope
+        sample i * p // q (p/q the envelope rate over the raw rate, exactly)
+        or 0 past its end. The anchor i counts raw samples since configure,
+        so a payload captured right after configure starts at envelope
+        sample 0. set_adc_rate does not re-anchor the hold: after a rate
+        change, i still counts the raw samples taken at the earlier rates
+        while p/q uses the current one. Holding across a rate change is out
+        of scope (ROADMAP items 7 and 12).
         """
         model, adc = self._model, self.adc
         rows, powers_mw, gains = [], [], []
@@ -580,18 +622,10 @@ class SimulatedDut:
                 powers_mw.append(inc_mw)
                 gains.append(gain)
                 continue
-            if len(envelope) == 0:
-                power = np.zeros(n_raw)
-            else:
-                # Zero-order hold of the transmit envelope, anchored at the
-                # device's configure time (raw sample index 0).
-                first = self._state.sample_index + k * n_raw
-                t = (first + np.arange(n_raw)) / adc.raw_rate_hz
-                idx = np.floor(t * envelope.sample_rate).astype(np.int64)
-                m = np.where(
-                    idx < len(envelope), envelope.values[np.minimum(idx, len(envelope) - 1)], 0.0
-                )
-                power = inc_mw * m * m
+            first = self._state.sample_index + k * n_raw
+            m = _hold(envelope, adc.raw_rate_hz, first, n_raw)
+            power = inc_mw * m
+            power *= m  # inc_mw * m * m, in that order
             held.append((k, detector_output(power, gain, model.nonlinearity_exponent)))
         if rows:
             levels = detector_output(

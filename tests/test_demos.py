@@ -42,4 +42,6 @@ def test_link_faults_tool_reports_every_stage():
     )
     assert result.returncode == 0, result.stderr
     stages = [line.split()[0] for line in result.stdout.splitlines()[1:]]
-    assert stages == ["capture", "remove_dc", "recover_timing", "slice_bits", "payload"]
+    assert stages == [
+        "capture", "coupled_offset", "remove_dc", "recover_timing", "slice_bits", "payload"
+    ]

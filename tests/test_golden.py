@@ -36,8 +36,8 @@ pytestmark = pytest.mark.skipif(
 
 DESK_RESULTS = "a3c234402b1b55ab5b4a8a25581a6664348526efc39e8ae4f78d9a87dec4b793"
 LINK_TRACES = {
-    "link_3m": "6a04dc2688b6f934aea0746dda2d4f055074d0ae76d42f64b62c7cd0d91e4f7c",
-    "link_20m": "87a047980514f792e0d3b10c0fcda867e35705426283aabe26c44647239019d9",
+    "link_3m": "dc426041cf95dfdc32c5e2ea8eeba91684682f028494de7e65bf66542a583545",
+    "link_20m": "31684aa23dd8b7681a5c1d38fc3afbab91600e5a6ac7f95acbe0ed6ad8c82855",
 }
 IDEAL_SYNC_POWERS_DBM = (18.7, 20.7, 22.7, 24.7)
 IDEAL_SYNC_REPORTS = "57c0f3714fda44bc96a92f5e11eb063ea0396ff9f2ec6a041678ba0e86f36168"

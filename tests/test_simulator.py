@@ -1,9 +1,11 @@
 """Device physics: coupling, rectification, bandwidth, impairments, ADC."""
 
+import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +18,9 @@ from scipy.signal import lfilter
 
 import adcradio
 from adcradio import simulator
-from adcradio.backend import RfStimulus
+from adcradio.backend import ReceptionPathId, RfStimulus
+from adcradio.scenario import build_rig, bundled_scenario_path, enumerate_configs, load_scenario
+from adcradio.signals import BasebandEnvelope, dbm_to_mw, generate_bits, modulate_ook
 from adcradio.simulator import (
     ALLOWED_OVERSAMPLING,
     AdcConfig,
@@ -553,3 +557,128 @@ class TestConfigureCapture:
         assert dut.configured
         assert len(trace) == 4 * dut.adc.samples_per_block
         assert (trace.meta["path"], trace.meta["config"]) == (1, CFG)
+
+
+def held_reference(values, first, n_raw, p, q):
+    """Envelope sample (first + i) * p // q for i < n_raw, or 0 past the
+    envelope's end, by Python integers."""
+    return np.array([
+        values[j] if j < len(values) else 0.0
+        for j in ((first + i) * p // q for i in range(n_raw))
+    ])
+
+
+HOLD_RATIONALS = ((3, 2), (2, 3), (5, 4), (4, 7))
+
+
+@st.composite
+def hold_rates(draw):
+    """An ADC and an envelope rate of one of five kinds: the raw rate;
+    the output rate, so raw = k * envelope for the drawn oversampling
+    ratio k; k times the raw rate; a small rational multiple of it; the
+    next float above it, whose reduced ratio to it overflows int64 at
+    about a thousand raw samples."""
+    adc = AdcConfig(
+        sample_rate_hz=draw(st.sampled_from([1e3, 10e3, 16e3, 400e3])),
+        oversampling_ratio=draw(st.sampled_from(ALLOWED_OVERSAMPLING)),
+        samples_per_block=draw(st.integers(1, 4)),
+    )
+    raw = adc.raw_rate_hz
+    kind = draw(st.sampled_from(["equal", "raw_multiple", "env_multiple", "rational", "float"]))
+    if kind == "equal":
+        return adc, raw
+    if kind == "raw_multiple":
+        return adc, adc.sample_rate_hz
+    if kind == "env_multiple":
+        return adc, raw * draw(st.integers(2, 7))
+    if kind == "rational":
+        a, b = draw(st.sampled_from(HOLD_RATIONALS))
+        return adc, raw * a / b
+    return adc, math.nextafter(raw, math.inf)
+
+
+class TestEnvelopeHold:
+    """The zero-order hold of a transmit envelope is exact: raw sample i
+    holds envelope sample i * p // q, p/q the envelope rate over the raw
+    rate, or 0 past the envelope's end."""
+
+    MODEL = CouplingModel(resonances=(Resonance(500e6, 80e6, 40.0),))
+
+    def check(self, adc, env_rate, n_blocks, prefix_blocks, coverage, layout):
+        """Capture prefix_blocks RF-off blocks, then compare each held
+        state's row of one pass over ``layout`` with the reference."""
+        dut = make_dut(model=self.MODEL, adc=adc)
+        dut.configure(1, CFG, adc)
+        dut.capture(prefix_blocks, None)  # the pass starts at a nonzero raw sample
+        first = dut._state.sample_index
+        n_raw = n_blocks * adc.samples_per_block * adc.oversampling_ratio
+        ratio = Fraction(env_rate) / Fraction(adc.raw_rate_hz)
+        p, q = ratio.numerator, ratio.denominator
+        # coverage < 1: the envelope ends inside the pass or before it starts
+        spanned = -(-(first + len(layout) * n_raw) * p // q)
+        values = np.arange(1.0, int(coverage * spanned) + 1)  # distinct: a wrong index shows
+        envelope = BasebandEnvelope(values=values, sample_rate=env_rate)
+        stimuli = [
+            None if kind == "off"
+            else RfStimulus(
+                freq_hz=500e6, power_dbm=10.0, enabled=True,
+                envelope=envelope if kind == "held" else None,
+            )
+            for kind in layout
+        ]
+        offset = dut._coupled_offset(stimuli, n_raw).reshape(len(layout), n_raw)
+        inc_mw = dbm_to_mw(dut.channel.incident_dbm(10.0, 500e6))
+        gain = coupling_gain(self.MODEL, 500e6)
+        for k, kind in enumerate(layout):
+            if kind == "held":
+                m = held_reference(values, first + k * n_raw, n_raw, p, q)
+                want = detector_output(inc_mw * m * m, gain, self.MODEL.nonlinearity_exponent)
+                np.testing.assert_array_equal(offset[k], want)
+        return first, n_raw, p
+
+    @given(
+        rates=hold_rates(),
+        n_blocks=st.integers(1, 2),
+        prefix_blocks=st.integers(0, 3),
+        coverage=st.sampled_from([0.0, 0.3, 0.7, 1.0, 1.5]),
+        layout=st.lists(
+            st.sampled_from(["held", "held", "constant", "off"]), min_size=1, max_size=3
+        ),
+    )
+    def test_equals_the_python_integer_reference(
+        self, rates, n_blocks, prefix_blocks, coverage, layout
+    ):
+        self.check(*rates, n_blocks, prefix_blocks, coverage, layout)
+
+    def test_a_ratio_past_int64_holds_exactly(self):
+        adc = AdcConfig(sample_rate_hz=16e3, oversampling_ratio=16, samples_per_block=4)
+        first, n_raw, p = self.check(
+            adc, math.nextafter(adc.raw_rate_hz, math.inf), 2, 20, 1.0, ["held", "held"]
+        )
+        assert (first + n_raw) * p > np.iinfo(np.int64).max
+
+    def test_link_3m_raw_sample_i_holds_envelope_sample_i(self):
+        """All 201,040 raw samples of a link_3m payload; a hold by float time
+        (floor(i / raw rate * envelope rate)) took sample i - 1 at 1,482."""
+        scn = load_scenario(bundled_scenario_path("link_3m"))
+        tx = scn.transmission
+        backend, _ = build_rig(scn)
+        backend.configure(
+            ReceptionPathId(tx.path, f"P{tx.path}"), enumerate_configs()[tx.config_index], scn.adc
+        )
+        sps = int(scn.adc.sample_rate_hz / tx.bit_rate_hz)
+        bits = generate_bits(12_565, scn.seed)
+        rate = modulate_ook(bits, sps, 1.0, symbol_rate_hz=tx.bit_rate_hz).sample_rate
+        n_raw = len(bits) * sps
+        assert n_raw == 201_040
+        values = np.arange(1.0, n_raw + 1)  # distinct: a wrong index shows
+        stimulus = RfStimulus(
+            freq_hz=tx.freq_hz, power_dbm=tx.power_dbm, enabled=True,
+            envelope=BasebandEnvelope(values=values, sample_rate=rate),
+        )
+        dut = backend.dut
+        offset = dut._coupled_offset([stimulus], n_raw)
+        inc_mw = dbm_to_mw(dut.channel.incident_dbm(tx.power_dbm, tx.freq_hz))
+        gain = coupling_gain(dut._model, tx.freq_hz)
+        want = detector_output(inc_mw * values * values, gain, dut._model.nonlinearity_exponent)
+        assert np.count_nonzero(offset != want) == 0

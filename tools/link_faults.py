@@ -8,6 +8,8 @@ for each stage the median wall time and the mean number of minor page
 faults per payload. A minor fault is a page the process touches for the
 first time since the allocator took it from the kernel, so the count shows
 how much of a stage's time goes to fresh memory rather than arithmetic. The
+``coupled_offset`` stage is the part of ``capture`` spent in
+``SimulatedDut._coupled_offset``: the envelope hold and the detector. The
 first payloads are run untimed.
 
 Run from the repository root (Linux; faults come from getrusage):
@@ -26,9 +28,10 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from adcradio import receiver, scenario, signals  # noqa: E402
+from adcradio import receiver, scenario, signals, simulator  # noqa: E402
 
-STAGES = ("capture", "remove_dc", "recover_timing", "slice_bits")
+RECEIVER_STAGES = ("remove_dc", "recover_timing", "slice_bits")
+STAGES = ("capture", "coupled_offset") + RECEIVER_STAGES
 WARMUP = 4
 
 
@@ -68,8 +71,12 @@ def main() -> None:
         for name in ("link_3m", "link_20m")
     ]
     record: dict = {}
-    for name in STAGES[1:]:  # demodulate looks these up at call time
+    for name in RECEIVER_STAGES:  # demodulate looks these up at call time
         setattr(receiver, name, timed(record, name, getattr(receiver, name)))
+    # A payload's capture is one pass, so one call of _coupled_offset.
+    simulator.SimulatedDut._coupled_offset = timed(
+        record, "coupled_offset", simulator.SimulatedDut._coupled_offset
+    )
     rows = []
     for i in range(WARMUP + args.payloads):
         record.clear()
