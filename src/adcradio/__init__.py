@@ -22,6 +22,7 @@ from .backend import (
     RfStimulus,
     SimulatedRfSource,
     SimulatorBackend,
+    StimulusSchedule,
     UnknownPathError,
     UnsupportedSettingError,
 )

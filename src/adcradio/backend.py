@@ -6,11 +6,17 @@ in-process one wrapping SimulatedDut, and a serial-protocol client (see
 protocol.py) that drives the same device through the line codec. Sweeps and
 experiments only ever talk to these two interfaces, so a future hardware
 backend can slot in without touching the analysis code.
+
+A run of captures is described by one StimulusSchedule: the distinct
+stimuli and one row index into them per capture. capture_groups hands it
+whole to a backend that captures schedules (SimulatorBackend), and sets the
+source and captures row by row on any other.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -128,6 +134,61 @@ class DutDescriptor:
             raise ValueError("n_paths must be >= 1")
 
 
+class StimulusSchedule:
+    """The stimuli of a run of captures, one row per capture, in order.
+
+    ``stimuli`` is a tuple of the distinct stimuli the run uses: each an
+    RfStimulus, or None (RF off, which only a SimulatedDut accepts).
+    ``rows`` is a read-only intp array with one index into ``stimuli`` per
+    capture. ``freq_hz`` and ``power_dbm`` are read-only float64 columns of
+    ``stimuli`` (NaN for None), built once here, so a backend checks its RF
+    limits per distinct stimulus rather than per row. Every capture of a
+    stimulus is one row, however many rows repeat it: an ideal-sync BER
+    point is two stimuli and one row per bit.
+
+    ``rows`` defaults to one row per stimulus in order, and is copied, so
+    the caller's array may change afterwards. The value is immutable;
+    ``schedule[a:b]`` is the schedule of rows a to b - 1, which shares the
+    stimuli, the columns and a view of the rows.
+    """
+
+    __slots__ = ("stimuli", "rows", "freq_hz", "power_dbm")
+
+    def __init__(self, stimuli, rows=None):
+        stimuli = tuple(stimuli)
+        if rows is None:
+            rows = np.arange(len(stimuli), dtype=np.intp)
+        else:
+            rows = np.asarray(rows)
+            if rows.ndim != 1 or (rows.size and rows.dtype.kind not in "iu"):
+                raise ValueError("rows must be a one-dimensional integer array")
+            if rows.size and (rows.min() < 0 or rows.max() >= len(stimuli)):
+                raise ValueError(f"rows must index the {len(stimuli)} stimuli")
+            rows = rows.astype(np.intp)
+        freq_hz = np.array([math.nan if s is None else s.freq_hz for s in stimuli], np.float64)
+        power_dbm = np.array([math.nan if s is None else s.power_dbm for s in stimuli], np.float64)
+        for column in (rows, freq_hz, power_dbm):
+            column.flags.writeable = False
+        self._set(stimuli, rows, freq_hz, power_dbm)
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StimulusSchedule is immutable; cannot set {name!r}")
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def __getitem__(self, key: slice) -> StimulusSchedule:
+        if not isinstance(key, slice):
+            raise TypeError("a StimulusSchedule is indexed by a slice of rows")
+        part = object.__new__(StimulusSchedule)
+        part._set(self.stimuli, self.rows[key], self.freq_hz, self.power_dbm)  # a read-only view
+        return part
+
+
 class SimulatedRfSource:
     """Stands in for the signal generator + amplifier + antenna chain."""
 
@@ -200,79 +261,83 @@ class SimulatorBackend:
             raise NotConfiguredError("capture before configure")
         return self.dut.capture(n_blocks, self.source.stimulus)
 
-    def capture_schedule(self, stimuli, n_blocks: int) -> np.ndarray:
-        """Codes of one n_blocks capture per stimulus, in order, as if the RF
-        source were set to each stimulus before its capture.
+    def capture_schedule(self, schedule: StimulusSchedule, n_blocks: int) -> np.ndarray:
+        """Codes of one n_blocks capture per row of ``schedule``, in order,
+        as if the RF source were set to each row's stimulus before its
+        capture.
 
-        Every frequency and power is checked against the source's limits in
-        one array comparison, which a NaN fails. On a failure the source is
-        set as one rf_set per stimulus would leave it: at the stimulus before
-        the first offending one, whose rf_set then raises its RfSourceError.
-        Otherwise the source is left at the last stimulus. Returns int32
-        codes of shape (len(stimuli), n_blocks * samples_per_block).
+        The limits are checked on the schedule's distinct frequencies and
+        powers in one array comparison, which a NaN fails, and read per row
+        only when a stimulus fails. On a failure the source is set as one
+        rf_set per row would leave it: at the stimulus of the row before the
+        first offending one, whose rf_set then raises its RfSourceError.
+        Otherwise the source is left at the last row's stimulus. Returns
+        int32 codes of shape (len(schedule), n_blocks * samples_per_block).
         """
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
-        stimuli = list(stimuli)
-        if stimuli:
-            source = self.source
-            freqs = np.array([s.freq_hz for s in stimuli])
-            powers = np.array([s.power_dbm for s in stimuli])
+        rows = schedule.rows
+        if rows.size:
+            source, stimuli = self.source, schedule.stimuli
+            freqs, powers = schedule.freq_hz, schedule.power_dbm
             ok = (source.min_freq_hz <= freqs) & (freqs <= source.max_freq_hz)
             ok &= (source.min_power_dbm <= powers) & (powers <= source.max_power_dbm)
             if not ok.all():
-                first = int(ok.argmin())
-                if first:
-                    source.rf_set(stimuli[first - 1])
-                source.rf_set(stimuli[first])
-            source.rf_set(stimuli[-1])
-        return self.dut.capture_schedule(stimuli, n_blocks)
+                ok = ok[rows]
+                if not ok.all():
+                    first = int(ok.argmin())
+                    if first:
+                        source.rf_set(stimuli[rows[first - 1]])
+                    source.rf_set(stimuli[rows[first]])
+            source.rf_set(stimuli[rows[-1]])
+        return self.dut.capture_schedule(schedule, n_blocks)
 
     def reset(self) -> None:
         self.dut.reset()
 
 
-def capture_groups(backend, rf_source, groups, n_blocks: int, isolate=()):
-    """Capture n_blocks blocks under each stimulus of each group, in order.
+def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int, isolate=()):
+    """Capture n_blocks blocks per row of ``schedule``, in order, its rows
+    taken in consecutive groups of ``group_size``.
 
-    ``groups`` are equal-length sequences of stimuli. Returns ``(codes,
-    errors)``: int32 codes of shape (len(groups), group length, n_blocks *
-    samples_per_block), and per group the exception (of a type in
-    ``isolate``) that failed it, or None. A failed group's codes are
+    Returns ``(codes, errors)``: int32 codes of shape (groups, group_size,
+    n_blocks * samples_per_block), and per group the exception (of a type
+    in ``isolate``) that failed it, or None. A failed group's codes are
     meaningless; exceptions of other types propagate.
 
     This is the one place that picks the capture path. A backend with a
-    batched ``capture_schedule`` (SimulatorBackend) runs every group in one
-    schedule, so an error there fails every group. Any other backend
-    (SerialBackend) gets ``rf_source.rf_set`` and ``capture`` per stimulus;
-    an error fails only its own group, whose other captures still run, so
-    the device is sent the same commands whatever fails.
+    batched ``capture_schedule`` (SimulatorBackend) captures the whole
+    schedule in one call, so an error there fails every group. Any other
+    backend (SerialBackend) gets ``rf_source.rf_set`` of the row's stimulus
+    and ``capture`` per row; an error fails only its own group, whose other
+    captures still run, so the device is sent the same commands whatever
+    fails.
     """
-    groups = list(groups)
-    group_len = len(groups[0]) if groups else 0
-    schedule = getattr(backend, "capture_schedule", None)
-    if schedule is not None:
+    n_groups, rest = divmod(len(schedule), group_size)
+    if rest:
+        raise ValueError(f"{len(schedule)} rows do not split into groups of {group_size}")
+    capture_schedule = getattr(backend, "capture_schedule", None)
+    if capture_schedule is not None:
         try:
-            codes = schedule([s for group in groups for s in group], n_blocks)
+            codes = capture_schedule(schedule, n_blocks)
         except isolate as exc:
-            return np.zeros((len(groups), group_len, 0), np.int32), [exc] * len(groups)
-        return codes.reshape(len(groups), group_len, codes.shape[1]), [None] * len(groups)
+            return np.zeros((n_groups, group_size, 0), np.int32), [exc] * n_groups
+        return codes.reshape(n_groups, group_size, codes.shape[1]), [None] * n_groups
+    stimuli = schedule.stimuli
     codes = None
-    errors = []
-    for g, group in enumerate(groups):
-        error = None
-        for k, stimulus in enumerate(group):
-            try:
-                rf_source.rf_set(stimulus)
-                samples = backend.capture(n_blocks).samples
-            except isolate as exc:
-                if error is None:
-                    error = exc
-                continue
-            if codes is None:
-                codes = np.zeros((len(groups), group_len, samples.size), np.int32)
-            codes[g, k] = samples
-        errors.append(error)
+    errors = [None] * n_groups
+    for i, row in enumerate(schedule.rows.tolist()):
+        g, k = divmod(i, group_size)
+        try:
+            rf_source.rf_set(stimuli[row])
+            samples = backend.capture(n_blocks).samples
+        except isolate as exc:
+            if errors[g] is None:
+                errors[g] = exc
+            continue
+        if codes is None:
+            codes = np.zeros((n_groups, group_size, samples.size), np.int32)
+        codes[g, k] = samples
     if codes is None:
-        codes = np.zeros((len(groups), group_len, 0), np.int32)
+        codes = np.zeros((n_groups, group_size, 0), np.int32)
     return codes, errors

@@ -40,6 +40,7 @@ import re
 import zlib
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -83,8 +84,11 @@ class ConfigureCommand:
     config: PathConfig
 
 
-@dataclass(frozen=True)
-class CaptureCommand:
+class CaptureCommand(NamedTuple):
+    """An SMP request. A named tuple, not a frozen dataclass: the host
+    builds one per capture, and a frozen dataclass's three
+    object.__setattr__ calls cost more than the tuple."""
+
     n_blocks: int
     sample_rate_hz: int
     oversampling_ratio: int

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import signals
-from .backend import RfStimulus, capture_groups
+from .backend import RfStimulus, StimulusSchedule, capture_groups
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
 
@@ -264,19 +264,16 @@ def ber(decoded: BitSequence, reference: BitSequence) -> BerReport:
     runs: list[tuple[int, int]] = []
     if positions.size:
         breaks = np.flatnonzero(np.diff(positions) > 1)
-        starts = np.concatenate(([0], breaks + 1))
-        ends = np.concatenate((breaks, [positions.size - 1]))
-        runs = [
-            (int(positions[s]), int(positions[e] - positions[s] + 1))
-            for s, e in zip(starts, ends)
-        ]
+        first = positions[np.concatenate(([0], breaks + 1))]
+        last = positions[np.concatenate((breaks, [positions.size - 1]))]
+        runs = list(zip(first.tolist(), (last - first + 1).tolist()))
     total = int(a.size)
     count = int(positions.size)
     return BerReport(
         total_bits=total,
         error_count=count,
         ber=count / total if total else 0.0,
-        error_positions=tuple(int(p) for p in positions),
+        error_positions=tuple(positions.tolist()),
         burst_runs=tuple(runs),
     )
 
@@ -303,9 +300,12 @@ def eye_opening(
     return max(0.0, eye)
 
 
-# Bits per capture_groups call of the ideal-sync experiment. The device
-# state carries from one call to the next, so the codes equal those of one
-# schedule over all bits; slicing only bounds the codes held at once.
+# Bits per capture_groups call of the ideal-sync experiment: each call
+# captures one slice of the experiment's schedule. The device state carries
+# from one call to the next, so the codes equal those of one call over all
+# bits; slicing only bounds the codes held at once. All 10,000 bits of a
+# point at once would hold 5.1 MB of int32 codes (127 per bit), more than
+# the benchmark's 5% peak-RSS bound on a process of about 41 MiB.
 _BITS_PER_SCHEDULE = 512
 # Block means in the ideal-sync experiment's moving-average threshold (odd).
 _THRESHOLD_WINDOW = 127
@@ -336,13 +336,14 @@ def ideal_sync_ber_experiment(
     bits = signals.generate_bits(n_bits, seed)  # looked up at call time, so it can be traced
     block_adc = replace(adc, samples_per_block=int(samples_per_bit))
     backend.configure(path, config, block_adc)
-    on = (RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True),)
-    off = (RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=False),)
+    on = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True)
+    off = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=False)
+    schedule = StimulusSchedule((off, on), bits.bits)  # row k is stimulus bits[k]
     means = np.empty(n_bits)
     for start in range(0, n_bits, _BITS_PER_SCHEDULE):
-        chunk = bits.bits[start : start + _BITS_PER_SCHEDULE]
-        codes, _ = capture_groups(backend, rf_source, [on if bit else off for bit in chunk], 1)
-        means[start : start + chunk.size] = codes.reshape(chunk.size, -1).mean(axis=1)
+        part = schedule[start : start + _BITS_PER_SCHEDULE]
+        codes, _ = capture_groups(backend, rf_source, part, 1, 1)
+        means[start : start + len(part)] = codes.reshape(len(part), -1).mean(axis=1)
     window = min(_THRESHOLD_WINDOW, n_bits if n_bits % 2 else n_bits - 1)
     threshold = moving_average(means, window)
     decoded = BitSequence(bits=(means > threshold).astype(np.uint8))

@@ -62,6 +62,10 @@ _PASS_RAW_SAMPLES = 1 << 14
 
 _INT64_MAX = np.iinfo(np.int64).max
 
+# The rows of a one-capture schedule: its one stimulus, once.
+_ONE_ROW = np.zeros(1, dtype=np.intp)
+_ONE_ROW.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Resonance:
@@ -517,45 +521,32 @@ class SimulatedDut:
 
     def capture(self, n_blocks: int, stimulus=None) -> AdcTrace:
         """Acquire n_blocks * samples_per_block codes under the given stimulus,
-        an RfStimulus or None (RF off). This is the one-state case of
+        an RfStimulus or None (RF off). This is the one-row case of
         capture_schedule.
         """
-        codes = self.capture_schedule([stimulus], n_blocks)
+        codes = self._capture_rows((stimulus,), _ONE_ROW, n_blocks)
         return AdcTrace(samples=codes[0], config=self.adc, meta=self._meta(stimulus))
 
-    def capture_schedule(self, stimuli, n_blocks: int) -> np.ndarray:
-        """Acquire n_blocks blocks under each stimulus (an RfStimulus or
-        None) in turn.
+    def capture_schedule(self, schedule, n_blocks: int) -> np.ndarray:
+        """Acquire n_blocks blocks per row of ``schedule`` (a
+        backend.StimulusSchedule), each under its row's stimulus (an
+        RfStimulus or None), in turn.
 
-        Returns int32 codes of shape (len(stimuli), n_blocks *
+        Returns int32 codes of shape (len(schedule), n_blocks *
         samples_per_block), bit-identical to one capture(n_blocks, s) per
-        stimulus, and leaves the same device and RNG state. Consecutive
-        states run in vectorized passes of up to _PASS_RAW_SAMPLES raw
-        conversions: coupling, then one low-pass, one _impair call and one
-        quantization over the whole pass (a pass that couples nothing skips
-        the coupling and the low-pass). The impairments are batched over
-        the pass but draw their random numbers per state, as one capture per
-        state does.
+        row, and leaves the same device and RNG state. Consecutive rows run
+        in vectorized passes of up to _PASS_RAW_SAMPLES raw conversions:
+        coupling, then one low-pass, one _impair call and one quantization
+        over the whole pass (a pass that couples nothing skips the coupling
+        and the low-pass). The first pass that couples computes the level
+        of each distinct stimulus once; every pass scatters them by its
+        rows. The impairments are batched over the pass but draw their
+        random numbers per row, as one capture per row does.
         """
-        if self._path is None:
-            raise RuntimeError("capture before configure")
-        if n_blocks < 0:
-            raise ValueError("n_blocks must be >= 0")
-        stimuli = list(stimuli)
-        n_out = int(n_blocks) * self.adc.samples_per_block
-        if n_out == 0 or not stimuli:
-            return np.empty((len(stimuli), n_out), dtype=np.int32)
-        n_raw = n_out * self.adc.oversampling_ratio
-        per_pass = max(1, _PASS_RAW_SAMPLES // n_raw)
-        passes = [
-            self._capture_pass(stimuli[start : start + per_pass], n_raw)
-            for start in range(0, len(stimuli), per_pass)
-        ]
-        codes = passes[0] if len(passes) == 1 else np.concatenate(passes)
-        return codes.reshape(len(stimuli), n_out)
+        return self._capture_rows(schedule.stimuli, schedule.rows, n_blocks)
 
-    def _capture_pass(self, stimuli: list, n_raw: int) -> np.ndarray:
-        """Codes of n_raw raw conversions per stimulus, as one flat array.
+    def _capture_rows(self, stimuli: tuple, rows: np.ndarray, n_blocks: int) -> np.ndarray:
+        """capture_schedule of the schedule with these stimuli and rows.
 
         The DC operating point is added in place into the low-pass output,
         which the pass owns; _impair and _quantize write only arrays of
@@ -568,81 +559,108 @@ class SimulatedDut:
         codes, the device state and the RNG stream are those of the full
         path.
         """
+        if self._path is None:
+            raise RuntimeError("capture before configure")
+        if n_blocks < 0:
+            raise ValueError("n_blocks must be >= 0")
         adc, model, state = self.adc, self._model, self._state
-        if not model.resonances and state.filter_value == 0.0:
-            analog = np.full(len(stimuli) * n_raw, model.dc_operating_point)
-        else:
-            alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
-            offset = self._coupled_offset(stimuli, n_raw)
-            analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
-            del offset  # freed before _impair draws: a long pass holds fewer arrays
-            analog += model.dc_operating_point
-        analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, len(stimuli))
-        return _quantize(analog, adc.full_scale, adc.oversampling_ratio)
+        n_out = int(n_blocks) * adc.samples_per_block
+        if n_out == 0 or not rows.size:
+            return np.empty((rows.size, n_out), dtype=np.int32)
+        n_raw = n_out * adc.oversampling_ratio
+        per_pass = max(1, _PASS_RAW_SAMPLES // n_raw)
+        coupling = None  # _stimulus_levels, once a pass couples
+        passes = []
+        for start in range(0, rows.size, per_pass):
+            part = rows[start : start + per_pass]
+            if not model.resonances and state.filter_value == 0.0:
+                analog = np.full(part.size * n_raw, model.dc_operating_point)
+            else:
+                if coupling is None:
+                    coupling = self._stimulus_levels(stimuli)
+                alpha = _lowpass_alpha(model.baseband_bandwidth_hz, adc.raw_rate_hz)
+                offset = self._coupled_offset(coupling, part, n_raw)
+                analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
+                del offset  # freed before _impair draws: a long pass holds fewer arrays
+                analog += model.dc_operating_point
+            analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, part.size)
+            passes.append(_quantize(analog, adc.full_scale, adc.oversampling_ratio))
+        codes = passes[0] if len(passes) == 1 else np.concatenate(passes)
+        return codes.reshape(rows.size, n_out)
 
-    def _coupled_offset(self, stimuli: list, n_raw: int) -> np.ndarray:
-        """Detector output of every state of a pass, n_raw raw samples each.
+    def _stimulus_levels(self, stimuli: tuple) -> tuple[np.ndarray, dict]:
+        """The detector level of each stimulus's constant carrier, and the
+        stimuli whose envelope the path couples.
 
-        An RF-off state, or one the path does not couple at its carrier,
-        adds nothing. A constant carrier adds a constant level; the levels of
-        all such states come from one detector_output call. The coupling
-        gain and incident power are computed again only when an RF-on
-        state's carrier (frequency, power) differs from the previous RF-on
-        state's: a pass of on/off bits on one carrier computes them once, and
-        a sweep pass, whose carriers all differ, pays one comparison each.
-
-        A state with an envelope adds inc_mw * m * m through the detector,
-        where m is the envelope held by _hold: raw sample i holds envelope
-        sample i * p // q (p/q the envelope rate over the raw rate, exactly)
-        or 0 past its end. The anchor i counts raw samples since configure,
-        so a payload captured right after configure starts at envelope
-        sample 0. set_adc_rate does not re-anchor the hold: after a rate
-        change, i still counts the raw samples taken at the earlier rates
-        while p/q uses the current one. Holding across a rate change is out
-        of scope (ROADMAP items 7 and 12).
+        An RF-off stimulus, one the path does not couple at its carrier,
+        and one with an envelope have level 0. Each other stimulus gets
+        coupling_gain, then the channel's incident power in mW, and the
+        levels of all of them come from one detector_output call. The
+        second value maps the index of each coupled stimulus with an
+        envelope to (envelope, incident mW, gain).
         """
-        model, adc = self._model, self.adc
-        rows, powers_mw, gains = [], [], []
-        held = []  # (state, offset) of envelope-modulated states
-        freq_hz = power_dbm = None  # carrier of the previous RF-on state
-        for k, stimulus in enumerate(stimuli):
+        model = self._model
+        levels = np.zeros(len(stimuli))
+        constant, powers_mw, gains = [], [], []
+        held = {}
+        for j, stimulus in enumerate(stimuli):
             if stimulus is None or not stimulus.enabled:
                 continue
-            if stimulus.freq_hz != freq_hz or stimulus.power_dbm != power_dbm:
-                freq_hz, power_dbm = stimulus.freq_hz, stimulus.power_dbm
-                gain = coupling_gain(model, freq_hz)
-                inc_mw = 0.0
-                if gain > 0:
-                    inc_mw = dbm_to_mw(self.channel.incident_dbm(power_dbm, freq_hz))
+            gain = coupling_gain(model, stimulus.freq_hz)
             if gain <= 0:
                 continue
-            envelope = stimulus.envelope
-            if envelope is None:
-                rows.append(k)
+            inc_mw = dbm_to_mw(self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
+            if stimulus.envelope is None:
+                constant.append(j)
                 powers_mw.append(inc_mw)
                 gains.append(gain)
-                continue
-            first = self._state.sample_index + k * n_raw
-            m = _hold(envelope, adc.raw_rate_hz, first, n_raw)
-            power = inc_mw * m
-            power *= m  # inc_mw * m * m, in that order
-            held.append((k, detector_output(power, gain, model.nonlinearity_exponent)))
-        if rows:
-            levels = detector_output(
+            else:
+                held[j] = (stimulus.envelope, inc_mw, gain)
+        if constant:
+            levels[constant] = detector_output(
                 np.array(powers_mw), np.array(gains), model.nonlinearity_exponent
             )
-        if len(stimuli) == 1:  # a one-state pass needs no scatter into rows
-            if held:
-                return held[0][1]
+        return levels, held
+
+    def _coupled_offset(self, coupling: tuple, rows: np.ndarray, n_raw: int) -> np.ndarray:
+        """Detector output of every row of a pass, n_raw raw samples each,
+        from ``coupling``, the levels and held envelopes of
+        _stimulus_levels: each row holds its stimulus's level, scattered as
+        ``levels[rows]``.
+
+        A row whose stimulus has a coupled envelope adds inc_mw * m * m
+        through the detector instead, where m is the envelope held by
+        _hold: raw sample i holds envelope sample i * p // q (p/q the
+        envelope rate over the raw rate, exactly) or 0 past its end. The
+        anchor i counts raw samples since configure, so a payload captured
+        right after configure starts at envelope sample 0. set_adc_rate does
+        not re-anchor the hold: after a rate change, i still counts the raw
+        samples taken at the earlier rates while p/q uses the current one.
+        Holding across a rate change is out of scope (ROADMAP items 7 and
+        12).
+        """
+        levels, held = coupling
+        model, adc, first = self._model, self.adc, self._state.sample_index
+
+        def held_row(k, envelope, inc_mw, gain):
+            m = _hold(envelope, adc.raw_rate_hz, first + k * n_raw, n_raw)
+            power = inc_mw * m
+            power *= m  # inc_mw * m * m, in that order
+            return detector_output(power, gain, model.nonlinearity_exponent)
+
+        if rows.size == 1:  # one row needs no scatter; a held one is a whole payload
+            j = int(rows[0])
+            if j in held:
+                return held_row(0, *held[j])
             offset = np.empty(n_raw)
-            offset.fill(levels[0] if rows else 0.0)
+            offset.fill(levels[j])
             return offset
-        offset = np.zeros((len(stimuli), n_raw))
-        for k, row in held:
-            offset[k] = row
-        if rows:
-            offset[rows] = levels[:, None]
-        return offset.reshape(-1)
+        offset = np.repeat(levels[rows], n_raw)
+        by_row = offset.reshape(rows.size, n_raw)
+        for j, stimulus_held in held.items():
+            for k in np.flatnonzero(rows == j).tolist():
+                by_row[k] = held_row(k, *stimulus_held)
+        return offset
 
     def _meta(self, stimulus) -> dict:
         meta = {

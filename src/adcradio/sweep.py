@@ -34,6 +34,7 @@ from .backend import (
     PathConfig,
     ReceptionPathId,
     RfStimulus,
+    StimulusSchedule,
     capture_groups,
     enumerate_configs,  # re-exported: sweep.enumerate_configs is public
 )
@@ -252,23 +253,23 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
     SweepCell of columns per (path, config).
 
     Off-state blocks are captured before on-state blocks at each frequency,
-    with ``SETTLE_BLOCKS`` discarded after each RF toggle; each (path,
-    config) is one capture_groups call with an (off, on) group per
-    frequency. A BackendError (a protocol failure is one) marks the affected
-    cells failed and the sweep continues.
+    with ``SETTLE_BLOCKS`` discarded after each RF toggle. One schedule,
+    built once, holds an off and an on stimulus per frequency, one row
+    each, in that order; each (path, config) is one capture_groups call
+    over it in (off, on) groups. A BackendError (a protocol failure is one)
+    marks the affected cells failed and the sweep continues.
     """
     adc = plan.effective_adc
     n_capture = plan.blocks_per_state + SETTLE_BLOCKS
     pool = plan.pool_off_variance
     if pool is None:
         pool = plan.blocks_per_state == 1
-    groups = [
-        (
-            RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=False),
-            RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=True),
-        )
+    schedule = StimulusSchedule(
+        RfStimulus(freq_hz=freq, power_dbm=plan.power_dbm, enabled=enabled)
         for freq in plan.freqs_hz
-    ]
+        for enabled in (False, True)
+    )
+    n_freqs = len(plan.freqs_hz)
     cells: list[SweepCell] = []
 
     for path in plan.paths:
@@ -277,10 +278,12 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
                 backend.configure(path, config, adc)
             except BackendError as exc:
                 logger.warning("configure failed for path %s %s: %s", path.index, config.short(), exc)
-                codes = np.zeros((len(groups), 2, 0), np.int32)
-                errors = [exc] * len(groups)
+                codes = np.zeros((n_freqs, 2, 0), np.int32)
+                errors = [exc] * n_freqs
             else:
-                codes, errors = capture_groups(backend, rf_source, groups, n_capture, BackendError)
+                codes, errors = capture_groups(
+                    backend, rf_source, schedule, 2, n_capture, BackendError
+                )
                 for freq, exc in zip(plan.freqs_hz, errors):
                     if exc is not None:
                         logger.warning(

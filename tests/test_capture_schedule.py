@@ -1,4 +1,4 @@
-"""Batched capture: a schedule of states equals one capture per state."""
+"""Batched capture: a schedule of rows equals one capture per row."""
 
 import math
 from dataclasses import astuple, replace
@@ -17,6 +17,7 @@ from adcradio.backend import (
     RfStimulus,
     SimulatedRfSource,
     SimulatorBackend,
+    StimulusSchedule,
 )
 from adcradio.signals import BasebandEnvelope
 from adcradio.simulator import (
@@ -50,8 +51,13 @@ def models(draw):
             amplitude=draw(st.floats(-40.0, 40.0)),
             duration_s=draw(st.floats(1e-4, 2e-2)),
         )
+    # A 1e-160 Hz wide resonance couples 500 MHz only: at every other
+    # carrier ((f - f0) / bw)**2 overflows and the gain is 0.
+    resonance = Resonance(
+        500e6, draw(st.sampled_from([80e6, 1e-160])), draw(st.sampled_from([0.0, 40.0, 900.0]))
+    )
     return CouplingModel(
-        resonances=(Resonance(500e6, 80e6, draw(st.sampled_from([0.0, 40.0, 900.0]))),),
+        resonances=(resonance,),
         nonlinearity_exponent=draw(st.sampled_from([1.0, 0.5, 1.7])),
         # 1 GHz puts the low-pass pole at alpha >= 1 (no filtering).
         baseband_bandwidth_hz=draw(st.sampled_from([2e3, 50e3, 1e9])),
@@ -89,6 +95,19 @@ stimuli = st.one_of(
 )
 
 
+@st.composite
+def schedules(draw, stimulus=stimuli, max_rows=12):
+    """A schedule over one to four drawn stimuli, whose rows repeat them in
+    any order."""
+    pool = draw(st.lists(stimulus, min_size=1, max_size=4))
+    rows = draw(st.lists(st.integers(0, len(pool) - 1), max_size=max_rows))
+    return StimulusSchedule(pool, np.array(rows, dtype=np.intp))
+
+
+def row_stimuli(schedule):
+    return [schedule.stimuli[r] for r in schedule.rows]
+
+
 def state_of(dut):
     return astuple(dut._state), dut._rng.bit_generator.state
 
@@ -100,9 +119,31 @@ def state_of(dut):
     n_blocks=3,
     prefix_blocks=2,
     prefix=None,
-    schedule=[None, RfStimulus(freq_hz=500e6, power_dbm=10.0, enabled=True)] * 6,
+    schedule=StimulusSchedule(
+        (None, RfStimulus(freq_hz=500e6, power_dbm=10.0, enabled=True)), [0, 1] * 6
+    ),
     pass_cap=simulator._PASS_RAW_SAMPLES,
     seed=1,  # bursts start in states 3 and 7 and carry through the next ones
+)
+@example(  # one envelope stimulus in three rows of a pass, each holding its own samples
+    model=CouplingModel(resonances=(Resonance(500e6, 80e6, 900.0),), noise_sigma=0.7),
+    ratio=1,
+    samples_per_block=4,
+    n_blocks=2,
+    prefix_blocks=1,
+    prefix=None,
+    schedule=StimulusSchedule(
+        (
+            None,
+            RfStimulus(
+                freq_hz=500e6, power_dbm=10.0, enabled=True,
+                envelope=BasebandEnvelope(values=np.linspace(0.0, 1.0, 40), sample_rate=1e4),
+            ),
+        ),
+        [1, 0, 1, 1],
+    ),
+    pass_cap=simulator._PASS_RAW_SAMPLES,
+    seed=3,
 )
 @given(
     model=models(),
@@ -111,7 +152,7 @@ def state_of(dut):
     n_blocks=st.integers(0, 3),
     prefix_blocks=st.integers(0, 2),
     prefix=stimuli,
-    schedule=st.lists(stimuli, max_size=12),
+    schedule=schedules(),
     pass_cap=st.sampled_from([16, 100, simulator._PASS_RAW_SAMPLES]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -133,13 +174,55 @@ def test_schedule_equals_per_state_captures(
 
     with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", pass_cap):
         codes = batched.capture_schedule(schedule, n_blocks)
-    expected = [reference.capture(n_blocks, s).samples for s in schedule]
+    expected = [reference.capture(n_blocks, s).samples for s in row_stimuli(schedule)]
 
     assert codes.dtype == np.int32
     assert codes.shape == (len(schedule), n_blocks * samples_per_block)
     for row, want in zip(codes, expected):
         np.testing.assert_array_equal(row, want)
     assert state_of(batched) == state_of(reference)
+    assert batched._rng.random() == reference._rng.random()
+
+
+@given(
+    model=models(),
+    samples_per_block=st.integers(1, 8),
+    n_blocks=st.integers(1, 2),
+    schedule=schedules(max_rows=16),
+    cuts=st.lists(st.integers(0, 16), max_size=3),
+    pass_cap=st.sampled_from([16, 100, simulator._PASS_RAW_SAMPLES]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_slices_capture_the_rows_of_the_whole_schedule(
+    model, samples_per_block, n_blocks, schedule, cuts, pass_cap, seed
+):
+    """Capturing consecutive slices in turn gives the codes, device state
+    and next draw of one capture of the whole schedule from the same state,
+    and each slice shares the schedule's stimuli and columns."""
+    adc = AdcConfig(sample_rate_hz=10_000.0, samples_per_block=samples_per_block)
+    duts = []
+    for _ in range(2):
+        dut = SimulatedDut(
+            n_paths=2, adc=adc, channel=RfChannel(), coupling={(1, None): model}, seed=seed
+        )
+        dut.configure(1, CFG, adc)
+        duts.append(dut)
+    sliced, whole = duts
+    bounds = [0, *sorted(min(c, len(schedule)) for c in cuts), len(schedule)]
+    parts = [schedule[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", pass_cap):
+        codes = [sliced.capture_schedule(part, n_blocks) for part in parts]
+        want = whole.capture_schedule(schedule, n_blocks)
+
+    np.testing.assert_array_equal(np.concatenate(codes), want)
+    assert state_of(sliced) == state_of(whole)
+    assert sliced._rng.random() == whole._rng.random()
+    for part, a, b in zip(parts, bounds, bounds[1:]):
+        assert part.stimuli is schedule.stimuli
+        assert part.freq_hz is schedule.freq_hz and part.power_dbm is schedule.power_dbm
+        assert np.shares_memory(part.rows, schedule.rows) or not part.rows.size
+        np.testing.assert_array_equal(part.rows, schedule.rows[a:b])
 
 
 @given(
@@ -154,7 +237,7 @@ def test_schedule_equals_per_state_captures(
         walk_value=st.sampled_from([0.0, -2.25, 7.0]),
         burst_left=st.integers(0, 300),
     ),
-    schedule=st.lists(stimuli, max_size=12),
+    schedule=schedules(),
     pass_cap=st.sampled_from([16, 100, simulator._PASS_RAW_SAMPLES]),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -210,11 +293,13 @@ bad_stimuli = st.builds(
 
 @st.composite
 def refused_schedules(draw):
-    """Stimuli in and out of range, with at least one refused one at any
-    position."""
-    schedule = draw(st.lists(limit_stimuli | bad_stimuli, max_size=7))
-    schedule.insert(draw(st.integers(0, len(schedule))), draw(bad_stimuli))
-    return schedule
+    """Rows of stimuli in and out of range, with at least one refused row
+    at any position."""
+    schedule = draw(schedules(limit_stimuli | bad_stimuli, max_rows=7))
+    bad = len(schedule.stimuli)
+    rows = schedule.rows.tolist()
+    rows.insert(draw(st.integers(0, len(rows))), bad)
+    return StimulusSchedule((*schedule.stimuli, draw(bad_stimuli)), np.array(rows))
 
 
 class TestBackendSchedule:
@@ -228,30 +313,45 @@ class TestBackendSchedule:
         return SimulatorBackend(dut, source), source, adc
 
     def test_matches_rf_set_then_capture(self):
-        schedule = [
+        stimuli = [
             RfStimulus(freq_hz=f, power_dbm=20.0, enabled=on) for f in FREQS for on in (False, True)
         ]
+        schedule = StimulusSchedule(stimuli, [*range(8), 1, 0, 7])
         batched, batched_source, adc = self.rig()
         reference, source, _ = self.rig()
         batched.configure(ReceptionPathId(1), CFG, adc)
         reference.configure(ReceptionPathId(1), CFG, adc)
         codes = batched.capture_schedule(schedule, 2)
-        for row, stim in zip(codes, schedule):
+        for row, stim in zip(codes, row_stimuli(schedule)):
             source.rf_set(stim)
             np.testing.assert_array_equal(row, reference.capture(2).samples)
-        assert batched_source.stimulus == schedule[-1]
+        assert batched_source.stimulus is stimuli[7]
 
     def test_out_of_range_stimulus_rejected_before_capture(self):
         backend, source, adc = self.rig()
         backend.configure(ReceptionPathId(1), CFG, adc)
         before = state_of(backend.dut)
-        schedule = [
+        schedule = StimulusSchedule([
             RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True),
             RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True),
-        ]
+        ])
         with pytest.raises(RfSourceError):
             backend.capture_schedule(schedule, 1)
         assert state_of(backend.dut) == before
+
+    def test_a_stimulus_out_of_range_in_no_row_is_not_refused(self):
+        """Limits are checked per stimulus but refused per row: a slice
+        without the refused stimulus's rows captures."""
+        good = RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True)
+        bad = RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True)
+        schedule = StimulusSchedule((good, bad), [0, 0, 1])
+        backend, source, adc = self.rig()
+        backend.configure(ReceptionPathId(1), CFG, adc)
+        assert backend.capture_schedule(schedule[:2], 1).shape == (2, 8)
+        assert source.stimulus is good
+        with pytest.raises(RfSourceError):
+            backend.capture_schedule(schedule, 1)
+        assert source.stimulus is good
 
     @given(schedule=refused_schedules(), start=st.none() | limit_stimuli)
     def test_a_refused_stimulus_fails_as_one_rf_set_per_stimulus(self, schedule, start):
@@ -265,7 +365,7 @@ class TestBackendSchedule:
             source.rf_set(start)
             reference.rf_set(start)
         with pytest.raises(RfSourceError) as want:
-            for stimulus in schedule:
+            for stimulus in row_stimuli(schedule):
                 reference.rf_set(stimulus)
         before = state_of(backend.dut)
         with pytest.raises(RfSourceError) as got:
@@ -277,4 +377,42 @@ class TestBackendSchedule:
     def test_capture_before_configure(self):
         backend, _, _ = self.rig()
         with pytest.raises(NotConfiguredError):
-            backend.capture_schedule([None], 1)
+            backend.capture_schedule(StimulusSchedule([None]), 1)
+
+
+class TestStimulusSchedule:
+    ON = RfStimulus(freq_hz=500e6, power_dbm=10.0, enabled=True)
+    OFF = RfStimulus(freq_hz=480e6, power_dbm=-5.0)
+
+    def test_columns_and_default_rows(self):
+        schedule = StimulusSchedule([self.OFF, None, self.ON])
+        assert schedule.stimuli == (self.OFF, None, self.ON)
+        assert schedule.rows.dtype == np.intp
+        np.testing.assert_array_equal(schedule.rows, [0, 1, 2])
+        np.testing.assert_array_equal(schedule.freq_hz, [480e6, math.nan, 500e6])
+        np.testing.assert_array_equal(schedule.power_dbm, [-5.0, math.nan, 10.0])
+        assert len(schedule) == 3
+
+    def test_rows_are_a_read_only_copy(self):
+        bits = np.array([1, 0, 1], np.uint8)
+        schedule = StimulusSchedule((self.OFF, self.ON), bits)
+        bits[0] = 0
+        np.testing.assert_array_equal(schedule.rows, [1, 0, 1])
+        for column in (schedule.rows, schedule.freq_hz, schedule.power_dbm):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        with pytest.raises(AttributeError):
+            schedule.rows = np.zeros(3, np.intp)
+
+    @pytest.mark.parametrize(
+        "rows", [[0, 2], [-1], [[0, 1]], np.array([0.0, 1.0]), np.array([True])]
+    )
+    def test_rows_must_index_the_stimuli(self, rows):
+        with pytest.raises(ValueError, match="rows must"):
+            StimulusSchedule((self.OFF, self.ON), rows)
+
+    def test_only_slices_index_a_schedule(self):
+        schedule = StimulusSchedule((self.OFF, self.ON), [0, 1, 1])
+        with pytest.raises(TypeError):
+            schedule[0]
+        assert len(schedule[1:]) == 2 and len(schedule[5:]) == 0

@@ -2,6 +2,7 @@
 
 import re
 import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adcradio import protocol
 from adcradio.backend import (
     BackendError,
     NotConfiguredError,
@@ -111,6 +113,25 @@ class TestCodec:
     def test_documented_smp_example(self):
         cmd = decode_command("SMP 32 10000 16")
         assert cmd == CaptureCommand(n_blocks=32, sample_rate_hz=10000, oversampling_ratio=16)
+
+    def test_capture_command_is_immutable_and_hashable(self):
+        cmd = CaptureCommand(n_blocks=2, sample_rate_hz=10000, oversampling_ratio=4)
+        with pytest.raises(AttributeError):
+            cmd.n_blocks = 3
+        assert hash(cmd) == hash(CaptureCommand(2, 10000, 4))
+        assert len({cmd, CaptureCommand(2, 10000, 4), CaptureCommand(2, 10000, 8)}) == 2
+
+    @given(
+        n_blocks=st.integers(0, 10**6),
+        rate=st.integers(1, 10**7),
+        ratio=st.sampled_from([1, 2, 4, 256]),
+    )
+    def test_capture_command_decodes_to_an_equal_command(self, n_blocks, rate, ratio):
+        cmd = CaptureCommand(n_blocks, rate, ratio)
+        decoded = decode_command(encode_command(cmd))
+        assert type(decoded) is CaptureCommand
+        assert decoded == cmd
+        assert hash(decoded) == hash(cmd)
 
     def test_id_and_rst(self):
         assert decode_command("ID?") == IdentifyCommand()
@@ -581,6 +602,30 @@ class TestSerialBackend:
         client.reset()
         with pytest.raises(NotConfiguredError):
             client.capture(1)
+
+    def test_encode_command_runs_once_per_request_and_not_per_send(self):
+        """The benchmark counts retries as sends less encode_command calls."""
+
+        class DropOneResponse(LoopbackTransport):
+            drop = False
+
+            def recv_line(self, timeout_s):
+                if self.drop:
+                    self.drop = False
+                    self._pending.clear()
+                return super().recv_line(timeout_s)
+
+        backend, _ = make_stack(samples_per_block=8)
+        transport = DropOneResponse(DutProtocolServer(backend))
+        client = SerialBackend(transport, timeout_s=0.01)
+        client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
+        transport.drop = True  # the first capture's response is lost and the request resent
+        with mock.patch.object(protocol, "encode_command", wraps=protocol.encode_command) as enc:
+            for _ in range(3):
+                client.capture(2)
+        assert client.retries == 1
+        assert enc.call_count == 3
+        assert [type(c.args[0]) for c in enc.call_args_list] == [CaptureCommand] * 3
 
     def test_timeout_then_hard_error(self):
         class DeadTransport:

@@ -423,6 +423,33 @@ class TestBer:
         with pytest.raises(ValueError, match="length mismatch"):
             ber(generate_bits(3, 0), generate_bits(4, 0))
 
+    @given(
+        pair=st.integers(0, 300).flatmap(
+            lambda n: st.tuples(*[arrays(np.uint8, n, elements=st.integers(0, 1))] * 2)
+        )
+    )
+    @example(pair=(np.zeros(0, np.uint8), np.zeros(0, np.uint8)))
+    @example(pair=(np.ones(9, np.uint8), np.zeros(9, np.uint8)))
+    def test_positions_and_runs_equal_the_per_element_formula(self, pair):
+        """The tuples are those of int() per element, and every entry is a
+        Python int."""
+        decoded, reference = pair
+        positions = np.flatnonzero(decoded != reference)
+        runs = []
+        if positions.size:
+            breaks = np.flatnonzero(np.diff(positions) > 1)
+            starts = np.concatenate(([0], breaks + 1))
+            ends = np.concatenate((breaks, [positions.size - 1]))
+            runs = [
+                (int(positions[s]), int(positions[e] - positions[s] + 1))
+                for s, e in zip(starts, ends)
+            ]
+        report = ber(BitSequence(bits=decoded), BitSequence(bits=reference))
+        assert report.error_positions == tuple(int(p) for p in positions)
+        assert report.burst_runs == tuple(runs)
+        values = [*report.error_positions, *(v for run in report.burst_runs for v in run)]
+        assert all(type(v) is int for v in values)
+
 
 class TestEyeOpening:
     def test_noiseless_full_swing(self):

@@ -626,7 +626,9 @@ class TestEnvelopeHold:
             )
             for kind in layout
         ]
-        offset = dut._coupled_offset(stimuli, n_raw).reshape(len(layout), n_raw)
+        levels = dut._stimulus_levels(tuple(stimuli))
+        rows = np.arange(len(layout))
+        offset = dut._coupled_offset(levels, rows, n_raw).reshape(len(layout), n_raw)
         inc_mw = dbm_to_mw(dut.channel.incident_dbm(10.0, 500e6))
         gain = coupling_gain(self.MODEL, 500e6)
         for k, kind in enumerate(layout):
@@ -677,7 +679,7 @@ class TestEnvelopeHold:
             envelope=BasebandEnvelope(values=values, sample_rate=rate),
         )
         dut = backend.dut
-        offset = dut._coupled_offset([stimulus], n_raw)
+        offset = dut._coupled_offset(dut._stimulus_levels((stimulus,)), np.zeros(1, np.intp), n_raw)
         inc_mw = dbm_to_mw(dut.channel.incident_dbm(tx.power_dbm, tx.freq_hz))
         gain = coupling_gain(dut._model, tx.freq_hz)
         want = detector_output(inc_mw * values * values, gain, dut._model.nonlinearity_exponent)

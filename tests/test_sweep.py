@@ -432,11 +432,11 @@ class TestRunSweep:
                 super().__init__(dut, source)
                 self.calls = 0
 
-            def capture_schedule(self, stimuli, n_blocks):
+            def capture_schedule(self, schedule, n_blocks):
                 self.calls += 1
                 if self.calls % 7 == 3:
                     raise BackendError("injected fault")
-                return super().capture_schedule(stimuli, n_blocks)
+                return super().capture_schedule(schedule, n_blocks)
 
         adc = AdcConfig(samples_per_block=16)
         dut = SimulatedDut(
@@ -778,11 +778,11 @@ def faulty_sweep(case):
                 raise BackendError("no such pin")
             super().configure(path, config, adc)
 
-        def capture_schedule(self, stimuli, n_blocks):
+        def capture_schedule(self, schedule, n_blocks):
             self.schedules += 1
             if self.schedules in failing:
                 raise BackendError("injected fault")
-            return super().capture_schedule(stimuli, n_blocks)
+            return super().capture_schedule(schedule, n_blocks)
 
     if case["serial"]:
         device = SerialBackend(LoopbackTransport(FaultyServer(backend)))
