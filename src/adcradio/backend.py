@@ -8,9 +8,11 @@ experiments only ever talk to these two interfaces, so a future hardware
 backend can slot in without touching the analysis code.
 
 A run of captures is described by one StimulusSchedule: the distinct
-stimuli and one row index into them per capture. capture_groups hands it
-whole to a backend that captures schedules (SimulatorBackend), and sets the
-source and captures row by row on any other.
+stimuli and one row index into them per capture. Only the RF source knows
+its limits. capture_groups has it check the schedule before anything runs,
+then sets it to the last row and hands the schedule whole to a backend that
+captures schedules (SimulatorBackend), or sets it and captures row by row
+on any other.
 """
 
 from __future__ import annotations
@@ -138,11 +140,12 @@ class StimulusSchedule:
     """The stimuli of a run of captures, one row per capture, in order.
 
     ``stimuli`` is a tuple of the distinct stimuli the run uses: each an
-    RfStimulus, or None (RF off, which only a SimulatedDut accepts).
-    ``rows`` is a read-only intp array with one index into ``stimuli`` per
-    capture. ``freq_hz`` and ``power_dbm`` are read-only float64 columns of
-    ``stimuli`` (NaN for None), built once here, so a backend checks its RF
-    limits per distinct stimulus rather than per row. Every capture of a
+    RfStimulus, or None (RF off, which only SimulatedDut.capture_schedule
+    accepts; capture_groups refuses it). ``rows`` is a read-only intp array
+    with one index into ``stimuli`` per capture. ``freq_hz`` and
+    ``power_dbm`` are read-only float64 columns of ``stimuli`` (NaN for
+    None), built once here, so SimulatedRfSource.check compares its limits
+    per distinct stimulus rather than per row. Every capture of a
     stimulus is one row, however many rows repeat it: an ideal-sync BER
     point is two stimuli and one row per bit.
 
@@ -190,7 +193,13 @@ class StimulusSchedule:
 
 
 class SimulatedRfSource:
-    """Stands in for the signal generator + amplifier + antenna chain."""
+    """Stands in for the signal generator + amplifier + antenna chain.
+
+    The source alone knows what it can emit: rf_set refuses a stimulus
+    outside its limits, and check refuses a schedule with such a row. The
+    limits need min_power_dbm <= max_power_dbm and 0 < min_freq_hz <=
+    max_freq_hz; other values are a ValueError.
+    """
 
     def __init__(
         self,
@@ -199,6 +208,14 @@ class SimulatedRfSource:
         min_freq_hz: float = 1e6,
         max_freq_hz: float = 6e9,
     ):
+        if not min_power_dbm <= max_power_dbm:
+            raise ValueError(
+                f"min_power_dbm {min_power_dbm} exceeds max_power_dbm {max_power_dbm}"
+            )
+        if not 0 < min_freq_hz <= max_freq_hz:
+            raise ValueError(
+                f"need 0 < min_freq_hz <= max_freq_hz, got {min_freq_hz} and {max_freq_hz}"
+            )
         self.min_power_dbm = min_power_dbm
         self.max_power_dbm = max_power_dbm
         self.min_freq_hz = min_freq_hz
@@ -210,6 +227,12 @@ class SimulatedRfSource:
         return self._stimulus
 
     def rf_set(self, stimulus: RfStimulus) -> None:
+        self._check_stimulus(stimulus)
+        self._stimulus = stimulus
+
+    def _check_stimulus(self, stimulus: RfStimulus | None) -> None:
+        if stimulus is None:
+            raise RfSourceError("no RF stimulus")
         if not self.min_power_dbm <= stimulus.power_dbm <= self.max_power_dbm:
             raise RfSourceError(
                 f"power {stimulus.power_dbm} dBm outside "
@@ -220,7 +243,19 @@ class SimulatedRfSource:
                 f"frequency {stimulus.freq_hz} Hz outside "
                 f"[{self.min_freq_hz}, {self.max_freq_hz}] Hz"
             )
-        self._stimulus = stimulus
+
+    def check(self, schedule: StimulusSchedule) -> None:
+        """Raise the RfSourceError of rf_set on the first row of ``schedule``
+        it would refuse, without setting anything. The limits are compared
+        on the distinct stimuli in one array comparison, which a NaN column
+        (a None stimulus) fails, and read per row only when one fails."""
+        freqs, powers = schedule.freq_hz, schedule.power_dbm
+        ok = (self.min_freq_hz <= freqs) & (freqs <= self.max_freq_hz)
+        ok &= (self.min_power_dbm <= powers) & (powers <= self.max_power_dbm)
+        if not ok.all():
+            ok = ok[schedule.rows]
+            if not ok.all():
+                self._check_stimulus(schedule.stimuli[schedule.rows[ok.argmin()]])
 
 
 class SimulatorBackend:
@@ -263,33 +298,11 @@ class SimulatorBackend:
 
     def capture_schedule(self, schedule: StimulusSchedule, n_blocks: int) -> np.ndarray:
         """Codes of one n_blocks capture per row of ``schedule``, in order,
-        as if the RF source were set to each row's stimulus before its
-        capture.
-
-        The limits are checked on the schedule's distinct frequencies and
-        powers in one array comparison, which a NaN fails, and read per row
-        only when a stimulus fails. On a failure the source is set as one
-        rf_set per row would leave it: at the stimulus of the row before the
-        first offending one, whose rf_set then raises its RfSourceError.
-        Otherwise the source is left at the last row's stimulus. Returns
-        int32 codes of shape (len(schedule), n_blocks * samples_per_block).
-        """
+        each taken with its row's stimulus: int32, of shape (len(schedule),
+        n_blocks * samples_per_block). The RF source is neither checked
+        nor set; capture_groups does both."""
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
-        rows = schedule.rows
-        if rows.size:
-            source, stimuli = self.source, schedule.stimuli
-            freqs, powers = schedule.freq_hz, schedule.power_dbm
-            ok = (source.min_freq_hz <= freqs) & (freqs <= source.max_freq_hz)
-            ok &= (source.min_power_dbm <= powers) & (powers <= source.max_power_dbm)
-            if not ok.all():
-                ok = ok[rows]
-                if not ok.all():
-                    first = int(ok.argmin())
-                    if first:
-                        source.rf_set(stimuli[rows[first - 1]])
-                    source.rf_set(stimuli[rows[first]])
-            source.rf_set(stimuli[rows[-1]])
         return self.dut.capture_schedule(schedule, n_blocks)
 
     def reset(self) -> None:
@@ -305,28 +318,34 @@ def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int,
     in ``isolate``) that failed it, or None. A failed group's codes are
     meaningless; exceptions of other types propagate.
 
-    This is the one place that picks the capture path. A backend with a
-    batched ``capture_schedule`` (SimulatorBackend) captures the whole
-    schedule in one call, so an error there fails every group. Any other
-    backend (SerialBackend) gets ``rf_source.rf_set`` of the row's stimulus
-    and ``capture`` per row; an error fails only its own group, whose other
-    captures still run, so the device is sent the same commands whatever
-    fails.
+    This is the one place that picks the capture path, and it drives
+    ``rf_source`` alike on both. ``rf_source.check`` first refuses a
+    schedule with a row the source cannot set (a None row included):
+    nothing is then set, sent or captured. A backend with a batched
+    ``capture_schedule`` (SimulatorBackend) has ``rf_source`` set to the
+    last row's stimulus and captures the whole schedule in one call, so an
+    error there fails every group. Any other backend (SerialBackend) gets
+    ``rf_source.rf_set`` of the row's stimulus and ``capture`` per row; an
+    error fails only its own group, whose other captures still run, so the
+    device is sent the same commands whatever fails.
     """
     n_groups, rest = divmod(len(schedule), group_size)
     if rest:
         raise ValueError(f"{len(schedule)} rows do not split into groups of {group_size}")
+    rf_source.check(schedule)
+    stimuli, rows = schedule.stimuli, schedule.rows
     capture_schedule = getattr(backend, "capture_schedule", None)
     if capture_schedule is not None:
+        if rows.size:
+            rf_source.rf_set(stimuli[rows[-1]])
         try:
             codes = capture_schedule(schedule, n_blocks)
         except isolate as exc:
             return np.zeros((n_groups, group_size, 0), np.int32), [exc] * n_groups
         return codes.reshape(n_groups, group_size, codes.shape[1]), [None] * n_groups
-    stimuli = schedule.stimuli
     codes = None
     errors = [None] * n_groups
-    for i, row in enumerate(schedule.rows.tolist()):
+    for i, row in enumerate(rows.tolist()):
         g, k = divmod(i, group_size)
         try:
             rf_source.rf_set(stimuli[row])

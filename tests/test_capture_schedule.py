@@ -18,7 +18,10 @@ from adcradio.backend import (
     SimulatedRfSource,
     SimulatorBackend,
     StimulusSchedule,
+    capture_groups,
+    enumerate_configs,
 )
+from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend
 from adcradio.signals import BasebandEnvelope
 from adcradio.simulator import (
     AdcConfig,
@@ -31,6 +34,7 @@ from adcradio.simulator import (
 )
 
 CFG = "cfg"
+PATH_CONFIG = enumerate_configs()[0]
 FREQS = (300e6, 480e6, 500e6, 900e6)
 
 
@@ -302,7 +306,22 @@ def refused_schedules(draw):
     return StimulusSchedule((*schedule.stimuli, draw(bad_stimuli)), np.array(rows))
 
 
+class RecordingTransport(LoopbackTransport):
+    """A loopback link that keeps every request line sent over it."""
+
+    def __init__(self, server):
+        super().__init__(server)
+        self.sent = []
+
+    def send_line(self, line):
+        self.sent.append(line)
+        super().send_line(line)
+
+
 class TestBackendSchedule:
+    """capture_groups on the batched path: one SimulatorBackend.capture_schedule
+    call. TestSerialBackendSchedule runs the same tests on the per-row path."""
+
     def rig(self, seed=4):
         model = CouplingModel(resonances=(Resonance(500e6, 80e6, 900.0),), noise_sigma=1.5)
         adc = AdcConfig(samples_per_block=8)
@@ -312,6 +331,15 @@ class TestBackendSchedule:
         source = SimulatedRfSource(max_power_dbm=30.0)
         return SimulatorBackend(dut, source), source, adc
 
+    def snapshot(self, backend):
+        """The device state and RNG state behind ``backend``."""
+        return state_of(backend.dut)
+
+    def capture(self, backend, source, schedule, n_blocks):
+        codes, errors = capture_groups(backend, source, schedule, 1, n_blocks)
+        assert errors == [None] * len(schedule)
+        return codes[:, 0]
+
     def test_matches_rf_set_then_capture(self):
         stimuli = [
             RfStimulus(freq_hz=f, power_dbm=20.0, enabled=on) for f in FREQS for on in (False, True)
@@ -319,9 +347,9 @@ class TestBackendSchedule:
         schedule = StimulusSchedule(stimuli, [*range(8), 1, 0, 7])
         batched, batched_source, adc = self.rig()
         reference, source, _ = self.rig()
-        batched.configure(ReceptionPathId(1), CFG, adc)
-        reference.configure(ReceptionPathId(1), CFG, adc)
-        codes = batched.capture_schedule(schedule, 2)
+        batched.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+        reference.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+        codes = self.capture(batched, batched_source, schedule, 2)
         for row, stim in zip(codes, row_stimuli(schedule)):
             source.rf_set(stim)
             np.testing.assert_array_equal(row, reference.capture(2).samples)
@@ -329,15 +357,15 @@ class TestBackendSchedule:
 
     def test_out_of_range_stimulus_rejected_before_capture(self):
         backend, source, adc = self.rig()
-        backend.configure(ReceptionPathId(1), CFG, adc)
-        before = state_of(backend.dut)
+        backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+        before = self.snapshot(backend)
         schedule = StimulusSchedule([
             RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True),
             RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True),
         ])
         with pytest.raises(RfSourceError):
-            backend.capture_schedule(schedule, 1)
-        assert state_of(backend.dut) == before
+            self.capture(backend, source, schedule, 1)
+        assert self.snapshot(backend) == before
 
     def test_a_stimulus_out_of_range_in_no_row_is_not_refused(self):
         """Limits are checked per stimulus but refused per row: a slice
@@ -346,38 +374,91 @@ class TestBackendSchedule:
         bad = RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True)
         schedule = StimulusSchedule((good, bad), [0, 0, 1])
         backend, source, adc = self.rig()
-        backend.configure(ReceptionPathId(1), CFG, adc)
-        assert backend.capture_schedule(schedule[:2], 1).shape == (2, 8)
+        backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+        assert self.capture(backend, source, schedule[:2], 1).shape == (2, 8)
         assert source.stimulus is good
         with pytest.raises(RfSourceError):
-            backend.capture_schedule(schedule, 1)
+            self.capture(backend, source, schedule, 1)
         assert source.stimulus is good
 
     @given(schedule=refused_schedules(), start=st.none() | limit_stimuli)
-    def test_a_refused_stimulus_fails_as_one_rf_set_per_stimulus(self, schedule, start):
-        """The RfSourceError is that of rf_set on the first stimulus out of
-        range or NaN, at any position, and the source is left where one
-        rf_set per stimulus leaves it. Nothing is captured."""
+    def test_a_refused_row_changes_nothing(self, schedule, start):
+        self.assert_a_refused_row_changes_nothing(schedule, start)
+
+    def assert_a_refused_row_changes_nothing(self, schedule, start):
+        """The RfSourceError is that of rf_set on the stimulus of the first
+        row out of range or NaN, at any position, and it comes before
+        anything is set, sent or captured: the source keeps the stimulus it
+        held, and the device and its RNG are unchanged."""
         backend, source, adc = self.rig()
-        backend.configure(ReceptionPathId(1), CFG, adc)
-        reference = SimulatedRfSource(max_power_dbm=30.0)
+        backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
         if start is not None:
             source.rf_set(start)
-            reference.rf_set(start)
+        reference = SimulatedRfSource(max_power_dbm=30.0)
         with pytest.raises(RfSourceError) as want:
             for stimulus in row_stimuli(schedule):
                 reference.rf_set(stimulus)
-        before = state_of(backend.dut)
+        before = self.snapshot(backend)
         with pytest.raises(RfSourceError) as got:
-            backend.capture_schedule(schedule, 1)
+            self.capture(backend, source, schedule, 1)
         assert str(got.value) == str(want.value)
-        assert source.stimulus is reference.stimulus
-        assert state_of(backend.dut) == before
+        assert source.stimulus is start
+        assert self.snapshot(backend) == before
+
+    def test_a_none_row_is_refused(self):
+        """A None row (RF off) is refused as rf_set(None) is, before
+        anything is set, sent or captured."""
+        backend, source, adc = self.rig()
+        backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+        with pytest.raises(RfSourceError, match="^no RF stimulus$"):
+            source.rf_set(None)
+        before = self.snapshot(backend)
+        on = RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True)
+        with pytest.raises(RfSourceError, match="^no RF stimulus$"):
+            self.capture(backend, source, StimulusSchedule((on, None), [0, 1, 0]), 1)
+        assert source.stimulus is None
+        assert self.snapshot(backend) == before
 
     def test_capture_before_configure(self):
-        backend, _, _ = self.rig()
+        backend, source, _ = self.rig()
         with pytest.raises(NotConfiguredError):
-            backend.capture_schedule(StimulusSchedule([None]), 1)
+            self.capture(backend, source, StimulusSchedule([RfStimulus(500e6, 20.0)]), 1)
+
+
+class TestSerialBackendSchedule(TestBackendSchedule):
+    """capture_groups on the per-row path: SerialBackend through the line
+    codec and a loopback link to a DutProtocolServer."""
+
+    def rig(self, seed=4):
+        direct, source, adc = super().rig(seed)
+        return SerialBackend(RecordingTransport(DutProtocolServer(direct))), source, adc
+
+    def snapshot(self, backend):
+        """The device state and RNG state, and the request lines sent."""
+        transport = backend.transport
+        return state_of(transport.server.backend.dut), list(transport.sent)
+
+    # Hypothesis keys a @given test by its function, so each class needs its own.
+    @given(schedule=refused_schedules(), start=st.none() | limit_stimuli)
+    def test_a_refused_row_changes_nothing(self, schedule, start):
+        self.assert_a_refused_row_changes_nothing(schedule, start)
+
+
+def test_capture_groups_sets_the_source_it_is_given():
+    """On the batched path, capture_groups checks and sets its rf_source
+    argument; the backend's own source is left alone."""
+    backend, own, adc = TestBackendSchedule().rig()
+    given = SimulatedRfSource(max_power_dbm=20.0)
+    backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
+    on = RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True)
+    off = RfStimulus(freq_hz=500e6, power_dbm=20.0)
+    codes, _ = capture_groups(backend, given, StimulusSchedule((off, on), [1, 0]), 1, 1)
+    assert codes.shape == (2, 1, 8)
+    assert given.stimulus is off
+    assert own.stimulus is None
+    with pytest.raises(RfSourceError, match="power 25.0 dBm outside"):
+        capture_groups(backend, given, StimulusSchedule([replace(on, power_dbm=25.0)]), 1, 1)
+    assert given.stimulus is off and own.stimulus is None
 
 
 class TestStimulusSchedule:

@@ -719,6 +719,44 @@ class TestScenarioFieldTypes:
         assert not out.exists()
 
 
+class TestRfSourceLimits:
+    """RF source limits that no stimulus can meet are a usage error naming
+    ``rf_source`` when the scenario loads, not a failure of the run."""
+
+    @pytest.mark.parametrize(
+        "limits, message",
+        [
+            (
+                {"min_power_dbm": 50.0, "max_power_dbm": 10.0},
+                "rf_source: min_power_dbm 50.0 exceeds max_power_dbm 10.0",
+            ),
+            (
+                {"min_freq_hz": -1e6},
+                "rf_source: need 0 < min_freq_hz <= max_freq_hz, got -1000000.0 and 6000000000.0",
+            ),
+            (
+                {"min_freq_hz": 7e9},
+                "rf_source: need 0 < min_freq_hz <= max_freq_hz, got 7000000000.0 and 6000000000.0",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sweep", "--paths", "all", "--configs", "0", "--freq-points", "2"],
+            ["ber", "--powers", "10", "--bits", "100"],
+        ],
+    )
+    def test_exit_2(self, mini_scenario, tmp_path, capsys, limits, message, command):
+        doc = json.loads(mini_scenario.read_text())
+        doc["rf_source"] = limits
+        mini_scenario.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert run_cli(*command, "--scenario", mini_scenario, "--out", out) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDeeplyNestedJson:
     """JSON nested past the parser's recursion limit is a usage error naming
     the file, not a RecursionError traceback."""
