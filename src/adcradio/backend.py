@@ -343,20 +343,20 @@ def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int,
         except isolate as exc:
             return np.zeros((n_groups, group_size, 0), np.int32), [exc] * n_groups
         return codes.reshape(n_groups, group_size, codes.shape[1]), [None] * n_groups
-    codes = None
+    codes = None  # one row of codes per capture, once a capture has succeeded
     errors = [None] * n_groups
     for i, row in enumerate(rows.tolist()):
-        g, k = divmod(i, group_size)
         try:
             rf_source.rf_set(stimuli[row])
             samples = backend.capture(n_blocks).samples
         except isolate as exc:
+            g = i // group_size
             if errors[g] is None:
                 errors[g] = exc
             continue
         if codes is None:
-            codes = np.zeros((n_groups, group_size, samples.size), np.int32)
-        codes[g, k] = samples
+            codes = np.zeros((rows.size, samples.size), np.int32)
+        codes[i] = samples
     if codes is None:
-        codes = np.zeros((n_groups, group_size, 0), np.int32)
-    return codes, errors
+        return np.zeros((n_groups, group_size, 0), np.int32), errors
+    return codes.reshape(n_groups, group_size, codes.shape[1]), errors

@@ -67,6 +67,8 @@ _TAG_CHARS = 5
 # Codes per DATA sample line: four hex digits each, within the line limit.
 CODES_PER_LINE = (MAX_LINE_CHARS - _TAG_CHARS) // 4
 _LINE_DIGITS = 4 * CODES_PER_LINE
+# A code on the wire: big-endian unsigned 16 bits.
+_WIRE_CODE = np.dtype(">u2")
 
 
 class ProtocolError(BackendError):
@@ -140,15 +142,21 @@ def encode_config_tokens(config: PathConfig) -> str:
 
 def encode_command(cmd: Command) -> str:
     """Render a structured command as one protocol line (no newline)."""
-    if isinstance(cmd, ConfigureCommand):
-        return f"CFG {cmd.path} {encode_config_tokens(cmd.config)}"
     if isinstance(cmd, CaptureCommand):
         return f"SMP {cmd.n_blocks} {cmd.sample_rate_hz} {cmd.oversampling_ratio}"
+    if isinstance(cmd, ConfigureCommand):
+        return f"CFG {cmd.path} {encode_config_tokens(cmd.config)}"
     if isinstance(cmd, IdentifyCommand):
         return "ID?"
     if isinstance(cmd, ResetCommand):
         return "RST"
     raise TypeError(f"not a protocol command: {cmd!r}")
+
+
+# What _parse_uint accepts, and the SMP request and DATA header built of it.
+_UINT = f"([0-9]{{1,{_MAX_INT_DIGITS}}})"
+_SMP_LINE = re.compile(f"SMP {_UINT} {_UINT} {_UINT}")
+_DATA_HEADER = re.compile(f"DATA {_UINT} ([0-9A-F]{{8}})")
 
 
 def _split_fields(line: str) -> list[str]:
@@ -177,13 +185,13 @@ def _parse_token(table: dict, field: str, pos: int, name: str):
 def _text_line(line: str | bytes) -> str:
     """A line as text without its trailing LF; ProtocolError for bytes that
     are not 7-bit ASCII, a non-text line, or more than MAX_LINE_CHARS."""
-    if isinstance(line, (bytes, bytearray)):
+    if not isinstance(line, str):
+        if not isinstance(line, (bytes, bytearray)):
+            raise ProtocolError(f"expected text line, got {type(line).__name__}")
         try:
             line = bytes(line).decode("ascii")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"line is not 7-bit ASCII at byte {exc.start}") from None
-    if not isinstance(line, str):
-        raise ProtocolError(f"expected text line, got {type(line).__name__}")
     line = line.rstrip("\n")
     if len(line) > MAX_LINE_CHARS:
         raise ProtocolError(f"line too long ({len(line)} > {MAX_LINE_CHARS} chars)")
@@ -200,7 +208,15 @@ def decode_command(line: str | bytes) -> Command:
 
 
 def _parse_command(line: str) -> Command:
-    """decode_command of a line that _text_line has already checked."""
+    """decode_command of a line that _text_line has already checked.
+
+    An SMP line is one anchored match; any other line, and an SMP line
+    that fails the match, goes through the field-by-field checks, which
+    word the error. Both accept exactly the same SMP lines.
+    """
+    smp = _SMP_LINE.fullmatch(line)
+    if smp:
+        return CaptureCommand(int(smp[1]), int(smp[2]), int(smp[3]))
     if "\r" in line or "\n" in line or "\x00" in line:
         raise ProtocolError("line contains control characters")
     if line == "":
@@ -243,29 +259,39 @@ def _err_line(message: str) -> str:
 
 
 _TAG = re.compile("[0-9A-F]{4} ")
-_CRC_TEXT = re.compile("[0-9A-F]{8}")
 _NOT_HEX = re.compile("[^0-9A-F]")
 
 
 def _data_frame(codes: np.ndarray) -> list[str]:
     """The untagged lines of a DATA frame: header, sample lines, END."""
-    packed = codes.astype(">u2").tobytes()
+    packed = codes.astype(_WIRE_CODE).tobytes()
     text = packed.hex().upper()
-    lines = [f"DATA {len(codes)} {zlib.crc32(packed):08X}"]
-    lines.extend(text[i : i + _LINE_DIGITS] for i in range(0, len(text), _LINE_DIGITS))
-    lines.append("END")
-    return lines
+    return [
+        f"DATA {len(codes)} {zlib.crc32(packed):08X}",
+        *[text[i : i + _LINE_DIGITS] for i in range(0, len(text), _LINE_DIGITS)],
+        "END",
+    ]
 
 
 def _data_header(line: str) -> tuple[int, int]:
     """The code count and CRC-32 of a ``DATA <count> <crc32>`` line."""
+    header = _DATA_HEADER.fullmatch(line)
+    if header is None:
+        raise _bad_data_header(line)
+    return int(header[1]), int(header[2], 16)
+
+
+def _bad_data_header(line: str) -> ProtocolError:
+    """The error for a line that is not a DATA header, naming the first
+    field that fails."""
     fields = line.split(" ")
     if len(fields) != 3 or fields[0] != "DATA":
-        raise ProtocolError(f"expected DATA header, got {line!r}")
-    count = _parse_uint(fields[1], 1, "count")
-    if not _CRC_TEXT.fullmatch(fields[2]):
-        raise ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {fields[2]!r}")
-    return count, int(fields[2], 16)
+        return ProtocolError(f"expected DATA header, got {line!r}")
+    try:
+        _parse_uint(fields[1], 1, "count")
+    except ProtocolError as exc:
+        return exc
+    return ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {fields[2]!r}")
 
 
 def _frame_codes(lines: list[str], count: int, crc: int, full_scale: int) -> np.ndarray:
@@ -278,29 +304,38 @@ def _frame_codes(lines: list[str], count: int, crc: int, full_scale: int) -> np.
     ProtocolError naming the first bad sample line, the header's CRC, or
     the first code above full scale.
     """
-    full, rest = divmod(count, CODES_PER_LINE)
-    widths = [_LINE_DIGITS] * full + [4 * rest] * (rest > 0)
+    full = count // CODES_PER_LINE
     text = "".join(lines)
     try:
         packed = bytes.fromhex(text)
     except ValueError:
         packed = b""
-    # bytes.fromhex skips ASCII whitespace and takes lowercase digits; the
-    # length and upper() checks refuse both, so only uppercase hex passes.
-    if list(map(len, lines)) != widths or len(packed) != 2 * count or text.upper() != text:
-        raise _bad_sample_line(lines, widths)
+    # With the right line count, full lines and total length, every line
+    # has its width. bytes.fromhex skips ASCII whitespace and takes
+    # lowercase digits; the lengths and upper() refuse both, so only
+    # uppercase hex passes.
+    if (
+        len(lines) != -(-count // CODES_PER_LINE)
+        or len(text) != 4 * count
+        or len(packed) != 2 * count
+        or not all(len(line) == _LINE_DIGITS for line in lines[:full])
+        or text.upper() != text
+    ):
+        raise _bad_sample_line(lines, count)
     actual = zlib.crc32(packed)
     if actual != crc:
         raise ProtocolError(f"DATA header: CRC-32 {crc:08X}, sample lines have {actual:08X}")
-    codes = np.frombuffer(packed, dtype=">u2").astype(np.int32)
-    if count and codes.max() > full_scale:
+    codes = np.frombuffer(packed, _WIRE_CODE).astype(np.int32)
+    if count and np.maximum.reduce(codes) > full_scale:
         i = int(np.argmax(codes > full_scale))
         raise ProtocolError(f"sample {i}: code {codes[i]} above full scale {full_scale}")
     return codes
 
 
-def _bad_sample_line(lines: list[str], widths: list[int]) -> ProtocolError:
+def _bad_sample_line(lines: list[str], count: int) -> ProtocolError:
     """The error for the first sample line that is not hex or not its width."""
+    full, rest = divmod(count, CODES_PER_LINE)
+    widths = [_LINE_DIGITS] * full + [4 * rest] * (rest > 0)
     for i, line in enumerate(lines):
         bad = _NOT_HEX.search(line)
         if bad:
@@ -346,12 +381,12 @@ class DutProtocolServer:
         return response
 
     def _dispatch(self, cmd: Command) -> list[str]:
+        if isinstance(cmd, CaptureCommand):  # first: nearly every request is one
+            self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
+            return _data_frame(self.backend.capture(cmd.n_blocks).samples)
         if isinstance(cmd, ConfigureCommand):
             self.backend.configure(ReceptionPathId(index=cmd.path), cmd.config, self.backend.adc)
             return ["OK"]
-        if isinstance(cmd, CaptureCommand):
-            self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
-            return _data_frame(self.backend.capture(cmd.n_blocks).samples)
         if isinstance(cmd, IdentifyCommand):
             d = self.backend.describe()
             return [
@@ -406,20 +441,24 @@ class SerialBackend:
 
     # -- protocol plumbing ---------------------------------------------------
 
-    def _recv(self) -> str:
-        """The next line carrying the awaited tag, without the tag."""
-        prefix = self._prefix
+    def _responses(self):
+        """The lines carrying the awaited tag, without the tag, as they
+        arrive; lines of another tag or none are dropped. Raises
+        ProtocolTimeoutError when no line comes within the timeout."""
+        recv_line, prefix, timeout_s = self.transport.recv_line, self._prefix, self.timeout_s
         while True:
-            line = self.transport.recv_line(self.timeout_s)
+            line = recv_line(timeout_s)
             if line is None:
                 self.timeouts += 1
                 raise ProtocolTimeoutError(f"timed out waiting for response {prefix[:4]}")
             if line.startswith(prefix):
-                return line[_TAG_CHARS:]
-            self.stale_lines_dropped += 1
+                yield line[_TAG_CHARS:]
+            else:
+                self.stale_lines_dropped += 1
 
-    def _transact(self, command: str) -> str:
-        """Send a command under a new tag; the first line of its response."""
+    def _transact(self, command: str):
+        """Send a command under a new tag. Returns the first line of its
+        response and the response's further lines, read as they are needed."""
         self._tag = (self._tag + 1) & 0xFFFF
         self._prefix = f"{self._tag:04X} "
         request = self._prefix + command
@@ -428,11 +467,11 @@ class SerialBackend:
             if attempt:
                 self.retries += 1
             self.transport.send_line(request)
+            lines = self._responses()
             try:
-                while True:
-                    line = self._recv()
+                for line in lines:
                     if line == "OK" or line.startswith(("ERR ", "ID ", "DATA ")):
-                        return line
+                        return line, lines
                     self.stale_lines_dropped += 1
             except ProtocolTimeoutError as exc:
                 last = exc
@@ -449,7 +488,7 @@ class SerialBackend:
     # -- backend interface ----------------------------------------------------
 
     def describe(self):
-        line = self._transact(encode_command(IdentifyCommand()))
+        line, _ = self._transact(encode_command(IdentifyCommand()))
         fields = line.split(" ")
         if len(fields) != 5 or fields[0] != "ID":
             raise ProtocolError(f"bad ID? response {line!r}")
@@ -468,7 +507,7 @@ class SerialBackend:
             raise UnsupportedSettingError(
                 f"wire protocol carries integer sample rates, got {rate}"
             )
-        line = self._transact(encode_command(ConfigureCommand(path.index, config)))
+        line, _ = self._transact(encode_command(ConfigureCommand(path.index, config)))
         self._check_ok(line)
         self._adc = adc
         self._path = path
@@ -480,7 +519,7 @@ class SerialBackend:
             raise NotConfiguredError("capture before configure")
         n_blocks = int(n_blocks)
         cmd = CaptureCommand(n_blocks, int(adc.sample_rate_hz), adc.oversampling_ratio)
-        first = self._transact(encode_command(cmd))
+        first, responses = self._transact(encode_command(cmd))
         if first.startswith("ERR "):
             raise BackendError(first[4:])
         count, crc = _data_header(first)
@@ -488,15 +527,14 @@ class SerialBackend:
         # lines up to END, at most one line more than the count needs.
         n_lines = -(-count // CODES_PER_LINE)
         lines = []
-        for _ in range(n_lines + 1):
-            line = self._recv()
+        for line in responses:
             if line == "END":
                 break
+            if len(lines) == n_lines:
+                raise ProtocolError(
+                    f"DATA frame: expected END after {n_lines} sample lines, got {line!r}"
+                )
             lines.append(line)
-        else:
-            raise ProtocolError(
-                f"DATA frame: expected END after {n_lines} sample lines, got {line!r}"
-            )
         expected = n_blocks * adc.samples_per_block
         if count != expected:
             raise ProtocolError(
@@ -509,10 +547,10 @@ class SerialBackend:
             "config": self._config,
             "transport": "serial",
         }
-        return AdcTrace(samples=samples, config=adc, meta=meta)
+        return AdcTrace(samples, adc, meta)
 
     def reset(self) -> None:
-        self._check_ok(self._transact(encode_command(ResetCommand())))
+        self._check_ok(self._transact(encode_command(ResetCommand()))[0])
         self._adc = None
         self._path = None
         self._config = None

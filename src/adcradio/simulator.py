@@ -175,7 +175,8 @@ class AdcTrace:
         samples = np.asarray(self.samples, dtype=np.int32)
         if samples.ndim != 1:
             raise ValueError("samples must be one-dimensional")
-        object.__setattr__(self, "samples", samples)
+        if samples is not self.samples:
+            object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
         return int(self.samples.size)
@@ -197,7 +198,10 @@ def coupling_gain(model: CouplingModel, freq_hz: float) -> float:
 
 
 def detector_output(
-    incident_power_mw: np.ndarray, gain: float | np.ndarray, exponent: float = 1.0
+    incident_power_mw: np.ndarray,
+    gain: float | np.ndarray,
+    exponent: float = 1.0,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rectified baseband offset (in codes) produced by incident RF power.
 
@@ -205,13 +209,17 @@ def detector_output(
     array of per-sample gains. With the default exponent 1 the DC shift is
     proportional to incident power, which makes the estimated SNR in dB
     climb with slope 2 versus power in dBm.
+
+    ``out``, a float64 array of the result's shape, receives the result
+    and is returned; it may be the incident power array itself, which then
+    needs no second array. Otherwise the result is a fresh array.
     """
     power = np.asarray(incident_power_mw, dtype=np.float64)
     if power.size and power.min() < 0:
         raise ValueError("incident power samples must be >= 0")
-    if exponent == 1.0:
-        return gain * power
-    return gain * np.power(power, exponent)
+    if exponent != 1.0:
+        power = np.power(power, exponent, out=out)
+    return np.multiply(power, gain, out=out)
 
 
 def _lowpass_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
@@ -319,26 +327,29 @@ def _impair(
     size = values.size
     n = size // states
     drift, burst = model.drift, model.burst
-    draws = [  # each stream's draw of m values, or None when it is off
-        (lambda m: rng.normal(0.0, model.noise_sigma, m)) if model.noise_sigma > 0 else None,
-        (lambda m: rng.normal(0.0, drift.walk_step, m)) if drift.walk_step > 0 else None,
-        rng.random if burst.rate_per_s > 0 and burst.duration_s > 0 else None,
-    ]
-    if states > 1 and sum(d is not None for d in draws) > 1:
-        drawn = [None if d is None else np.empty((states, n)) for d in draws]
+    sigma, step = model.noise_sigma, drift.walk_step
+    bursts = burst.rate_per_s > 0 and burst.duration_s > 0
+    # drawn: None, or each stream's values drawn state by state, read flat
+    # (None for a stream that is off).
+    drawn = None
+    if states > 1 and (sigma > 0) + (step > 0) + bursts > 1:
+        drawn = [np.empty((states, n)) if on else None for on in (sigma > 0, step > 0, bursts)]
+        noise_rows, step_rows, uniform_rows = drawn
         for k in range(states):
-            for d, rows in zip(draws, drawn):
-                if d is not None:
-                    rows[k] = d(n)
-        draws = [None if rows is None else rows.reshape for rows in drawn]  # read flat
-    noise, walk_steps, uniform = draws
-    if noise is not None:
-        out = noise(size)
+            if noise_rows is not None:
+                noise_rows[k] = rng.normal(0.0, sigma, n)
+            if step_rows is not None:
+                step_rows[k] = rng.normal(0.0, step, n)
+            if uniform_rows is not None:
+                uniform_rows[k] = rng.random(n)
+        drawn = [None if rows is None else rows.reshape(size) for rows in drawn]
+    if sigma > 0:
+        out = drawn[0] if drawn else rng.normal(0.0, sigma, size)
         out += values
     else:
         out = values.copy()
-    if walk_steps is not None:
-        walk = walk_steps(size).reshape(states, n)
+    if step > 0:
+        walk = (drawn[1] if drawn else rng.normal(0.0, step, size)).reshape(states, n)
         np.cumsum(walk, axis=1, out=walk)
         # Sequential sums of the row ends: each row starts from the previous
         # row's last walk value, exactly as per-state captures carry it.
@@ -357,8 +368,10 @@ def _impair(
         sine *= drift.sine_amplitude
         out += sine
         del sine
-    if uniform is not None:
-        starts = np.flatnonzero(uniform(size) < burst.rate_per_s / raw_rate_hz)
+    if bursts:
+        starts = np.flatnonzero(
+            (drawn[2] if drawn else rng.random(size)) < burst.rate_per_s / raw_rate_hz
+        )
         ends = starts + max(1, int(round(burst.duration_s * raw_rate_hz)))
         delta = np.zeros(size + 1)
         if state.burst_left > 0:
@@ -525,7 +538,7 @@ class SimulatedDut:
         capture_schedule.
         """
         codes = self._capture_rows((stimulus,), _ONE_ROW, n_blocks)
-        return AdcTrace(samples=codes[0], config=self.adc, meta=self._meta(stimulus))
+        return AdcTrace(codes, self.adc, self._meta(stimulus))
 
     def capture_schedule(self, schedule, n_blocks: int) -> np.ndarray:
         """Acquire n_blocks blocks per row of ``schedule`` (a
@@ -543,10 +556,12 @@ class SimulatedDut:
         rows. The impairments are batched over the pass but draw their
         random numbers per row, as one capture per row does.
         """
-        return self._capture_rows(schedule.stimuli, schedule.rows, n_blocks)
+        codes = self._capture_rows(schedule.stimuli, schedule.rows, n_blocks)
+        return codes.reshape(len(schedule), int(n_blocks) * self.adc.samples_per_block)
 
     def _capture_rows(self, stimuli: tuple, rows: np.ndarray, n_blocks: int) -> np.ndarray:
-        """capture_schedule of the schedule with these stimuli and rows.
+        """The codes of capture_schedule of the schedule with these stimuli
+        and rows, one row after another in one flat array.
 
         The DC operating point is added in place into the low-pass output,
         which the pass owns; _impair and _quantize write only arrays of
@@ -566,7 +581,7 @@ class SimulatedDut:
         adc, model, state = self.adc, self._model, self._state
         n_out = int(n_blocks) * adc.samples_per_block
         if n_out == 0 or not rows.size:
-            return np.empty((rows.size, n_out), dtype=np.int32)
+            return np.empty(rows.size * n_out, dtype=np.int32)
         n_raw = n_out * adc.oversampling_ratio
         per_pass = max(1, _PASS_RAW_SAMPLES // n_raw)
         coupling = None  # _stimulus_levels, once a pass couples
@@ -574,7 +589,8 @@ class SimulatedDut:
         for start in range(0, rows.size, per_pass):
             part = rows[start : start + per_pass]
             if not model.resonances and state.filter_value == 0.0:
-                analog = np.full(part.size * n_raw, model.dc_operating_point)
+                analog = np.empty(part.size * n_raw)
+                analog.fill(model.dc_operating_point)
             else:
                 if coupling is None:
                     coupling = self._stimulus_levels(stimuli)
@@ -583,10 +599,13 @@ class SimulatedDut:
                 analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
                 del offset  # freed before _impair draws: a long pass holds fewer arrays
                 analog += model.dc_operating_point
-            analog = _impair(analog, model, self._rng, state, adc.raw_rate_hz, part.size)
-            passes.append(_quantize(analog, adc.full_scale, adc.oversampling_ratio))
-        codes = passes[0] if len(passes) == 1 else np.concatenate(passes)
-        return codes.reshape(rows.size, n_out)
+            # The pass's input stays alive until the quantization has taken
+            # its arrays. Freed first, on a link payload it joined the free
+            # top of the heap, which malloc gave back to the system, and
+            # the next arrays faulted those pages in again.
+            raw = _impair(analog, model, self._rng, state, adc.raw_rate_hz, part.size)
+            passes.append(_quantize(raw, adc.full_scale, adc.oversampling_ratio))
+        return passes[0] if len(passes) == 1 else np.concatenate(passes)
 
     def _stimulus_levels(self, stimuli: tuple) -> tuple[np.ndarray, dict]:
         """The detector level of each stimulus's constant carrier, and the
@@ -646,7 +665,7 @@ class SimulatedDut:
             m = _hold(envelope, adc.raw_rate_hz, first + k * n_raw, n_raw)
             power = inc_mw * m
             power *= m  # inc_mw * m * m, in that order
-            return detector_output(power, gain, model.nonlinearity_exponent)
+            return detector_output(power, gain, model.nonlinearity_exponent, out=power)
 
         if rows.size == 1:  # one row needs no scatter; a held one is a whole payload
             j = int(rows[0])

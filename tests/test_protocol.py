@@ -596,6 +596,67 @@ class TestSerialBackend:
         assert str(excinfo.value).startswith(message.format(crc=server.crc))
         assert len(client.capture(1)) == 8
 
+    @pytest.mark.parametrize(
+        "edit, error, counters, next_counters",
+        [
+            # A sample line under another tag, and an untagged END, between
+            # the sample lines are dropped; the frame still decodes.
+            (lambda f: f[:2] + ["0001" + f[1][4:]] + f[2:], None, (1, 0, 0), (1, 0, 0)),
+            (lambda f: f[:2] + ["END"] + f[2:], None, (1, 0, 0), (1, 0, 0)),
+            # A repeated header under the awaited tag is read as a sample
+            # line, so END is missing after the count's two sample lines; the
+            # next capture drops that END as stale.
+            (
+                lambda f: f[:2] + [f[0]] + f[2:],
+                "DATA frame: expected END after 2 sample lines, got '{line2}'",
+                (0, 0, 0),
+                (1, 0, 0),
+            ),
+            # A frame cut before END, or after its header, times out with no
+            # resend: the request has already been answered.
+            (lambda f: f[:-1], "timed out waiting for response 0002", (0, 1, 0), (0, 1, 0)),
+            (lambda f: f[:1], "timed out waiting for response 0002", (0, 1, 0), (0, 1, 0)),
+        ],
+        ids=["foreign-tag", "untagged-end", "repeated-header", "missing-end", "header-only"],
+    )
+    def test_frame_read_faults(self, edit, error, counters, next_counters):
+        # The first capture's 64-code frame (header, sample lines of 248
+        # and 8 hex digits, END) is edited on the way to the host. The
+        # error and the (stale_lines_dropped, timeouts, retries) counters
+        # are pinned, and the next capture decodes.
+        class EditFirstFrame(LoopbackTransport):
+            edited = False
+
+            def send_line(self, line):
+                response = self.server.handle_line(line)
+                if line[5:].startswith("SMP") and not self.edited:
+                    self.edited = True
+                    self.frame = response
+                    response = edit(response)
+                self._pending.extend(response)
+
+        reference, _ = make_stack(samples_per_block=32)
+        backend, _ = make_stack(samples_per_block=32)
+        transport = EditFirstFrame(DutProtocolServer(backend))
+        client = SerialBackend(transport, timeout_s=0)
+        adc = AdcConfig(samples_per_block=32)
+        client.configure(ReceptionPathId(0), ALL_CONFIGS[0], adc)
+        reference.configure(ReceptionPathId(0), ALL_CONFIGS[0], adc)
+        want = [reference.capture(2).samples for _ in range(2)]
+
+        def counts():
+            return (client.stale_lines_dropped, client.timeouts, client.retries)
+
+        if error is None:
+            assert client.capture(2).samples.tolist() == want[0].tolist()
+        else:
+            with pytest.raises(ProtocolError) as excinfo:
+                client.capture(2)
+            assert str(excinfo.value) == error.format(line2=transport.frame[2][5:])
+        assert counts() == counters
+        assert client.capture(2).samples.tolist() == want[1].tolist()
+        assert counts() == next_counters
+
     def test_reset_clears_configuration(self):
         client, _ = self.make_client()
         client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
