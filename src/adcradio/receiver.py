@@ -59,17 +59,31 @@ class BerReport:
         return sum(length for _, length in self.burst_runs if length >= min_length)
 
 
+# Samples per block of the slicer's running sum (see _symbol_central_means).
+_SUM_BLOCK = 1 << 14
+
+
+def _samples(samples) -> np.ndarray:
+    """``samples`` as an array: integer codes as they are, anything else as
+    float64. Every sum over integer codes accumulates in float64 and every
+    difference with them promotes to float64, converting each code exactly
+    as a float64 copy would, so no copy is made."""
+    x = np.asarray(samples)
+    return x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.float64)
+
+
 def _running_sum(x: np.ndarray) -> np.ndarray:
-    """0 followed by the cumulative sum of x: cs[j] - cs[i] sums x[i:j]."""
+    """0 followed by the cumulative float64 sum of x: cs[j] - cs[i] sums x[i:j]."""
     cs = np.empty(x.size + 1)
     cs[0] = 0.0
-    np.cumsum(x, out=cs[1:])
+    cs[1:] = x  # each sample converted to float64, as a float64 copy would
+    np.cumsum(cs[1:], out=cs[1:])
     return cs
 
 
 def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     """Centered moving average; the window shrinks one-sidedly at the edges."""
-    x = np.asarray(samples, dtype=np.float64)
+    x = _samples(samples)
     n = x.size
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -93,8 +107,11 @@ def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
 
 
 def remove_dc(samples: np.ndarray, window: int) -> np.ndarray:
-    """Subtract a centered moving average to strip DC and slow drift."""
-    x = np.asarray(samples, dtype=np.float64)
+    """Subtract a centered moving average to strip DC and slow drift.
+
+    Integer codes are read as they are (no float64 copy of them is made);
+    the result equals that of their float64 copy bit for bit."""
+    x = _samples(samples)
     out = moving_average(x, window)
     np.subtract(x, out, out=out)
     return out
@@ -187,6 +204,14 @@ def _symbol_central_means(x: np.ndarray, phase: float, sps: int) -> np.ndarray:
 
     Symbols are counted from the rounded boundary positions, so a final
     symbol whose fractional end rounds onto the last sample still counts.
+
+    Each mean is (cs[hi] - cs[lo]) / (hi - lo) over the running sum cs of
+    _running_sum, but only the two entries per symbol are kept: the sum is
+    made in blocks of _SUM_BLOCK samples in one reused buffer, each block
+    starting from its first sample plus the sum so far (the addition one
+    cumsum makes there), so every entry is the float a full running sum
+    holds. The bounds lo_0 < hi_0 <= lo_1 < hi_1 ... ascend, so each block
+    gathers one run of them.
     """
     n = x.size
     ks = np.arange(0, int(n / sps) + 2)
@@ -198,10 +223,23 @@ def _symbol_central_means(x: np.ndarray, phase: float, sps: int) -> np.ndarray:
     hi = b[1:]
     span = hi - lo
     q = span // 4
-    lo = lo + q
-    hi = hi - q
-    cs = _running_sum(x)
-    return (cs[hi] - cs[lo]) / (hi - lo)
+    bounds = np.empty(2 * lo.size, dtype=np.int64)
+    bounds[0::2] = lo + q
+    bounds[1::2] = hi - q
+    starts = range(0, n, _SUM_BLOCK)
+    # Block k holds cs[j] for starts[k] < j <= starts[k + 1]; cs[0] is 0.
+    cuts = np.searchsorted(bounds, [0, *starts[1:], n], side="right").tolist()
+    sums = np.zeros(bounds.size)
+    buffer = np.empty(min(n, _SUM_BLOCK))
+    for start, done, stop in zip(starts, cuts, cuts[1:]):
+        part = buffer[: min(_SUM_BLOCK, n - start)]
+        part[:] = x[start : start + part.size]
+        if start:
+            part[0] += carried
+        np.cumsum(part, out=part)  # part[i] is cs[start + i + 1]
+        carried = part[-1]
+        np.take(part, bounds[done:stop] - (start + 1), out=sums[done:stop])
+    return (sums[1::2] - sums[0::2]) / (bounds[1::2] - bounds[0::2])
 
 
 def slice_bits(samples: np.ndarray, phase: float, samples_per_symbol: int) -> BitSequence:
@@ -217,7 +255,7 @@ def _remove_dc_symbols(
     """remove_dc over a window of ``dc_window_symbols`` symbols, clipped to
     the trace length and shortened by one sample if that makes it even."""
     samples = trace.samples if isinstance(trace, AdcTrace) else trace
-    x = np.asarray(samples, dtype=np.float64)
+    x = np.asarray(samples)
     window = min(dc_window_symbols * samples_per_symbol, x.size)
     if window % 2 == 0:
         window -= 1

@@ -57,8 +57,14 @@ ALLOWED_OVERSAMPLING = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 # Raw conversions one vectorized pass of SimulatedDut.capture_schedule covers
 # (whole states only, at least one state). It bounds each float64 work array
 # of a pass to 128 KiB, however long the schedule; on the ideal-sync
-# experiment 16k ran faster than 32k or 64k and kept peak memory lowest.
+# experiment 16k ran faster than 32k or 64k and kept peak memory lowest. A
+# pass of one state longer than this (a link payload) is impaired and
+# quantized in blocks of this many raw conversions.
 _PASS_RAW_SAMPLES = 1 << 14
+
+# Entries _drift_table keeps: one per (drift, raw rate, pass length) that
+# recurs from raw sample 0. Both bundled link payloads share one entry.
+_DRIFT_TABLE_ENTRIES = 4
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -108,6 +114,8 @@ class BurstSpec:
     def __post_init__(self):
         if self.rate_per_s < 0 or self.duration_s < 0:
             raise ValueError("burst rate and duration must be >= 0")
+        if not math.isfinite(self.amplitude):
+            raise ValueError("burst amplitude must be finite")
 
 
 @dataclass(frozen=True)
@@ -300,6 +308,37 @@ class _DeviceState:
     burst_left: int = 0  # raw samples of burst still active
 
 
+def _drift_sine(drift: DriftSpec, raw_rate_hz: float, first: int, size: int) -> np.ndarray:
+    """The sinusoid drift of raw samples first .. first + size - 1 in a fresh
+    array: amplitude * sin(i / raw_rate_hz * 2 pi / period), computed in
+    that order. The index is exact below 2**53, so a run split into pieces
+    gives the same floats as one call over all of it."""
+    sine = np.arange(size, dtype=np.float64)
+    sine += first
+    sine /= raw_rate_hz
+    sine *= 2.0 * math.pi
+    sine /= drift.sine_period_s
+    np.sin(sine, out=sine)
+    sine *= drift.sine_amplitude
+    return sine
+
+
+@lru_cache(maxsize=_DRIFT_TABLE_ENTRIES)
+def _drift_table(drift: DriftSpec, raw_rate_hz: float, size: int) -> np.ndarray:
+    """_drift_sine of raw samples 0 .. size - 1, computed once and read-only.
+
+    The sinusoid depends on the raw index alone, and every link payload
+    starts at raw sample 0 right after configure, so its drift is the same
+    array each time. At most _DRIFT_TABLE_ENTRIES entries are kept (least
+    recently used out first). Only a pass longer than one block that starts
+    at raw sample 0 reads a table; keyed on every pass start, a table
+    thrashed on per-row captures.
+    """
+    sine = _drift_sine(drift, raw_rate_hz, 0, size)
+    sine.flags.writeable = False
+    return sine
+
+
 def _impair(
     values: np.ndarray,
     model: CouplingModel,
@@ -320,6 +359,29 @@ def _impair(
     the sinusoid and the bursts follow the global raw sample index, so a
     burst carries across states.
 
+    A pass of one state (a link payload) draws its walk steps and burst
+    uniforms in blocks of _PASS_RAW_SAMPLES, all walk blocks before any
+    uniform block, and adds the walk and the sinusoid block by block. This
+    is bit-identical to one draw and one sum over the pass: consecutive
+    draws from one stream give the numbers of one longer draw; the walk's
+    running sum carries into the next block by adding the last sum to the
+    block's first step before its cumsum, which is the addition one cumsum
+    makes there; and each sample gets its terms in the same order. A short
+    capture is one block. A pass of several states is at most one block
+    long (_capture_rows makes it so) and runs as one.
+
+    A pass longer than one block that starts at raw sample 0 (a link
+    payload right after configure) adds its sinusoid from _drift_table.
+    Shorter passes compute it: on per-row and batched captures a table
+    would only hold memory.
+
+    The bursts are the merged intervals of the carried burst and the new
+    ones, each adding the amplitude to its slice of the sum. The sum they
+    replace added amplitude * 0 to every other sample, which turns a -0.0
+    into 0.0 for a positive amplitude; without noise the sum can hold a
+    -0.0 from values, so it gets that term too (with noise it cannot, and
+    adding the zero would change nothing).
+
     The sum starts as the drawn noise plus ``values``, or as a copy of
     values when noise is off, and each later term is added into it in
     place; values itself is never written.
@@ -328,7 +390,9 @@ def _impair(
     n = size // states
     drift, burst = model.drift, model.burst
     sigma, step = model.noise_sigma, drift.walk_step
+    sine = drift.sine_amplitude > 0 and drift.sine_period_s > 0
     bursts = burst.rate_per_s > 0 and burst.duration_s > 0
+    block = _PASS_RAW_SAMPLES if states == 1 else size
     # drawn: None, or each stream's values drawn state by state, read flat
     # (None for a stream that is off).
     drawn = None
@@ -348,42 +412,56 @@ def _impair(
         out += values
     else:
         out = values.copy()
-    if step > 0:
-        walk = (drawn[1] if drawn else rng.normal(0.0, step, size)).reshape(states, n)
-        np.cumsum(walk, axis=1, out=walk)
-        # Sequential sums of the row ends: each row starts from the previous
-        # row's last walk value, exactly as per-state captures carry it.
-        offsets = np.cumsum(np.concatenate(([state.walk_value], walk[:, -1])))
-        state.walk_value = float(offsets[-1])
-        walk += offsets[:-1, None]
-        out += walk.reshape(size)
-        del walk  # free each term before the next: a long pass holds fewer arrays
-    if drift.sine_amplitude > 0 and drift.sine_period_s > 0:
-        sine = np.arange(size, dtype=np.float64)
-        sine += state.sample_index
-        sine /= raw_rate_hz
-        sine *= 2.0 * math.pi
-        sine /= drift.sine_period_s
-        np.sin(sine, out=sine)
-        sine *= drift.sine_amplitude
-        out += sine
-        del sine
+    if step > 0 or sine:
+        table = None
+        if sine and state.sample_index == 0 and size > block:
+            table = _drift_table(drift, raw_rate_hz, size)
+        walk_start = state.walk_value
+        for lo in range(0, size, block):
+            part = out[lo : lo + block]
+            if step > 0:
+                walk = (drawn[1] if drawn else rng.normal(0.0, step, part.size)).reshape(states, -1)
+                if lo:
+                    walk[0, 0] += carried  # the pass's running sum so far
+                np.cumsum(walk, axis=1, out=walk)
+                carried = walk[0, -1]
+                # Sequential sums of the row ends: each row starts from the
+                # previous row's last walk value, exactly as per-state
+                # captures carry it.
+                offsets = np.cumsum(np.concatenate(([walk_start], walk[:, -1])))
+                state.walk_value = float(offsets[-1])
+                walk += offsets[:-1, None]
+                part += walk.reshape(-1)
+            if sine:
+                if table is not None:
+                    part += table[lo : lo + block]
+                else:
+                    part += _drift_sine(drift, raw_rate_hz, state.sample_index + lo, part.size)
     if bursts:
-        starts = np.flatnonzero(
-            (drawn[2] if drawn else rng.random(size)) < burst.rate_per_s / raw_rate_hz
-        )
-        ends = starts + max(1, int(round(burst.duration_s * raw_rate_hz)))
-        delta = np.zeros(size + 1)
-        if state.burst_left > 0:
-            delta[0] += 1
-            delta[min(state.burst_left, size)] -= 1
-        np.add.at(delta, starts, 1)
-        np.add.at(delta, np.minimum(ends, size), -1)
-        np.cumsum(delta, out=delta)
-        active = delta[:-1] > 0
-        if active.any():
-            out += np.multiply(burst.amplitude, active, out=delta[:-1])
-        state.burst_left = max(0, int(np.max(ends, initial=state.burst_left)) - size)
+        threshold = burst.rate_per_s / raw_rate_hz
+        if drawn:
+            begin = np.flatnonzero(drawn[2] < threshold)
+        else:
+            begin = np.concatenate([
+                np.flatnonzero(rng.random(min(block, size - lo)) < threshold) + lo
+                for lo in range(0, size, block)
+            ])
+        end = begin + max(1, int(round(burst.duration_s * raw_rate_hz)))
+        if state.burst_left > 0:  # the burst carried in runs from sample 0
+            begin = np.concatenate(([0], begin))
+            end = np.concatenate(([state.burst_left], end))
+        state.burst_left = 0
+        if begin.size:
+            reach = np.maximum.accumulate(end)
+            # A merged burst starts at each start past every end before it.
+            first = np.flatnonzero(begin[1:] > reach[:-1]) + 1
+            if sigma == 0:
+                out += burst.amplitude * 0.0
+            heads = begin[np.concatenate(([0], first))]
+            tails = reach[np.concatenate((first - 1, [-1]))]
+            for a, b in zip(heads.tolist(), tails.tolist()):
+                out[a:b] += burst.amplitude
+            state.burst_left = max(0, int(reach[-1]) - size)
     state.sample_index += size
     return out
 
@@ -398,9 +476,20 @@ def _quantize(raw: np.ndarray, full_scale: int, ratio: int) -> np.ndarray:
     would change nothing and is skipped. raw.size must be a multiple of
     ratio.
 
-    Rounding makes one new array, which the clamp then writes in place;
-    raw itself is never written.
+    An array longer than one block (whole codes of at most
+    _PASS_RAW_SAMPLES conversions, at least one code) is quantized block by
+    block into the int32 output: every code depends on its own conversions
+    alone, so this is bit-identical to quantizing it whole, and a long array
+    needs no full-length float copy. Rounding a block makes one new array,
+    which the clamp then writes in place; raw itself is never written.
     """
+    if raw.size > _PASS_RAW_SAMPLES and raw.size > ratio:
+        block = max(ratio, _PASS_RAW_SAMPLES - _PASS_RAW_SAMPLES % ratio)
+        codes = np.empty(raw.size // ratio, dtype=np.int32)
+        for lo in range(0, raw.size, block):
+            part = _quantize(raw[lo : lo + block], full_scale, ratio)
+            codes[lo // ratio : lo // ratio + part.size] = part
+        return codes
     fs = float(full_scale)
     codes = np.rint(raw)
     codes.clip(0.0, fs, out=codes)
@@ -599,11 +688,8 @@ class SimulatedDut:
                 analog, state.filter_value = _lowpass(offset, alpha, state.filter_value)
                 del offset  # freed before _impair draws: a long pass holds fewer arrays
                 analog += model.dc_operating_point
-            # The pass's input stays alive until the quantization has taken
-            # its arrays. Freed first, on a link payload it joined the free
-            # top of the heap, which malloc gave back to the system, and
-            # the next arrays faulted those pages in again.
             raw = _impair(analog, model, self._rng, state, adc.raw_rate_hz, part.size)
+            del analog  # freed before the quantization: a long pass holds fewer arrays
             passes.append(_quantize(raw, adc.full_scale, adc.oversampling_ratio))
         return passes[0] if len(passes) == 1 else np.concatenate(passes)
 

@@ -41,7 +41,10 @@ def test_link_faults_tool_reports_every_stage():
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    stages = [line.split()[0] for line in result.stdout.splitlines()[1:]]
-    assert stages == [
+    lines = result.stdout.splitlines()
+    rows = [line.split() for line in lines[1:-1]]
+    assert [row[0] for row in rows] == [
         "capture", "coupled_offset", "remove_dc", "recover_timing", "slice_bits", "payload"
     ]
+    assert all(row[-1] == "MiB" and float(row[-2]) >= 0.0 for row in rows)
+    assert lines[-1].startswith("peak RSS ") and lines[-1].endswith(" MiB")

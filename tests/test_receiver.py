@@ -2,6 +2,7 @@
 
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from adcradio import receiver
 from adcradio.backend import (
     NotConfiguredError,
     ReceptionPathId,
@@ -161,6 +163,50 @@ class TestFrontEndReference:
                 expected = np.asarray(signal, dtype=np.float64) / spread
                 assert normalize(signal).tobytes() == expected.tobytes()
         assert x.tobytes() == given_x.tobytes()
+
+
+def reference_central_means(x, phase, sps):
+    """The slicer's symbol means over a full running sum, as first written."""
+    n = x.size
+    ks = np.arange(0, int(n / sps) + 2)
+    b = np.rint((ks + phase) * sps).astype(np.int64)
+    b = b[(b >= 0) & (b <= n)]
+    if b.size < 2:
+        return np.empty(0)
+    q = (b[1:] - b[:-1]) // 4
+    lo, hi = b[:-1] + q, b[1:] - q
+    cs = np.concatenate(([0.0], np.cumsum(x)))
+    return (cs[hi] - cs[lo]) / (hi - lo)
+
+
+class TestSumBlocks:
+    """The slicer makes its running sum in blocks of _SUM_BLOCK samples, and
+    remove_dc sums integer codes without a float64 copy. Patched down to
+    3-17 samples, the block makes small signals cross many block edges."""
+
+    @example(block=4, x=np.array([-0.0, 1.5, -2.0, 0.25, 3.0, -1.0, 2.0, 1.0]), phase=0.0, sps=2)
+    @given(
+        block=st.integers(3, 17),
+        x=arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e6, 1e6) | st.just(-0.0)),
+        phase=st.floats(0.0, 1.0, exclude_max=True),
+        sps=st.integers(2, 20),
+    )
+    def test_slicer_block_sums_equal_the_running_sum_formula(self, block, x, phase, sps):
+        given_x = x.copy()
+        with mock.patch.object(receiver, "_SUM_BLOCK", block, create=True):
+            means = receiver._symbol_central_means(x, phase, sps)
+        assert means.tobytes() == reference_central_means(given_x, phase, sps).tobytes()
+        assert x.tobytes() == given_x.tobytes()
+
+    @example(case=(np.array([0, 4095, 7, 4095, 0], dtype=np.int32), 3))
+    @given(case=front_end_cases().filter(lambda case: case[0].dtype == np.int32))
+    def test_remove_dc_on_codes_equals_remove_dc_on_their_float64_copy(self, case):
+        codes, window = case
+        given_codes = codes.copy()
+        floats = codes.astype(np.float64)
+        assert remove_dc(codes, window).tobytes() == remove_dc(floats, window).tobytes()
+        assert moving_average(codes, window).tobytes() == moving_average(floats, window).tobytes()
+        assert codes.tobytes() == given_codes.tobytes()
 
 
 class TestRecoverTiming:

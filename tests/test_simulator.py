@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -410,6 +411,188 @@ class TestAddImpairments:
         assert values.tobytes() == given_values.tobytes()
         assert batched == reference  # sample_index, walk_value and burst_left
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
+def test_a_burst_amplitude_must_be_finite(amplitude):
+    # The bursts add the amplitude to their samples only, so an infinite one
+    # could not reproduce the NaN that amplitude * 0 put everywhere else.
+    with pytest.raises(ValueError, match="finite"):
+        BurstSpec(rate_per_s=1.0, amplitude=amplitude, duration_s=0.01)
+
+
+_DRIFTS = st.builds(
+    DriftSpec,
+    walk_step=st.floats(0.01, 0.5),
+    sine_amplitude=st.floats(0.5, 20.0),
+    sine_period_s=st.floats(1e-3, 0.1),
+)
+_BURSTS = st.builds(
+    BurstSpec,
+    rate_per_s=st.floats(50.0, 2000.0),
+    amplitude=st.floats(-40.0, 40.0),
+    duration_s=st.floats(1e-4, 2e-2),
+)
+
+
+class TestPassBlocks:
+    """A pass of one state runs _impair's walk, sinusoid and burst draws and
+    _quantize's rounding in blocks of _PASS_RAW_SAMPLES. Patched down to
+    3-17 samples, the block makes small arrays cross many block edges; the
+    results must equal the whole-array rules bit for bit."""
+
+    @example(  # a carried 12-sample burst and 30-sample bursts over 5-sample blocks
+        block=5,
+        values=np.linspace(1000.0, 1100.0, 47),
+        noise_sigma=0.7,
+        drift=DriftSpec(walk_step=0.1, sine_amplitude=3.0, sine_period_s=0.004),
+        burst=BurstSpec(rate_per_s=900.0, amplitude=25.0, duration_s=0.003),
+        start=_DeviceState(sample_index=17, walk_value=-3.5, burst_left=12),
+        seed=4,
+    )
+    @example(  # short bursts that start and end inside a long carried one
+        block=7,
+        values=np.full(60, 100.0),
+        noise_sigma=0.7,
+        drift=DriftSpec(walk_step=0.05, sine_amplitude=1.0, sine_period_s=0.002),
+        burst=BurstSpec(rate_per_s=1500.0, amplitude=30.0, duration_s=0.0004),
+        start=_DeviceState(sample_index=5, walk_value=0.0, burst_left=45),
+        seed=1,
+    )
+    @example(  # from raw sample 0, so the sinusoid comes from the drift table
+        block=3,
+        values=np.full(20, 2048.0),
+        noise_sigma=3.0,
+        drift=DriftSpec(walk_step=0.2, sine_amplitude=5.0, sine_period_s=0.001),
+        burst=BurstSpec(rate_per_s=2000.0, amplitude=-40.0, duration_s=0.0004),
+        start=_DeviceState(sample_index=0, walk_value=7.0, burst_left=4),
+        seed=11,
+    )
+    @given(
+        block=st.integers(3, 17),
+        values=arrays(np.float64, st.integers(1, 120), elements=_SAMPLES),
+        noise_sigma=st.sampled_from([0.7, 3.0]),
+        drift=_DRIFTS,
+        burst=_BURSTS,
+        start=st.builds(
+            _DeviceState,
+            sample_index=st.just(0) | st.integers(0, 10**6),
+            walk_value=st.floats(-50.0, 50.0),
+            burst_left=st.integers(0, 400),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_impair_across_blocks_equals_the_term_by_term_sum(
+        self, block, values, noise_sigma, drift, burst, start, seed
+    ):
+        # All four terms on: noise, walk, sinusoid and bursts.
+        model = CouplingModel(noise_sigma=noise_sigma, drift=drift, burst=burst)
+        given_values = values.copy()
+        state, reference = replace(start), replace(start)
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+
+        with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", block):
+            out = _impair(values, model, rng, state, 10_000.0)
+        expected = reference_impair(given_values, model, reference_rng, reference, 10_000.0)
+
+        assert out.tobytes() == expected.tobytes()
+        assert values.tobytes() == given_values.tobytes()
+        assert state == reference  # sample_index, walk_value and burst_left
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    @pytest.mark.parametrize("amplitude", [25.0, 0.0, -0.0, -25.0])
+    def test_bursts_without_noise_keep_the_signed_zeros_of_the_dense_sum(self, amplitude):
+        # The dense sum added amplitude * 0 outside the bursts, turning a
+        # -0.0 of the input into 0.0 unless that product is -0.0.
+        values = np.array([-0.0, 1.0, -0.0, -0.0, 2.0, -0.0, -0.0, -0.0])
+        model = CouplingModel(burst=BurstSpec(rate_per_s=1.0, amplitude=amplitude, duration_s=3e-4))
+        state, reference = _DeviceState(burst_left=3), _DeviceState(burst_left=3)
+        with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", 3):
+            out = _impair(values, model, np.random.default_rng(0), state, 10_000.0)
+        expected = reference_impair(values, model, np.random.default_rng(0), reference, 10_000.0)
+        assert out.tobytes() == expected.tobytes()
+        assert state == reference
+
+    @example(block=5, case=(4, np.array([0.5, 1.0, 1.5, 1.0] * 3)), bits=12)
+    @given(
+        block=st.integers(3, 17),
+        case=st.sampled_from([1, 4, 16]).flatmap(
+            lambda ratio: st.tuples(
+                st.just(ratio),
+                arrays(np.float64, st.integers(0, 40).map(lambda n: n * ratio), elements=_ANALOG),
+            )
+        ),
+        bits=st.integers(6, 16),
+    )
+    def test_quantize_across_blocks_equals_the_two_step_rule(self, block, case, bits):
+        ratio, raw = case
+        full_scale = (1 << bits) - 1
+        expected = two_step_codes(raw, full_scale, ratio)
+        given_raw = raw.copy()
+        with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", block):
+            codes = _quantize(raw, full_scale, ratio)
+        assert codes.dtype == np.int32
+        assert codes.tobytes() == expected.tobytes()
+        assert raw.tobytes() == given_raw.tobytes()
+
+
+class TestDriftTable:
+    """The sinusoid of a pass that starts at raw sample 0 comes from a small
+    read-only table; it must hold exactly the floats the chain computes."""
+
+    DRIFT = DriftSpec(walk_step=0.01, sine_amplitude=2.0, sine_period_s=8.0)
+
+    @pytest.mark.parametrize("size", [1, 64, 16_385, 201_040])
+    @pytest.mark.parametrize(
+        "rate, period", [(10_000.0, 5.0), (16_000.0, 8.0), (400_000.0, 1e-3)]
+    )
+    def test_equals_the_chain(self, size, rate, period):
+        drift = DriftSpec(sine_amplitude=3.5, sine_period_s=period)
+        index = np.arange(size, dtype=np.float64)
+        chain = np.sin(index / rate * (2.0 * np.pi) / period) * drift.sine_amplitude
+        assert simulator._drift_table(drift, rate, size).tobytes() == chain.tobytes()
+
+    def test_is_read_only(self):
+        table = simulator._drift_table(self.DRIFT, 16_000.0, 100)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 1.0
+
+    @mock.patch.object(simulator, "_PASS_RAW_SAMPLES", 64)
+    def test_a_second_configure_hits_it_and_other_passes_never_read_it(self):
+        model = CouplingModel(noise_sigma=1.0, drift=self.DRIFT)
+        dut = make_dut(model=model, adc=AdcConfig(samples_per_block=50))
+        simulator._drift_table.cache_clear()
+        dut.configure(1, CFG, dut.adc)
+        dut.capture(1)  # from raw sample 0, but one block long
+        assert simulator._drift_table.cache_info()[:2] == (0, 0)  # hits, misses
+        dut.configure(1, CFG, dut.adc)
+        dut.capture(3)  # from raw sample 0 over three blocks: builds the entry
+        assert simulator._drift_table.cache_info()[:2] == (0, 1)
+        dut.capture(3)  # from raw sample 150
+        assert simulator._drift_table.cache_info()[:2] == (0, 1)
+        dut.configure(1, CFG, dut.adc)
+        dut.capture(3)
+        assert simulator._drift_table.cache_info()[:2] == (1, 1)
+
+    @mock.patch.object(simulator, "_PASS_RAW_SAMPLES", 16)
+    def test_a_later_pass_computes_the_chain_itself(self):
+        model = CouplingModel(drift=DriftSpec(sine_amplitude=4.0, sine_period_s=0.01))
+        dut = make_dut(model=model, adc=AdcConfig(samples_per_block=64))
+        dut.configure(1, CFG, dut.adc)
+        dut.capture(1)
+        with mock.patch.object(simulator, "_drift_table", side_effect=AssertionError):
+            codes = dut.capture(2).samples  # eight blocks from raw sample 64
+        index = np.arange(64, 192, dtype=np.float64)
+        sine = np.sin(index / 10_000.0 * (2.0 * np.pi) / 0.01) * 4.0
+        assert codes.tobytes() == np.rint(2048.0 + sine).astype(np.int32).tobytes()
+
+    def test_keeps_at_most_its_stated_entries(self):
+        bound = simulator._DRIFT_TABLE_ENTRIES
+        assert simulator._drift_table.cache_info().maxsize == bound
+        for size in range(1, bound + 4):
+            simulator._drift_table(self.DRIFT, 16_000.0, size)
+        assert simulator._drift_table.cache_info().currsize == bound
 
 
 class TestAdcSample:

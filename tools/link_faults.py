@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-stage time and minor page faults of a 12,565-bit link payload.
+"""Per-stage time, minor page faults and memory of a 12,565-bit link payload.
 
 Runs payloads on link_3m and link_20m in turn, in one process, as the
 ``link_decode`` benchmark workload does (``scenario.transmit`` modulates and
@@ -11,6 +11,13 @@ how much of a stage's time goes to fresh memory rather than arithmetic. The
 ``coupled_offset`` stage is the part of ``capture`` spent in
 ``SimulatedDut._coupled_offset``: the envelope hold and the detector. The
 first payloads are run untimed.
+
+Memory: the last column is how far the process's peak RSS (getrusage's
+ru_maxrss) rose while the stage ran, summed over all payloads, the untimed
+ones included (the peak is usually set by the first payload of each
+scenario); a stage that never sets a new peak shows 0. The last line gives
+the process's peak RSS at the end, the figure the benchmark reports as
+``peak_rss_mb`` (which also covers its own inputs and harness).
 
 Run from the repository root (Linux; faults come from getrusage):
 
@@ -35,17 +42,21 @@ STAGES = ("capture", "coupled_offset") + RECEIVER_STAGES
 WARMUP = 4
 
 
-def minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+def usage() -> tuple[int, int]:
+    """Minor faults so far and the peak RSS in KiB (Linux units)."""
+    ru = resource.getrusage(resource.RUSAGE_SELF)
+    return ru.ru_minflt, ru.ru_maxrss
 
 
 def timed(record: dict, name: str, fn):
-    """fn wrapped to add its wall time and minor faults to record[name]."""
+    """fn wrapped to set record[name] to its wall time, minor faults and
+    peak-RSS growth in KiB."""
 
     def wrapper(*args, **kwargs):
-        f0, t0 = minor_faults(), perf_counter()
+        (f0, m0), t0 = usage(), perf_counter()
         out = fn(*args, **kwargs)
-        record[name] = (perf_counter() - t0, minor_faults() - f0)
+        t1, (f1, m1) = perf_counter(), usage()
+        record[name] = (t1 - t0, f1 - f0, m1 - m0)
         return out
 
     return wrapper
@@ -57,6 +68,9 @@ def payload(scn, seed: int, record: dict) -> None:
     rig, source = scenario.build_rig(scn, seed=seed)
     rig.capture = timed(record, "capture", rig.capture)
     trace, params = scenario.transmit(scn, bits, rig=(rig, source))
+    # The wrapper holds the rig's bound method: a cycle that would keep
+    # every payload's rig alive until the cyclic collector ran.
+    del rig.capture
     receiver.demodulate(trace, params)
 
 
@@ -81,13 +95,18 @@ def main() -> None:
     for i in range(WARMUP + args.payloads):
         record.clear()
         timed(record, "payload", payload)(scenarios[i % 2], 1000 + i, record)
-        if i >= WARMUP:
-            rows.append(dict(record))
-    print(f"{args.payloads} payloads, median ms and mean minor faults per payload")
+        rows.append(dict(record))
+    timed_rows = rows[WARMUP:]
+    print(
+        f"{args.payloads} payloads, median ms and mean minor faults per payload,"
+        " and peak-RSS growth over all payloads"
+    )
     for name in STAGES + ("payload",):
-        ms = median(row[name][0] for row in rows) * 1e3
-        faults = mean(row[name][1] for row in rows)
-        print(f"{name:15s} {ms:8.2f} ms {faults:8.0f} faults")
+        ms = median(row[name][0] for row in timed_rows) * 1e3
+        faults = mean(row[name][1] for row in timed_rows)
+        grown = sum(row[name][2] for row in rows) / 1024
+        print(f"{name:15s} {ms:8.2f} ms {faults:8.0f} faults {grown:8.2f} MiB")
+    print(f"peak RSS {usage()[1] / 1024:.2f} MiB")
 
 
 if __name__ == "__main__":
