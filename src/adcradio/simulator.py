@@ -66,6 +66,10 @@ _PASS_RAW_SAMPLES = 1 << 14
 # recurs from raw sample 0. Both bundled link payloads share one entry.
 _DRIFT_TABLE_ENTRIES = 4
 
+# Distinct (freq, power) pairs whose incident power a device keeps (a desk
+# sweep uses 81).
+_INCIDENT_ENTRIES = 4096
+
 _INT64_MAX = np.iinfo(np.int64).max
 
 # The rows of a one-capture schedule: its one stimulus, once.
@@ -205,6 +209,23 @@ def coupling_gain(model: CouplingModel, freq_hz: float) -> float:
     return gain
 
 
+def _coupling_gains(model: CouplingModel, freqs_hz: list) -> np.ndarray:
+    """coupling_gain at each of several carrier frequencies, in one numpy
+    pass that makes its IEEE operations in resonance order, so each gain
+    equals coupling_gain's bit for bit. An overflow gives inf silently, as
+    it does with Python floats."""
+    freqs = np.array(freqs_hz, dtype=np.float64)
+    gains = np.zeros(freqs.size)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for res in model.resonances:
+            x = freqs - res.center_hz
+            x /= res.bandwidth_hz
+            x *= x
+            x += 1.0
+            gains += np.divide(res.peak_gain, x, out=x)
+    return gains
+
+
 def detector_output(
     incident_power_mw: np.ndarray,
     gain: float | np.ndarray,
@@ -339,6 +360,44 @@ def _drift_table(drift: DriftSpec, raw_rate_hz: float, size: int) -> np.ndarray:
     return sine
 
 
+def _grouped_draws(
+    rng: np.random.Generator, states: int, n: int, scales: list, bursts: bool
+) -> tuple[list, np.ndarray | None]:
+    """The normals of each stream in ``scales`` (the noise sigma and the
+    walk step of the streams that are on, in that order) and, with
+    ``bursts``, the burst uniforms of a pass of ``states`` states of n
+    samples, drawn in the order one call per stream and state would draw
+    them, in as few generator calls as that order allows.
+
+    ``Generator.normal(0, s, n)`` computes ``0.0 + s * z`` from the n
+    standard normals z that ``standard_normal(n)`` draws, and consumes the
+    bit generator exactly as that does. So without bursts all states'
+    normals are one standard_normal call into an array of shape (states,
+    streams, n); with bursts each state makes one call for its normals and
+    one ``random`` call for its uniforms. Each stream is then scaled and
+    has 0.0 added, which turns a -0.0 into 0.0 as normal does.
+
+    Returns each normal stream as a (states, n) view and the uniforms as
+    one flat array (None without bursts).
+    """
+    z = np.empty((states, len(scales), n))
+    uniforms = None
+    if bursts:
+        uniforms = np.empty((states, n))
+        normal, uniform = rng.standard_normal, rng.random
+        for z_k, uniforms_k in zip(z, uniforms):
+            normal(out=z_k)
+            uniform(out=uniforms_k)
+        uniforms = uniforms.reshape(-1)
+    else:
+        rng.standard_normal(out=z)
+    normals = [z[:, i] for i in range(len(scales))]
+    for stream, scale in zip(normals, scales):
+        stream *= scale
+    z += 0.0
+    return normals, uniforms
+
+
 def _impair(
     values: np.ndarray,
     model: CouplingModel,
@@ -351,24 +410,27 @@ def _impair(
     held back to back in ``values``; returns a fresh array, advances state.
 
     The random draws are those of one call per state, in capture order:
-    noise normal, walk step normal, burst uniform. With several states and
-    more than one of these streams, a loop draws them state by state into
-    one array per stream; otherwise each stream is drawn over the whole pass
-    where it is used, which gives the same numbers. The arithmetic then runs
-    once over the pass: each state's walk starts from the one before, and
-    the sinusoid and the bursts follow the global raw sample index, so a
-    burst carries across states.
+    noise normal, walk step normal, burst uniform. A pass no longer than
+    one block (_PASS_RAW_SAMPLES; every pass of several states, and every
+    short capture) with more than one of these streams on takes them from
+    _grouped_draws: one generator call for the whole pass without bursts,
+    two per state with them. A pass with one stream on draws it over the
+    whole pass, which gives the same numbers. The arithmetic then runs once
+    over the pass: each state's walk starts from the one before, and the
+    sinusoid and the bursts follow the global raw sample index, so a burst
+    carries across states. A pass of one state adds its walk's start value
+    as one scalar.
 
-    A pass of one state (a link payload) draws its walk steps and burst
-    uniforms in blocks of _PASS_RAW_SAMPLES, all walk blocks before any
-    uniform block, and adds the walk and the sinusoid block by block. This
-    is bit-identical to one draw and one sum over the pass: consecutive
-    draws from one stream give the numbers of one longer draw; the walk's
-    running sum carries into the next block by adding the last sum to the
-    block's first step before its cumsum, which is the addition one cumsum
-    makes there; and each sample gets its terms in the same order. A short
-    capture is one block. A pass of several states is at most one block
-    long (_capture_rows makes it so) and runs as one.
+    A pass of one state longer than one block (a link payload) keeps its
+    own draw code: it draws its walk steps and burst uniforms in blocks of
+    _PASS_RAW_SAMPLES, all walk blocks before any uniform block, and adds
+    the walk and the sinusoid block by block. This is bit-identical to one
+    draw and one sum over the pass: consecutive draws from one stream give
+    the numbers of one longer draw; the walk's running sum carries into the
+    next block by adding the last sum to the block's first step before its
+    cumsum, which is the addition one cumsum makes there; and each sample
+    gets its terms in the same order. A pass of several states is at most
+    one block long (_capture_rows makes it so) and runs as one.
 
     A pass longer than one block that starts at raw sample 0 (a link
     payload right after configure) adds its sinusoid from _drift_table.
@@ -393,23 +455,19 @@ def _impair(
     sine = drift.sine_amplitude > 0 and drift.sine_period_s > 0
     bursts = burst.rate_per_s > 0 and burst.duration_s > 0
     block = _PASS_RAW_SAMPLES if states == 1 else size
-    # drawn: None, or each stream's values drawn state by state, read flat
-    # (None for a stream that is off).
-    drawn = None
-    if states > 1 and (sigma > 0) + (step > 0) + bursts > 1:
-        drawn = [np.empty((states, n)) if on else None for on in (sigma > 0, step > 0, bursts)]
-        noise_rows, step_rows, uniform_rows = drawn
-        for k in range(states):
-            if noise_rows is not None:
-                noise_rows[k] = rng.normal(0.0, sigma, n)
-            if step_rows is not None:
-                step_rows[k] = rng.normal(0.0, step, n)
-            if uniform_rows is not None:
-                uniform_rows[k] = rng.random(n)
-        drawn = [None if rows is None else rows.reshape(size) for rows in drawn]
+    noise = steps = uniforms = None
+    if size <= block and (sigma > 0) + (step > 0) + bursts > 1:
+        normals, uniforms = _grouped_draws(
+            rng, states, n, [s for s in (sigma, step) if s > 0], bursts
+        )
+        noise = normals[0] if sigma > 0 else None
+        steps = normals[-1] if step > 0 else None
     if sigma > 0:
-        out = drawn[0] if drawn else rng.normal(0.0, sigma, size)
-        out += values
+        if noise is None:
+            out = rng.normal(0.0, sigma, size)
+            out += values
+        else:
+            out = np.add(noise, values.reshape(noise.shape)).reshape(size)
     else:
         out = values.copy()
     if step > 0 or sine:
@@ -420,18 +478,25 @@ def _impair(
         for lo in range(0, size, block):
             part = out[lo : lo + block]
             if step > 0:
-                walk = (drawn[1] if drawn else rng.normal(0.0, step, part.size)).reshape(states, -1)
+                walk = steps
+                if walk is None:
+                    walk = rng.normal(0.0, step, (states, part.size // states))
                 if lo:
                     walk[0, 0] += carried  # the pass's running sum so far
-                np.cumsum(walk, axis=1, out=walk)
+                walk.cumsum(axis=1, out=walk)
                 carried = walk[0, -1]
-                # Sequential sums of the row ends: each row starts from the
-                # previous row's last walk value, exactly as per-state
-                # captures carry it.
-                offsets = np.cumsum(np.concatenate(([walk_start], walk[:, -1])))
-                state.walk_value = float(offsets[-1])
-                walk += offsets[:-1, None]
-                part += walk.reshape(-1)
+                if states == 1:
+                    walk += walk_start
+                    state.walk_value = float(walk[0, -1])
+                else:
+                    # Sequential sums of the row ends: each row starts from
+                    # the previous row's last walk value, exactly as
+                    # per-state captures carry it.
+                    offsets = np.cumsum(np.concatenate(([walk_start], walk[:, -1])))
+                    state.walk_value = float(offsets[-1])
+                    walk += offsets[:-1, None]
+                by_row = part.reshape(walk.shape)
+                by_row += walk
             if sine:
                 if table is not None:
                     part += table[lo : lo + block]
@@ -439,13 +504,13 @@ def _impair(
                     part += _drift_sine(drift, raw_rate_hz, state.sample_index + lo, part.size)
     if bursts:
         threshold = burst.rate_per_s / raw_rate_hz
-        if drawn:
-            begin = np.flatnonzero(drawn[2] < threshold)
-        else:
+        if size > block:
             begin = np.concatenate([
                 np.flatnonzero(rng.random(min(block, size - lo)) < threshold) + lo
                 for lo in range(0, size, block)
             ])
+        else:
+            begin = ((rng.random(size) if uniforms is None else uniforms) < threshold).nonzero()[0]
         end = begin + max(1, int(round(burst.duration_s * raw_rate_hz)))
         if state.burst_left > 0:  # the burst carried in runs from sample 0
             begin = np.concatenate(([0], begin))
@@ -579,6 +644,7 @@ class SimulatedDut:
         self._config: Hashable | None = None
         self._model: CouplingModel = default_model
         self._state = _DeviceState()
+        self._incident = (channel, {})  # (channel, {(freq, power): incident mW})
 
     @property
     def configured(self) -> bool:
@@ -698,32 +764,51 @@ class SimulatedDut:
         stimuli whose envelope the path couples.
 
         An RF-off stimulus, one the path does not couple at its carrier,
-        and one with an envelope have level 0. Each other stimulus gets
-        coupling_gain, then the channel's incident power in mW, and the
-        levels of all of them come from one detector_output call. The
-        second value maps the index of each coupled stimulus with an
-        envelope to (envelope, incident mW, gain).
+        and one with an envelope have level 0. The coupling gains of the
+        other stimuli come from one _coupling_gains pass (coupling_gain
+        itself for a single one); the channel's incident power in mW of
+        each distinct (freq, power) is computed once per device and channel
+        and kept in a table (at most _INCIDENT_ENTRIES pairs; it starts
+        afresh past that, or when ``channel`` is replaced); and the levels
+        of the constant carriers come from one detector_output call. Each
+        level is bit-identical to the scalar chain coupling_gain,
+        incident_dbm, dbm_to_mw, detector_output. The second value maps the
+        index of each coupled stimulus with an envelope to (envelope,
+        incident mW, gain).
         """
         model = self._model
         levels = np.zeros(len(stimuli))
-        constant, powers_mw, gains = [], [], []
         held = {}
-        for j, stimulus in enumerate(stimuli):
-            if stimulus is None or not stimulus.enabled:
-                continue
-            gain = coupling_gain(model, stimulus.freq_hz)
+        on = [j for j, stimulus in enumerate(stimuli) if stimulus is not None and stimulus.enabled]
+        if not (on and model.resonances):
+            gains = []
+        elif len(on) == 1:
+            gains = [coupling_gain(model, stimuli[on[0]].freq_hz)]
+        else:
+            gains = _coupling_gains(model, [stimuli[j].freq_hz for j in on]).tolist()
+        channel, incident_mw = self._incident
+        if channel is not self.channel or len(incident_mw) > _INCIDENT_ENTRIES:
+            channel, incident_mw = self._incident = (self.channel, {})
+        constant, powers_mw, constant_gains = [], [], []
+        for j, gain in zip(on, gains):
             if gain <= 0:
                 continue
-            inc_mw = dbm_to_mw(self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
+            stimulus = stimuli[j]
+            carrier = (stimulus.freq_hz, stimulus.power_dbm)
+            inc_mw = incident_mw.get(carrier)
+            if inc_mw is None:
+                inc_mw = incident_mw[carrier] = dbm_to_mw(
+                    channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz)
+                )
             if stimulus.envelope is None:
                 constant.append(j)
                 powers_mw.append(inc_mw)
-                gains.append(gain)
+                constant_gains.append(gain)
             else:
                 held[j] = (stimulus.envelope, inc_mw, gain)
         if constant:
             levels[constant] = detector_output(
-                np.array(powers_mw), np.array(gains), model.nonlinearity_exponent
+                np.array(powers_mw), np.array(constant_gains), model.nonlinearity_exponent
             )
         return levels, held
 

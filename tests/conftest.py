@@ -4,10 +4,10 @@ Property tests run under one derandomized Hypothesis profile with a fixed
 example count and no example database, so every run of the suite draws the
 same examples. The "adcradio-1000" profile is the same with 1,000 examples;
 CI runs the stimulus-schedule capture (slices, uncoupled passes and
-source limits included), envelope-hold, impairment, kernel, receiver
-front-end, BER accounting, spectrum-peak, sweep-result, file (results
-writer and results, trace and scenario readers) and codec properties under
-it with ``--hypothesis-profile
+source limits included), envelope-hold, impairment, grouped-draw,
+stimulus-level, kernel, receiver front-end, BER accounting, spectrum-peak,
+sweep-result, file (results writer and results, trace and scenario
+readers) and codec properties under it with ``--hypothesis-profile
 adcradio-1000``.
 """
 

@@ -357,6 +357,63 @@ class TestAddImpairments:
         assert abs(out[-1]) > abs(out[0])
         assert out[20_000:].var() > out[:100].var()
 
+    # One example per combination of the three random streams (noise, walk
+    # steps, burst uniforms), the sinusoid on where no stream is.
+    @example(  # none: no draws, the sinusoid alone
+        noise_sigma=0.0, drift=DriftSpec(sine_amplitude=3.0, sine_period_s=0.004),
+        burst=BurstSpec(), states=4, n=9, start=_DeviceState(sample_index=7), seed=0,
+    )
+    @example(  # noise alone: one normal call over the pass
+        noise_sigma=3.0, drift=DriftSpec(), burst=BurstSpec(), states=5, n=12,
+        start=_DeviceState(), seed=1,
+    )
+    @example(  # walk alone
+        noise_sigma=0.0, drift=DriftSpec(walk_step=0.3), burst=BurstSpec(), states=5, n=12,
+        start=_DeviceState(walk_value=2.5), seed=2,
+    )
+    @example(  # bursts alone
+        noise_sigma=0.0, drift=DriftSpec(),
+        burst=BurstSpec(rate_per_s=900.0, amplitude=-25.0, duration_s=0.002),
+        states=5, n=12, start=_DeviceState(burst_left=7), seed=3,
+    )
+    @example(  # noise and walk: one standard_normal call for the whole pass
+        noise_sigma=0.7, drift=DriftSpec(walk_step=0.2), burst=BurstSpec(), states=5, n=12,
+        start=_DeviceState(walk_value=-1.0), seed=4,
+    )
+    @example(  # noise and bursts: two calls per state
+        noise_sigma=0.7, drift=DriftSpec(),
+        burst=BurstSpec(rate_per_s=900.0, amplitude=25.0, duration_s=0.002),
+        states=5, n=12, start=_DeviceState(), seed=5,
+    )
+    @example(  # walk and bursts
+        noise_sigma=0.0, drift=DriftSpec(walk_step=0.2, sine_amplitude=1.0, sine_period_s=0.01),
+        burst=BurstSpec(rate_per_s=900.0, amplitude=25.0, duration_s=0.002),
+        states=5, n=12, start=_DeviceState(sample_index=40, burst_left=30), seed=6,
+    )
+    @example(  # all three, one state
+        noise_sigma=3.0, drift=DriftSpec(walk_step=0.1, sine_amplitude=2.0, sine_period_s=0.01),
+        burst=BurstSpec(rate_per_s=900.0, amplitude=25.0, duration_s=0.002),
+        states=1, n=40, start=_DeviceState(burst_left=3), seed=7,
+    )
+    @example(  # demo_board path 42's model over a desk spectrum's pass: 162 states of
+        # 64 samples from configure, four bursts, the last carried out of the pass
+        noise_sigma=6.0,
+        drift=DriftSpec(walk_step=0.01, sine_amplitude=2.0, sine_period_s=8.0),
+        burst=BurstSpec(rate_per_s=2.5, amplitude=60.0, duration_s=0.01),
+        states=162,
+        n=64,
+        start=_DeviceState(),
+        seed=50,
+    )
+    @example(  # demo_board path 70's model (noise, walk and sinusoid) over the same pass
+        noise_sigma=10.0,
+        drift=DriftSpec(walk_step=0.2, sine_amplitude=8.0, sine_period_s=5.0),
+        burst=BurstSpec(),
+        states=162,
+        n=64,
+        start=_DeviceState(),
+        seed=51,
+    )
     @example(  # a burst carried in, and new ones lasting two of the six states
         noise_sigma=6.0,
         drift=DriftSpec(walk_step=0.01, sine_amplitude=2.0, sine_period_s=8.0),
@@ -411,6 +468,68 @@ class TestAddImpairments:
         assert values.tobytes() == given_values.tobytes()
         assert batched == reference  # sample_index, walk_value and burst_left
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+
+
+class TestGroupedDraws:
+    """A short pass draws its normals with standard_normal and scales them,
+    and its uniforms into an array of its own; the numbers and the
+    generator state must be those of normal and random called per stream
+    and state."""
+
+    @example(scale=1.0, n=0, seed=0)
+    @example(scale=6.0, n=64, seed=51)
+    @given(
+        scale=st.floats(1e-3, 1e3) | st.sampled_from([5e-324, 1e-300, 1e300]),
+        n=st.integers(0, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normal_is_the_scaled_standard_normal(self, scale, n, seed):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = reference.normal(0.0, scale, n)
+        expected_uniforms = reference.random(n)
+        z, uniforms = np.empty(n), np.empty(n)
+        rng.standard_normal(out=z)
+        z *= scale
+        z += 0.0
+        rng.random(out=uniforms)
+        assert z.tobytes() == expected.tobytes()
+        assert uniforms.tobytes() == expected_uniforms.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @given(
+        states=st.integers(1, 8),
+        n=st.integers(1, 40),
+        scales=st.sampled_from([[0.7], [0.2], [3.0, 0.01], [6.0, 0.2]]),
+        bursts=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equal_one_call_per_stream_and_state(self, states, n, scales, bursts, seed):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        normals, uniforms = simulator._grouped_draws(rng, states, n, scales, bursts)
+        expected = [np.empty((states, n)) for _ in scales]
+        expected_uniforms = np.empty((states, n))
+        for k in range(states):
+            for stream, scale in zip(expected, scales):
+                stream[k] = reference.normal(0.0, scale, n)
+            if bursts:
+                expected_uniforms[k] = reference.random(n)
+        assert [a.tobytes() for a in normals] == [b.tobytes() for b in expected]
+        if bursts:
+            assert uniforms.tobytes() == expected_uniforms.tobytes()
+        else:
+            assert uniforms is None
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @pytest.mark.parametrize("bursts", [False, True])
+    def test_a_negative_zero_normal_is_scaled_to_zero_as_normal_does(self, bursts):
+        # The ziggurat can return -0.0; normal(0, s) gives 0.0 + s * -0.0 = 0.0.
+        rng = mock.Mock()
+        rng.standard_normal.side_effect = lambda out: out.fill(-0.0)
+        rng.random.side_effect = lambda out: out.fill(0.5)
+        normals, _ = simulator._grouped_draws(rng, 3, 4, [0.7, 0.2], bursts)
+        for stream in normals:
+            assert not np.signbit(stream).any()
+        assert rng.standard_normal.call_count == (3 if bursts else 1)
 
 
 @pytest.mark.parametrize("amplitude", [math.inf, -math.inf, math.nan])
@@ -740,6 +859,131 @@ class TestConfigureCapture:
         assert dut.configured
         assert len(trace) == 4 * dut.adc.samples_per_block
         assert (trace.meta["path"], trace.meta["config"]) == (1, CFG)
+
+
+def reference_levels(model, channel, stimuli):
+    """_stimulus_levels by the scalar chain, one stimulus at a time:
+    coupling_gain, incident_dbm, dbm_to_mw, and detector_output of the one
+    incident power."""
+    levels, held = np.zeros(len(stimuli)), {}
+    for j, stimulus in enumerate(stimuli):
+        if stimulus is None or not stimulus.enabled:
+            continue
+        gain = coupling_gain(model, stimulus.freq_hz)
+        if gain <= 0:
+            continue
+        inc_mw = dbm_to_mw(channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
+        if stimulus.envelope is None:
+            levels[j] = detector_output(np.array([inc_mw]), gain, model.nonlinearity_exponent)[0]
+        else:
+            held[j] = (stimulus.envelope, inc_mw, gain)
+    return levels, held
+
+
+_LEVEL_FREQS = (200e6, 433.92e6, 520e6, 860e6, 1e9)
+_ENVELOPE = BasebandEnvelope(values=np.ones(8), sample_rate=10e3)
+
+
+def level_stimulus(kind, freq_index, power_dbm):
+    if kind == "none":
+        return None
+    return RfStimulus(
+        freq_hz=_LEVEL_FREQS[freq_index], power_dbm=power_dbm, enabled=kind != "off",
+        envelope=_ENVELOPE if kind == "envelope" else None,
+    )
+
+
+class TestStimulusLevels:
+    """The levels of a stimulus schedule come from one numpy pass over the
+    coupling gains, incident powers kept per (freq, power), and one
+    detector_output call; they must equal the scalar chain bit for bit, and
+    a kept incident power must never outlive the channel it was made for."""
+
+    ROWS = st.lists(
+        st.tuples(
+            st.sampled_from(["none", "off", "on", "on", "envelope"]),
+            st.integers(0, len(_LEVEL_FREQS) - 1),
+            st.sampled_from([-30.0, 0.0, 20.0, 43.0]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+
+    @example(  # zero gain: no resonance, so nothing couples
+        resonances=[], exponent=1.0, channel=RfChannel(),
+        rows=[("on", 0, 43.0), ("envelope", 1, 43.0), ("off", 2, 43.0), ("none", 0, 0.0)],
+    )
+    @example(  # a resonance of zero peak gain next to a coupling one, exponent 2
+        resonances=[Resonance(860e6, 80e6, 0.0), Resonance(520e6, 90e6, 0.134)], exponent=2.0,
+        channel=RfChannel(distance_m=3.0, attenuation_db=12.0),
+        rows=[("on", 3, 43.0), ("on", 2, 43.0), ("envelope", 2, 20.0), ("on", 2, 43.0)],
+    )
+    @example(  # every kind of row at a square-root detector
+        resonances=[Resonance(860e6, 80e6, 65.0)], exponent=0.5, channel=RfChannel(g_tx_dbi=6.5),
+        rows=[
+            ("none", 0, 0.0), ("off", 3, 43.0), ("on", 3, 43.0), ("envelope", 3, 43.0),
+            ("on", 4, -30.0),
+        ],
+    )
+    @given(
+        resonances=st.lists(
+            st.builds(
+                Resonance,
+                center_hz=st.floats(150e6, 1.1e9),
+                bandwidth_hz=st.floats(1e6, 300e6),
+                peak_gain=st.just(0.0) | st.floats(0.0, 100.0),
+            ),
+            max_size=3,
+        ),
+        exponent=st.just(1.0) | st.sampled_from([0.5, 2.0]) | st.floats(0.25, 3.0),
+        channel=st.builds(
+            RfChannel,
+            g_tx_dbi=st.floats(-5.0, 10.0),
+            g_rx_dbi=st.floats(-5.0, 5.0),
+            distance_m=st.floats(0.1, 100.0),
+            attenuation_db=st.floats(0.0, 40.0),
+        ),
+        rows=ROWS,
+    )
+    def test_equals_the_scalar_chain_bit_for_bit(self, resonances, exponent, channel, rows):
+        model = CouplingModel(resonances=tuple(resonances), nonlinearity_exponent=exponent)
+        dut = make_dut(model=model, channel=channel)
+        dut.configure(1, CFG, dut.adc)
+        stimuli = tuple(level_stimulus(*row) for row in rows)
+        want_levels, want_held = reference_levels(model, channel, stimuli)
+        # fresh, again, and for a new equal tuple, with the incident powers kept
+        for given_stimuli in (stimuli, stimuli, tuple(list(stimuli))):
+            levels, held = dut._stimulus_levels(given_stimuli)
+            assert levels.tobytes() == want_levels.tobytes()
+            assert held.keys() == want_held.keys()
+            for j, (envelope, inc_mw, gain) in held.items():
+                assert envelope is want_held[j][0]
+                assert (inc_mw, gain) == want_held[j][1:]
+        for j, stimulus in enumerate(stimuli):  # one row at a time
+            levels, held = dut._stimulus_levels((stimulus,))
+            assert levels.tobytes() == want_levels[j : j + 1].tobytes()
+            assert held.keys() == ({0} if j in want_held else set())
+
+    def test_replacing_the_channel_drops_the_kept_incident_powers(self):
+        # The first capture keeps the incident power of (500 MHz, 43 dBm)
+        # under its channel. After the channel is replaced, the codes must
+        # be those of a device that had the new channel all along: the first
+        # captures draw alike and configure resets the analog state.
+        strong = CouplingModel(resonances=(Resonance(500e6, 80e6, 40.0),), noise_sigma=1.0)
+        stimulus = RfStimulus(freq_hz=500e6, power_dbm=43.0, enabled=True)
+        weak = RfChannel(g_tx_dbi=0.0, attenuation_db=30.0)
+        codes = []
+        for first in (RfChannel(g_tx_dbi=0.0), weak):
+            dut = SimulatedDut(
+                n_paths=2, adc=AdcConfig(), channel=first, coupling={(1, None): strong}, seed=5
+            )
+            dut.configure(1, CFG, dut.adc)
+            dut.capture(2, stimulus)
+            dut.channel = weak
+            dut.configure(1, CFG, dut.adc)
+            codes.append(dut.capture(4, stimulus).samples)
+        assert codes[0].tobytes() == codes[1].tobytes()
+        assert codes[0][-32:].mean() < 2048.0 + 10.0  # 30 dB down from about 1,800
 
 
 def held_reference(values, first, n_raw, p, q):
