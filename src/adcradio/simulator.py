@@ -66,10 +66,6 @@ _PASS_RAW_SAMPLES = 1 << 14
 # recurs from raw sample 0. Both bundled link payloads share one entry.
 _DRIFT_TABLE_ENTRIES = 4
 
-# Distinct (freq, power) pairs whose incident power a device keeps (a desk
-# sweep uses 81).
-_INCIDENT_ENTRIES = 4096
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 # The rows of a one-capture schedule: its one stimulus, once.
@@ -209,23 +205,6 @@ def coupling_gain(model: CouplingModel, freq_hz: float) -> float:
     return gain
 
 
-def _coupling_gains(model: CouplingModel, freqs_hz: list) -> np.ndarray:
-    """coupling_gain at each of several carrier frequencies, in one numpy
-    pass that makes its IEEE operations in resonance order, so each gain
-    equals coupling_gain's bit for bit. An overflow gives inf silently, as
-    it does with Python floats."""
-    freqs = np.array(freqs_hz, dtype=np.float64)
-    gains = np.zeros(freqs.size)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for res in model.resonances:
-            x = freqs - res.center_hz
-            x /= res.bandwidth_hz
-            x *= x
-            x += 1.0
-            gains += np.divide(res.peak_gain, x, out=x)
-    return gains
-
-
 def detector_output(
     incident_power_mw: np.ndarray,
     gain: float | np.ndarray,
@@ -257,15 +236,6 @@ def _lowpass_alpha(bandwidth_hz: float, sample_rate_hz: float) -> float:
     return 1.0 - math.exp(-2.0 * math.pi * bandwidth_hz / sample_rate_hz)
 
 
-@lru_cache(maxsize=64)
-def _lowpass_coefficients(alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """The read-only ``b`` and ``a`` of _lowpass's filter, built once per alpha."""
-    b = np.array([alpha])
-    a = np.array([1.0, alpha - 1.0])
-    b.flags.writeable = a.flags.writeable = False
-    return b, a
-
-
 def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarray, float]:
     """Single-pole IIR y[n] = y[n-1] + alpha*(x[n] - y[n-1]), continued from y_prev.
 
@@ -284,7 +254,7 @@ def _lowpass(values: np.ndarray, alpha: float, y_prev: float) -> tuple[np.ndarra
     if alpha >= 1.0:
         out = x.copy()
         return out, float(out[-1])
-    b, a = _lowpass_coefficients(alpha)
+    b, a = np.array([alpha]), np.array([1.0, alpha - 1.0])
     out, _ = _linear_filter(b, a, x, -1, np.array([(1.0 - alpha) * y_prev]))
     return out, float(out[-1])
 
@@ -620,6 +590,11 @@ class SimulatedDut:
 
     Identical seed + identical command sequence => bit-identical traces. One
     instance is single-owner; run separate instances for parallel work.
+
+    Between captures a device keeps only its configuration, its analog
+    state and its RNG stream. Each capture computes its stimuli's levels
+    from ``channel`` and the configured model, so a replaced ``channel``
+    takes effect at the next capture.
     """
 
     def __init__(
@@ -644,7 +619,6 @@ class SimulatedDut:
         self._config: Hashable | None = None
         self._model: CouplingModel = default_model
         self._state = _DeviceState()
-        self._incident = (channel, {})  # (channel, {(freq, power): incident mW})
 
     @property
     def configured(self) -> bool:
@@ -764,51 +738,32 @@ class SimulatedDut:
         stimuli whose envelope the path couples.
 
         An RF-off stimulus, one the path does not couple at its carrier,
-        and one with an envelope have level 0. The coupling gains of the
-        other stimuli come from one _coupling_gains pass (coupling_gain
-        itself for a single one); the channel's incident power in mW of
-        each distinct (freq, power) is computed once per device and channel
-        and kept in a table (at most _INCIDENT_ENTRIES pairs; it starts
-        afresh past that, or when ``channel`` is replaced); and the levels
-        of the constant carriers come from one detector_output call. Each
-        level is bit-identical to the scalar chain coupling_gain,
-        incident_dbm, dbm_to_mw, detector_output. The second value maps the
-        index of each coupled stimulus with an envelope to (envelope,
-        incident mW, gain).
+        and one with an envelope have level 0. Each other stimulus gets
+        coupling_gain, then the channel's incident power in mW, and the
+        levels of all of them come from one detector_output call. The
+        second value maps the index of each coupled stimulus with an
+        envelope to (envelope, incident mW, gain).
         """
         model = self._model
         levels = np.zeros(len(stimuli))
+        constant, powers_mw, gains = [], [], []
         held = {}
-        on = [j for j, stimulus in enumerate(stimuli) if stimulus is not None and stimulus.enabled]
-        if not (on and model.resonances):
-            gains = []
-        elif len(on) == 1:
-            gains = [coupling_gain(model, stimuli[on[0]].freq_hz)]
-        else:
-            gains = _coupling_gains(model, [stimuli[j].freq_hz for j in on]).tolist()
-        channel, incident_mw = self._incident
-        if channel is not self.channel or len(incident_mw) > _INCIDENT_ENTRIES:
-            channel, incident_mw = self._incident = (self.channel, {})
-        constant, powers_mw, constant_gains = [], [], []
-        for j, gain in zip(on, gains):
+        for j, stimulus in enumerate(stimuli):
+            if stimulus is None or not stimulus.enabled:
+                continue
+            gain = coupling_gain(model, stimulus.freq_hz)
             if gain <= 0:
                 continue
-            stimulus = stimuli[j]
-            carrier = (stimulus.freq_hz, stimulus.power_dbm)
-            inc_mw = incident_mw.get(carrier)
-            if inc_mw is None:
-                inc_mw = incident_mw[carrier] = dbm_to_mw(
-                    channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz)
-                )
+            inc_mw = dbm_to_mw(self.channel.incident_dbm(stimulus.power_dbm, stimulus.freq_hz))
             if stimulus.envelope is None:
                 constant.append(j)
                 powers_mw.append(inc_mw)
-                constant_gains.append(gain)
+                gains.append(gain)
             else:
                 held[j] = (stimulus.envelope, inc_mw, gain)
         if constant:
             levels[constant] = detector_output(
-                np.array(powers_mw), np.array(constant_gains), model.nonlinearity_exponent
+                np.array(powers_mw), np.array(gains), model.nonlinearity_exponent
             )
         return levels, held
 

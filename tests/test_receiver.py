@@ -193,7 +193,7 @@ class TestSumBlocks:
     )
     def test_slicer_block_sums_equal_the_running_sum_formula(self, block, x, phase, sps):
         given_x = x.copy()
-        with mock.patch.object(receiver, "_SUM_BLOCK", block, create=True):
+        with mock.patch.object(receiver, "_SUM_BLOCK", block):
             means = receiver._symbol_central_means(x, phase, sps)
         assert means.tobytes() == reference_central_means(given_x, phase, sps).tobytes()
         assert x.tobytes() == given_x.tobytes()

@@ -894,10 +894,9 @@ def level_stimulus(kind, freq_index, power_dbm):
 
 
 class TestStimulusLevels:
-    """The levels of a stimulus schedule come from one numpy pass over the
-    coupling gains, incident powers kept per (freq, power), and one
-    detector_output call; they must equal the scalar chain bit for bit, and
-    a kept incident power must never outlive the channel it was made for."""
+    """The levels of a stimulus schedule come from one detector_output call
+    over the coupled constant carriers; they must equal the scalar chain bit
+    for bit, and a replaced channel must take effect."""
 
     ROWS = st.lists(
         st.tuples(
@@ -951,24 +950,22 @@ class TestStimulusLevels:
         dut.configure(1, CFG, dut.adc)
         stimuli = tuple(level_stimulus(*row) for row in rows)
         want_levels, want_held = reference_levels(model, channel, stimuli)
-        # fresh, again, and for a new equal tuple, with the incident powers kept
-        for given_stimuli in (stimuli, stimuli, tuple(list(stimuli))):
-            levels, held = dut._stimulus_levels(given_stimuli)
-            assert levels.tobytes() == want_levels.tobytes()
-            assert held.keys() == want_held.keys()
-            for j, (envelope, inc_mw, gain) in held.items():
-                assert envelope is want_held[j][0]
-                assert (inc_mw, gain) == want_held[j][1:]
+        levels, held = dut._stimulus_levels(stimuli)
+        assert levels.tobytes() == want_levels.tobytes()
+        assert held.keys() == want_held.keys()
+        for j, (envelope, inc_mw, gain) in held.items():
+            assert envelope is want_held[j][0]
+            assert (inc_mw, gain) == want_held[j][1:]
         for j, stimulus in enumerate(stimuli):  # one row at a time
             levels, held = dut._stimulus_levels((stimulus,))
             assert levels.tobytes() == want_levels[j : j + 1].tobytes()
             assert held.keys() == ({0} if j in want_held else set())
 
-    def test_replacing_the_channel_drops_the_kept_incident_powers(self):
-        # The first capture keeps the incident power of (500 MHz, 43 dBm)
-        # under its channel. After the channel is replaced, the codes must
-        # be those of a device that had the new channel all along: the first
-        # captures draw alike and configure resets the analog state.
+    def test_a_replaced_channel_takes_effect_at_the_next_configure(self):
+        # The first capture couples (500 MHz, 43 dBm) through its channel.
+        # After the channel is replaced, the codes must be those of a device
+        # that had the new channel all along: the first captures draw alike
+        # and configure resets the analog state.
         strong = CouplingModel(resonances=(Resonance(500e6, 80e6, 40.0),), noise_sigma=1.0)
         stimulus = RfStimulus(freq_hz=500e6, power_dbm=43.0, enabled=True)
         weak = RfChannel(g_tx_dbi=0.0, attenuation_db=30.0)
