@@ -59,10 +59,6 @@ class BerReport:
         return sum(length for _, length in self.burst_runs if length >= min_length)
 
 
-# Samples per block of the slicer's running sum (see _symbol_central_means).
-_SUM_BLOCK = 1 << 14
-
-
 def _samples(samples) -> np.ndarray:
     """``samples`` as an array: integer codes as they are, anything else as
     float64. Every sum over integer codes accumulates in float64 and every
@@ -70,15 +66,6 @@ def _samples(samples) -> np.ndarray:
     as a float64 copy would, so no copy is made."""
     x = np.asarray(samples)
     return x if x.dtype.kind in "iu" else np.asarray(x, dtype=np.float64)
-
-
-def _running_sum(x: np.ndarray) -> np.ndarray:
-    """0 followed by the cumulative float64 sum of x: cs[j] - cs[i] sums x[i:j]."""
-    cs = np.empty(x.size + 1)
-    cs[0] = 0.0
-    cs[1:] = x  # each sample converted to float64, as a float64 copy would
-    np.cumsum(cs[1:], out=cs[1:])
-    return cs
 
 
 def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
@@ -92,7 +79,11 @@ def moving_average(samples: np.ndarray, window: int) -> np.ndarray:
     if window > n:
         raise ValueError(f"window {window} larger than input length {n}")
     half = window // 2
-    cs = _running_sum(x)
+    # 0 followed by the cumulative float64 sum of x: cs[j] - cs[i] sums x[i:j].
+    cs = np.empty(n + 1)
+    cs[0] = 0.0
+    cs[1:] = x  # each sample converted to float64, as a float64 copy would
+    np.cumsum(cs[1:], out=cs[1:])
     out = np.empty(n)
     # Interior samples see the whole window: two slices of the running sum.
     inner = out[half : n - half]
@@ -204,14 +195,9 @@ def _symbol_central_means(x: np.ndarray, phase: float, sps: int) -> np.ndarray:
 
     Symbols are counted from the rounded boundary positions, so a final
     symbol whose fractional end rounds onto the last sample still counts.
-
-    Each mean is (cs[hi] - cs[lo]) / (hi - lo) over the running sum cs of
-    _running_sum, but only the two entries per symbol are kept: the sum is
-    made in blocks of _SUM_BLOCK samples in one reused buffer, each block
-    starting from its first sample plus the sum so far (the addition one
-    cumsum makes there), so every entry is the float a full running sum
-    holds. The bounds lo_0 < hi_0 <= lo_1 < hi_1 ... ascend, so each block
-    gathers one run of them.
+    One np.add.reduceat at the spans' bounds sums each span and each gap
+    after it; the gaps are dropped. reduceat sums from a bound to the next,
+    and from the last to the end, so a last bound equal to n is left out.
     """
     n = x.size
     ks = np.arange(0, int(n / sps) + 2)
@@ -219,27 +205,12 @@ def _symbol_central_means(x: np.ndarray, phase: float, sps: int) -> np.ndarray:
     b = b[(b >= 0) & (b <= n)]
     if b.size < 2:
         return np.empty(0)
-    lo = b[:-1]
-    hi = b[1:]
-    span = hi - lo
-    q = span // 4
-    bounds = np.empty(2 * lo.size, dtype=np.int64)
-    bounds[0::2] = lo + q
-    bounds[1::2] = hi - q
-    starts = range(0, n, _SUM_BLOCK)
-    # Block k holds cs[j] for starts[k] < j <= starts[k + 1]; cs[0] is 0.
-    cuts = np.searchsorted(bounds, [0, *starts[1:], n], side="right").tolist()
-    sums = np.zeros(bounds.size)
-    buffer = np.empty(min(n, _SUM_BLOCK))
-    for start, done, stop in zip(starts, cuts, cuts[1:]):
-        part = buffer[: min(_SUM_BLOCK, n - start)]
-        part[:] = x[start : start + part.size]
-        if start:
-            part[0] += carried
-        np.cumsum(part, out=part)  # part[i] is cs[start + i + 1]
-        carried = part[-1]
-        np.take(part, bounds[done:stop] - (start + 1), out=sums[done:stop])
-    return (sums[1::2] - sums[0::2]) / (bounds[1::2] - bounds[0::2])
+    q = (b[1:] - b[:-1]) // 4
+    lo = b[:-1] + q
+    hi = b[1:] - q
+    bounds = np.stack((lo, hi), axis=1).ravel()
+    sums = np.add.reduceat(x, bounds[:-1] if hi[-1] == n else bounds)[0::2]
+    return sums / (hi - lo)
 
 
 def slice_bits(samples: np.ndarray, phase: float, samples_per_symbol: int) -> BitSequence:

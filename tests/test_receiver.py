@@ -2,7 +2,8 @@
 
 import math
 import re
-from unittest import mock
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,38 +166,74 @@ class TestFrontEndReference:
         assert x.tobytes() == given_x.tobytes()
 
 
-def reference_central_means(x, phase, sps):
-    """The slicer's symbol means over a full running sum, as first written."""
-    n = x.size
+def central_spans(n, phase, sps):
+    """The slicer's spans by the rint formula: [lo, hi) is the central half
+    of each full symbol between rounded boundaries, a quarter (rounded
+    down) trimmed from each end."""
     ks = np.arange(0, int(n / sps) + 2)
     b = np.rint((ks + phase) * sps).astype(np.int64)
-    b = b[(b >= 0) & (b <= n)]
-    if b.size < 2:
-        return np.empty(0)
-    q = (b[1:] - b[:-1]) // 4
-    lo, hi = b[:-1] + q, b[1:] - q
-    cs = np.concatenate(([0.0], np.cumsum(x)))
-    return (cs[hi] - cs[lo]) / (hi - lo)
+    b = b[(b >= 0) & (b <= n)].tolist()
+    return [(lo + (hi - lo) // 4, hi - (hi - lo) // 4) for lo, hi in zip(b, b[1:])]
 
 
-class TestSumBlocks:
-    """The slicer makes its running sum in blocks of _SUM_BLOCK samples, and
-    remove_dc sums integer codes without a float64 copy. Patched down to
-    3-17 samples, the block makes small signals cross many block edges."""
+class TestSymbolMeans:
+    """Each symbol mean is its central span's sum, in any order of
+    addition, over the span's length k, and slice_bits decides its sign.
 
-    @example(block=4, x=np.array([-0.0, 1.5, -2.0, 0.25, 3.0, -1.0, 2.0, 1.0]), phase=0.0, sps=2)
+    Any order of k additions lies within (k - 1) * eps * sum|x| of math.fsum
+    of the span (correctly rounded), and the division rounds monotonically,
+    so each mean lies between the rounded quotients of fsum minus and plus
+    that bound over k. The decision follows fsum's sign wherever |fsum|
+    exceeds the bound, unless that quotient underflows to 0."""
+
+    @example(x=np.array([-0.0, 1.5, -2.0, 0.25, 3.0, -1.0, 2.0, 1.0]), phase=0.0, sps=2)
+    @example(x=np.array([1.0, -4.0, 2.5, 3.0, -0.5, -1.0, 7.0, -7.0, 0.5]), phase=0.0, sps=3)
+    @example(x=np.array([1.0, -2.0, 3.0]), phase=0.25, sps=5)  # shorter than one symbol
+    @example(x=np.array([5e-324, 0.0, 0.0, -0.0]), phase=0.0, sps=2)  # the quotient underflows
     @given(
-        block=st.integers(3, 17),
         x=arrays(np.float64, st.integers(1, 200), elements=st.floats(-1e6, 1e6) | st.just(-0.0)),
         phase=st.floats(0.0, 1.0, exclude_max=True),
         sps=st.integers(2, 20),
     )
-    def test_slicer_block_sums_equal_the_running_sum_formula(self, block, x, phase, sps):
+    def test_means_and_decisions_agree_with_fsum_of_each_span(self, x, phase, sps):
         given_x = x.copy()
-        with mock.patch.object(receiver, "_SUM_BLOCK", block):
-            means = receiver._symbol_central_means(x, phase, sps)
-        assert means.tobytes() == reference_central_means(given_x, phase, sps).tobytes()
+        means = receiver._symbol_central_means(x, phase, sps).tolist()
+        bits = slice_bits(x, phase, sps).bits.tolist()
+        spans = central_spans(x.size, phase, sps)
+        assert len(means) == len(bits) == len(spans)
+        eps = Fraction(np.finfo(np.float64).eps)
+        for mean, bit, (lo, hi) in zip(means, bits, spans):
+            span = x[lo:hi].tolist()
+            k = hi - lo
+            total = Fraction(math.fsum(span))
+            bound = (k - 1) * eps * sum(Fraction(abs(v)) for v in span)
+            assert float((total - bound) / k) <= mean <= float((total + bound) / k)
+            if abs(total) > bound and float((abs(total) - bound) / k) != 0.0:
+                assert bit == (total > 0)
         assert x.tobytes() == given_x.tobytes()
+
+    def test_all_negative_zero_symbols_decide_0(self):
+        x = np.full(12, -0.0)
+        assert receiver._symbol_central_means(x, 0.0, 3).tolist() == [0.0] * 4
+        assert slice_bits(x, 0.0, 3).bits.tolist() == [0] * 4
+
+    def test_slice_bits_peaks_below_one_copy_of_its_input(self):
+        # One symbol sum each, no full-length running sum: a 201,040-sample
+        # payload at 16 samples per symbol stays below its own 1.6 MB.
+        rng = np.random.default_rng(5)
+        x = np.repeat(rng.choice([-1.0, 1.0], 12_565), 16) + rng.normal(0.0, 0.3, 201_040)
+        tracemalloc.start()
+        try:
+            slice_bits(x, 0.3, 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes
+
+
+class TestRemoveDcOnCodes:
+    """remove_dc and moving_average read int32 codes without a float64 copy,
+    and give the bytes of their float64 copy."""
 
     @example(case=(np.array([0, 4095, 7, 4095, 0], dtype=np.int32), 3))
     @given(case=front_end_cases().filter(lambda case: case[0].dtype == np.int32))
