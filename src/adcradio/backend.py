@@ -1,7 +1,8 @@
 """Uniform capture interface over devices under test.
 
-A backend exposes configure/capture over a reception path of a DUT; an RF
-source exposes set/readback of the stimulus. Two backends exist: an
+A backend exposes configure/capture over a reception path of a DUT, where
+capture is an AdcTrace of the codes capture_codes returns; an RF source
+exposes set/readback of the stimulus. Two backends exist: an
 in-process one wrapping SimulatedDut, and a serial-protocol client (see
 protocol.py) that drives the same device through the line codec. Sweeps and
 experiments only ever talk to these two interfaces, so a future hardware
@@ -287,7 +288,7 @@ class SimulatorBackend:
         the configured path."""
         if oversampling_ratio not in ALLOWED_OVERSAMPLING:
             raise UnsupportedSettingError(f"unsupported oversampling ratio {oversampling_ratio}")
-        if sample_rate_hz <= 0:
+        if not 0 < sample_rate_hz < math.inf:
             raise UnsupportedSettingError(f"unsupported sample rate {sample_rate_hz}")
         self.dut.set_adc_rate(float(sample_rate_hz), oversampling_ratio)
 
@@ -295,6 +296,12 @@ class SimulatorBackend:
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
         return self.dut.capture(n_blocks, self.source.stimulus)
+
+    def capture_codes(self, n_blocks: int) -> np.ndarray:
+        """The int32 codes of capture(n_blocks), without the trace around them."""
+        if not self.dut.configured:
+            raise NotConfiguredError("capture before configure")
+        return self.dut.capture_codes(n_blocks, self.source.stimulus)
 
     def capture_schedule(self, schedule: StimulusSchedule, n_blocks: int) -> np.ndarray:
         """Codes of one n_blocks capture per row of ``schedule``, in order,
@@ -325,9 +332,9 @@ def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int,
     ``capture_schedule`` (SimulatorBackend) has ``rf_source`` set to the
     last row's stimulus and captures the whole schedule in one call, so an
     error there fails every group. Any other backend (SerialBackend) gets
-    ``rf_source.rf_set`` of the row's stimulus and ``capture`` per row; an
-    error fails only its own group, whose other captures still run, so the
-    device is sent the same commands whatever fails.
+    ``rf_source.rf_set`` of the row's stimulus and ``capture_codes`` per
+    row; an error fails only its own group, whose other captures still run,
+    so the device is sent the same commands whatever fails.
     """
     n_groups, rest = divmod(len(schedule), group_size)
     if rest:
@@ -348,15 +355,15 @@ def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int,
     for i, row in enumerate(rows.tolist()):
         try:
             rf_source.rf_set(stimuli[row])
-            samples = backend.capture(n_blocks).samples
+            row_codes = backend.capture_codes(n_blocks)
         except isolate as exc:
             g = i // group_size
             if errors[g] is None:
                 errors[g] = exc
             continue
         if codes is None:
-            codes = np.zeros((rows.size, samples.size), np.int32)
-        codes[i] = samples
+            codes = np.zeros((rows.size, row_codes.size), np.int32)
+        codes[i] = row_codes
     if codes is None:
         return np.zeros((n_groups, group_size, 0), np.int32), errors
     return codes.reshape(n_groups, group_size, codes.shape[1]), errors

@@ -36,6 +36,7 @@ per command. The trailing ID? field is the protocol version.
 
 from __future__ import annotations
 
+import numbers
 import re
 import zlib
 from collections import deque
@@ -354,13 +355,17 @@ class DutProtocolServer:
     response lines, each carrying the request's tag; it reports every
     failure as an ERR line (untagged for an untagged request) and never
     raises. A repeat of the last request line is answered by replaying its
-    response; the command does not run again.
+    response; the command does not run again. A request whose untagged text
+    equals that of the last request that parsed (a host sends the same SMP
+    text under a new tag for each capture) runs the command parsed then.
     """
 
     def __init__(self, backend: SimulatorBackend):
         self.backend = backend
         self._last_request: str | None = None
         self._last_response: tuple[str, ...] = ()
+        self._parsed_text: str | None = None
+        self._parsed_command: Command | None = None
 
     def handle_line(self, line: str | bytes) -> list[str]:
         try:
@@ -371,8 +376,12 @@ class DutProtocolServer:
             return [_err_line(str(exc))]
         if line == self._last_request:
             return list(self._last_response)
+        text = line[_TAG_CHARS:]
         try:
-            lines = self._dispatch(_parse_command(line[_TAG_CHARS:]))
+            if text != self._parsed_text:
+                self._parsed_command = _parse_command(text)
+                self._parsed_text = text
+            lines = self._dispatch(self._parsed_command)
         except (BackendError, ValueError, RuntimeError) as exc:
             lines = [_err_line(str(exc))]
         tag = line[:_TAG_CHARS]
@@ -383,7 +392,7 @@ class DutProtocolServer:
     def _dispatch(self, cmd: Command) -> list[str]:
         if isinstance(cmd, CaptureCommand):  # first: nearly every request is one
             self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
-            return _data_frame(self.backend.capture(cmd.n_blocks).samples)
+            return _data_frame(self.backend.capture_codes(cmd.n_blocks))
         if isinstance(cmd, ConfigureCommand):
             self.backend.configure(ReceptionPathId(index=cmd.path), cmd.config, self.backend.adc)
             return ["OK"]
@@ -424,12 +433,15 @@ class SerialBackend:
     ProtocolTimeoutError. Lines of another tag or none, and lines of the
     awaited tag that cannot start a response, are dropped. The counters
     ``retries``, ``timeouts`` and ``stale_lines_dropped`` say how often.
+    ``retries`` must be an integer >= 1.
     """
 
     def __init__(self, transport, timeout_s: float = 2.0, retries: int = 3):
+        if not isinstance(retries, numbers.Integral) or retries < 1:
+            raise ValueError(f"retries must be an integer >= 1, got {retries!r}")
         self.transport = transport
         self.timeout_s = timeout_s
-        self.max_sends = retries
+        self.max_sends = int(retries)
         self.retries = 0
         self.timeouts = 0
         self.stale_lines_dropped = 0
@@ -441,41 +453,39 @@ class SerialBackend:
 
     # -- protocol plumbing ---------------------------------------------------
 
-    def _responses(self):
-        """The lines carrying the awaited tag, without the tag, as they
-        arrive; lines of another tag or none are dropped. Raises
-        ProtocolTimeoutError when no line comes within the timeout."""
-        recv_line, prefix, timeout_s = self.transport.recv_line, self._prefix, self.timeout_s
+    def _read(self) -> str:
+        """The next line carrying the awaited tag, without the tag; lines of
+        another tag or none are dropped. Raises ProtocolTimeoutError when no
+        line comes within the timeout."""
+        recv_line, prefix = self.transport.recv_line, self._prefix
         while True:
-            line = recv_line(timeout_s)
+            line = recv_line(self.timeout_s)
             if line is None:
                 self.timeouts += 1
                 raise ProtocolTimeoutError(f"timed out waiting for response {prefix[:4]}")
             if line.startswith(prefix):
-                yield line[_TAG_CHARS:]
-            else:
-                self.stale_lines_dropped += 1
+                return line[_TAG_CHARS:]
+            self.stale_lines_dropped += 1
 
-    def _transact(self, command: str):
+    def _transact(self, command: str) -> str:
         """Send a command under a new tag. Returns the first line of its
-        response and the response's further lines, read as they are needed."""
+        response; _read returns the response's further lines."""
         self._tag = (self._tag + 1) & 0xFFFF
         self._prefix = f"{self._tag:04X} "
         request = self._prefix + command
-        last: ProtocolTimeoutError | None = None
         for attempt in range(self.max_sends):
             if attempt:
                 self.retries += 1
             self.transport.send_line(request)
-            lines = self._responses()
             try:
-                for line in lines:
+                while True:
+                    line = self._read()
                     if line == "OK" or line.startswith(("ERR ", "ID ", "DATA ")):
-                        return line, lines
+                        return line
                     self.stale_lines_dropped += 1
             except ProtocolTimeoutError as exc:
                 last = exc
-        raise last or ProtocolTimeoutError("no response")
+        raise last
 
     @staticmethod
     def _check_ok(line: str) -> None:
@@ -488,7 +498,7 @@ class SerialBackend:
     # -- backend interface ----------------------------------------------------
 
     def describe(self):
-        line, _ = self._transact(encode_command(IdentifyCommand()))
+        line = self._transact(encode_command(IdentifyCommand()))
         fields = line.split(" ")
         if len(fields) != 5 or fields[0] != "ID":
             raise ProtocolError(f"bad ID? response {line!r}")
@@ -507,19 +517,30 @@ class SerialBackend:
             raise UnsupportedSettingError(
                 f"wire protocol carries integer sample rates, got {rate}"
             )
-        line, _ = self._transact(encode_command(ConfigureCommand(path.index, config)))
+        line = self._transact(encode_command(ConfigureCommand(path.index, config)))
         self._check_ok(line)
         self._adc = adc
         self._path = path
         self._config = config
 
     def capture(self, n_blocks: int) -> AdcTrace:
+        codes = self.capture_codes(n_blocks)
+        meta = {
+            "path": self._path.index if self._path else None,
+            "config": self._config,
+            "transport": "serial",
+        }
+        return AdcTrace(codes, self._adc, meta)
+
+    def capture_codes(self, n_blocks: int) -> np.ndarray:
+        """The int32 codes of one SMP request for n_blocks blocks at the
+        configured rate and oversampling ratio."""
         adc = self._adc
         if adc is None:
             raise NotConfiguredError("capture before configure")
         n_blocks = int(n_blocks)
         cmd = CaptureCommand(n_blocks, int(adc.sample_rate_hz), adc.oversampling_ratio)
-        first, responses = self._transact(encode_command(cmd))
+        first = self._transact(encode_command(cmd))
         if first.startswith("ERR "):
             raise BackendError(first[4:])
         count, crc = _data_header(first)
@@ -527,9 +548,7 @@ class SerialBackend:
         # lines up to END, at most one line more than the count needs.
         n_lines = -(-count // CODES_PER_LINE)
         lines = []
-        for line in responses:
-            if line == "END":
-                break
+        while (line := self._read()) != "END":
             if len(lines) == n_lines:
                 raise ProtocolError(
                     f"DATA frame: expected END after {n_lines} sample lines, got {line!r}"
@@ -541,16 +560,10 @@ class SerialBackend:
                 f"device sent {count} samples, expected {expected}; "
                 "samples_per_block mismatch between host and device"
             )
-        samples = _frame_codes(lines, count, crc, adc.full_scale)
-        meta = {
-            "path": self._path.index if self._path else None,
-            "config": self._config,
-            "transport": "serial",
-        }
-        return AdcTrace(samples, adc, meta)
+        return _frame_codes(lines, count, crc, adc.full_scale)
 
     def reset(self) -> None:
-        self._check_ok(self._transact(encode_command(ResetCommand()))[0])
+        self._check_ok(self._transact(encode_command(ResetCommand())))
         self._adc = None
         self._path = None
         self._config = None

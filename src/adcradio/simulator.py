@@ -152,8 +152,8 @@ class AdcConfig:
     def __post_init__(self):
         if not 6 <= self.resolution_bits <= 16:
             raise ValueError("resolution_bits must be in [6, 16]")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
+        if not 0 < self.sample_rate_hz < math.inf:
+            raise ValueError("sample_rate_hz must be positive and finite")
         if self.oversampling_ratio not in ALLOWED_OVERSAMPLING:
             raise ValueError(
                 f"oversampling_ratio must be a power of two in {ALLOWED_OVERSAMPLING}"
@@ -662,12 +662,16 @@ class SimulatedDut:
         self._state = _DeviceState()
 
     def capture(self, n_blocks: int, stimulus=None) -> AdcTrace:
-        """Acquire n_blocks * samples_per_block codes under the given stimulus,
-        an RfStimulus or None (RF off). This is the one-row case of
-        capture_schedule.
+        """The codes of capture_codes as an AdcTrace, with the acquisition
+        settings and the path, config, seed and stimulus in its meta."""
+        return AdcTrace(self.capture_codes(n_blocks, stimulus), self.adc, self._meta(stimulus))
+
+    def capture_codes(self, n_blocks: int, stimulus=None) -> np.ndarray:
+        """Acquire n_blocks * samples_per_block int32 codes under the given
+        stimulus, an RfStimulus or None (RF off). This is the one-row case
+        of capture_schedule.
         """
-        codes = self._capture_rows((stimulus,), _ONE_ROW, n_blocks)
-        return AdcTrace(codes, self.adc, self._meta(stimulus))
+        return self._capture_rows((stimulus,), _ONE_ROW, n_blocks)
 
     def capture_schedule(self, schedule, n_blocks: int) -> np.ndarray:
         """Acquire n_blocks blocks per row of ``schedule`` (a

@@ -7,7 +7,7 @@ CI runs the stimulus-schedule capture (slices, uncoupled passes and
 source limits included), envelope-hold, impairment, grouped-draw,
 stimulus-level, kernel, receiver front-end, slicer, BER accounting,
 spectrum-peak, sweep-result, file (results writer and results, trace and
-scenario readers) and codec properties under it with
+scenario readers), codec and protocol-server properties under it with
 ``--hypothesis-profile adcradio-1000``.
 """
 

@@ -372,7 +372,9 @@ class TestServer:
                 return self._backend.adc
 
             def __getattr__(self, name):
-                if name not in ("configure", "capture", "describe", "reset", "set_adc_rate"):
+                if name not in (
+                    "configure", "capture", "capture_codes", "describe", "reset", "set_adc_rate"
+                ):
                     raise AttributeError(name)
                 return getattr(self._backend, name)
 
@@ -756,6 +758,20 @@ class TestSerialBackendRefusals:
         assert client.transport.sent == []
         with pytest.raises(NotConfiguredError):
             client.capture(1)
+
+
+class TestSerialBackendRetries:
+    @pytest.mark.parametrize("retries", [0, -1, 2.5, "3", None])
+    def test_refuses_a_count_that_is_not_an_integer_of_at_least_one(self, retries):
+        with pytest.raises(ValueError, match=f"retries must be an integer >= 1, got {retries!r}"):
+            SerialBackend(ScriptedTransport(), retries=retries)
+
+    def test_one_send_times_out_once(self):
+        client = SerialBackend(ScriptedTransport(), timeout_s=0, retries=np.int64(1))
+        with pytest.raises(ProtocolError, match="timed out waiting for response 0001"):
+            client.describe()
+        assert client.transport.sent == ["0001 ID?"]
+        assert (client.timeouts, client.retries) == (1, 0)
 
 
 class TestRfSource:

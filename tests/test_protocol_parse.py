@@ -8,6 +8,13 @@ same text. The lines drawn are mostly near misses of the two matched
 lines: non-ASCII digits, 12- and 13-digit fields, leading zeros, lowercase
 and short CRCs, doubled and trailing spaces, control characters and missing
 fields.
+
+The server is also checked against a reference server kept here, which
+parses every request line anew, one field at a time, and captures through
+``backend.capture(n).samples``: for any sequence of requests (repeated SMP
+text under fresh tags, exact repeats, CFG, RST and ID? in between,
+malformed and untagged lines) both give the same response lines and leave
+the device's random stream in the same state.
 """
 
 import re
@@ -18,19 +25,39 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from adcradio import protocol
-from adcradio.backend import DutDescriptor, PathConfig
+from adcradio.backend import (
+    BackendError,
+    DutDescriptor,
+    PathConfig,
+    ReceptionPathId,
+    RfStimulus,
+    SimulatedRfSource,
+    SimulatorBackend,
+    enumerate_configs,
+)
 from adcradio.protocol import (
+    PROTOCOL_VERSION,
     CaptureCommand,
     ConfigureCommand,
     DutProtocolServer,
     IdentifyCommand,
     ProtocolError,
     ResetCommand,
+    _data_frame,
     _data_header,
+    _err_line,
     _text_line,
     decode_command,
+    encode_command,
 )
-from adcradio.simulator import AdcConfig, AdcTrace
+from adcradio.simulator import (
+    AdcConfig,
+    AdcTrace,
+    CouplingModel,
+    Resonance,
+    RfChannel,
+    SimulatedDut,
+)
 
 # -- the field-by-field reference -------------------------------------------
 
@@ -201,6 +228,10 @@ class RecordingBackend:
         self.calls.append(("capture", n_blocks))
         return AdcTrace(np.array([n_blocks % 4096, 7], np.int32), self.adc)
 
+    def capture_codes(self, n_blocks):
+        self.calls.append(("capture_codes", n_blocks))
+        return np.array([n_blocks % 4096, 7], np.int32)
+
     def describe(self):
         self.calls.append(("describe",))
         return DutDescriptor(n_paths=4)
@@ -224,3 +255,131 @@ def test_the_server_answers_as_with_the_field_by_field_parse(line):
         return response, backend.calls
 
     assert serve(protocol._parse_command) == serve(reference_parse_command)
+
+
+# -- the reference server ---------------------------------------------------------
+
+
+class ReferenceServer:
+    """The device side with no memo but the replay of the last request:
+    every line is parsed anew by reference_parse_command, and a capture's
+    codes are ``backend.capture(n).samples``."""
+
+    def __init__(self, backend):
+        self.backend = backend
+        self.last_request, self.last_response = None, ()
+
+    def handle_line(self, line):
+        try:
+            line = _text_line(line)
+            if not re.match("[0-9A-F]{4} ", line):
+                raise ProtocolError(
+                    "untagged request: expected 4 uppercase hex digits and a space"
+                )
+        except ProtocolError as exc:
+            return [_err_line(str(exc))]
+        if line == self.last_request:
+            return list(self.last_response)
+        try:
+            lines = self.dispatch(reference_parse_command(line[5:]))
+        except (BackendError, ValueError, RuntimeError) as exc:
+            lines = [_err_line(str(exc))]
+        response = [line[:5] + payload for payload in lines]
+        self.last_request, self.last_response = line, tuple(response)
+        return response
+
+    def dispatch(self, cmd):
+        backend = self.backend
+        if isinstance(cmd, CaptureCommand):
+            backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
+            return _data_frame(backend.capture(cmd.n_blocks).samples)
+        if isinstance(cmd, ConfigureCommand):
+            backend.configure(ReceptionPathId(index=cmd.path), cmd.config, backend.adc)
+            return ["OK"]
+        if isinstance(cmd, IdentifyCommand):
+            d = backend.describe()
+            rate = int(d.max_sample_rate_hz)
+            return [f"ID {d.n_paths} {d.resolution_bits} {rate} {PROTOCOL_VERSION}"]
+        backend.reset()
+        return ["OK"]
+
+
+def server_stack(seed):
+    """A 3-path device whose path 1 couples the source's 500 MHz carrier,
+    behind a simulator backend; every capture draws noise."""
+    coupled = CouplingModel(resonances=(Resonance(500e6, 50e6, 100.0),), noise_sigma=2.0)
+    dut = SimulatedDut(
+        n_paths=3,
+        adc=AdcConfig(samples_per_block=4),
+        channel=RfChannel(),
+        coupling={(1, None): coupled},
+        default_model=CouplingModel(noise_sigma=2.0),
+        seed=seed,
+    )
+    source = SimulatedRfSource()
+    source.rf_set(RfStimulus(freq_hz=500e6, power_dbm=10.0, enabled=True))
+    return SimulatorBackend(dut, source)
+
+
+# A few SMP texts, so that a sequence repeats them under fresh tags; two
+# are refused by the device and one asks for no samples.
+SMP_TEXTS = st.sampled_from(
+    ["SMP 2 10000 1", "SMP 1 20000 4", "SMP 2 10000 1", "SMP 0 10000 1", "SMP 1 10000 3",
+     "SMP 1 0 1"]
+)
+CFG_TEXTS = st.builds(
+    lambda path, config: encode_command(ConfigureCommand(path, config)),
+    st.integers(0, 3),
+    st.sampled_from(enumerate_configs()[:4]),
+)
+COMMAND_TEXTS = st.one_of(
+    SMP_TEXTS, SMP_TEXTS, CFG_TEXTS, st.sampled_from(["RST", "ID?"]), SMP_LINES,
+    st.text(max_size=20),
+)
+# One request: a command under the next tag or the previous one, an exact
+# repeat of the last line, or a line without a valid tag.
+REQUESTS = st.one_of(
+    st.tuples(st.just("next tag"), COMMAND_TEXTS),
+    st.tuples(st.just("same tag"), COMMAND_TEXTS),
+    st.tuples(st.just("repeat"), st.just("")),
+    st.tuples(
+        st.just("untagged"), st.sampled_from(["SMP 2 10000 1", "01a2 SMP 2 10000 1", "", "0003"])
+    ),
+)
+
+
+@example(
+    seed=0,
+    requests=[
+        ("next tag", "CFG 1 INPUT NONE HI PP"),
+        ("next tag", "SMP 2 10000 1"),
+        ("next tag", "SMP 2 10000 1"),
+        ("repeat", ""),
+        ("next tag", "SMP 1 1O000 1"),
+        ("next tag", "SMP 2 10000 1"),
+        ("next tag", "SMP 1 10000 3"),
+        ("next tag", "SMP 2 10000 1"),
+        ("same tag", "SMP 1 20000 4"),
+        ("untagged", "SMP 2 10000 1"),
+        ("next tag", "CFG 0 INPUT NONE HI PP"),
+        ("next tag", "SMP 2 10000 1"),
+        ("repeat", ""),
+    ],
+)
+@given(seed=st.integers(0, 3), requests=st.lists(REQUESTS, max_size=14))
+def test_the_server_answers_as_the_reference_server(seed, requests):
+    backend, reference_backend = server_stack(seed), server_stack(seed)
+    server, reference = DutProtocolServer(backend), ReferenceServer(reference_backend)
+    tag, line = 1, None
+    for kind, text in requests:
+        if kind == "repeat":
+            if line is None:
+                continue
+        elif kind == "untagged":
+            line = text
+        else:
+            tag = (tag + (kind == "next tag")) & 0xFFFF
+            line = f"{tag:04X} {text}"
+        assert server.handle_line(line) == reference.handle_line(line)
+        states = [b.dut._rng.bit_generator.state for b in (backend, reference_backend)]
+        assert states[0] == states[1]

@@ -19,7 +19,13 @@ from scipy.signal import lfilter
 
 import adcradio
 from adcradio import simulator
-from adcradio.backend import ReceptionPathId, RfStimulus
+from adcradio.backend import (
+    ReceptionPathId,
+    RfStimulus,
+    SimulatedRfSource,
+    SimulatorBackend,
+    UnsupportedSettingError,
+)
 from adcradio.scenario import build_rig, bundled_scenario_path, enumerate_configs, load_scenario
 from adcradio.signals import BasebandEnvelope, dbm_to_mw, generate_bits, modulate_ook
 from adcradio.simulator import (
@@ -859,6 +865,33 @@ class TestConfigureCapture:
         assert dut.configured
         assert len(trace) == 4 * dut.adc.samples_per_block
         assert (trace.meta["path"], trace.meta["config"]) == (1, CFG)
+
+    def test_capture_is_a_trace_of_capture_codes(self):
+        model = CouplingModel(resonances=(Resonance(300e6, 30e6, 50.0),), noise_sigma=1.0)
+        stim = RfStimulus(freq_hz=300e6, power_dbm=10.0, enabled=True)
+        traced, bare = make_dut(model=model, seed=5), make_dut(model=model, seed=5)
+        for dut in (traced, bare):
+            dut.configure(1, CFG, dut.adc)
+        for n_blocks in (2, 0, 3):
+            trace = traced.capture(n_blocks, stim)
+            codes = bare.capture_codes(n_blocks, stim)
+            assert codes.dtype == np.int32
+            assert trace.samples.tolist() == codes.tolist()
+            assert trace.config == bare.adc
+            assert traced._rng.bit_generator.state == bare._rng.bit_generator.state
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_adc_config_refuses_a_rate_that_is_not_positive_and_finite(self, rate):
+        with pytest.raises(ValueError, match="sample_rate_hz must be positive and finite"):
+            AdcConfig(sample_rate_hz=rate)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_backend_refuses_a_rate_that_is_not_positive_and_finite(self, rate):
+        backend = SimulatorBackend(make_dut(), SimulatedRfSource())
+        backend.configure(ReceptionPathId(0), CFG, AdcConfig(samples_per_block=4))
+        with pytest.raises(UnsupportedSettingError, match=f"unsupported sample rate {rate}"):
+            backend.set_adc_rate(rate, 1)
+        assert backend.adc.sample_rate_hz == 10_000.0
 
 
 def reference_levels(model, channel, stimuli):
