@@ -278,12 +278,6 @@ def write_records(path: str | Path, results, header_extra: dict | None = None) -
             f.write(_cell_lines(cell, freq_texts, texts))
 
 
-def _same_floats(a: tuple[float, ...], b: tuple[float, ...] | None) -> bool:
-    """Whether two tuples of finite floats are equal bit for bit: equal,
-    with zeros of equal sign (0.0 == -0.0, but they print apart)."""
-    return a == b and (0.0 not in a or repr(a) == repr(b))
-
-
 def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     """The header of a results file and its records as SweepCells, one per
     run of consecutive lines with equal path and config, in file order.
@@ -296,8 +290,6 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     the line and quoting a bounded excerpt of it. A path or config equal to
     the previous line's is not parsed again: the index and label are checked
     on every line first, and a config object equal to a valid one is valid.
-    A cell whose frequencies equal the previous cell's bit for bit holds
-    that cell's ``freqs_hz`` tuple.
     """
     path = Path(path)
     lines = text_lines(path, "results", FileFormatError)
@@ -357,12 +349,8 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
             runs.append((key, rows))
         rows.append(row)
     cells = []
-    last_freqs = None
     for (path_id, config), rows in runs:
         freqs, *columns = zip(*rows)
-        if _same_floats(freqs, last_freqs):
-            freqs = last_freqs  # one tuple, so the writer formats it once
-        last_freqs = freqs
         cells.append(SweepCell(path_id, config, freqs, *map(list, columns)))
     return header, cells
 

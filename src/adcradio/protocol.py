@@ -154,12 +154,6 @@ def encode_command(cmd: Command) -> str:
     raise TypeError(f"not a protocol command: {cmd!r}")
 
 
-# What _parse_uint accepts, and the SMP request and DATA header built of it.
-_UINT = f"([0-9]{{1,{_MAX_INT_DIGITS}}})"
-_SMP_LINE = re.compile(f"SMP {_UINT} {_UINT} {_UINT}")
-_DATA_HEADER = re.compile(f"DATA {_UINT} ([0-9A-F]{{8}})")
-
-
 def _split_fields(line: str) -> list[str]:
     fields = line.split(" ")
     if "" in fields:
@@ -209,15 +203,8 @@ def decode_command(line: str | bytes) -> Command:
 
 
 def _parse_command(line: str) -> Command:
-    """decode_command of a line that _text_line has already checked.
-
-    An SMP line is one anchored match; any other line, and an SMP line
-    that fails the match, goes through the field-by-field checks, which
-    word the error. Both accept exactly the same SMP lines.
-    """
-    smp = _SMP_LINE.fullmatch(line)
-    if smp:
-        return CaptureCommand(int(smp[1]), int(smp[2]), int(smp[3]))
+    """decode_command of a line that _text_line has already checked: the
+    verb, then each field in turn, the first bad one named in the error."""
     if "\r" in line or "\n" in line or "\x00" in line:
         raise ProtocolError("line contains control characters")
     if line == "":
@@ -275,24 +262,16 @@ def _data_frame(codes: np.ndarray) -> list[str]:
 
 
 def _data_header(line: str) -> tuple[int, int]:
-    """The code count and CRC-32 of a ``DATA <count> <crc32>`` line."""
-    header = _DATA_HEADER.fullmatch(line)
-    if header is None:
-        raise _bad_data_header(line)
-    return int(header[1]), int(header[2], 16)
-
-
-def _bad_data_header(line: str) -> ProtocolError:
-    """The error for a line that is not a DATA header, naming the first
-    field that fails."""
+    """The code count and CRC-32 of a ``DATA <count> <crc32>`` line;
+    ProtocolError naming the first field that fails."""
     fields = line.split(" ")
     if len(fields) != 3 or fields[0] != "DATA":
-        return ProtocolError(f"expected DATA header, got {line!r}")
-    try:
-        _parse_uint(fields[1], 1, "count")
-    except ProtocolError as exc:
-        return exc
-    return ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {fields[2]!r}")
+        raise ProtocolError(f"expected DATA header, got {line!r}")
+    count = _parse_uint(fields[1], 1, "count")
+    crc = fields[2]
+    if len(crc) != 8 or _NOT_HEX.search(crc):
+        raise ProtocolError(f"field 2 (crc32): expected 8 hex digits, got {crc!r}")
+    return count, int(crc, 16)
 
 
 def _frame_codes(lines: list[str], count: int, crc: int, full_scale: int) -> np.ndarray:
@@ -382,7 +361,7 @@ class DutProtocolServer:
                 self._parsed_command = _parse_command(text)
                 self._parsed_text = text
             lines = self._dispatch(self._parsed_command)
-        except (BackendError, ValueError, RuntimeError) as exc:
+        except (BackendError, ValueError, RuntimeError, MemoryError) as exc:
             lines = [_err_line(str(exc))]
         tag = line[:_TAG_CHARS]
         response = [tag + payload for payload in lines]

@@ -39,8 +39,9 @@ from adcradio.protocol import (
     decode_command,
     encode_command,
 )
+from adcradio.scenario import build_rig, bundled_scenario_path, load_scenario
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
-from adcradio.sweep import enumerate_configs
+from adcradio.sweep import SweepPlan, enumerate_configs, recommended_configs, run_sweep
 
 ALL_CONFIGS = enumerate_configs()
 
@@ -452,6 +453,18 @@ class TestServer:
         assert ask(server, "RST", tag=7) == ["OK"]
         assert not backend.dut.configured
 
+    def test_an_smp_too_large_to_allocate_is_err(self):
+        backend, _ = build_rig(load_scenario(bundled_scenario_path("demo_board")))
+        server = DutProtocolServer(backend)
+        assert ask(server, "CFG 3 INPUT NONE HI PP", tag=1) == ["OK"]
+        state = backend.dut._rng.bit_generator.state
+        (out,) = server.handle_line("0002 SMP 999999999999 10000 1")
+        assert out.startswith("0002 ERR ")
+        assert backend.dut._rng.bit_generator.state == state
+        frame = ask(server, "SMP 2 10000 1", tag=3)
+        assert frame[0].startswith(f"DATA {2 * backend.adc.samples_per_block} ")
+        assert frame[-1] == "END"
+
     def test_malformed_yields_err_not_crash(self):
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
@@ -689,6 +702,24 @@ class TestSerialBackend:
         assert client.retries == 1
         assert enc.call_count == 3
         assert [type(c.args[0]) for c in enc.call_args_list] == [CaptureCommand] * 3
+
+    def test_a_loopback_sweep_parses_one_cfg_and_one_smp_per_path_and_config(self):
+        """The server parses a request text only when it differs from the
+        last one parsed; every capture of a (path, config) repeats its SMP."""
+        scenario = load_scenario(bundled_scenario_path("demo_board"))
+        plan = SweepPlan(
+            paths=(ReceptionPathId(3, "P3"), ReceptionPathId(30, "P30")),
+            configs=tuple(recommended_configs()[:2]),
+            freqs_hz=tuple(np.linspace(200e6, 1000e6, 9)),
+            samples_per_block=scenario.adc.samples_per_block,
+            adc=scenario.adc,
+        )
+        backend, source = build_rig(scenario)
+        client = SerialBackend(LoopbackTransport(DutProtocolServer(backend)))
+        with mock.patch.object(protocol, "_parse_command", wraps=protocol._parse_command) as parse:
+            result = run_sweep(plan, client, source)
+        assert not any(any(cell.failed) for cell in result.cells)
+        assert [c.args[0].split(" ")[0] for c in parse.call_args_list] == ["CFG", "SMP"] * 4
 
     def test_timeout_then_hard_error(self):
         class DeadTransport:

@@ -1,13 +1,13 @@
-"""The one-match parse of SMP requests and DATA headers against the
-field-by-field parser, kept here as the reference.
+"""The protocol's parsers against a field-by-field reference copy kept
+here.
 
 decode_command, the server's handling of a request and _data_header must
-each give what the field-by-field code gives for any line: the same
-command, response lines and backend calls, or a ProtocolError with the
-same text. The lines drawn are mostly near misses of the two matched
-lines: non-ASCII digits, 12- and 13-digit fields, leading zeros, lowercase
-and short CRCs, doubled and trailing spaces, control characters and missing
-fields.
+each give what the reference gives for any line: the same command,
+response lines and backend calls, or a ProtocolError with the same text.
+The lines drawn are mostly near misses of an SMP request and a DATA
+header: non-ASCII digits, 12- and 13-digit fields, leading zeros,
+lowercase and short CRCs, doubled and trailing spaces, control characters
+and missing fields.
 
 The server is also checked against a reference server kept here, which
 parses every request line anew, one field at a time, and captures through
