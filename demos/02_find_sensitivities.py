@@ -49,7 +49,7 @@ spectra = spectra_from_records(result)
 sensitive = [s for s in spectra if classify_sensitive(s, threshold_db=10.0)]
 print(f"{len(sensitive)} of {len(spectra)} path/config cells are sensitive (>= 10 dB)")
 
-ranked = sorted(sensitive, key=lambda s: max(s.snr), reverse=True)
+ranked = sorted(sensitive, key=lambda s: s.snr.max(), reverse=True)
 print("\nstrongest cells:")
 for s in ranked[:8]:
     freq, best = peak_snr(s)

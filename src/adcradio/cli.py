@@ -300,7 +300,7 @@ def cmd_report(args) -> int:
         if args.path is not None:
             spectrum = spectra[0]
         else:
-            spectrum = max(spectra, key=lambda s: max(s.snr))
+            spectrum = max(spectra, key=lambda s: s.snr.max())
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
         info = render_ber_curve(read_ber_curve(args.results), out_svg, out_csv)

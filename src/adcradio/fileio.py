@@ -208,19 +208,20 @@ class _FloatTexts(dict):
         return text
 
 
-def _column_texts(column, texts: _FloatTexts):
-    """The JSON text of each value of one statistic column.
+def _column_texts(column: np.ndarray, texts: _FloatTexts):
+    """The JSON text of each value of one statistic column, an array.
 
-    A column of exact, finite floats is written through ``texts``: repr,
-    which on an exact float is float.__repr__, as json.dumps writes a
-    finite float. Any other column is written value by value under the
-    json.dumps rules.
+    A column of finite values is written through ``texts``: repr, which on
+    a float is float.__repr__, as json.dumps writes a finite float. Any
+    other column is written value by value under the json.dumps rules, a
+    NaN (a statistic not measured) as null.
     """
+    values = column.tolist()
     # The sum is finite only if every term is (an overflow merely sends the
     # column the general way).
-    if set(map(type, column)) <= {float} and math.isfinite(sum(column)):
-        return map(texts.__getitem__, column)
-    return map(_json_number, column)
+    if math.isfinite(sum(values)):
+        return map(texts.__getitem__, values)
+    return map(_json_number, [None if v != v else v for v in values])
 
 
 def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
@@ -230,7 +231,8 @@ def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
 
     The path/config prefix is encoded once, each statistic column's texts
     are made by _column_texts through ``texts``, and each line ends with
-    the failed suffix when its record failed.
+    the failed suffix when its record failed. Every column is turned into
+    Python values once, by tolist, so no numpy scalar reaches a repr.
     """
     head = {
         "path": {"index": cell.path.index, "label": cell.path.label},
@@ -239,12 +241,11 @@ def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
     prefix = json.dumps(head)[:-1] + ', "freq_hz": '
     stats = (cell.mean_on, cell.mean_off, cell.diff, cell.var_off)
     snr_texts = [
-        f'{{"db": {snr!r}}}' if type(snr) is float and snr - snr == 0.0 else _snr_text(snr)
-        for snr in cell.snr
+        f'{{"db": {snr!r}}}' if snr - snr == 0.0 else _snr_text(snr) for snr in cell.snr.tolist()
     ]
     endings = [
         ', "failed": true, "error": ' + json.dumps(error) + "}\n" if failed else "}\n"
-        for failed, error in zip(cell.failed, cell.errors)
+        for failed, error in zip(cell.failed.tolist(), cell.errors)
     ]
     return "".join([
         f'{prefix}{freq}, "mean_on": {on}, "mean_off": {off}, "diff": {diff}'
@@ -281,6 +282,9 @@ def write_records(path: str | Path, results, header_extra: dict | None = None) -
 def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     """The header of a results file and its records as SweepCells, one per
     run of consecutive lines with equal path and config, in file order.
+    Each cell holds the run's frequencies as a tuple of its own and its
+    statistics and SNRs as float64 arrays, a null statistic of a failed
+    record as NaN; writing the cells gives the lines back.
 
     Every line is validated. The path index must be a JSON integer >= 0 and
     its label a string. The statistics must be finite numbers, or null on a
@@ -350,8 +354,11 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
         rows.append(row)
     cells = []
     for (path_id, config), rows in runs:
-        freqs, *columns = zip(*rows)
-        cells.append(SweepCell(path_id, config, freqs, *map(list, columns)))
+        freqs, *columns, failed, errors = zip(*rows)
+        columns = (np.array(column, np.float64) for column in columns)
+        cells.append(
+            SweepCell(path_id, config, freqs, *columns, np.array(failed, bool), list(errors))
+        )
     return header, cells
 
 

@@ -145,7 +145,7 @@ def render_heatmap(results, out_svg: str | Path, out_csv: str | Path) -> dict:
 
 def render_spectrum(spectrum: SweepCell, out_svg: str | Path, out_csv: str | Path) -> dict:
     """SNR-over-frequency line for one (path, configuration) cell."""
-    freqs, snr = spectrum.freqs_hz, spectrum.snr
+    freqs, snr = spectrum.freqs_hz, spectrum.snr.tolist()
     if not snr:
         raise ValueError("no records")
     finite = [s for s in snr if math.isfinite(s)]

@@ -28,7 +28,9 @@ under the same tag and drops every line that is not the awaited response:
 a stale or duplicated line carries another tag, or none.
 
 CFG selects and resets a reception path; SMP applies the acquisition rate
-and oversampling ratio (without resetting the path) and runs one capture.
+and oversampling ratio (without resetting the path) and runs one capture of
+at most MAX_CAPTURE_CODES codes; a larger one is refused before anything
+runs.
 The block length (samples per block) and ADC resolution are device-side
 settings reported via ID?-level capabilities and the scenario, not carried
 per command. The trailing ID? field is the protocol version.
@@ -63,6 +65,11 @@ from .simulator import AdcConfig, AdcTrace
 PROTOCOL_VERSION = 2
 MAX_LINE_CHARS = 256
 _MAX_INT_DIGITS = 12
+# The most codes one SMP may ask for (n_blocks times the device's block
+# length): above a 12,565-bit link payload's 201,040. At one sample per code
+# a capture this large peaks at about 16 MiB on the device side, DATA frame
+# included (demo_board, tracemalloc).
+MAX_CAPTURE_CODES = 1 << 20
 # A tag is four hex digits and a space ahead of every line.
 _TAG_CHARS = 5
 # Codes per DATA sample line: four hex digits each, within the line limit.
@@ -370,6 +377,11 @@ class DutProtocolServer:
 
     def _dispatch(self, cmd: Command) -> list[str]:
         if isinstance(cmd, CaptureCommand):  # first: nearly every request is one
+            n_codes = cmd.n_blocks * self.backend.adc.samples_per_block
+            if n_codes > MAX_CAPTURE_CODES:
+                raise ProtocolError(
+                    f"SMP: {n_codes} codes exceed the capture limit of {MAX_CAPTURE_CODES}"
+                )
             self.backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
             return _data_frame(self.backend.capture_codes(cmd.n_blocks))
         if isinstance(cmd, ConfigureCommand):

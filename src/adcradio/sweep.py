@@ -113,25 +113,68 @@ class SensitivityRecord:
     error: str | None = None
 
 
-@dataclass(slots=True)
+# The float64 columns of a SweepCell: its statistics, then its SNR.
+_STATISTICS = ("mean_on", "mean_off", "diff", "var_off")
+_FLOAT_COLUMNS = (*_STATISTICS, "snr")
+
+
+@dataclass(slots=True, eq=False)
 class SweepCell:
     """The results of one (path, config) as columns, one entry per frequency
     of ``freqs_hz`` (in a sweep, the plan's tuple, shared by every cell; in
     a file read back, that of one run of lines): the fields of its
-    SensitivityRecords. A frequency that failed has None
-    statistics, a -inf SNR, failed True and its error text. ``freqs_hz`` and
-    ``snr`` are the cell's SNR spectrum (see spectra_from_records)."""
+    SensitivityRecords.
+
+    The four statistics and ``snr`` are float64 arrays, ``failed`` a bool
+    array and ``errors`` a list of error texts, None where nothing failed.
+    A statistic is NaN where none was measured, as at a frequency that
+    failed, whose SNR is -inf; the record view and the results writer give
+    such a statistic as None (JSON null). Columns given as other sequences
+    are converted when the cell is made, a None statistic to NaN. Cells are
+    equal when their path, config, frequencies and errors are and their
+    columns hold the same values, NaN matching NaN. ``freqs_hz`` and
+    ``snr`` are the cell's SNR spectrum (see spectra_from_records).
+    """
 
     path: ReceptionPathId
     config: PathConfig
     freqs_hz: tuple[float, ...]
-    mean_on: list
-    mean_off: list
-    diff: list
-    var_off: list
-    snr: list
-    failed: list
+    mean_on: np.ndarray
+    mean_off: np.ndarray
+    diff: np.ndarray
+    var_off: np.ndarray
+    snr: np.ndarray
+    failed: np.ndarray
     errors: list
+
+    def __post_init__(self):
+        for name in _FLOAT_COLUMNS:
+            setattr(self, name, np.asarray(getattr(self, name), np.float64))
+        self.failed = np.asarray(self.failed, bool)
+        n = len(self.freqs_hz)
+        for name in (*_FLOAT_COLUMNS, "failed"):
+            if getattr(self, name).shape != (n,):
+                raise ValueError(f"{name} must hold one entry per frequency ({n})")
+        if len(self.errors) != n:
+            raise ValueError(f"errors must hold one entry per frequency ({n})")
+
+    def __eq__(self, other):
+        if not isinstance(other, SweepCell):
+            return NotImplemented
+        return (
+            (self.path, self.config, self.freqs_hz, self.errors)
+            == (other.path, other.config, other.freqs_hz, other.errors)
+            and np.array_equal(self.failed, other.failed)
+            and all(
+                np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+                for name in _FLOAT_COLUMNS
+            )
+        )
+
+
+def _measured(value: float) -> float | None:
+    """A statistic as the record view gives it: None where NaN."""
+    return None if value != value else value
 
 
 class SweepResult(Sequence[SensitivityRecord]):
@@ -143,7 +186,8 @@ class SweepResult(Sequence[SensitivityRecord]):
     sweep itself builds none. Record k is frequency k % len(freqs_hz) of
     cell k // len(freqs_hz). A slice is a list of records. Assigning a
     record to an index writes its fields into the columns; it must have
-    that index's path, config and frequency.
+    that index's path, config and frequency. The view gives and takes
+    Python floats, bools and None only, a None statistic held as NaN.
     """
 
     __slots__ = ("freqs_hz", "cells")
@@ -170,24 +214,24 @@ class SweepResult(Sequence[SensitivityRecord]):
             return [self[i] for i in range(*k.indices(len(self)))]
         c, j = self._locate(k)
         return SensitivityRecord(
-            c.path, c.config, c.freqs_hz[j], c.mean_on[j], c.mean_off[j], c.diff[j],
-            c.var_off[j], c.snr[j], c.failed[j], c.errors[j],
+            c.path, c.config, c.freqs_hz[j],
+            *(_measured(getattr(c, name).item(j)) for name in _STATISTICS),
+            c.snr.item(j), c.failed.item(j), c.errors[j],
         )
 
     def __setitem__(self, k, record: SensitivityRecord) -> None:
         c, j = self._locate(k)
         if (record.path, record.config, record.freq_hz) != (c.path, c.config, c.freqs_hz[j]):
             raise ValueError(f"record {k} must keep its path, config and frequency")
-        c.mean_on[j], c.mean_off[j], c.diff[j], c.var_off[j] = (
-            record.mean_on, record.mean_off, record.diff, record.var_off
-        )
+        for name in _STATISTICS:
+            value = getattr(record, name)
+            getattr(c, name)[j] = math.nan if value is None else value
         c.snr[j], c.failed[j], c.errors[j] = record.snr, record.failed, record.error
 
     def __iter__(self):
         for c in self.cells:
-            rows = zip(
-                c.freqs_hz, c.mean_on, c.mean_off, c.diff, c.var_off, c.snr, c.failed, c.errors
-            )
+            stats = (map(_measured, getattr(c, name).tolist()) for name in _STATISTICS)
+            rows = zip(c.freqs_hz, *stats, c.snr.tolist(), c.failed.tolist(), c.errors)
             for row in rows:
                 yield SensitivityRecord(c.path, c.config, *row)
 
@@ -294,40 +338,41 @@ def run_sweep(plan: SweepPlan, backend, rf_source) -> SweepResult:
     return SweepResult(plan.freqs_hz, cells)
 
 
-def _snr_column(diff: list[float], var_off: list[float]) -> list[float]:
-    """snr_from_stats of each (diff, var_off) pair. Per value, not numpy:
-    np.log10 is not math.log10 to the last bit on every platform, and the
-    SNR is written to results files."""
-    return list(map(snr_from_stats, diff, var_off))
+def _snr_column(diff, var_off) -> np.ndarray:
+    """snr_from_stats of each (diff, var_off) pair, as a float64 array.
+    Per value, on Python floats, not numpy: np.log10 is not math.log10 to
+    the last bit on every platform, and the SNR is written to results
+    files."""
+    pairs = map(snr_from_stats, np.asarray(diff).tolist(), np.asarray(var_off).tolist())
+    return np.array(list(pairs), np.float64)
 
 
 def _cell_columns(path, config, plan, codes, errors, pool: bool) -> SweepCell:
     """The columns of one (path, config) from its (n_freqs, 2, samples)
-    off/on codes; the statistics of all frequencies are computed together
-    and become plain float lists. Where a frequency failed, its row holds
-    the failed entries instead."""
-    failed = [exc is not None for exc in errors]
-    if any(failed):
-        codes = codes[[not f for f in failed]]
+    off/on codes; the statistics of all frequencies that captured are
+    computed together. Where a frequency failed, its statistics are NaN and
+    its SNR is -inf."""
+    failed = np.array([exc is not None for exc in errors], bool)
+    if failed.any():
+        codes = codes[~failed]
     n_capture = plan.blocks_per_state + SETTLE_BLOCKS
     means = block_mean(codes, plan.samples_per_block)
     means = means.reshape(-1, 2, n_capture)[:, :, SETTLE_BLOCKS:]
     off, on = means[:, 0], means[:, 1]
     mean_on = on.mean(axis=1)
     mean_off = off.mean(axis=1)
-    diff = (mean_on - mean_off).tolist()
+    diff = mean_on - mean_off
     if pool:
-        var_off = [float(_off_variance(off.ravel()))] * len(diff)
+        var_off = np.full(len(diff), _off_variance(off.ravel()))
     else:
-        var_off = _off_variance(off).tolist()
-    columns = [mean_on.tolist(), mean_off.tolist(), diff, var_off, _snr_column(diff, var_off)]
-    if any(failed):
-        rows = iter(zip(*columns))
-        failed_row = (None, None, None, None, -math.inf)
-        columns = [
-            list(column)
-            for column in zip(*(failed_row if f else next(rows) for f in failed))
-        ]
+        var_off = _off_variance(off)
+    columns = [mean_on, mean_off, diff, var_off, _snr_column(diff, var_off)]
+    if failed.any():
+        fills = (math.nan,) * len(_STATISTICS) + (-math.inf,)
+        for i, fill in enumerate(fills):
+            full = np.full(len(failed), fill)
+            full[~failed] = columns[i]
+            columns[i] = full
     texts = [None if exc is None else str(exc) for exc in errors]
     return SweepCell(path, config, plan.freqs_hz, *columns, failed, texts)
 
@@ -338,7 +383,8 @@ def spectra_from_records(results) -> list[SweepCell]:
     themselves, whose ``freqs_hz`` and ``snr`` columns are the spectrum, so
     treat them as read-only. A cell whose path index and config have
     appeared before extends that spectrum into a new cell, the first one's
-    columns followed by its own; no given cell is written."""
+    columns followed by its own (arrays concatenated, the frequency tuple
+    and the error list added); no given cell is written."""
     cells = results.cells if isinstance(results, SweepResult) else results
     spectra: dict[tuple[int, PathConfig], SweepCell] = {}
     for cell in cells:
@@ -347,11 +393,17 @@ def spectra_from_records(results) -> list[SweepCell]:
         if first is None:
             spectra[key] = cell
         else:
-            columns = fields(SweepCell)[2:]  # every field after path and config
+            names = [f.name for f in fields(SweepCell)[2:]]  # all after path and config
             spectra[key] = replace(
-                first, **{f.name: getattr(first, f.name) + getattr(cell, f.name) for f in columns}
+                first, **{n: _joined(getattr(first, n), getattr(cell, n)) for n in names}
             )
     return list(spectra.values())
+
+
+def _joined(head, tail):
+    """Column ``head`` followed by column ``tail``. An array is joined with
+    np.concatenate: ``+`` would add the two elementwise."""
+    return np.concatenate((head, tail)) if isinstance(head, np.ndarray) else head + tail
 
 
 def config_order(spectra) -> dict[PathConfig, int]:
@@ -363,10 +415,10 @@ def peak_snr(spectrum: SweepCell) -> tuple[float, float]:
     """Maximum-SNR (frequency, SNR) of a spectrum; ties go to the first,
     lowest frequency."""
     snr = spectrum.snr
-    if not snr:
+    if not len(snr):
         raise ValueError("empty spectrum")
-    i = snr.index(max(snr))
-    return spectrum.freqs_hz[i], snr[i]
+    i = int(np.argmax(snr))  # the first maximum
+    return spectrum.freqs_hz[i], snr.item(i)
 
 
 def classify_sensitive(spectrum: SweepCell, threshold_db: float = DEFAULT_THRESHOLD_DB) -> bool:

@@ -191,7 +191,7 @@ class TestResultsFiles:
         assert header["schema_version"] == 1
         assert header["seed"] == 5
         assert back == [cell]
-        assert back[0].snr == [9.0, math.inf, -math.inf, -math.inf]
+        assert back[0].snr.tolist() == [9.0, math.inf, -math.inf, -math.inf]
         assert back[0].failed[3] and back[0].errors[3] == "injected"
         assert back[0].config == cell.config
 
@@ -279,8 +279,8 @@ class TestResultsFiles:
 
     def test_valid_record_reads(self, tmp_path):
         cell = self.read_one(tmp_path, mean_on=2050)
-        assert cell.mean_on == [2050.0] and isinstance(cell.mean_on[0], float)
-        assert cell.failed == [False] and cell.errors == [None]
+        assert cell.mean_on.dtype == np.float64 and cell.mean_on.tolist() == [2050.0]
+        assert cell.failed.tolist() == [False] and cell.errors == [None]
 
     def test_string_statistic_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="mean_on must be a finite number"):
@@ -312,7 +312,8 @@ class TestResultsFiles:
     def test_null_statistics_on_failed_record(self, tmp_path):
         nulls = dict.fromkeys(("mean_on", "mean_off", "diff", "var_off"))
         cell = self.read_one(tmp_path, **nulls, snr="none", failed=True, error="boom")
-        assert cell.failed == [True] and cell.errors == ["boom"] and cell.mean_on == [None]
+        assert cell.failed.tolist() == [True] and cell.errors == ["boom"]
+        assert math.isnan(cell.mean_on[0]) and cell.snr.tolist() == [-math.inf]
 
     def test_string_failed_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="failed must be true or false"):
@@ -435,7 +436,7 @@ class TestResultsFiles:
 
     def test_diff_is_the_exact_float_difference(self, tmp_path):
         cell = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1)
-        assert cell.diff == [0.19999999999999998]
+        assert cell.diff.tolist() == [0.19999999999999998]
         with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off"):
             self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.2)
 
@@ -518,6 +519,17 @@ def record_runs(draw):
     return records
 
 
+def as_held(record):
+    """``record`` as the float64 columns of a cell hold it: every statistic
+    and the SNR a float, and a NaN statistic None (not measured)."""
+    stats = {
+        name: None if value is None or value != value else float(value)
+        for name in ("mean_on", "mean_off", "diff", "var_off")
+        for value in [getattr(record, name)]
+    }
+    return replace(record, **stats, snr=float(record.snr))
+
+
 def _zero_record(freq, on, off, var, snr):
     return SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, freq, on, off, on - off, var, snr)
 
@@ -597,7 +609,7 @@ class TestWriteRecords:
                 _OTHER_PATH, _SPECIAL_CONFIG, 3e8, 1.5, 0.5, 1.0, 0.25, -math.inf,
                 failed=True, error="e",
             ),
-            # Bool and int SNRs and statistics.
+            # Bool and int SNRs and statistics, held and written as floats.
             SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 4e8, 1.5, 0.5, 1.0, 0.25, True),
             SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 5e8, 2, 1, 1, 0, 7),
             SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 6e8, True, False, 1, 0.5, 2.0),
@@ -619,7 +631,8 @@ class TestWriteRecords:
         header = {"schema_version": 1, "kind": "sensitivity-records", "seed": 3}
         want = "".join(
             line + "\n"
-            for line in [json.dumps(header)] + [json.dumps(record_to_dict(r)) for r in records]
+            for line in [json.dumps(header)]
+            + [json.dumps(record_to_dict(as_held(r))) for r in records]
         ).encode()
         path = tmp_path_factory.getbasetemp() / "written.jsonl"
         write_records(path, cells_of(records), header_extra={"seed": 3})

@@ -1,6 +1,7 @@
 """Wire codec, protocol server, and the serial loopback backend."""
 
 import re
+import tracemalloc
 import zlib
 from unittest import mock
 
@@ -22,6 +23,7 @@ from adcradio.backend import (
 )
 from adcradio.protocol import (
     CODES_PER_LINE,
+    MAX_CAPTURE_CODES,
     MAX_LINE_CHARS,
     PROTOCOL_VERSION,
     CaptureCommand,
@@ -464,6 +466,52 @@ class TestServer:
         frame = ask(server, "SMP 2 10000 1", tag=3)
         assert frame[0].startswith(f"DATA {2 * backend.adc.samples_per_block} ")
         assert frame[-1] == "END"
+
+    def test_an_smp_over_the_capture_limit_is_err_before_anything_runs(self):
+        # 100,000 blocks of 32 samples are 3.2 M codes: one tagged ERR that
+        # names the limit, with no allocation of the capture, no rate change
+        # and no random draw.
+        backend, _ = build_rig(load_scenario(bundled_scenario_path("demo_board")))
+        server = DutProtocolServer(backend)
+        assert ask(server, "CFG 3 INPUT NONE HI PP", tag=1) == ["OK"]
+        state, adc = backend.dut._rng.bit_generator.state, backend.adc
+        tracemalloc.start()
+        try:
+            out = server.handle_line("0002 SMP 100000 10000 1")
+            refused = server.handle_line("0003 SMP 100000 20000 4")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = f"exceed the capture limit of {MAX_CAPTURE_CODES}"
+        assert out == [f"0002 ERR SMP: 3200000 codes {limit}"]
+        assert refused[0].startswith("0003 ERR ") and len(refused) == 1
+        assert peak < 1 << 20
+        assert backend.dut._rng.bit_generator.state == state
+        assert backend.adc == adc
+        frame = ask(server, "SMP 2 10000 1", tag=4)
+        assert frame[0].startswith(f"DATA {2 * backend.adc.samples_per_block} ")
+        assert frame[-1] == "END"
+
+    def test_the_capture_limit_admits_exactly_max_capture_codes(self):
+        class Device:
+            adc = AdcConfig(samples_per_block=1024)
+            calls = []
+
+            def set_adc_rate(self, rate, ratio):
+                self.calls.append("set_adc_rate")
+
+            def capture_codes(self, n_blocks):
+                self.calls.append(n_blocks)
+                return np.zeros(2, np.int32)
+
+        device = Device()
+        server = DutProtocolServer(device)
+        at_limit = MAX_CAPTURE_CODES // 1024
+        assert ask(server, f"SMP {at_limit} 10000 1", tag=1)[0].startswith("DATA 2 ")
+        (out,) = ask(server, f"SMP {at_limit + 1} 10000 1", tag=2)
+        limit = f"exceed the capture limit of {MAX_CAPTURE_CODES}"
+        assert out == f"ERR SMP: {MAX_CAPTURE_CODES + 1024} codes {limit}"
+        assert device.calls == ["set_adc_rate", at_limit]
 
     def test_malformed_yields_err_not_crash(self):
         backend, _ = make_stack()

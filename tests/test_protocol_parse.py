@@ -36,6 +36,7 @@ from adcradio.backend import (
     enumerate_configs,
 )
 from adcradio.protocol import (
+    MAX_CAPTURE_CODES,
     PROTOCOL_VERSION,
     CaptureCommand,
     ConfigureCommand,
@@ -262,8 +263,9 @@ def test_the_server_answers_as_with_the_field_by_field_parse(line):
 
 class ReferenceServer:
     """The device side with no memo but the replay of the last request:
-    every line is parsed anew by reference_parse_command, and a capture's
-    codes are ``backend.capture(n).samples``."""
+    every line is parsed anew by reference_parse_command, a capture of more
+    than MAX_CAPTURE_CODES codes is refused before anything runs, and a
+    capture's codes are ``backend.capture(n).samples``."""
 
     def __init__(self, backend):
         self.backend = backend
@@ -291,6 +293,11 @@ class ReferenceServer:
     def dispatch(self, cmd):
         backend = self.backend
         if isinstance(cmd, CaptureCommand):
+            n_codes = cmd.n_blocks * backend.adc.samples_per_block
+            if n_codes > MAX_CAPTURE_CODES:
+                raise ProtocolError(
+                    f"SMP: {n_codes} codes exceed the capture limit of {MAX_CAPTURE_CODES}"
+                )
             backend.set_adc_rate(cmd.sample_rate_hz, cmd.oversampling_ratio)
             return _data_frame(backend.capture(cmd.n_blocks).samples)
         if isinstance(cmd, ConfigureCommand):
@@ -321,11 +328,12 @@ def server_stack(seed):
     return SimulatorBackend(dut, source)
 
 
-# A few SMP texts, so that a sequence repeats them under fresh tags; two
-# are refused by the device and one asks for no samples.
+# A few SMP texts, so that a sequence repeats them under fresh tags; three
+# are refused by the device (one asks for more than MAX_CAPTURE_CODES codes)
+# and one asks for no samples.
 SMP_TEXTS = st.sampled_from(
     ["SMP 2 10000 1", "SMP 1 20000 4", "SMP 2 10000 1", "SMP 0 10000 1", "SMP 1 10000 3",
-     "SMP 1 0 1"]
+     "SMP 1 0 1", "SMP 300000 10000 1"]
 )
 CFG_TEXTS = st.builds(
     lambda path, config: encode_command(ConfigureCommand(path, config)),

@@ -2,10 +2,12 @@
 
 import contextlib
 import copy
+import gc
 import json
 import math
 import random
 import struct
+import tracemalloc
 import warnings
 from collections.abc import Sequence
 from dataclasses import replace
@@ -35,6 +37,7 @@ from adcradio.fileio import (
     write_records,
 )
 from adcradio.protocol import DutProtocolServer, LoopbackTransport, SerialBackend, _data_frame
+from adcradio.scenario import build_rig, bundled_scenario_path, load_scenario
 from adcradio.simulator import AdcConfig, CouplingModel, Resonance, RfChannel, SimulatedDut
 from adcradio.sweep import (
     SETTLE_BLOCKS,
@@ -713,7 +716,8 @@ class TestSweepResult:
         first = spectra[0]
         assert first is not cells[0] and spectra[1:] == cells[1:4]
         assert first.freqs_hz == result.freqs_hz * 2
-        assert first.snr == cells[0].snr * 2 and first.errors == cells[0].errors * 2
+        assert first.snr.tolist() == cells[0].snr.tolist() * 2
+        assert first.errors == cells[0].errors * 2
         assert spectra == spectra_from_records(cells)
 
     def test_duplicate_paths_or_configs_rejected(self):
@@ -819,3 +823,130 @@ class TestSweepResultProperty:
         ).encode()
         assert written.read_bytes() == want
         assert spectra_from_records(result) == spectra_from_records(read_records(written)[1])
+
+
+def assert_one_representation(cells):
+    """Each cell holds float64 statistic and SNR arrays, a bool ``failed``
+    array and an error list, one entry per frequency; its statistics are
+    NaN exactly where it failed, and its SNR is -inf there. Its record view
+    gives Python floats, bools, strings and None only."""
+    stats = ("mean_on", "mean_off", "diff", "var_off")
+    for cell in cells:
+        n = len(cell.freqs_hz)
+        assert all(type(f) is float for f in cell.freqs_hz)
+        for name in (*stats, "snr"):
+            column = getattr(cell, name)
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert column.shape == (n,)
+        assert cell.failed.dtype == np.bool_ and cell.failed.shape == (n,)
+        assert type(cell.errors) is list and len(cell.errors) == n
+        for name in stats:
+            assert np.array_equal(np.isnan(getattr(cell, name)), cell.failed)
+        assert (cell.snr[cell.failed] == -math.inf).all()
+        view = SweepResult(cell.freqs_hz, [cell])
+        for records in (list(view), [view[j] for j in range(n)]):
+            for r in records:
+                assert type(r.freq_hz) is float and type(r.snr) is float
+                assert type(r.failed) is bool
+                if r.failed:
+                    assert (r.mean_on, r.mean_off, r.diff, r.var_off) == (None,) * 4
+                    assert type(r.error) is str
+                else:
+                    assert {type(getattr(r, name)) for name in stats} == {float}
+                    assert r.error is None
+
+
+@st.composite
+def split_sweep_cases(draw):
+    """A sweep case of at least two cells and two frequencies, with the
+    cell whose results-file lines are split into two runs (any but the
+    last) and the number of lines in its first run."""
+    case = draw(
+        sweep_cases().filter(
+            lambda c: c["shape"][2] >= 2 and c["shape"][0] * c["shape"][1] >= 2
+        )
+    )
+    n_paths, n_configs, n_freqs = case["shape"]
+    case["split"] = draw(st.integers(0, n_paths * n_configs - 2))
+    case["first_run"] = draw(st.integers(1, n_freqs - 1))
+    return case
+
+
+class TestOneRepresentationProperty:
+    @given(split_sweep_cases())
+    @example(
+        dict(shape=(2, 1, 6), blocks=1, pool=None, noise=1.0, seed=9, serial=True,
+             failing={3, 9}, bad_paths=set(), split=0, first_run=2)
+    )
+    @example(
+        dict(shape=(3, 2, 4), blocks=3, pool=False, noise=0.0, seed=1, serial=False,
+             failing={2}, bad_paths={1}, split=2, first_run=1)
+    )
+    def test_swept_read_and_joined_cells_hold_the_same_columns(self, tmp_path_factory, case):
+        # A sweep with injected BackendErrors; its file read back with the
+        # lines of one (path, config) split into two runs; and the spectra
+        # of the cells read, which join those two runs again.
+        result, _ = faulty_sweep(case)
+        base = tmp_path_factory.getbasetemp()
+        written = base / "result.jsonl"
+        write_records(written, result)
+        header, *lines = written.read_text().splitlines(keepends=True)
+        n_freqs, n_cells = len(result.freqs_hz), len(result.cells)
+        split, k = case["split"], case["first_run"]
+        start = split * n_freqs
+        tail = lines[start + k : start + n_freqs]
+        del lines[start + k : start + n_freqs]
+        split_file = base / "split.jsonl"
+        split_file.write_text(header + "".join(lines + tail))
+        _, read = read_records(split_file)
+        assert len(read) == n_cells + 1
+        assert [len(c.freqs_hz) for c in (read[split], read[-1])] == [k, n_freqs - k]
+        rewritten = base / "rewritten.jsonl"
+        write_records(rewritten, read)
+        assert rewritten.read_bytes() == split_file.read_bytes()
+        spectra = spectra_from_records(read)
+        assert spectra == result.cells
+        for cells in (result.cells, read, spectra):
+            assert_one_representation(cells)
+
+
+def retained_bytes(make) -> int:
+    """The bytes tracemalloc sees freed when the value ``make()`` returns
+    is dropped. A full collection before each reading empties the free
+    lists, whose blocks tracemalloc counts as allocated."""
+    tracemalloc.start()
+    try:
+        value = make()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del value
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    # Bytes per (path, config, frequency) record, stated before measuring.
+    # The float64 columns hold one in about 60 B (five 8-byte values, a
+    # bool, an error-list entry and a share of each array's header); lists
+    # of Python floats took about 160. Read cells also hold a frequency
+    # tuple of their own, 32 B a record more; as lists they took about 217.
+    SWEEP_BYTES_PER_RECORD = 80
+    READ_BYTES_PER_RECORD = 120
+
+    def test_sweep_results_and_read_cells_stay_under_their_bounds(self, tmp_path):
+        scenario = load_scenario(bundled_scenario_path("demo_board"))
+        backend, source = build_rig(scenario, seed=2)
+        plan = SweepPlan(
+            paths=tuple(ReceptionPathId(i, f"P{i}") for i in range(4)),
+            configs=tuple(recommended_configs()),
+            samples_per_block=scenario.adc.samples_per_block,
+            adc=scenario.adc,
+        )
+        results = tmp_path / "results.jsonl"
+        write_records(results, run_sweep(plan, backend, source))
+        swept = retained_bytes(lambda: run_sweep(plan, backend, source))
+        read = retained_bytes(lambda: read_records(results))
+        assert swept / plan.n_cells <= self.SWEEP_BYTES_PER_RECORD
+        assert read / plan.n_cells <= self.READ_BYTES_PER_RECORD

@@ -21,6 +21,10 @@ burst uniforms, which no capture order can undercut. A spectrum's draws
 must come in capture order (per state: noise, walk steps, burst
 uniforms), so the floor is a bound, not a target.
 
+Last, it sweeps the last round's seed again under tracemalloc and prints
+the bytes that round's SweepResult holds, in all and per record: those
+that tracemalloc sees freed when the result is dropped.
+
 Times are host wall time (perf_counter), not the benchmark's
 speed-normalized ones. The first round is run untimed.
 
@@ -32,7 +36,9 @@ Run from the repository root:
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
+import tracemalloc
 from pathlib import Path
 from statistics import median
 from time import perf_counter
@@ -76,6 +82,23 @@ def timed_round(scn, plan, seed: int) -> list[tuple]:
     end = perf_counter()
     ends = [t for _, _, t in marks[1:]] + [end]
     return [(model, index, stop - start) for (model, index, start), stop in zip(marks, ends)]
+
+
+def result_bytes(scn, plan, seed: int) -> int:
+    """Bytes that the SweepResult of the desk round of ``seed`` holds under
+    tracemalloc. A full collection before each reading empties the free
+    lists, whose blocks tracemalloc counts as allocated."""
+    backend, source = scenario.build_rig(scn, seed=seed)
+    tracemalloc.start()
+    try:
+        result = sweep.run_sweep(plan, backend, source)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        del result
+        gc.collect()
+        return held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def draw_floor(model, size: int) -> float:
@@ -128,6 +151,11 @@ def main() -> None:
         ratio = op_ms / floor_ms
         print(f"path {index:3d} {op_ms:8.3f} ms, floor {floor_ms:6.3f} ms, {ratio:5.2f}x")
     print(f"all operations p99 {np.percentile([t for _, _, t in ops], 99) * 1e3:.3f} ms")
+    held = result_bytes(scn, plan, 1000 + WARMUP + args.rounds - 1)
+    print(
+        f"last round's SweepResult under tracemalloc: {held / 2**20:.2f} MiB, "
+        f"{held / plan.n_cells:.1f} B per record"
+    )
 
 
 if __name__ == "__main__":
