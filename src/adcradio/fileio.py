@@ -354,11 +354,8 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
         rows.append(row)
     cells = []
     for (path_id, config), rows in runs:
-        freqs, *columns, failed, errors = zip(*rows)
-        columns = (np.array(column, np.float64) for column in columns)
-        cells.append(
-            SweepCell(path_id, config, freqs, *columns, np.array(failed, bool), list(errors))
-        )
+        # SweepCell makes the arrays: float64 columns, a null statistic NaN.
+        cells.append(SweepCell(path_id, config, *zip(*rows)))
     return header, cells
 
 

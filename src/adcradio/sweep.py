@@ -130,10 +130,11 @@ class SweepCell:
     A statistic is NaN where none was measured, as at a frequency that
     failed, whose SNR is -inf; the record view and the results writer give
     such a statistic as None (JSON null). Columns given as other sequences
-    are converted when the cell is made, a None statistic to NaN. Cells are
-    equal when their path, config, frequencies and errors are and their
-    columns hold the same values, NaN matching NaN. ``freqs_hz`` and
-    ``snr`` are the cell's SNR spectrum (see spectra_from_records).
+    are converted when the cell is made, a None statistic to NaN and
+    ``errors`` to a list. Cells are equal when their path, config,
+    frequencies and errors are and their columns hold the same values, NaN
+    matching NaN. ``freqs_hz`` and ``snr`` are the cell's SNR spectrum
+    (see spectra_from_records).
     """
 
     path: ReceptionPathId
@@ -151,6 +152,7 @@ class SweepCell:
         for name in _FLOAT_COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), np.float64))
         self.failed = np.asarray(self.failed, bool)
+        self.errors = list(self.errors)
         n = len(self.freqs_hz)
         for name in (*_FLOAT_COLUMNS, "failed"):
             if getattr(self, name).shape != (n,):
