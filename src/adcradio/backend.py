@@ -120,7 +120,7 @@ class RfStimulus:
     envelope: BasebandEnvelope | None = None
 
     def __post_init__(self):
-        if self.freq_hz <= 0:
+        if not self.freq_hz > 0:
             raise ValueError("freq_hz must be positive")
 
 

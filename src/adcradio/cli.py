@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -120,6 +121,11 @@ def _seed(args, scenario) -> int:
     return args.seed
 
 
+def _finite(flag: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be a finite number, got {value}")
+
+
 def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int | None:
     """A receiver setting: the flag if given, else the trace's hint, else
     ``default``. A hint must be a JSON integer (not a bool or a float)."""
@@ -164,7 +170,11 @@ def cmd_sweep(args) -> int:
         seed=seed,
         outputs=[results_path],
         scenario=scenario_path,
-        extra={"records": len(records), "sensitive_cells": len(sensitive)},
+        extra={
+            "records": len(records),
+            "sensitive_cells": len(sensitive),
+            "threshold_db": args.threshold_db,
+        },
     )
     print(
         f"{len(records)} records -> {results_path} "
@@ -231,6 +241,8 @@ def cmd_ber(args) -> int:
         powers = [float(tok) for tok in args.powers.split(",") if tok != ""]
     except ValueError:
         raise UsageError(f"--powers must be comma-separated dBm values, got {args.powers!r}")
+    for power in powers:
+        _finite("--powers", power)
     if not powers:
         raise UsageError("--powers is empty")
     tx = scenario.transmission
@@ -503,6 +515,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     args.argv = argv  # what the manifests record
     try:
+        # Every float flag: argparse's float() also takes nan and inf.
+        for name, value in vars(args).items():
+            if isinstance(value, float):
+                _finite("--" + name.replace("_", "-"), value)
         return args.func(args)
     except (UsageError, ScenarioError, FileFormatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -290,10 +290,12 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     its label a string. The statistics must be finite numbers, or null on a
     failed record; ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on -
     mean_off``, ``failed`` a JSON bool and ``error`` a string or null, null
-    on a record that has not failed. A violation is a FileFormatError naming
-    the line and quoting a bounded excerpt of it. A path or config equal to
-    the previous line's is not parsed again: the index and label are checked
-    on every line first, and a config object equal to a valid one is valid.
+    on a record that has not failed. Last, a failed record must hold null
+    statistics and the SNR ``"none"``, as every failed cell of a sweep is
+    written. A violation is a FileFormatError naming the line and quoting a
+    bounded excerpt of it. A path or config equal to the previous line's is
+    not parsed again: the index and label are checked on every line first,
+    and a config object equal to a valid one is valid.
     """
     path = Path(path)
     lines = text_lines(path, "results", FileFormatError)
@@ -337,10 +339,14 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
             if config is None or obj["config"] != config_obj:
                 config = config_from_dict(obj["config"])
                 config_obj = obj["config"]
-            row = (
-                json_number(obj["freq_hz"], "freq_hz"), mean_on, mean_off, diff, var_off,
-                snr_from_json(obj["snr"]), failed, error,
-            )
+            statistics = (mean_on, mean_off, diff, var_off)
+            snr = snr_from_json(obj["snr"])
+            row = (json_number(obj["freq_hz"], "freq_hz"), *statistics, snr, failed, error)
+            if failed and (statistics != (None,) * 4 or snr != -math.inf):
+                raise ValueError(
+                    'statistics must be null and snr "none" on a failed record, '
+                    f"got {statistics!r} and {obj['snr']!r}"
+                )
         except (KeyError, TypeError, ValueError, ScenarioError) as exc:
             reason = str(exc)
             if len(reason) > _MAX_REASON_CHARS:

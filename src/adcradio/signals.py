@@ -91,9 +91,9 @@ def modulate_ook(
 
 def fspl_db(distance_m: float, freq_hz: float) -> float:
     """Free-space path loss 20*log10(4*pi*d*f/c) in dB."""
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise ValueError("distance_m must be positive")
-    if freq_hz <= 0:
+    if not freq_hz > 0:
         raise ValueError("freq_hz must be positive")
     return 20.0 * math.log10(4.0 * math.pi * distance_m * freq_hz / SPEED_OF_LIGHT_M_S)
 

@@ -565,7 +565,7 @@ class RfChannel:
     attenuation_db: float = 0.0
 
     def __post_init__(self):
-        if self.distance_m <= 0:
+        if not self.distance_m > 0:
             raise ValueError("distance_m must be positive")
 
     def incident_dbm(self, power_dbm: float, freq_hz: float) -> float:

@@ -3,12 +3,7 @@
 Property tests run under one derandomized Hypothesis profile with a fixed
 example count and no example database, so every run of the suite draws the
 same examples. The "adcradio-1000" profile is the same with 1,000 examples;
-CI runs the stimulus-schedule capture (slices, uncoupled passes and
-source limits included), envelope-hold, impairment, grouped-draw,
-stimulus-level, kernel, receiver front-end, slicer, BER accounting,
-spectrum-peak, sweep-result, file (results writer and results, trace and
-scenario readers), codec and protocol-server properties under it with
-``--hypothesis-profile adcradio-1000``.
+CI runs the whole suite under it with ``--hypothesis-profile adcradio-1000``.
 """
 
 from hypothesis import settings

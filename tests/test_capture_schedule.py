@@ -277,11 +277,9 @@ def test_uncoupled_pass_equals_the_full_path(
 
 
 # Stimuli that the rig's source (1 MHz-6 GHz, -40-30 dBm) refuses: a
-# frequency or power out of range, or NaN.
-_BAD_LIMITS = [
-    (0.5e6, 20.0), (7e9, 20.0), (math.nan, 20.0), (500e6, 35.0), (500e6, -41.0),
-    (500e6, math.nan), (math.nan, math.nan),
-]
+# frequency or power out of range, or a NaN power (RfStimulus itself
+# refuses a NaN frequency).
+_BAD_LIMITS = [(0.5e6, 20.0), (7e9, 20.0), (500e6, 35.0), (500e6, -41.0), (500e6, math.nan)]
 limit_stimuli = st.builds(
     RfStimulus,
     freq_hz=st.sampled_from([1e6, 500e6, 6e9]),
@@ -473,6 +471,11 @@ class TestStimulusSchedule:
         np.testing.assert_array_equal(schedule.freq_hz, [480e6, math.nan, 500e6])
         np.testing.assert_array_equal(schedule.power_dbm, [-5.0, math.nan, 10.0])
         assert len(schedule) == 3
+
+    @pytest.mark.parametrize("freq", [0.0, -1.0, math.nan])
+    def test_a_stimulus_frequency_must_be_positive(self, freq):
+        with pytest.raises(ValueError, match="^freq_hz must be positive$"):
+            RfStimulus(freq_hz=freq, power_dbm=0.0)
 
     def test_rows_are_a_read_only_copy(self):
         bits = np.array([1, 0, 1], np.uint8)

@@ -20,7 +20,13 @@ from adcradio.protocol import ProtocolError
 from adcradio.receiver import _symbol_central_means, condition
 from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
 from adcradio.signals import generate_bits
-from adcradio.sweep import enumerate_configs, peak_snr, recommended_configs, spectra_from_records
+from adcradio.sweep import (
+    classify_sensitive,
+    enumerate_configs,
+    peak_snr,
+    recommended_configs,
+    spectra_from_records,
+)
 
 
 @pytest.fixture()
@@ -128,6 +134,19 @@ class TestSweepCommand:
         assert manifest["command"] == "sweep"
         assert manifest["seed"] == 42
         assert str(out / "results.jsonl") in manifest["outputs"]
+
+    @pytest.mark.parametrize("extra, threshold", [((), 10.0), (("--threshold-db", "-3.5"), -3.5)])
+    def test_manifest_records_the_threshold(self, mini_scenario, tmp_path, extra, threshold):
+        # The count of sensitive cells depends on the threshold, and a
+        # default threshold is not in argv.
+        out = tmp_path / "run"
+        assert self.sweep(mini_scenario, out, extra=extra) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["threshold_db"] == threshold
+        records = read_records(out / "results.jsonl")[1]
+        spectra = spectra_from_records(records)
+        sensitive = [s for s in spectra if classify_sensitive(s, threshold)]
+        assert manifest["sensitive_cells"] == len(sensitive)
 
     def test_same_seed_byte_identical(self, mini_scenario, tmp_path):
         self.sweep(mini_scenario, tmp_path / "a", seed=7)
@@ -570,6 +589,11 @@ class TestReportCommand:
             ({"path": {"index": 4, "label": 7}}, "path label must be a string, got 7"),
             ({"diff": 5.0}, "diff must be mean_on - mean_off, got 5.0"),
             (
+                {"failed": True, "error": "x"},
+                'statistics must be null and snr "none" on a failed record, '
+                "got (2048.0, 2048.0, 0.0, 0.5) and 'none'",
+            ),
+            (
                 {"config": {"mode": "analog", "pupd": "none", "output_value": "low",
                             "output_type": "push_pull", "bogus": 1}},
                 "unknown keys ['bogus']",
@@ -592,6 +616,45 @@ class TestReportCommand:
         err = capsys.readouterr().err
         assert message in err
         assert f"{bad}:2: bad sensitivity record " in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("sweep", "--freq-start", "nan"),
+        ("sweep", "--freq-stop", "inf"),
+        ("sweep", "--power-dbm", "nan"),
+        ("sweep", "--power-dbm", "inf"),
+        ("sweep", "--threshold-db", "nan"),
+        ("linkbudget", "--power-dbm", "nan"),
+        ("linkbudget", "--gain-tx", "nan"),
+        ("linkbudget", "--gain-rx", "inf"),
+        ("linkbudget", "--distance", "nan"),
+        ("linkbudget", "--freq", "nan"),
+        ("linkbudget", "--freq", "1e999"),
+        ("simulate", "--bit-rate", "nan"),
+        ("simulate", "--freq", "inf"),
+        ("simulate", "--power-dbm", "nan"),
+        ("ber", "--powers", "nan"),
+        ("ber", "--powers", "1,-inf"),
+    ],
+)
+def test_non_finite_float_flag_is_usage_error(mini_scenario, tmp_path, monkeypatch, capsys,
+                                              command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    base = {
+        "sweep": ("--scenario", mini_scenario, "--out", "out", "--freq-points", 2),
+        "linkbudget": ("--power-dbm", 0, "--distance", 1, "--freq", 868e6),
+        "simulate": ("--scenario", mini_scenario, "--bits", 10, "--out", "out.trace"),
+        "ber": ("--scenario", mini_scenario, "--bits", 10, "--out", "out.json"),
+    }[command]
+    # The flag comes last, so it overrides a required flag that base gives.
+    assert run_cli(command, *base, flag, value) == 2
+    captured = capsys.readouterr()
+    got = float(value.split(",")[-1])
+    assert captured.err == f"error: {flag} must be a finite number, got {got}\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["mini.json"]
 
 
 @pytest.mark.parametrize(

@@ -315,6 +315,26 @@ class TestResultsFiles:
         assert cell.failed.tolist() == [True] and cell.errors == ["boom"]
         assert math.isnan(cell.mean_on[0]) and cell.snr.tolist() == [-math.inf]
 
+    @pytest.mark.parametrize(
+        "fields, got",
+        [
+            ({"var_off": 0.5}, r"\(None, None, None, 0\.5\) and 'none'"),
+            ({"snr": {"db": 3.0}}, r"\(None, None, None, None\) and \{'db': 3\.0\}"),
+        ],
+        ids=["statistic", "snr"],
+    )
+    def test_failed_record_with_a_statistic_or_an_snr_rejected(self, tmp_path, fields, got):
+        # Every failed cell of a sweep is written with null statistics and
+        # the SNR "none", which is what its NaN and -inf columns hold.
+        nulls = dict.fromkeys(("mean_on", "mean_off", "diff", "var_off"))
+        failed = {**self.GOOD_RECORD, **nulls, "snr": "none", "failed": True, "error": "x"}
+        with pytest.raises(
+            FileFormatError,
+            match=r"results\.jsonl:3: bad sensitivity record .*: "
+            rf'statistics must be null and snr "none" on a failed record, got {got}$',
+        ):
+            self.read_lines(tmp_path, failed, {**failed, **fields})
+
     def test_string_failed_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="failed must be true or false"):
             self.read_one(tmp_path, failed="false")
@@ -604,7 +624,8 @@ class TestWriteRecords:
             SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 2e8, 1.5, 0.5, 1.0, 0.25, 6.0),
             SensitivityRecord(_OTHER_PATH, _SPECIAL_CONFIG, 2e8, 1.5, 0.5, 1.0, 0.25, 6.0),
             SensitivityRecord(_SPECIAL_PATH, _SPECIAL_CONFIG, 3e8, 1.5, 0.5, 1.0, 0.25, 6.0),
-            # A failed record with statistics, as read_records may load one.
+            # A failed record with statistics: the writer writes any cell it
+            # is given, although read_records refuses such a line.
             SensitivityRecord(
                 _OTHER_PATH, _SPECIAL_CONFIG, 3e8, 1.5, 0.5, 1.0, 0.25, -math.inf,
                 failed=True, error="e",

@@ -86,11 +86,12 @@ class TestFspl:
         f = np.linspace(200e6, 1000e6, 40)
         assert np.all(np.diff([fspl_db(1.0, x) for x in f]) > 0)
 
-    def test_rejects_non_positive(self):
-        with pytest.raises(ValueError):
-            fspl_db(0.0, 868e6)
-        with pytest.raises(ValueError):
-            fspl_db(1.0, -1.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive(self, bad):
+        with pytest.raises(ValueError, match="^distance_m must be positive$"):
+            fspl_db(bad, 868e6)
+        with pytest.raises(ValueError, match="^freq_hz must be positive$"):
+            fspl_db(1.0, bad)
 
 
 class TestIncidentPower:
@@ -107,9 +108,10 @@ class TestIncidentPower:
         channel = RfChannel(g_tx_dbi=0.0, distance_m=5.0)
         assert channel.incident_dbm(loss, 700e6) == pytest.approx(0.0, abs=1e-12)
 
-    def test_invalid_budget(self):
-        with pytest.raises(ValueError):
-            RfChannel(g_tx_dbi=6.5, distance_m=0.0)
+    @pytest.mark.parametrize("distance", [0.0, math.nan])
+    def test_invalid_budget(self, distance):
+        with pytest.raises(ValueError, match="^distance_m must be positive$"):
+            RfChannel(g_tx_dbi=6.5, distance_m=distance)
 
 
 class TestDbmMw:
