@@ -34,7 +34,6 @@ from .protocol import (
     IdentifyCommand,
     LoopbackTransport,
     ProtocolError,
-    ResetCommand,
     SerialBackend,
     decode_command,
     encode_command,

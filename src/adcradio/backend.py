@@ -1,12 +1,13 @@
 """Uniform capture interface over devices under test.
 
-A backend exposes configure/capture over a reception path of a DUT, where
-capture is an AdcTrace of the codes capture_codes returns; an RF source
-exposes set/readback of the stimulus. Two backends exist: an
-in-process one wrapping SimulatedDut, and a serial-protocol client (see
-protocol.py) that drives the same device through the line codec. Sweeps and
-experiments only ever talk to these two interfaces, so a future hardware
-backend can slot in without touching the analysis code.
+A backend exposes describe/configure/capture over a reception path of a
+DUT: configure, the only reset, selects a path and resets its analog state,
+and capture is an AdcTrace of the codes capture_codes returns. An RF source
+exposes set/readback of the stimulus. Two backends exist: an in-process
+one wrapping SimulatedDut, and a serial-protocol client (see protocol.py)
+that drives the same device through the line codec. Sweeps and experiments
+only ever talk to these two interfaces, so a future hardware backend can
+slot in without touching the analysis code.
 
 A run of captures is described by one StimulusSchedule: the distinct
 stimuli and one row index into them per capture. Only the RF source knows
@@ -151,9 +152,9 @@ class StimulusSchedule:
     point is two stimuli and one row per bit.
 
     ``rows`` defaults to one row per stimulus in order, and is copied, so
-    the caller's array may change afterwards. The value is immutable;
-    ``schedule[a:b]`` is the schedule of rows a to b - 1, which shares the
-    stimuli, the columns and a view of the rows.
+    the caller's array may change afterwards. The value is immutable. A run
+    captured in parts is one schedule per part, each built from the same
+    stimuli and its own rows.
     """
 
     __slots__ = ("stimuli", "rows", "freq_hz", "power_dbm")
@@ -173,10 +174,7 @@ class StimulusSchedule:
         power_dbm = np.array([math.nan if s is None else s.power_dbm for s in stimuli], np.float64)
         for column in (rows, freq_hz, power_dbm):
             column.flags.writeable = False
-        self._set(stimuli, rows, freq_hz, power_dbm)
-
-    def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__slots__, (stimuli, rows, freq_hz, power_dbm)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -184,13 +182,6 @@ class StimulusSchedule:
 
     def __len__(self) -> int:
         return self.rows.size
-
-    def __getitem__(self, key: slice) -> StimulusSchedule:
-        if not isinstance(key, slice):
-            raise TypeError("a StimulusSchedule is indexed by a slice of rows")
-        part = object.__new__(StimulusSchedule)
-        part._set(self.stimuli, self.rows[key], self.freq_hz, self.power_dbm)  # a read-only view
-        return part
 
 
 class SimulatedRfSource:
@@ -311,9 +302,6 @@ class SimulatorBackend:
         if not self.dut.configured:
             raise NotConfiguredError("capture before configure")
         return self.dut.capture_schedule(schedule, n_blocks)
-
-    def reset(self) -> None:
-        self.dut.reset()
 
 
 def capture_groups(backend, rf_source, schedule, group_size: int, n_blocks: int, isolate=()):

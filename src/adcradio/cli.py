@@ -232,6 +232,8 @@ def cmd_ber(args) -> int:
         print(text)
         if args.out:
             Path(args.out).write_text(text + "\n")
+            manifest = Path(args.out).with_suffix(".manifest.json")
+            write_manifest(manifest, command="ber", argv=args.argv, seed=None, outputs=[args.out])
         return 0
     if not args.scenario:
         raise UsageError("ber needs either --decoded + --reference or --scenario")

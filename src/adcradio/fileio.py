@@ -37,7 +37,7 @@ from .scenario import (
 )
 from .signals import BitSequence
 from .simulator import AdcConfig, AdcTrace
-from .sweep import SensitivityRecord, SweepCell, SweepResult
+from .sweep import SensitivityRecord, SweepCell, SweepResult, snr_from_stats
 
 TRACE_SCHEMA_VERSION = 1
 RESULTS_SCHEMA_VERSION = 1
@@ -180,21 +180,6 @@ def record_to_dict(record: SensitivityRecord) -> dict:
     return out
 
 
-def _json_number(value) -> str:
-    """A number as json.dumps writes it: float repr when finite."""
-    if type(value) is float and value - value == 0.0:
-        return repr(value)
-    return json.dumps(value)
-
-
-def _snr_text(snr) -> str:
-    """The JSON text of an SNR, as json.dumps writes snr_to_json(snr)."""
-    snr = snr_to_json(snr)
-    if isinstance(snr, dict):
-        return '{"db": ' + _json_number(snr["db"]) + "}"
-    return json.dumps(snr)
-
-
 class _FloatTexts(dict):
     """The repr of each nonzero float looked up, made on first lookup and
     kept. One instance serves a whole written file, whose statistic columns
@@ -221,7 +206,7 @@ def _column_texts(column: np.ndarray, texts: _FloatTexts):
     # column the general way).
     if math.isfinite(sum(values)):
         return map(texts.__getitem__, values)
-    return map(_json_number, [None if v != v else v for v in values])
+    return map(json.dumps, [None if v != v else v for v in values])
 
 
 def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
@@ -241,7 +226,8 @@ def _cell_lines(cell: SweepCell, freq_texts, texts: _FloatTexts) -> str:
     prefix = json.dumps(head)[:-1] + ', "freq_hz": '
     stats = (cell.mean_on, cell.mean_off, cell.diff, cell.var_off)
     snr_texts = [
-        f'{{"db": {snr!r}}}' if snr - snr == 0.0 else _snr_text(snr) for snr in cell.snr.tolist()
+        f'{{"db": {snr!r}}}' if snr - snr == 0.0 else json.dumps(snr_to_json(snr))
+        for snr in cell.snr.tolist()
     ]
     endings = [
         ', "failed": true, "error": ' + json.dumps(error) + "}\n" if failed else "}\n"
@@ -275,7 +261,7 @@ def write_records(path: str | Path, results, header_extra: dict | None = None) -
         for cell in cells:
             if cell.freqs_hz is not freqs:
                 freqs = cell.freqs_hz
-                freq_texts = [_json_number(freq) for freq in freqs]
+                freq_texts = [json.dumps(freq) for freq in freqs]
             f.write(_cell_lines(cell, freq_texts, texts))
 
 
@@ -290,12 +276,13 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
     its label a string. The statistics must be finite numbers, or null on a
     failed record; ``var_off`` must be >= 0 and ``diff`` exactly ``mean_on -
     mean_off``, ``failed`` a JSON bool and ``error`` a string or null, null
-    on a record that has not failed. Last, a failed record must hold null
+    on a record that has not failed. Then a failed record must hold null
     statistics and the SNR ``"none"``, as every failed cell of a sweep is
-    written. A violation is a FileFormatError naming the line and quoting a
-    bounded excerpt of it. A path or config equal to the previous line's is
-    not parsed again: the index and label are checked on every line first,
-    and a config object equal to a valid one is valid.
+    written, and any other record the SNR ``snr_from_stats(diff, var_off)``.
+    A violation is a FileFormatError naming the line and quoting a bounded
+    excerpt of it. A path or config equal to the previous line's is not
+    parsed again: the index and label are checked on every line first, and
+    a config object equal to a valid one is valid.
     """
     path = Path(path)
     lines = text_lines(path, "results", FileFormatError)
@@ -346,6 +333,11 @@ def read_records(path: str | Path) -> tuple[dict, list[SweepCell]]:
                 raise ValueError(
                     'statistics must be null and snr "none" on a failed record, '
                     f"got {statistics!r} and {obj['snr']!r}"
+                )
+            if not failed and snr != (want := snr_from_stats(diff, var_off)):
+                raise ValueError(
+                    f"snr must be {snr_to_json(want)!r} from diff and var_off, "
+                    f"got {obj['snr']!r}"
                 )
         except (KeyError, TypeError, ValueError, ScenarioError) as exc:
             reason = str(exc)

@@ -10,7 +10,6 @@ uppercase hex digits:
     SMP <n_blocks> <rate_hz> <ovs>           ->  DATA <count> <crc32>, sample
                                                  lines, END   | ERR <msg>
     ID?                                      ->  ID <n_paths> <bits> <max_rate> <version>
-    RST                                      ->  OK
 
 Enumerations use fixed uppercase tokens: INPUT, OUTPUT, AF, ANALOG; NONE,
 PU, PD, RSV; HI, LO; PP, OD. Fields are single-space separated.
@@ -32,8 +31,8 @@ and oversampling ratio (without resetting the path) and runs one capture of
 at most MAX_CAPTURE_CODES codes; a larger one is refused before anything
 runs.
 The block length (samples per block) and ADC resolution are device-side
-settings reported via ID?-level capabilities and the scenario, not carried
-per command. The trailing ID? field is the protocol version.
+settings the host takes from its scenario's AdcConfig, not per command. The
+trailing ID? field is the protocol version; no host flow sends ID? yet.
 """
 
 from __future__ import annotations
@@ -109,12 +108,7 @@ class IdentifyCommand:
     pass
 
 
-@dataclass(frozen=True)
-class ResetCommand:
-    pass
-
-
-Command = ConfigureCommand | CaptureCommand | IdentifyCommand | ResetCommand
+Command = ConfigureCommand | CaptureCommand | IdentifyCommand
 
 _MODE_TOKENS = {
     GpioMode.INPUT: "INPUT",
@@ -156,8 +150,6 @@ def encode_command(cmd: Command) -> str:
         return f"CFG {cmd.path} {encode_config_tokens(cmd.config)}"
     if isinstance(cmd, IdentifyCommand):
         return "ID?"
-    if isinstance(cmd, ResetCommand):
-        return "RST"
     raise TypeError(f"not a protocol command: {cmd!r}")
 
 
@@ -241,10 +233,6 @@ def _parse_command(line: str) -> Command:
         if len(fields) != 1:
             raise ProtocolError(f"ID?: expected no arguments, got {len(fields) - 1}")
         return IdentifyCommand()
-    if verb == "RST":
-        if len(fields) != 1:
-            raise ProtocolError(f"RST: expected no arguments, got {len(fields) - 1}")
-        return ResetCommand()
     raise ProtocolError(f"field 0: unknown verb {verb!r}")
 
 
@@ -393,9 +381,6 @@ class DutProtocolServer:
                 f"ID {d.n_paths} {d.resolution_bits} "
                 f"{int(d.max_sample_rate_hz)} {PROTOCOL_VERSION}"
             ]
-        if isinstance(cmd, ResetCommand):
-            self.backend.reset()
-            return ["OK"]
         raise ProtocolError(f"unhandled command {cmd!r}")
 
 
@@ -552,9 +537,3 @@ class SerialBackend:
                 "samples_per_block mismatch between host and device"
             )
         return _frame_codes(lines, count, crc, adc.full_scale)
-
-    def reset(self) -> None:
-        self._check_ok(self._transact(encode_command(ResetCommand())))
-        self._adc = None
-        self._path = None
-        self._config = None

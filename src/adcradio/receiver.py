@@ -310,11 +310,11 @@ def eye_opening(
 
 
 # Bits per capture_groups call of the ideal-sync experiment: each call
-# captures one slice of the experiment's schedule. The device state carries
-# from one call to the next, so the codes equal those of one call over all
-# bits; slicing only bounds the codes held at once. All 10,000 bits of a
-# point at once would hold 5.1 MB of int32 codes (127 per bit), more than
-# the benchmark's 5% peak-RSS bound on a process of about 41 MiB.
+# captures a schedule of the next _BITS_PER_SCHEDULE bits. The device state
+# carries from one call to the next, so the codes equal those of one call
+# over all bits; the parts only bound the codes held at once. All 10,000
+# bits of a point at once would hold 5.1 MB of int32 codes (127 per bit),
+# more than the benchmark's 5% peak-RSS bound on a process of about 41 MiB.
 _BITS_PER_SCHEDULE = 512
 # Block means in the ideal-sync experiment's moving-average threshold (odd).
 _THRESHOLD_WINDOW = 127
@@ -347,10 +347,9 @@ def ideal_sync_ber_experiment(
     backend.configure(path, config, block_adc)
     on = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=True)
     off = RfStimulus(freq_hz=freq_hz, power_dbm=power_dbm, enabled=False)
-    schedule = StimulusSchedule((off, on), bits.bits)  # row k is stimulus bits[k]
     means = np.empty(n_bits)
     for start in range(0, n_bits, _BITS_PER_SCHEDULE):
-        part = schedule[start : start + _BITS_PER_SCHEDULE]
+        part = StimulusSchedule((off, on), bits.bits[start : start + _BITS_PER_SCHEDULE])
         codes, _ = capture_groups(backend, rf_source, part, 1, 1)
         means[start : start + len(part)] = codes.reshape(len(part), -1).mean(axis=1)
     window = min(_THRESHOLD_WINDOW, n_bits if n_bits % 2 else n_bits - 1)

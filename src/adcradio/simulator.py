@@ -388,8 +388,7 @@ def _impair(
     whole pass, which gives the same numbers. The arithmetic then runs once
     over the pass: each state's walk starts from the one before, and the
     sinusoid and the bursts follow the global raw sample index, so a burst
-    carries across states. A pass of one state adds its walk's start value
-    as one scalar.
+    carries across states.
 
     A pass of one state longer than one block (a link payload) keeps its
     own draw code: it draws its walk steps and burst uniforms in blocks of
@@ -455,16 +454,12 @@ def _impair(
                     walk[0, 0] += carried  # the pass's running sum so far
                 walk.cumsum(axis=1, out=walk)
                 carried = walk[0, -1]
-                if states == 1:
-                    walk += walk_start
-                    state.walk_value = float(walk[0, -1])
-                else:
-                    # Sequential sums of the row ends: each row starts from
-                    # the previous row's last walk value, exactly as
-                    # per-state captures carry it.
-                    offsets = np.cumsum(np.concatenate(([walk_start], walk[:, -1])))
-                    state.walk_value = float(offsets[-1])
-                    walk += offsets[:-1, None]
+                # Sequential sums of the row ends: each row starts from the
+                # previous row's last walk value, exactly as per-state
+                # captures carry it.
+                offsets = np.cumsum(np.concatenate(([walk_start], walk[:, -1])))
+                state.walk_value = float(offsets[-1])
+                walk += offsets[:-1, None]
                 by_row = part.reshape(walk.shape)
                 by_row += walk
             if sine:
@@ -653,13 +648,6 @@ class SimulatedDut:
             sample_rate_hz=sample_rate_hz,
             oversampling_ratio=oversampling_ratio,
         )
-
-    def reset(self) -> None:
-        """Drop the current configuration (the RNG stream keeps running)."""
-        self._path = None
-        self._config = None
-        self._model = self.default_model
-        self._state = _DeviceState()
 
     def capture(self, n_blocks: int, stimulus=None) -> AdcTrace:
         """The codes of capture_codes as an AdcTrace, with the acquisition

@@ -28,7 +28,6 @@ from adcradio.protocol import (
     IdentifyCommand,
     LoopbackTransport,
     ProtocolError,
-    ResetCommand,
     SerialBackend,
     decode_command,
     encode_command,
@@ -445,7 +444,7 @@ def _random_command(rng) -> object:
             sample_rate_hz=int(rng.integers(1, 10**9)),
             oversampling_ratio=int(2 ** rng.integers(0, 9)),
         )
-    return IdentifyCommand() if kind == 2 else ResetCommand()
+    return IdentifyCommand()  # kinds 2 and 3
 
 
 def _loopback_sweep_bytes(scenario, seed, via_codec: bool) -> bytes:

@@ -200,9 +200,10 @@ def test_schedule_equals_per_state_captures(
 def test_slices_capture_the_rows_of_the_whole_schedule(
     model, samples_per_block, n_blocks, schedule, cuts, pass_cap, seed
 ):
-    """Capturing consecutive slices in turn gives the codes, device state
-    and next draw of one capture of the whole schedule from the same state,
-    and each slice shares the schedule's stimuli and columns."""
+    """Capturing schedules of consecutive slices of the rows in turn gives
+    the codes, device state and next draw of one capture of the whole
+    schedule from the same state, and each part holds the schedule's
+    stimuli and columns."""
     adc = AdcConfig(sample_rate_hz=10_000.0, samples_per_block=samples_per_block)
     duts = []
     for _ in range(2):
@@ -213,7 +214,9 @@ def test_slices_capture_the_rows_of_the_whole_schedule(
         duts.append(dut)
     sliced, whole = duts
     bounds = [0, *sorted(min(c, len(schedule)) for c in cuts), len(schedule)]
-    parts = [schedule[a:b] for a, b in zip(bounds, bounds[1:])]
+    parts = [
+        StimulusSchedule(schedule.stimuli, schedule.rows[a:b]) for a, b in zip(bounds, bounds[1:])
+    ]
 
     with mock.patch.object(simulator, "_PASS_RAW_SAMPLES", pass_cap):
         codes = [sliced.capture_schedule(part, n_blocks) for part in parts]
@@ -224,8 +227,8 @@ def test_slices_capture_the_rows_of_the_whole_schedule(
     assert sliced._rng.random() == whole._rng.random()
     for part, a, b in zip(parts, bounds, bounds[1:]):
         assert part.stimuli is schedule.stimuli
-        assert part.freq_hz is schedule.freq_hz and part.power_dbm is schedule.power_dbm
-        assert np.shares_memory(part.rows, schedule.rows) or not part.rows.size
+        np.testing.assert_array_equal(part.freq_hz, schedule.freq_hz)
+        np.testing.assert_array_equal(part.power_dbm, schedule.power_dbm)
         np.testing.assert_array_equal(part.rows, schedule.rows[a:b])
 
 
@@ -366,14 +369,15 @@ class TestBackendSchedule:
         assert self.snapshot(backend) == before
 
     def test_a_stimulus_out_of_range_in_no_row_is_not_refused(self):
-        """Limits are checked per stimulus but refused per row: a slice
-        without the refused stimulus's rows captures."""
+        """Limits are checked per stimulus but refused per row: a schedule
+        without rows of the refused stimulus captures."""
         good = RfStimulus(freq_hz=500e6, power_dbm=20.0, enabled=True)
         bad = RfStimulus(freq_hz=500e6, power_dbm=35.0, enabled=True)
         schedule = StimulusSchedule((good, bad), [0, 0, 1])
         backend, source, adc = self.rig()
         backend.configure(ReceptionPathId(1), PATH_CONFIG, adc)
-        assert self.capture(backend, source, schedule[:2], 1).shape == (2, 8)
+        part = StimulusSchedule(schedule.stimuli, schedule.rows[:2])
+        assert self.capture(backend, source, part, 1).shape == (2, 8)
         assert source.stimulus is good
         with pytest.raises(RfSourceError):
             self.capture(backend, source, schedule, 1)
@@ -495,8 +499,8 @@ class TestStimulusSchedule:
         with pytest.raises(ValueError, match="rows must"):
             StimulusSchedule((self.OFF, self.ON), rows)
 
-    def test_only_slices_index_a_schedule(self):
+    def test_indexing_a_schedule_is_a_type_error(self):
         schedule = StimulusSchedule((self.OFF, self.ON), [0, 1, 1])
-        with pytest.raises(TypeError):
-            schedule[0]
-        assert len(schedule[1:]) == 2 and len(schedule[5:]) == 0
+        for key in (0, slice(1, None)):
+            with pytest.raises(TypeError):
+                schedule[key]

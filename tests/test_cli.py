@@ -97,6 +97,57 @@ class TestManifestArgv:
             assert json.loads(manifest.read_text())["argv"] == argv
 
 
+# Each artifact-writing invocation, after the runs that make its inputs.
+_SIMULATE = ("simulate", "--scenario", "{scenario}", "--bits", "200", "--out", "t.trace")
+_SWEEP = (
+    "sweep", "--scenario", "{scenario}", "--out", "sw", "--configs", "0", "--freq-points", "2"
+)
+_BER = ("ber", "--scenario", "{scenario}", "--bits", "100", "--out", "c.json")
+_DEMOD = ("demod", "--trace", "t.trace", "--out", "d.bits")
+_WRITING_RUNS = {
+    "sweep": [_SWEEP],
+    "simulate": [_SIMULATE],
+    "demod": [_SIMULATE, _DEMOD],
+    "demod-reference": [_SIMULATE, (*_DEMOD, "--reference", "t.bits")],
+    "ber-scenario": [_BER],
+    "ber-compare": [
+        _SIMULATE, _DEMOD,
+        ("ber", "--decoded", "d.bits", "--reference", "t.bits", "--out", "r.json"),
+    ],
+    "report-heatmap": [_SWEEP, ("report", "--results", "sw/results.jsonl", "--kind", "heatmap",
+                                "--out", "h")],
+    "report-spectrum": [_SWEEP, ("report", "--results", "sw/results.jsonl", "--kind", "spectrum",
+                                 "--out", "s")],
+    "report-ber-curve": [_BER, ("report", "--results", "c.json", "--kind", "ber-curve",
+                                "--out", "bc")],
+    "report-eye": [_SIMULATE, ("report", "--results", "t.trace", "--kind", "eye", "--out", "e")],
+}
+
+
+@pytest.mark.parametrize("runs", _WRITING_RUNS.values(), ids=_WRITING_RUNS)
+def test_the_manifest_lists_exactly_the_files_a_command_writes(
+    mini_scenario, tmp_path, monkeypatch, runs
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    *setup, last = [[a.format(scenario=mini_scenario) for a in argv] for argv in runs]
+    for argv in setup:
+        assert main(argv) == 0
+
+    def files():
+        return {str(p.relative_to(work)) for p in work.rglob("*") if p.is_file()}
+
+    before = files()
+    assert main(last) == 0
+    new = files() - before
+    (manifest,) = [name for name in new if name.endswith("manifest.json")]
+    doc = json.loads((work / manifest).read_text())
+    assert doc["command"] == last[0]
+    assert (doc["seed"] is None) == (doc["scenario"] is None)  # a seed comes with a scenario
+    assert sorted(str(Path(p)) for p in doc["outputs"]) == sorted(new - {manifest})
+
+
 class TestLinkBudget:
     def test_reference_20m_values(self, capsys):
         code = run_cli(
@@ -593,6 +644,7 @@ class TestReportCommand:
                 'statistics must be null and snr "none" on a failed record, '
                 "got (2048.0, 2048.0, 0.0, 0.5) and 'none'",
             ),
+            ({"snr": {"db": 99.0}}, "snr must be 'none' from diff and var_off, got {'db': 99.0}"),
             (
                 {"config": {"mode": "analog", "pupd": "none", "output_value": "low",
                             "output_type": "push_pull", "bogus": 1}},

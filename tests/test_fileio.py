@@ -43,6 +43,7 @@ from adcradio.sweep import (
     SweepPlan,
     enumerate_configs,
     run_sweep,
+    snr_from_stats,
 )
 
 
@@ -178,7 +179,7 @@ class TestResultsFiles:
             mean_off=[2048.0, 2048.0, 2048.0, None],
             diff=[2.0, 12.0, 0.0, None],
             var_off=[0.5, 0.0, 0.0, None],
-            snr=[9.0, math.inf, -math.inf, -math.inf],
+            snr=[9.030899869919436, math.inf, -math.inf, -math.inf],  # snr_from_stats
             failed=[False, False, False, True],
             errors=[None, None, None, "injected"],
         )
@@ -191,7 +192,7 @@ class TestResultsFiles:
         assert header["schema_version"] == 1
         assert header["seed"] == 5
         assert back == [cell]
-        assert back[0].snr.tolist() == [9.0, math.inf, -math.inf, -math.inf]
+        assert back[0].snr.tolist() == [9.030899869919436, math.inf, -math.inf, -math.inf]
         assert back[0].failed[3] and back[0].errors[3] == "injected"
         assert back[0].config == cell.config
 
@@ -199,7 +200,7 @@ class TestResultsFiles:
         path = tmp_path / "results.jsonl"
         write_records(path, [self.make_cell()])
         lines = path.read_text().splitlines()
-        assert json.loads(lines[1])["snr"] == {"db": 9.0}
+        assert json.loads(lines[1])["snr"] == {"db": 9.030899869919436}
         assert json.loads(lines[2])["snr"] == "high"
         assert json.loads(lines[3])["snr"] == "none"
 
@@ -262,7 +263,7 @@ class TestResultsFiles:
         "mean_off": 2048.0,
         "diff": 2.0,
         "var_off": 0.5,
-        "snr": {"db": 9.0},
+        "snr": {"db": 9.030899869919436},  # snr_from_stats(2.0, 0.5)
     }
 
     def read_lines(self, tmp_path, *records):
@@ -334,6 +335,31 @@ class TestResultsFiles:
             rf'statistics must be null and snr "none" on a failed record, got {got}$',
         ):
             self.read_lines(tmp_path, failed, {**failed, **fields})
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (
+                {"mean_on": 2048.0, "diff": 0.0, "snr": {"db": 99.0}},
+                r"snr must be 'none' from diff and var_off, got \{'db': 99\.0\}",
+            ),
+            (
+                {"snr": {"db": 9.0}},
+                r"snr must be \{'db': 9\.030899869919436\} from diff and var_off, "
+                r"got \{'db': 9\.0\}",
+            ),
+            ({"snr": "high"}, r"snr must be \{'db': 9\.030899869919436\} .*, got 'high'"),
+            ({"var_off": 0.0}, r"snr must be 'high' from diff and var_off, got \{'db': 9\.03"),
+        ],
+        ids=["none", "db", "high", "zero-variance"],
+    )
+    def test_an_snr_the_statistics_cannot_give_rejected(self, tmp_path, fields, message):
+        # A sweep writes snr_from_stats(diff, var_off) on every record that
+        # has not failed, so any other SNR was not written by one.
+        with pytest.raises(
+            FileFormatError, match=rf"results\.jsonl:3: bad sensitivity record .*: {message}"
+        ):
+            self.read_lines(tmp_path, self.GOOD_RECORD, {**self.GOOD_RECORD, **fields})
 
     def test_string_failed_rejected(self, tmp_path):
         with pytest.raises(FileFormatError, match="failed must be true or false"):
@@ -455,7 +481,8 @@ class TestResultsFiles:
             self.read_one(tmp_path, **nulls, diff=0.0, snr="none", failed=True, error="x")
 
     def test_diff_is_the_exact_float_difference(self, tmp_path):
-        cell = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1)
+        snr = {"db": snr_from_stats(0.3 - 0.1, 0.5)}
+        cell = self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.3 - 0.1, snr=snr)
         assert cell.diff.tolist() == [0.19999999999999998]
         with pytest.raises(FileFormatError, match="diff must be mean_on - mean_off"):
             self.read_one(tmp_path, mean_on=0.3, mean_off=0.1, diff=0.2)
@@ -902,7 +929,8 @@ def _nested(depth: int) -> str:
 
 def valid_records():
     """Records that read_records accepts: an ok record's diff is exactly
-    mean_on - mean_off and its var_off is >= 0."""
+    mean_on - mean_off, its var_off is >= 0 and its SNR is
+    snr_from_stats(diff, var_off)."""
     return (
         sensitivity_records()
         .map(
@@ -911,6 +939,7 @@ def valid_records():
             else replace(r, diff=r.mean_on - r.mean_off, var_off=abs(r.var_off))
         )
         .filter(lambda r: r.failed or math.isfinite(r.diff))
+        .map(lambda r: r if r.failed else replace(r, snr=snr_from_stats(r.diff, r.var_off)))
     )
 
 

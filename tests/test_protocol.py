@@ -3,6 +3,7 @@
 import re
 import tracemalloc
 import zlib
+from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
@@ -32,7 +33,6 @@ from adcradio.protocol import (
     IdentifyCommand,
     LoopbackTransport,
     ProtocolError,
-    ResetCommand,
     SerialBackend,
     _data_frame,
     _data_header,
@@ -136,9 +136,12 @@ class TestCodec:
         assert decoded == cmd
         assert hash(decoded) == hash(cmd)
 
-    def test_id_and_rst(self):
+    def test_id(self):
         assert decode_command("ID?") == IdentifyCommand()
-        assert decode_command("RST") == ResetCommand()
+
+    def test_rst_is_an_unknown_verb(self):
+        with pytest.raises(ProtocolError, match="^field 0: unknown verb 'RST'$"):
+            decode_command("RST")
 
     def test_round_trip_all_commands(self):
         rng = np.random.default_rng(11)
@@ -155,10 +158,8 @@ class TestCodec:
                     sample_rate_hz=int(rng.integers(1, 10**7)),
                     oversampling_ratio=int(2 ** rng.integers(0, 9)),
                 )
-            elif kind == 2:
-                cmd = IdentifyCommand()
             else:
-                cmd = ResetCommand()
+                cmd = IdentifyCommand()
             assert decode_command(encode_command(cmd)) == cmd
 
     def test_arity_error_with_position(self):
@@ -364,8 +365,9 @@ class TestServer:
         assert ask(server, "SMP 1 0 1", tag=3) == ["ERR unsupported sample rate 0"]
 
     def test_uses_only_the_backend_interface(self):
-        # The server drives any backend with configure/capture/describe/
-        # reset, adc and set_adc_rate; it never reaches the device behind it.
+        # The server drives any backend with configure/capture/describe, adc
+        # and set_adc_rate; it never reaches the device behind it. RST is no
+        # command, so both servers refuse it without calling the backend.
         class Facade:
             def __init__(self, backend):
                 self._backend = backend
@@ -376,7 +378,7 @@ class TestServer:
 
             def __getattr__(self, name):
                 if name not in (
-                    "configure", "capture", "capture_codes", "describe", "reset", "set_adc_rate"
+                    "configure", "capture", "capture_codes", "describe", "set_adc_rate"
                 ):
                     raise AttributeError(name)
                 return getattr(self._backend, name)
@@ -452,8 +454,27 @@ class TestServer:
         backend, _ = make_stack()
         server = DutProtocolServer(backend)
         assert ask(server, "CFG 0 INPUT NONE HI PP", tag=7) == ["OK"]
-        assert ask(server, "RST", tag=7) == ["OK"]
-        assert not backend.dut.configured
+        assert ask(server, "CFG 2 AF PU LO OD", tag=7) == ["OK"]
+        assert backend.dut._path == 2
+        assert backend.dut._config == decode_command("CFG 2 AF PU LO OD").config
+
+    def test_rst_is_refused_and_changes_nothing(self):
+        backend, _ = make_stack(seed=3)
+        server = DutProtocolServer(backend)
+        assert ask(server, "CFG 1 INPUT NONE HI PP", tag=1) == ["OK"]
+        ask(server, "SMP 2 10000 1", tag=2)
+        dut = backend.dut
+
+        def state():
+            return (
+                dut._path, dut._config, dut.adc, astuple(dut._state),
+                dut._rng.bit_generator.state,
+            )
+
+        before = state()
+        assert dut._state.sample_index == 16
+        assert server.handle_line("0007 RST") == ["0007 ERR field 0: unknown verb 'RST'"]
+        assert state() == before
 
     def test_an_smp_too_large_to_allocate_is_err(self):
         backend, _ = build_rig(load_scenario(bundled_scenario_path("demo_board")))
@@ -719,13 +740,6 @@ class TestSerialBackend:
         assert counts() == counters
         assert client.capture(2).samples.tolist() == want[1].tolist()
         assert counts() == next_counters
-
-    def test_reset_clears_configuration(self):
-        client, _ = self.make_client()
-        client.configure(ReceptionPathId(0), ALL_CONFIGS[0], AdcConfig(samples_per_block=8))
-        client.reset()
-        with pytest.raises(NotConfiguredError):
-            client.capture(1)
 
     def test_encode_command_runs_once_per_request_and_not_per_send(self):
         """The benchmark counts retries as sends less encode_command calls."""

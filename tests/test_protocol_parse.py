@@ -12,9 +12,10 @@ and missing fields.
 The server is also checked against a reference server kept here, which
 parses every request line anew, one field at a time, and captures through
 ``backend.capture(n).samples``: for any sequence of requests (repeated SMP
-text under fresh tags, exact repeats, CFG, RST and ID? in between,
-malformed and untagged lines) both give the same response lines and leave
-the device's random stream in the same state.
+text under fresh tags, exact repeats, CFG and ID? in between, RST, which
+both refuse as an unknown verb, and malformed and untagged lines) both give
+the same response lines and leave the device's random stream in the same
+state.
 """
 
 import re
@@ -43,7 +44,6 @@ from adcradio.protocol import (
     DutProtocolServer,
     IdentifyCommand,
     ProtocolError,
-    ResetCommand,
     _data_frame,
     _data_header,
     _err_line,
@@ -116,10 +116,6 @@ def reference_parse_command(line):
         if len(fields) != 1:
             raise ProtocolError(f"ID?: expected no arguments, got {len(fields) - 1}")
         return IdentifyCommand()
-    if verb == "RST":
-        if len(fields) != 1:
-            raise ProtocolError(f"RST: expected no arguments, got {len(fields) - 1}")
-        return ResetCommand()
     raise ProtocolError(f"field 0: unknown verb {verb!r}")
 
 
@@ -237,9 +233,6 @@ class RecordingBackend:
         self.calls.append(("describe",))
         return DutDescriptor(n_paths=4)
 
-    def reset(self):
-        self.calls.append(("reset",))
-
 
 @example(line="SMP 2 10000 4")
 @example(line="SMP 2 10000 4\n")
@@ -303,12 +296,9 @@ class ReferenceServer:
         if isinstance(cmd, ConfigureCommand):
             backend.configure(ReceptionPathId(index=cmd.path), cmd.config, backend.adc)
             return ["OK"]
-        if isinstance(cmd, IdentifyCommand):
-            d = backend.describe()
-            rate = int(d.max_sample_rate_hz)
-            return [f"ID {d.n_paths} {d.resolution_bits} {rate} {PROTOCOL_VERSION}"]
-        backend.reset()
-        return ["OK"]
+        d = backend.describe()  # an IdentifyCommand
+        rate = int(d.max_sample_rate_hz)
+        return [f"ID {d.n_paths} {d.resolution_bits} {rate} {PROTOCOL_VERSION}"]
 
 
 def server_stack(seed):
