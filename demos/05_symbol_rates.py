@@ -43,6 +43,6 @@ for rate in (500, 1000, 10_000, 50_000, 100_000):
     report = ber(BitSequence(bits=decoded.bits[:n]), bits)
     print(f"{rate:7d}  {eye:7.3f}  {report.ber:.4f}")
     if rate == 50_000:
-        render_eye(trace, sps, OUT / "eye_50kbps.svg", OUT / "eye_50kbps.csv")
+        render_eye(trace, params, OUT / "eye_50kbps.svg", OUT / "eye_50kbps.csv")
 
 print(f"\nwrote {OUT}/eye_50kbps.svg")

@@ -25,6 +25,7 @@ from .fileio import (
     read_trace,
     record_to_dict,
     write_ber_curve,
+    write_ber_report,
     write_bits,
     write_manifest,
     write_records,
@@ -126,15 +127,21 @@ def _finite(flag: str, value: float) -> None:
         raise UsageError(f"{flag} must be a finite number, got {value}")
 
 
-def _hint(trace, name: str, flag: int | None, default: int | None = None) -> int | None:
-    """A receiver setting: the flag if given, else the trace's hint, else
-    ``default``. A hint must be a JSON integer (not a bool or a float)."""
-    if flag is not None:
+def _hint(trace, name: str, flag: int | None) -> int | None:
+    """The flag if given, else the trace's hint ``name``, which must be a JSON
+    integer (not a bool or a float), else None."""
+    if flag is not None or trace.meta.get(name) is None:
         return flag
-    value = trace.meta.get(name)
-    if value is None:
-        return default
-    return json_int(value, f"trace hint {name}")
+    return json_int(trace.meta[name], f"trace hint {name}")
+
+
+def _demod_params(trace, sps_flag: int | None, dc_window_flag: int | None = None) -> DemodParams:
+    """The receiver settings of ``demod`` and the eye report."""
+    sps = _hint(trace, "samples_per_symbol", sps_flag)
+    if sps is None:
+        raise UsageError("--samples-per-symbol required (trace metadata carries no hint)")
+    dc_window = _hint(trace, "dc_window_symbols", dc_window_flag)
+    return DemodParams(sps, DEFAULT_DC_WINDOW_SYMBOLS if dc_window is None else dc_window)
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -164,7 +171,6 @@ def cmd_sweep(args) -> int:
     write_records(results_path, records, header_extra={"seed": seed})
     sensitive = [s for s in spectra_from_records(records) if classify_sensitive(s, args.threshold_db)]
     write_manifest(
-        out_dir / "manifest.json",
         command="sweep",
         argv=args.argv,
         seed=seed,
@@ -185,55 +191,35 @@ def cmd_sweep(args) -> int:
 
 def cmd_demod(args) -> int:
     trace = read_trace(args.trace)
-    sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
-    if sps is None:
-        raise UsageError(
-            "--samples-per-symbol required (trace metadata carries no hint)"
-        )
-    dc_window = _hint(trace, "dc_window_symbols", args.dc_window, DEFAULT_DC_WINDOW_SYMBOLS)
-    bits = demodulate(trace, DemodParams(sps, dc_window))
-    outputs = []
-    if args.out:
-        write_bits(args.out, bits)
-        outputs.append(args.out)
-        print(f"{len(bits)} bits -> {args.out}")
-    else:
-        print(f"{len(bits)} bits decoded")
-    if args.reference:
+    bits = demodulate(trace, _demod_params(trace, args.samples_per_symbol, args.dc_window))
+    report = None
+    if args.reference:  # read before --out is written, which may name the same file
         reference = read_bits(args.reference)
         if len(bits) < len(reference):
-            raise UsageError(
-                f"decoded only {len(bits)} bits but reference has {len(reference)}"
-            )
+            raise UsageError(f"decoded only {len(bits)} bits but reference has {len(reference)}")
         # Block-aligned captures may run a little past the payload; score the
         # known payload span only.
-        decoded = BitSequence(bits=bits.bits[: len(reference)])
-        report = ber(decoded, reference)
-        print(json.dumps(ber_report_to_dict(report) | {"kind": "ber-report"}))
-        if args.out:
-            report_path = Path(args.out).with_suffix(".ber.json")
-            report_path.write_text(json.dumps(ber_report_to_dict(report), indent=2) + "\n")
-            outputs.append(report_path)
+        report = ber(BitSequence(bits=bits.bits[: len(reference)]), reference)
     if args.out:
-        write_manifest(
-            Path(args.out).with_suffix(".manifest.json"),
-            command="demod",
-            argv=args.argv,
-            seed=None,
-            outputs=outputs,
-        )
+        write_bits(args.out, bits)
+        outputs = [args.out]
+        if report is not None:
+            outputs.append(Path(args.out).with_suffix(".ber.json"))
+            write_ber_report(outputs[-1], report)
+        write_manifest(command="demod", argv=args.argv, seed=None, outputs=outputs)
+    print(f"{len(bits)} bits -> {args.out}" if args.out else f"{len(bits)} bits decoded")
+    if report is not None:
+        print(json.dumps(ber_report_to_dict(report) | {"kind": "ber-report"}))
     return 0
 
 
 def cmd_ber(args) -> int:
     if args.decoded and args.reference:
         report = ber(read_bits(args.decoded), read_bits(args.reference))
-        text = json.dumps(ber_report_to_dict(report), indent=2)
-        print(text)
+        print(json.dumps(ber_report_to_dict(report), indent=2))
         if args.out:
-            Path(args.out).write_text(text + "\n")
-            manifest = Path(args.out).with_suffix(".manifest.json")
-            write_manifest(manifest, command="ber", argv=args.argv, seed=None, outputs=[args.out])
+            write_ber_report(args.out, report)
+            write_manifest(command="ber", argv=args.argv, seed=None, outputs=[args.out])
         return 0
     if not args.scenario:
         raise UsageError("ber needs either --decoded + --reference or --scenario")
@@ -282,12 +268,7 @@ def cmd_ber(args) -> int:
     if args.out:
         write_ber_curve(args.out, points)
         write_manifest(
-            Path(args.out).with_suffix(".manifest.json"),
-            command="ber",
-            argv=args.argv,
-            seed=seed,
-            outputs=[args.out],
-            scenario=scenario_path,
+            command="ber", argv=args.argv, seed=seed, outputs=[args.out], scenario=scenario_path
         )
     return 0
 
@@ -318,22 +299,11 @@ def cmd_report(args) -> int:
         info = render_spectrum(spectrum, out_svg, out_csv)
     elif args.kind == "ber-curve":
         info = render_ber_curve(read_ber_curve(args.results), out_svg, out_csv)
-    elif args.kind == "eye":
+    else:  # eye; argparse restricts the choices
         trace = read_trace(args.results)
-        sps = _hint(trace, "samples_per_symbol", args.samples_per_symbol)
-        if sps is None:
-            raise UsageError("--samples-per-symbol required for eye reports")
-        dc_window = _hint(trace, "dc_window_symbols", None, DEFAULT_DC_WINDOW_SYMBOLS)
-        info = render_eye(trace, sps, out_svg, out_csv, dc_window)
-    else:  # pragma: no cover - argparse restricts choices
-        raise UsageError(f"unknown report kind {args.kind}")
+        info = render_eye(trace, _demod_params(trace, args.samples_per_symbol), out_svg, out_csv)
     write_manifest(
-        Path(f"{args.out}.manifest.json"),
-        command="report",
-        argv=args.argv,
-        seed=None,
-        outputs=[out_svg, out_csv],
-        extra=info,
+        command="report", argv=args.argv, seed=None, outputs=[out_svg, out_csv], extra=info
     )
     print(f"{args.kind} -> {out_svg} + {out_csv}")
     return 0
@@ -349,6 +319,10 @@ def cmd_linkbudget(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    out = Path(args.out)
+    bits_path = out.with_suffix(".bits")
+    if bits_path == out:
+        raise UsageError(f"--out {out} is the payload bits file; give the trace another suffix")
     scenario, scenario_path = _resolve_scenario(args.scenario)
     seed = _seed(args, scenario)
     flags = {
@@ -365,7 +339,6 @@ def cmd_simulate(args) -> int:
     bits = generate_bits(args.bits, seed)
     trace, params = transmit(scenario, bits, rig=build_rig(scenario, seed=seed), tx=tx)
 
-    out = Path(args.out)
     write_trace(
         out,
         trace,
@@ -377,16 +350,12 @@ def cmd_simulate(args) -> int:
             "dc_window_symbols": tx.dc_window_symbols,
         },
     )
-    outputs = [out]
-    bits_path = out.with_suffix(".bits")
     write_bits(bits_path, bits)
-    outputs.append(bits_path)
     write_manifest(
-        out.with_suffix(".manifest.json"),
         command="simulate",
         argv=args.argv,
         seed=seed,
-        outputs=outputs,
+        outputs=[out, bits_path],
         scenario=scenario_path,
         extra={"bits": len(bits), "bit_rate_hz": tx.bit_rate_hz, "freq_hz": tx.freq_hz},
     )

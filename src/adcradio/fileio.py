@@ -389,6 +389,10 @@ def ber_report_to_dict(report: BerReport) -> dict:
     return out
 
 
+def write_ber_report(path: str | Path, report: BerReport) -> None:
+    Path(path).write_text(json.dumps(ber_report_to_dict(report), indent=2) + "\n")
+
+
 # -- ber-curve documents ---------------------------------------------------------
 
 
@@ -431,7 +435,6 @@ def read_ber_curve(path: str | Path) -> list[dict]:
 
 
 def write_manifest(
-    path: str | Path,
     command: str,
     argv: list[str],
     seed: int | None,
@@ -439,6 +442,8 @@ def write_manifest(
     scenario: str | Path | None = None,
     extra: dict | None = None,
 ) -> None:
+    """Write the run manifest beside the first output, as
+    ``<outputs[0]>.manifest.json``."""
     from . import __version__
 
     manifest = {
@@ -454,5 +459,5 @@ def write_manifest(
         "outputs": [str(p) for p in outputs],
         **(extra or {}),
     }
-    with open(path, "w", newline="\n") as f:
+    with open(f"{outputs[0]}.manifest.json", "w", newline="\n") as f:
         f.write(json.dumps(manifest, indent=2) + "\n")

@@ -12,7 +12,7 @@ import math
 from pathlib import Path
 
 from .fileio import snr_to_json
-from .receiver import DEFAULT_DC_WINDOW_SYMBOLS, condition
+from .receiver import DemodParams, condition
 from .sweep import SweepCell, config_order, peak_snr, spectra_from_records
 
 _FONT = "font-family='monospace' font-size='11'"
@@ -32,23 +32,22 @@ def _svg_header(width: int, height: int) -> list[str]:
     ]
 
 
+# The heatmap ramp's colours at t = 0, 0.5 and 1: blue, yellow, red.
+_HEAT_ANCHORS = ((33, 102, 172), (254, 224, 144), (178, 24, 43))
+
+
 def _heat_color(value: float, vmin: float, vmax: float) -> str:
-    """Blue -> yellow -> red ramp for log-SNR values."""
+    """Blue -> yellow -> red ramp for log-SNR values, clamped to its ends;
+    NaN is blue."""
     if vmax <= vmin:
         t = 0.0
     else:
         t = min(1.0, max(0.0, (value - vmin) / (vmax - vmin)))
-    anchors = [
-        (0.0, (33, 102, 172)),
-        (0.5, (254, 224, 144)),
-        (1.0, (178, 24, 43)),
-    ]
-    for (t0, c0), (t1, c1) in zip(anchors, anchors[1:]):
-        if t <= t1:
-            f = (t - t0) / (t1 - t0)
-            rgb = tuple(int(round(a + f * (b - a))) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    return "rgb(178,24,43)"
+    half = min(int(2 * t), 1)  # 0 on [0, 0.5), 1 on [0.5, 1]
+    f = 2 * t - half
+    c0, c1 = _HEAT_ANCHORS[half], _HEAT_ANCHORS[half + 1]
+    rgb = tuple(int(round(a + f * (b - a))) for a, b in zip(c0, c1))
+    return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
 
 
 def _snr_label(snr: float) -> str:
@@ -233,21 +232,14 @@ def render_ber_curve(points, out_svg: str | Path, out_csv: str | Path) -> dict:
     return {"points": len(points)}
 
 
-def render_eye(
-    trace,
-    samples_per_symbol: int,
-    out_svg: str | Path,
-    out_csv: str | Path,
-    dc_window_symbols: int = DEFAULT_DC_WINDOW_SYMBOLS,
-) -> dict:
-    """Overlaid two-symbol segments of the normalized waveform (eye diagram),
-    at most ``_EYE_MAX_SEGMENTS`` of them."""
-    sps = int(samples_per_symbol)
-    if sps < 2:
-        raise ValueError("samples_per_symbol must be >= 2")
+def render_eye(trace, params: DemodParams, out_svg: str | Path, out_csv: str | Path) -> dict:
+    """Overlaid two-symbol segments of the waveform ``demodulate`` would
+    decode with ``params``, normalized (eye diagram), at most
+    ``_EYE_MAX_SEGMENTS`` of them."""
+    sps = int(params.samples_per_symbol)
     if len(trace) < 4 * sps:
         raise ValueError("trace too short for an eye diagram")
-    scaled = condition(trace, sps, dc_window_symbols)
+    scaled = condition(trace, sps, params.dc_window_symbols)
     seg_len = 2 * sps
     n_seg = min(_EYE_MAX_SEGMENTS, (scaled.size - sps) // sps - 1)
     if n_seg < 2:

@@ -17,7 +17,7 @@ from adcradio.cli import main
 from adcradio.fileio import read_bits, read_records, read_trace, write_trace
 from adcradio.plots import render_eye, render_spectrum
 from adcradio.protocol import ProtocolError
-from adcradio.receiver import _symbol_central_means, condition
+from adcradio.receiver import DemodParams, _symbol_central_means, condition
 from adcradio.scenario import build_rig, config_to_dict, load_scenario, transmit
 from adcradio.signals import generate_bits
 from adcradio.sweep import (
@@ -74,20 +74,20 @@ class TestManifestArgv:
         monkeypatch.setattr(sys, "argv", ["pytest", "-q", "tests/x.py"])
         trace, bits = tmp_path / "t.trace", tmp_path / "t.bits"
         runs = {
-            tmp_path / "sweep" / "manifest.json": [
+            tmp_path / "sweep" / "results.jsonl.manifest.json": [
                 "sweep", "--scenario", mini_scenario, "--out", tmp_path / "sweep",
                 "--configs", "0", "--freq-points", "2",
             ],
-            tmp_path / "t.manifest.json": [
+            tmp_path / "t.trace.manifest.json": [
                 "simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace,
             ],
-            tmp_path / "d.manifest.json": [
+            tmp_path / "d.bits.manifest.json": [
                 "demod", "--trace", trace, "--reference", bits, "--out", tmp_path / "d.bits",
             ],
-            tmp_path / "eye.manifest.json": [
+            tmp_path / "eye.svg.manifest.json": [
                 "report", "--results", trace, "--kind", "eye", "--out", tmp_path / "eye",
             ],
-            tmp_path / "c.manifest.json": [
+            tmp_path / "c.json.manifest.json": [
                 "ber", "--scenario", mini_scenario, "--bits", 100, "--out", tmp_path / "c.json",
             ],
         }
@@ -148,6 +148,49 @@ def test_the_manifest_lists_exactly_the_files_a_command_writes(
     assert sorted(str(Path(p)) for p in doc["outputs"]) == sorted(new - {manifest})
 
 
+# Command sequences whose second run once wrote its manifest over the first's.
+_SHARED_PREFIX_RUNS = {
+    "simulate-demod": [
+        ("simulate", "--scenario", "{scenario}", "--bits", "200", "--out", "smoke.trace"),
+        ("demod", "--trace", "smoke.trace", "--out", "smoke.dec"),
+    ],
+    "ber-report": [
+        ("ber", "--scenario", "ideal_sync", "--bits", "100", "--out", "smoke_curve.json"),
+        ("report", "--results", "smoke_curve.json", "--kind", "ber-curve",
+         "--out", "smoke_curve"),
+    ],
+    "simulate-eye": [
+        ("simulate", "--scenario", "{scenario}", "--bits", "200", "--out", "x"),
+        ("report", "--results", "x", "--kind", "eye", "--out", "x"),
+    ],
+}
+
+
+@pytest.mark.parametrize("runs", _SHARED_PREFIX_RUNS.values(), ids=_SHARED_PREFIX_RUNS)
+def test_every_file_is_listed_by_exactly_one_manifest(
+    mini_scenario, tmp_path, monkeypatch, runs
+):
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+
+    def manifests():
+        return {str(p.relative_to(work)) for p in work.rglob("*manifest.json")}
+
+    writer = {}  # manifest -> the command that first wrote it
+    for argv in runs:
+        before = manifests()
+        assert main([a.format(scenario=mini_scenario) for a in argv]) == 0
+        writer.update(dict.fromkeys(manifests() - before, argv[0]))
+    files = {str(p.relative_to(work)) for p in work.rglob("*") if p.is_file()}
+    listed = []
+    for name in manifests():
+        doc = json.loads((work / name).read_text())
+        assert doc["command"] == writer[name], name
+        listed += [str(Path(p)) for p in doc["outputs"]]
+    assert sorted(listed) == sorted(files - manifests())
+
+
 class TestLinkBudget:
     def test_reference_20m_values(self, capsys):
         code = run_cli(
@@ -181,7 +224,7 @@ class TestSweepCommand:
         assert self.sweep(mini_scenario, out) == 0
         header, cells = read_records(out / "results.jsonl")
         assert [len(c.freqs_hz) for c in cells] == [5] * (2 * 2)
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "results.jsonl.manifest.json").read_text())
         assert manifest["command"] == "sweep"
         assert manifest["seed"] == 42
         assert str(out / "results.jsonl") in manifest["outputs"]
@@ -192,7 +235,7 @@ class TestSweepCommand:
         # default threshold is not in argv.
         out = tmp_path / "run"
         assert self.sweep(mini_scenario, out, extra=extra) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "results.jsonl.manifest.json").read_text())
         assert manifest["threshold_db"] == threshold
         records = read_records(out / "results.jsonl")[1]
         spectra = spectra_from_records(records)
@@ -277,6 +320,24 @@ class TestSimulateAndDemod:
         payload = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert payload["error_count"] == 0
 
+    def test_reference_is_read_before_out_is_written(self, mini_scenario, tmp_path, capsys):
+        # --out may name the reference: the decode is scored against the
+        # reference as it was. A reference longer than the decode writes nothing.
+        trace, zeros = tmp_path / "t.trace", tmp_path / "z.bits"
+        assert run_cli("simulate", "--scenario", mini_scenario, "--bits", 200, "--out", trace) == 0
+        zeros.write_text("0\n" * 200)
+        capsys.readouterr()
+        assert run_cli("demod", "--trace", trace, "--reference", zeros) == 0
+        want = capsys.readouterr().out.splitlines()[-1]
+        assert json.loads(want)["error_count"] > 0
+        assert run_cli("demod", "--trace", trace, "--reference", zeros, "--out", zeros) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == want
+        zeros.write_text("0\n" * 1000)
+        out = tmp_path / "d.bits"
+        assert run_cli("demod", "--trace", trace, "--reference", zeros, "--out", out) == 2
+        assert "decoded only 200 bits but reference has 1000" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_trace(self, mini_scenario, tmp_path):
         a, b = tmp_path / "a.trace", tmp_path / "b.trace"
         run_cli("simulate", "--scenario", mini_scenario, "--bits", 100, "--out", a)
@@ -348,6 +409,18 @@ class TestSimulateAndDemod:
         assert code == 2
         assert f"trace hint {field} must be an integer, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["demod", "eye"])
+    @pytest.mark.parametrize("window", [4, 1, -3])
+    def test_out_of_range_dc_window_hint_exit_2(self, tmp_path, capsys, command, window):
+        bad = tmp_path / "hint.trace"
+        self.write_trace_file(bad, {**self.TRACE_HEADER, "dc_window_symbols": window})
+        if command == "demod":
+            code = run_cli("demod", "--trace", bad)
+        else:
+            code = run_cli("report", "--results", bad, "--kind", "eye", "--out", tmp_path / "e")
+        assert code == 2
+        assert capsys.readouterr().err == "error: dc_window_symbols must be an odd count >= 3\n"
+
     def test_flag_overrides_a_bad_hint(self, tmp_path):
         bad = tmp_path / "hint.trace"
         self.write_trace_file(bad, {**self.TRACE_HEADER, "samples_per_symbol": 2.5})
@@ -402,6 +475,15 @@ class TestSimulateAndDemod:
         assert code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_out_named_like_the_bits_file_exit_2(self, mini_scenario, tmp_path, capsys):
+        # The payload bits go beside the trace, with the suffix .bits; they
+        # would overwrite a trace of that name.
+        code = run_cli("simulate", "--scenario", mini_scenario, "--bits", 10,
+                       "--out", tmp_path / "t.bits")
+        assert code == 2
+        assert "--out" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [mini_scenario]
 
 
 class TestTransmit:
@@ -524,7 +606,7 @@ class TestReportCommand:
         args = ("report", "--results", trace_path, "--kind", "eye", "--out", tmp_path / "eye")
         assert run_cli(*args) == 0
         sps = trace.meta["samples_per_symbol"]
-        render_eye(trace, sps, tmp_path / "ref.svg", tmp_path / "ref.csv", dc_window_symbols=41)
+        render_eye(trace, DemodParams(sps, 41), tmp_path / "ref.svg", tmp_path / "ref.csv")
         assert (tmp_path / "eye.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_spectrum_rejects_non_finite_db(self, results, tmp_path, capsys):
@@ -550,7 +632,7 @@ class TestReportCommand:
         write_trace(trace_path, trace)
         args = ("report", "--results", trace_path, "--kind", "eye", "--out", tmp_path / "e")
         assert run_cli(*args) == 0
-        manifest = json.loads((tmp_path / "e.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "e.svg.manifest.json").read_text())
         means = _symbol_central_means(condition(trace, sps, 41), 0.0, sps)
         assert manifest["symbol_means"] == means.size == 150
 

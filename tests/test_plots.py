@@ -3,8 +3,10 @@
 
 import math
 
+import pytest
+
 from adcradio.backend import ReceptionPathId
-from adcradio.plots import render_heatmap, render_spectrum
+from adcradio.plots import _heat_color, render_heatmap, render_spectrum
 from adcradio.sweep import SweepCell, enumerate_configs
 
 CONFIGS = enumerate_configs()[:2]
@@ -69,6 +71,20 @@ class TestHeatmap:
             "1,0,100000000,12.500000",
             "1,1,200000000,2.000000",
         ]
+
+    @pytest.mark.parametrize(
+        "value, color",
+        [
+            (0.0, "rgb(33,102,172)"),
+            (0.5, "rgb(254,224,144)"),
+            (1.0, "rgb(178,24,43)"),
+            (-0.5, "rgb(33,102,172)"),
+            (1.5, "rgb(178,24,43)"),
+            (math.nan, "rgb(33,102,172)"),
+        ],
+    )
+    def test_the_ramp_meets_its_anchors_and_clamps_to_its_ends(self, value, color):
+        assert _heat_color(value, 0.0, 1.0) == color
 
 
 class TestSpectrum:
